@@ -151,7 +151,7 @@ def classify_point(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
     lad = _lad(f, ladder)
     x = np.asarray(x, dtype=float).reshape(f.m)
     w = geometry.graph_whitney(f, x, lad)
-    est = conormal.conormal(f, x, lad)
+    est = conormal.conormal(f, x, lad, whitney=w)
     vt = _vert_tol(w)
     lip_pw, lip = dini.lipschitz_constants(f, x, lad)
 
@@ -181,7 +181,7 @@ def classify_point(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
 
     fo = None
     if f.n == 1:
-        fo = fo_extremum(f, x, lad, tol=fo_tol)["tag"]
+        fo = fo_extremum(f, x, lad, tol=fo_tol, whitney=w)["tag"]
         if fo == "stationary" and deriv is not None and np.abs(deriv).max() <= 1e-4:
             deriv = np.zeros_like(deriv)
 
@@ -216,12 +216,13 @@ def classify_point(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
 
 
 def fo_extremum(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
-                tol: float = 1e-4) -> dict:
+                tol: float = 1e-4, whitney: FiberCone | None = None) -> dict:
     """Radial first-order extremum tag with Fermat verification.
 
     The tag comes from the liminf/limsup of (f(x+v)-f(x))/|v|; on a hit the
     Fermat inclusions (horizontal tangents inside W, vertical covector
-    inside the conormal where exact) are verified within 2 rho.
+    inside the conormal where exact) are verified within 2 rho.  ``whitney``
+    is the graph Whitney cone W at x when the caller has it already.
     """
     if f.n != 1:
         raise DimensionMismatchError("extremum classification needs a scalar function")
@@ -237,7 +238,7 @@ def fo_extremum(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
     if tag == "none":
         return out
 
-    w = geometry.graph_whitney(f, x, lad)
+    w = geometry.graph_whitney(f, x, lad) if whitney is None else whitney
     ft = _vert_tol(w)
     if f.m == 1:
         dirs = np.array([[1.0, 0.0], [-1.0, 0.0]])
@@ -248,7 +249,7 @@ def fo_extremum(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
     fermat = {"whitney_horizontal": bool(worst <= ft),
               "worst_angle": float(worst), "tolerance": ft}
     if f.m == 1:
-        lam = conormal.conormal_dimM1(f, x, lad)
+        lam = cones.top(w)  # the exact conormal over a 1-D domain
         vgap = max(_ray_gap(lam, [0.0, 1.0]), _ray_gap(lam, [0.0, -1.0]))
         fermat["conormal_vertical"] = bool(vgap <= ft)
         fermat["conormal_angle"] = float(vgap)
@@ -630,12 +631,12 @@ def time_function_check(tau: FunctionHandle, gamma_m, points,
     per = []
     for entry, p in zip(causal["per_point"], pts):
         p = p.reshape(tau.m)
-        est = conormal.conormal(tau, p, lad)
+        w = geometry.graph_whitney(tau, p, lad)
+        est = conormal.conormal(tau, p, lad, whitney=w)
         lam = est.exact if est.exact is not None else est.upper
         sub_tol = (STRICT_VERTICAL_TOL if est.exact is not None
                    else _vert_tol(lam))
         submersive = not _slice_nontrivial(lam, tau.m, sub_tol, "vertical")
-        w = geometry.graph_whitney(tau, p, lad)
         img = cones.apply_relation(_field_value(gamma_m, p, tau.m),
                                    ConicRelation(tau.m, 1, w))
         strict_ok = not cones.contains(img, np.array([-1.0]),

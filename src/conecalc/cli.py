@@ -62,8 +62,11 @@ def _scale_ladder(cfg: RunConfig, **defaults) -> dini.ScaleLadder:
     if cfg.ladder is None:
         return dini.ScaleLadder(seed=cfg.seed, **defaults)
     t0, ratio, k_min, k_max = cfg.ladder
-    return dini.ScaleLadder(t0=t0, ratio=ratio, k_min=int(k_min),
-                            k_max=int(k_max), seed=cfg.seed)
+    try:
+        return dini.ScaleLadder(t0=t0, ratio=ratio, k_min=int(k_min),
+                                k_max=int(k_max), seed=cfg.seed)
+    except ValueError as exc:
+        raise UsageError(f"bad --ladder value: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +296,8 @@ def _analyze_point(f, x, lad, cfg: RunConfig) -> dict:
     entry = {"point": x.tolist(), "classification": rep, "checks": {}}
     for name in dict.fromkeys(cfg.checks):
         if name == "conormal-upper":
-            entry["checks"][name] = conormal.conormal_upper_bound(f, x, lad)
+            entry["checks"][name] = conormal.slice_top_intersection(
+                rep.whitney, f.m)
         elif name == "epigraph-split":
             plus, minus = conormal.epigraph_split(f, x, lad)
             entry["checks"][name] = {"positive": plus, "negative": minus}

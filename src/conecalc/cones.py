@@ -38,6 +38,12 @@ from .sampling import TWO_PI
 _EPS = 1e-12
 _FULL = ((0.0, TWO_PI),)
 
+# polar of a sampled cone: grid rows whose nearest-member dot lies this
+# close to the threshold are decided by the dense product, computed in
+# blocks of at most DENSE_CELLS grid-by-member dots
+DUAL_MARGIN = 1e-9
+DENSE_CELLS = 1 << 21
+
 
 # ---------------------------------------------------------------------------
 # closed arc algebra on the circle
@@ -553,12 +559,42 @@ def polar(cone: FiberCone, slack: float | None = None) -> FiberCone:
     if slack is None:
         slack = 0.5 * rep.resolution
     thr = -math.sin(slack)
-    ok = np.empty(len(grid), dtype=bool)
-    for lo in range(0, len(grid), 4096):
-        hi = lo + 4096
-        ok[lo:hi] = np.all(grid[lo:hi] @ dirs.T >= thr, axis=1)
-    return FiberCone(cone.dim, Sampled(grid[ok], sampling.grid_resolution(cone.dim)),
+    return FiberCone(cone.dim, Sampled(grid[_dual_mask(grid, dirs, thr)],
+                                       sampling.grid_resolution(cone.dim)),
                      cone.base_point)
+
+
+def _dual_mask(grid: np.ndarray, dirs: np.ndarray, thr: float) -> np.ndarray:
+    """Rows g of grid with <g, v> >= thr for every row v of dirs.
+
+    For unit members the smallest <g, v> is taken by the member nearest
+    to -g, so one KD-tree query per row replaces the dense product.  Rows
+    whose nearest-member dot lies within DUAL_MARGIN of thr are decided
+    again by the dense product, which covers the rounding of the tree's
+    distances; members that are not unit vectors skip the tree.  In
+    fibers of dimension 2 and 3 the blocked dense product rounds the same
+    for any block of rows, so the mask equals the full dense mask bit for
+    bit; above that a row within rounding of thr can flip, as it already
+    does with the BLAS thread count.
+    """
+    from scipy.spatial import cKDTree
+
+    if np.abs(np.einsum("ij,ij->i", dirs, dirs) - 1.0).max() > 1e-12:
+        near = np.arange(len(grid))
+        ok = np.zeros(len(grid), dtype=bool)
+    else:
+        _, idx = cKDTree(dirs).query(-grid)
+        dots = np.einsum("ij,ij->i", grid, dirs[idx])
+        ok = dots >= thr
+        near = np.flatnonzero(np.abs(dots - thr) <= DUAL_MARGIN)
+    step = max(2, DENSE_CELLS // len(dirs))
+    for lo in range(0, len(near), step):
+        rows = near[lo:lo + step]
+        # numpy hands a one-row product to gemv, which rounds differently
+        # from the blocked product, so a lone row is doubled
+        dense = grid[np.resize(rows, max(2, len(rows)))] @ dirs.T
+        ok[rows] = np.all(dense[:len(rows)] >= thr, axis=1)
+    return ok
 
 
 def orthogonal(cone: FiberCone) -> FiberCone:

@@ -165,8 +165,9 @@ def slice_top_intersection(w: FiberCone, m: int) -> FiberCone:
             # an empty slice is a sampling artifact; skipping it only
             # loosens the intersection, which stays a valid upper bound
             continue
-        S = V[sel]
-        dmin = np.min(np.abs(grid[alive] @ S.T), axis=1)
+        # grid x slice dots dominate the peak memory: abs in place
+        dots = grid[alive] @ V[sel].T
+        dmin = np.min(np.abs(dots, out=dots), axis=1)
         alive = alive[dmin <= thr]
         if len(alive) == 0:
             break
@@ -183,8 +184,7 @@ def _epigraph_tangent(f, x, lad) -> FiberCone:
     derivative of f at x along u, fiberwise in the direction u."""
     x = np.asarray(x, dtype=float).reshape(f.m)
     if f.m == 1:
-        d_plus = dini.inf_derivative(f, x, np.array([1.0]), lad)
-        d_minus = dini.inf_derivative(f, x, np.array([-1.0]), lad)
+        d_plus, d_minus = dini.inf_derivatives(f, x, [[1.0], [-1.0]], lad)
         a1 = math.atan(d_plus) if abs(d_plus) <= dini.DIVERGENCE_CAP \
             else math.copysign(math.pi / 2.0, d_plus)
         a2 = math.pi - (math.atan(d_minus) if abs(d_minus) <= dini.DIVERGENCE_CAP
@@ -195,8 +195,7 @@ def _epigraph_tangent(f, x, lad) -> FiberCone:
     base = _domain_grid(f.m) if f.m > 2 else _domain_grid(2)[::2]
     step = sampling.grid_resolution(2) if f.m == 2 else sampling.grid_resolution(f.m)
     members = [np.concatenate([np.zeros(f.m), [1.0]])[None, :]]
-    for u in base:
-        lo = dini.inf_derivative(f, x, u, lad)
+    for u, lo in zip(base, dini.inf_derivatives(f, x, base, lad)):
         if lo > dini.DIVERGENCE_CAP:
             continue
         p1 = math.atan(lo) if abs(lo) <= dini.DIVERGENCE_CAP else -math.pi / 2.0
@@ -218,14 +217,12 @@ def _epigraph_polar_lower(f, x, lad) -> FiberCone:
 
 
 def conormal_lower_check(w: FiberCone, lam: FiberCone, m: int, n: int,
-                         lipschitz_for=None, tol: float | None = None) -> dict:
+                         tol: float | None = None) -> dict:
     """Verify that every Whitney direction admits perpendicular covectors
     in the conormal estimate, one for each codomain covector slice.
 
     Pure verification; reports the worst violation angle instead of
-    modifying either cone.  ``lipschitz_for(w_domain_part) -> bool``
-    optionally marks directions where the covector must be realizable
-    with unit codomain scale (positively aligned fiber part).
+    modifying either cone.
     """
     d = m + n
     if w.dim != d or lam.dim != d:
@@ -277,15 +274,6 @@ def conormal_lower_check(w: FiberCone, lam: FiberCone, m: int, n: int,
     report["worst_angle"] = worst_angle
     report["worst_direction"] = WD[worst].tolist()
     report["passed"] = worst_angle <= tol
-    if lipschitz_for is not None:
-        marked = [i for i in range(len(WD)) if lipschitz_for(WD[i, :m])]
-        ok = True
-        for i in marked:
-            cand = perp[i] <= tol
-            if not np.any(cand & (fn > math.sin(tol))):
-                ok = False
-                break
-        report["scaled_ok"] = ok
     return report
 
 
@@ -333,16 +321,22 @@ def epigraph_split(f, x, ladder=None) -> tuple[FiberCone, FiberCone]:
     return plus, antipodal(plus)
 
 
-def conormal(f, x, ladder=None) -> ConormalEstimate:
-    """Assembled estimate: exact over 1-D domains, bracketed elsewhere."""
+def conormal(f, x, ladder=None, whitney: FiberCone | None = None) -> ConormalEstimate:
+    """Assembled estimate: exact over 1-D domains, bracketed elsewhere.
+
+    ``whitney`` is the graph Whitney cone of f at x when the caller has
+    it already; otherwise it is computed here, once.  The exact conormal
+    (its top) and the upper bound (``slice_top_intersection``) are both
+    read off this one cone.
+    """
     lad = _resolved_ladder(f, ladder)
+    w = geometry.graph_whitney(f, x, lad) if whitney is None else whitney
     if f.m == 1:
-        lam = conormal_dimM1(f, x, lad)
+        lam = top(w)
         return ConormalEstimate(lower=lam, upper=lam, regime="dimM1", exact=lam)
-    upper = conormal_upper_bound(f, x, lad)
+    upper = slice_top_intersection(w, f.m)
     if f.n == 1:
         lower = _epigraph_polar_lower(f, x, lad)
-        w = geometry.graph_whitney(f, x, lad)
         check = conormal_lower_check(w, upper, f.m, f.n)
         est = ConormalEstimate(lower=lower, upper=upper, regime="dimN1")
         est.checks["lower_check"] = check

@@ -17,6 +17,14 @@ that shrinks quadratically in r_k.  Per-scale extrema are extrapolated
 by the median of the last three scales; a monotone geometric blow-up
 past the cap is reported as an infinite sentinel.
 
+All of them run on one kernel, ``_quotient_scan``, which takes a stack
+of direction rows.  Per scale it calls ``f`` once on the base points and
+once on the whole t sub-ladder of every row, in t-major order.  A call
+holds at most ``QUOTIENT_ROW_CAP`` probe points (but always one full t
+step), so a larger stack splits its scale over several calls.  Rows
+never interact, so callers stack all their directions, the zero
+direction included, into one scan.
+
 Estimates are heuristic: any finite ladder can be fooled by structure
 below its deepest scale.  The full per-scale table is kept on the
 returned profile so callers can judge convergence themselves.
@@ -35,6 +43,7 @@ from . import sampling
 DIVERGENCE_CAP = 1e3
 HARD_CAP = 1e9
 T_SUBSTEPS = 30          # t sub-ladder: r_k * 2**-(0..29)
+QUOTIENT_ROW_CAP = 1 << 18  # probe points per f call in the quotient scan
 GROWTH_FACTOR = 1.2      # per-scale growth that counts as monotone blow-up
 NOISE_BUDGET = 1e-7      # cancellation noise allowed in a single quotient
 
@@ -137,8 +146,29 @@ def _base_offsets(m: int, jitter: int, total: int, seed: int) -> np.ndarray:
     return np.vstack([fixed, sampling.ball_points(m, rest, seed)])
 
 
+def _probe_values(f, Y, V, ts) -> np.ndarray:
+    """f at Y[b] + t * V[i, b] for every t in ts, flat in (t, i, b) order.
+
+    Each call takes as many whole t rows as fit in QUOTIENT_ROW_CAP probe
+    points, and never less than one row.
+    """
+    q, B, m = V.shape
+    block = q * B
+    per_call = max(1, QUOTIENT_ROW_CAP // max(block, 1))
+    out = np.empty(len(ts) * block)
+    for j in range(0, len(ts), per_call):
+        T = ts[j:j + per_call, None, None, None]
+        P = (Y[None, None, :, :] + T * V[None]).reshape(-1, m)
+        out[j * block:j * block + len(P)] = f(P)[:, 0]
+    return out
+
+
 def _quotient_scan(f, x, U, ladder: ScaleLadder, moving_base: bool) -> list[QuotientProfile]:
-    """Sup-side quotient profiles, vectorized across direction rows of U."""
+    """Sup-side quotient profiles, vectorized across direction rows of U.
+
+    Rows never interact: a row's profile is the same whether it is
+    scanned alone or stacked with others.
+    """
     if f.n != 1:
         raise ValueError("quotient estimation needs a scalar function")
     x = np.asarray(x, dtype=float).reshape(f.m)
@@ -199,13 +229,14 @@ def _quotient_scan(f, x, U, ladder: ScaleLadder, moving_base: bool) -> list[Quot
         ts = ts[ts >= max(t_floor, noise_floor, 1e-300)]
         if len(ts) == 0:
             ts = np.array([r])
-        for tj, t in enumerate(ts):
-            P = (Y[None, :, :] + t * V).reshape(-1, m)
-            quot = (f(P)[:, 0].reshape(q, B) - FY[None, :]) / t
-            np.maximum(highs[:, ki], quot.max(axis=1), out=highs[:, ki])
-            np.minimum(lows[:, ki], quot.min(axis=1), out=lows[:, ki])
-            if tj == 0:
-                shallow[:, ki] = quot.max(axis=1)
+        quot = (_probe_values(f, Y, V, ts).reshape(len(ts), q, B)
+                - FY[None, None, :]) / ts[:, None, None]
+        # per-t extrema first, then over t in t order, as the loop over t
+        # did: the extremum of signed zeros depends on that order
+        step_hi = quot.max(axis=2)
+        highs[:, ki] = step_hi.max(axis=0)
+        lows[:, ki] = quot.min(axis=2).min(axis=0)
+        shallow[:, ki] = step_hi[0]
 
     out = []
     for i in range(q):
@@ -247,7 +278,14 @@ def sup_derivative(f, x, u, ladder: ScaleLadder) -> float:
 
 
 def inf_derivative(f, x, u, ladder: ScaleLadder) -> float:
-    return -sup_derivative(f, x, -np.asarray(u, dtype=float), ladder)
+    return float(inf_derivatives(f, x, u, ladder)[0])
+
+
+def inf_derivatives(f, x, U, ladder: ScaleLadder) -> np.ndarray:
+    """inf_derivative along every row of U, from one fixed-base scan of -U."""
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    return -np.array([p.limit for p in _quotient_scan(f, x, -U, ladder,
+                                                     moving_base=False)])
 
 
 def quotient_slabs(f, x, U, ladder: ScaleLadder, moving_base: bool = True):

@@ -276,9 +276,22 @@ def convexity_check(cone: FiberCone, seed: int = 0, samples: int = 512) -> bool:
     return float(np.mean(inside)) >= 0.98
 
 
-def _vertical_included(f, x, ladder: dini.ScaleLadder) -> bool:
-    prof = dini.sup_quotient_profile(f, x, np.zeros(f.m), ladder)
-    return prof.diverged or abs(prof.limit) > dini.DIVERGENCE_CAP
+def _slabs_and_vertical(f, x, U, ladder: dini.ScaleLadder):
+    """(lows, highs, vertical) from one moving-base scan of U, -U and 0.
+
+    lows/highs are the quotient slabs along the rows of U, as in
+    ``dini.quotient_slabs``; ``vertical`` says whether the quotient along
+    the zero direction blows up, i.e. whether the vertical belongs to the
+    graph Whitney cone.
+    """
+    U = np.asarray(U, dtype=float).reshape(-1, f.m)
+    q = len(U)
+    profs = dini._quotient_scan(f, x, np.vstack([U, -U, np.zeros((1, f.m))]),
+                                ladder, moving_base=True)
+    highs = np.array([p.limit for p in profs[:q]])
+    lows = -np.array([p.limit for p in profs[q:2 * q]])
+    vert = profs[-1]
+    return lows, highs, vert.diverged or abs(vert.limit) > dini.DIVERGENCE_CAP
 
 
 def _slab_arcs(qlo: float, qhi: float, vertical: bool) -> list[tuple[float, float]]:
@@ -299,13 +312,11 @@ def graph_whitney(f, x, ladder: dini.ScaleLadder) -> FiberCone:
     """
     x = np.asarray(x, dtype=float).reshape(f.m)
     if f.n == 1 and f.m == 1:
-        lo, hi, _, _ = dini.quotient_slabs(f, x, np.array([[1.0]]), ladder)
-        vertical = _vertical_included(f, x, ladder)
+        lo, hi, vertical = _slabs_and_vertical(f, x, [[1.0]], ladder)
         return FiberCone.from_arcs(_slab_arcs(lo[0], hi[0], vertical))
     if f.n == 1 and f.m == 2:
         base = sampling.unit_grid(2)[::2]
-        lo, hi, _, _ = dini.quotient_slabs(f, x, base, ladder)
-        vertical = _vertical_included(f, x, ladder)
+        lo, hi, vertical = _slabs_and_vertical(f, x, base, ladder)
         step = sampling.grid_resolution(2)
         members = []
         for u, l2, h2 in zip(base, lo, hi):
@@ -331,10 +342,16 @@ def epigraph_strict_cone(f, x, ladder: dini.ScaleLadder) -> FiberCone:
     x = np.asarray(x, dtype=float).reshape(f.m)
     if f.n != 1:
         raise ValueError("epigraphs need a scalar function")
-    if _vertical_included(f, x, ladder):
+    if f.m == 1:
+        base = np.array([[1.0]])
+    elif f.m == 2:
+        base = sampling.unit_grid(2)[::2]
+    else:
+        base = np.zeros((0, f.m))  # only the vertical test is defined here
+    lo, hi, vertical = _slabs_and_vertical(f, x, base, ladder)
+    if vertical:
         return FiberCone.zero(f.m + 1)
     if f.m == 1:
-        lo, hi, _, _ = dini.quotient_slabs(f, x, np.array([[1.0]]), ladder)
         q_plus = hi[0]          # sup-quotient along +1
         q_minus = -lo[0]        # sup-quotient along -1, antipodal identity
         a1 = math.atan(q_plus)
@@ -343,8 +360,6 @@ def epigraph_strict_cone(f, x, ladder: dini.ScaleLadder) -> FiberCone:
             return FiberCone.zero(2)
         return FiberCone.from_arcs([(a1, a2)])
     if f.m == 2:
-        base = sampling.unit_grid(2)[::2]
-        lo, hi, _, _ = dini.quotient_slabs(f, x, base, ladder)
         step = sampling.grid_resolution(2)
         members = [np.array([[0.0, 0.0, 1.0]])]
         for u, h2 in zip(base, hi):

@@ -45,7 +45,16 @@ def child_seed(seed: int, *parts: int) -> int:
 
 @lru_cache(maxsize=8)
 def unit_grid(dim: int) -> np.ndarray:
-    """Deterministic unit-vector grid on S^{dim-1}, shape (N, dim)."""
+    """Deterministic unit-vector grid on S^{dim-1}, shape (N, dim).
+
+    The array is shared by every caller, so it is read-only.
+    """
+    grid = _build_grid(dim)
+    grid.setflags(write=False)
+    return grid
+
+
+def _build_grid(dim: int) -> np.ndarray:
     if dim < 1:
         raise ValueError("grid dimension must be >= 1")
     if dim == 1:
@@ -98,12 +107,6 @@ def nearest_grid_index(dirs: np.ndarray, dim: int) -> np.ndarray:
         return np.mod(np.round(theta / step).astype(int), GRID_SIZES[2])
     _, idx = grid_tree(dim).query(dirs)
     return idx
-
-
-def angle_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Angle in radians between unit rows of u and v (broadcasting dot)."""
-    dot = np.clip(np.sum(u * v, axis=-1), -1.0, 1.0)
-    return np.arccos(dot)
 
 
 def min_angle_to_set(dirs: np.ndarray, members: np.ndarray) -> np.ndarray:

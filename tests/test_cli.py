@@ -1,6 +1,7 @@
 """Command line driver: exit codes, report schema, determinism."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -75,6 +76,17 @@ class TestUsageErrors:
                            "--plot", str(tmp_path / "p.csv"),
                            "--ladder", "0.5,0.5,0,3")
         assert code == 1 and "plot" in err
+
+
+    @pytest.mark.parametrize("ladder", ["0.1,1.5,0,6", "0.1,1.5,0,60",
+                                        "0.1,0.5,0,60", "0.1,0.5,6,6"])
+    def test_out_of_range_ladder(self, capsys, ladder):
+        code, out, err = run(capsys, "analyze", "--fn", "abs(x1)", "--at", "0",
+                             "--ladder", ladder)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("conecalc: error: bad --ladder value")
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestEstimationErrors:
@@ -200,6 +212,24 @@ class TestDeterminism:
         monkeypatch.setenv("CONECALC_SEED", "11")
         _, out, _ = run(capsys, "verify", "--only", "bipolarity")
         assert json.loads(out)["config"]["seed"] == 11
+
+
+class TestGoldenReports:
+    """Report bytes pinned by sha256; a speedup must leave them unchanged."""
+
+    @pytest.mark.parametrize("argv,digest", [
+        (("--fn", "abs(x1)", "--at", "0"),
+         "1a3ecaaaf6e1d7c35c6580a4045ab58559fb943de556829e7c1a7160db8bd46d"),
+        (("--fn", "x1*x1*sin(1/x1)", "--at", "0"),
+         "0b9d7a8719ae39b99c9e77841c7668197680c07a6aac98ba04b9caaff62e3335"),
+        (("--fn", "sin(x1)+x2*x2", "--at", "0.3,-0.2",
+          "--ladder", "0.1,0.5,0,6"),
+         "f43fc994bab06255cafd751f21c525972d27ac351b04fb0bc43574242da0b325"),
+    ])
+    def test_analyze_report_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "analyze", *argv, "--seed", "0")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestPlot:

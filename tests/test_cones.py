@@ -181,6 +181,80 @@ class TestPolyhedral:
         assert len(g) >= 6  # polar of zero is everything
 
 
+def dense_polar_mask(grid, dirs, thr):
+    """Brute-force polar membership: every dot with every member."""
+    ok = np.empty(len(grid), dtype=bool)
+    for lo in range(0, len(grid), 4096):
+        ok[lo:lo + 4096] = np.all(grid[lo:lo + 4096] @ dirs.T >= thr, axis=1)
+    return ok
+
+
+def random_sampled_cone(dim, seed, count=400, spread=None):
+    """A noisy cap of unit directions around a random axis."""
+    rng = np.random.default_rng(seed)
+    axis = rng.standard_normal(dim)
+    if spread is None:
+        spread = rng.uniform(0.2, 0.9)
+    d = axis / np.linalg.norm(axis) + spread * rng.standard_normal((count, dim))
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+def at_threshold(g, slack, rng):
+    """A unit member v with <g, v> = -sin(slack) in exact arithmetic."""
+    w = rng.standard_normal(len(g))
+    w -= (w @ g) * g
+    w /= np.linalg.norm(w)
+    return math.cos(math.pi / 2 + slack) * g + math.sin(math.pi / 2 + slack) * w
+
+
+class TestSampledPolar:
+    """The KD-tree polar of a sampled cone keeps the brute-force mask."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_mask(self, dim, seed):
+        dirs = random_sampled_cone(dim, seed)
+        res = sampling.grid_resolution(dim)
+        grid = sampling.unit_grid(dim)
+        for slack in (None, 0.0, 2.0 * res):
+            got = cones.polar(FiberCone.from_directions(dirs, dim, res), slack=slack)
+            thr = -math.sin(0.5 * res if slack is None else slack)
+            want = grid[dense_polar_mask(grid, dirs, thr)]
+            assert np.array_equal(got.rep.directions, want)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_members_at_the_slack_threshold(self, dim):
+        rng = np.random.default_rng(dim)
+        res = sampling.grid_resolution(dim)
+        slack = 0.5 * res
+        grid = sampling.unit_grid(dim)
+        base = random_sampled_cone(dim, 100 + dim, spread=0.2)
+        inside = np.flatnonzero(dense_polar_mask(grid, base, -math.sin(slack)))
+        assert len(inside) > 20
+        picks = grid[rng.choice(inside, 20, replace=False)]
+        ties = np.array([at_threshold(g, slack, rng) for g in picks])
+        dirs = np.vstack([base, ties])
+        got = cones.polar(FiberCone(dim, cones.Sampled(dirs, res)), slack=slack)
+        want = grid[dense_polar_mask(grid, dirs, -math.sin(slack))]
+        assert np.array_equal(got.rep.directions, want)
+
+    def test_non_unit_members_use_the_dense_product(self):
+        dirs = 2.0 * random_sampled_cone(3, 7)
+        grid = sampling.unit_grid(3)
+        got = cones.polar(FiberCone(3, cones.Sampled(dirs, 0.01)), slack=0.01)
+        want = grid[dense_polar_mask(grid, dirs, -math.sin(0.01))]
+        assert np.array_equal(got.rep.directions, want)
+
+
+class TestSharedGrids:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_cached_grid_is_read_only(self, dim):
+        grid = sampling.unit_grid(dim)
+        with pytest.raises(ValueError):
+            grid[0, 0] = 5.0
+        assert sampling.unit_grid(dim)[0, 0] != 5.0
+
+
 class TestTopDuality:
     def oracle_top_mask(self, arcs):
         # union of perpendicular lines of nonzero members

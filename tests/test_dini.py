@@ -172,3 +172,63 @@ class TestLipschitzConstants:
         for tag, x in (("abs", 0.3), ("xsin", 0.0), ("preiss_lip(5)", 0.61)):
             pw, loc = dini.lipschitz_constants(funcs.builtin(tag), [x], LAD)
             assert loc >= pw - 1e-9
+
+
+class TestStackedScan:
+    """A stacked scan gives every row the profile of its own scan."""
+
+    H2 = funcs.parse_expr("sin(x1) + x2*x2 + abs(x1 - x2)", 2)
+    X2 = [0.3, 0.3]
+    U2 = np.array([[1.0, 0.0], [0.6, -0.8], [0.0, 0.0], [-2.0, 1.0],
+                   [0.0, -1.0]])
+
+    @staticmethod
+    def assert_same(stacked, single):
+        for a, b in zip(stacked, single):
+            assert np.array_equal(a.highs, b.highs)
+            assert np.array_equal(a.lows, b.lows)
+            assert np.array_equal(a.scales, b.scales)
+            assert (a.limit, a.diverged, a.stable) == (b.limit, b.diverged, b.stable)
+
+    @pytest.mark.parametrize("moving_base", [False, True])
+    def test_rows_match_single_scans(self, moving_base):
+        stacked = dini._quotient_scan(self.H2, self.X2, self.U2, LAD, moving_base)
+        single = [dini._quotient_scan(self.H2, self.X2, u, LAD, moving_base)[0]
+                  for u in self.U2]
+        assert len(stacked) == len(self.U2)
+        self.assert_same(stacked, single)
+
+    @pytest.mark.parametrize("moving_base", [False, True])
+    def test_zero_direction_on_a_cusp(self, moving_base):
+        h = funcs.builtin("sqrt_abs")
+        U = np.array([[1.0], [0.0], [-1.0]])
+        stacked = dini._quotient_scan(h, [0.0], U, LAD, moving_base)
+        single = [dini._quotient_scan(h, [0.0], u, LAD, moving_base)[0] for u in U]
+        self.assert_same(stacked, single)
+        if moving_base:
+            # the vertical belongs to the Whitney cone of sqrt|x| at 0
+            assert stacked[1].diverged or stacked[1].limit > dini.DIVERGENCE_CAP
+
+    def test_row_cap_splits_calls_without_changing_profiles(self, monkeypatch):
+        whole = dini._quotient_scan(self.H2, self.X2, self.U2, LAD, True)
+        monkeypatch.setattr(dini, "QUOTIENT_ROW_CAP", 1000)
+        split = dini._quotient_scan(self.H2, self.X2, self.U2, LAD, True)
+        self.assert_same(split, whole)
+
+    def test_one_probe_call_per_scale(self):
+        calls = []
+
+        def fn(X):
+            calls.append(len(X))
+            return np.sin(X[:, :1]) + X[:, 1:] ** 2
+
+        h = funcs.FunctionHandle(2, 1, "counted", fn)
+        dini._quotient_scan(h, self.X2, self.U2, LAD, moving_base=True)
+        # base values, then the whole t sub-ladder of every row
+        assert len(calls) == 2 * len(LAD.radii())
+
+    def test_inf_derivatives_match_single_queries(self):
+        U = np.array([[1.0, 0.0], [0.6, -0.8], [-1.0, 0.0]])
+        got = dini.inf_derivatives(self.H2, self.X2, U, LAD)
+        want = [-dini.sup_derivative(self.H2, self.X2, -u, LAD) for u in U]
+        assert np.array_equal(got, want)
