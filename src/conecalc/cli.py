@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -88,7 +89,20 @@ def _float_json(v: float, rounded: bool):
     return round(float(v), 6) if rounded else float(v)
 
 
-def cone_to_json(cone: FiberCone) -> dict:
+# render_report: a direction matrix rides through json.dumps as the string
+# _ROWS_MARK + index and is written in blocks of about _ROW_BLOCK_VALUES
+_ROWS_MARK = "\x00rows"
+_ROWS_RE = re.compile(r'"\\u0000rows(\d+)"')
+_ROW_BLOCK_VALUES = 1 << 14
+
+
+def cone_to_json(cone: FiberCone, rows: list | None = None) -> dict:
+    """Structured form of a cone.
+
+    A sampled cone's direction matrix goes into the dict as nested lists,
+    or, when ``rows`` is given, is appended to ``rows`` and replaced by a
+    placeholder string that ``render_report`` swaps for the matrix text.
+    """
     rep = cone.rep
     out: dict = {"dim": cone.dim}
     if isinstance(rep, cones.Arcs2D):
@@ -113,16 +127,23 @@ def cone_to_json(cone: FiberCone) -> dict:
             out["arcs"] = [[round(float(lo), 6), round(float(hi), 6)]
                            for lo, hi in cones.arcs_cover(cone).rep.arcs]
         else:
-            out["directions"] = np.round(rep.directions, 6).tolist()
+            dirs = np.round(rep.directions, 6)
+            if not np.isfinite(dirs).all():
+                raise ValueError("refusing to serialize NaN into a report")
+            if rows is None:
+                out["directions"] = dirs.tolist()
+            else:
+                out["directions"] = f"{_ROWS_MARK}{len(rows)}"
+                rows.append(dirs)
     return out
 
 
-def to_jsonable(obj, key=None):
+def to_jsonable(obj, key=None, rows: list | None = None):
     """Recursive report serializer.
 
     Angles (keys mentioning angle/worst/tolerance/resolution) round to six
     decimals; infinities become {"inf": true, "sign": +-1}; cones get their
-    structured form.
+    structured form.  ``rows`` is passed on to ``cone_to_json``.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -135,28 +156,64 @@ def to_jsonable(obj, key=None):
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, FiberCone):
-        return cone_to_json(obj)
+        return cone_to_json(obj, rows)
     if isinstance(obj, conormal.ConormalEstimate):
         return {"regime": obj.regime,
-                "lower": cone_to_json(obj.lower),
-                "upper": cone_to_json(obj.upper),
-                "exact": None if obj.exact is None else cone_to_json(obj.exact),
-                "checks": to_jsonable(obj.checks, "checks")}
+                "lower": cone_to_json(obj.lower, rows),
+                "upper": cone_to_json(obj.upper, rows),
+                "exact": (None if obj.exact is None
+                          else cone_to_json(obj.exact, rows)),
+                "checks": to_jsonable(obj.checks, "checks", rows)}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name), f.name)
+        return {f.name: to_jsonable(getattr(obj, f.name), f.name, rows)
                 for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
-        return {str(k): to_jsonable(v, k) for k, v in obj.items()}
+        return {str(k): to_jsonable(v, k, rows) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        return to_jsonable(obj.tolist(), key)
+        return to_jsonable(obj.tolist(), key, rows)
     if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v, key) for v in obj]
+        return [to_jsonable(v, key, rows) for v in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(to_jsonable(report), sort_keys=True, indent=2,
-                      allow_nan=False) + "\n"
+    """The report as indented JSON with sorted keys, newline-terminated.
+
+    The text equals ``json.dumps(to_jsonable(report), sort_keys=True,
+    indent=2, allow_nan=False) + "\n"``.  ``json`` indents through its
+    pure-Python encoder, one step per number, which is too slow for the
+    hundreds of thousands of directions of a sampled cone.  So ``json``
+    renders the report with a placeholder in place of each direction
+    matrix, and ``_matrix_text`` writes the matrices in row blocks with
+    ``%r``, which is ``float.__repr__``, as in ``json`` itself.  A
+    placeholder starts with NUL, which no other report string holds.
+    """
+    rows: list = []
+    text = json.dumps(to_jsonable(report, rows=rows), sort_keys=True,
+                      indent=2, allow_nan=False)
+    parts, pos = [], 0
+    for mark in _ROWS_RE.finditer(text):
+        line = text[text.rfind("\n", 0, mark.start()) + 1:mark.start()]
+        parts += [text[pos:mark.start()],
+                  _matrix_text(rows[int(mark.group(1))],
+                               len(line) - len(line.lstrip(" ")))]
+        pos = mark.end()
+    parts += [text[pos:], "\n"]
+    return "".join(parts)
+
+
+def _matrix_text(a: np.ndarray, indent: int) -> str:
+    """``json.dumps(a.tolist(), indent=2)`` for a 2-D array whose opening
+    bracket sits on a line indented by ``indent`` spaces."""
+    if len(a) == 0:
+        return "[]"
+    outer, inner = "\n" + " " * (indent + 2), "\n" + " " * (indent + 4)
+    row = "[" + inner + ("," + inner).join(["%r"] * a.shape[1]) + outer + "]"
+    sep = "," + outer
+    step = max(1, _ROW_BLOCK_VALUES // a.shape[1])
+    blocks = [sep.join([row] * len(b)) % tuple(b.ravel().tolist())
+              for b in (a[lo:lo + step] for lo in range(0, len(a), step))]
+    return "[" + outer + sep.join(blocks) + "\n" + " " * indent + "]"
 
 
 def load_schema() -> dict:

@@ -25,8 +25,8 @@ sampled grid otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.optimize import nnls
@@ -597,37 +597,6 @@ def _dual_mask(grid: np.ndarray, dirs: np.ndarray, thr: float) -> np.ndarray:
     return ok
 
 
-def orthogonal(cone: FiberCone) -> FiberCone:
-    """Annihilator of the linear span, returned as a polyhedral subspace."""
-    dirs = _span_witnesses(cone)
-    dim = cone.dim
-    if len(dirs) == 0:
-        return FiberCone.full(dim, cone.base_point)
-    u, s, vt = np.linalg.svd(dirs)
-    rank = int(np.sum(s > 1e-9 * max(1.0, s[0])))
-    null = vt[rank:]
-    if len(null) == 0:
-        return FiberCone.zero(dim, cone.base_point)
-    gens = np.vstack([null, -null])
-    row = vt[:rank]
-    half = np.vstack([row, -row]) if len(row) else np.zeros((0, dim))
-    return FiberCone(dim, Polyhedral(generators=gens, halfspaces=half), cone.base_point)
-
-
-def _span_witnesses(cone: FiberCone) -> np.ndarray:
-    rep = cone.rep
-    if isinstance(rep, Polyhedral):
-        g = rep.generators if rep.generators is not None else generators_of(cone)
-        return g.reshape(-1, cone.dim)
-    if isinstance(rep, Sampled):
-        return rep.directions
-    pts = []
-    for lo, hi in rep.arcs:
-        for t in (lo, (lo + hi) / 2.0, hi):
-            pts.append((math.cos(t), math.sin(t)))
-    return np.asarray(pts, dtype=float).reshape(-1, 2)
-
-
 def top(cone: FiberCone, tol: float | None = None) -> FiberCone:
     """Union of the orthogonal hyperplanes of all nonzero members."""
     rep = cone.rep
@@ -801,22 +770,6 @@ def linear_image(cone: FiberCone, M: np.ndarray) -> FiberCone:
 def _image_angle(M, theta):
     w = M @ np.array([math.cos(theta), math.sin(theta)])
     return math.atan2(w[1], w[0])
-
-
-def shear_tangent(cone: FiberCone, L: np.ndarray, m: int, n: int) -> FiberCone:
-    """(u, t) -> (u, t + L u) on a tangent fiber split as m + n."""
-    L = np.asarray(L, dtype=float).reshape(n, m)
-    M = np.eye(m + n)
-    M[m:, :m] = L
-    return linear_image(cone, M)
-
-
-def shear_cotangent(cone: FiberCone, L: np.ndarray, m: int, n: int) -> FiberCone:
-    """(xi, eta) -> (xi - L^T eta, eta) on a cotangent fiber split as m + n."""
-    L = np.asarray(L, dtype=float).reshape(n, m)
-    M = np.eye(m + n)
-    M[:m, m:] = -L.T
-    return linear_image(cone, M)
 
 
 # ---------------------------------------------------------------------------
@@ -1016,64 +969,3 @@ def apply_relation(cone: FiberCone, rel: ConicRelation, tol: float | None = None
             out.append(v / nv)
     res = max(cone.resolution(), as_sampled(rel.cone).rep.resolution)
     return FiberCone.from_directions(np.asarray(out, dtype=float), d3, res)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _round6(x: float) -> float:
-    return float(np.round(x, 6))
-
-
-def cone_to_json(cone: FiberCone) -> dict:
-    doc: dict = {"schema_version": 1, "kind": "fiber_cone", "dim": cone.dim}
-    doc["base_point"] = None if cone.base_point is None else [float(x) for x in cone.base_point]
-    rep = cone.rep
-    if isinstance(rep, Polyhedral):
-        doc["rep"] = "polyhedral"
-        doc["generators"] = None if rep.generators is None else [
-            [float(x) for x in g] for g in rep.generators]
-        doc["halfspaces"] = None if rep.halfspaces is None else [
-            [float(x) for x in h] for h in rep.halfspaces]
-    elif isinstance(rep, Arcs2D):
-        doc["rep"] = "arcs"
-        doc["arcs"] = [[_round6(lo), _round6(hi)] for lo, hi in rep.arcs]
-    else:
-        doc["rep"] = "sampled"
-        doc["resolution"] = _round6(rep.resolution)
-        doc["directions"] = [[float(x) for x in d] for d in rep.directions]
-    return doc
-
-
-def cone_from_json(doc: dict) -> FiberCone:
-    if doc.get("kind") != "fiber_cone":
-        raise ValueError("not a fiber cone document")
-    dim = int(doc["dim"])
-    bp = doc.get("base_point")
-    bp = None if bp is None else np.asarray(bp, dtype=float)
-    kind = doc["rep"]
-    if kind == "polyhedral":
-        g = doc.get("generators")
-        h = doc.get("halfspaces")
-        rep = Polyhedral(
-            None if g is None else np.asarray(g, dtype=float).reshape(-1, dim),
-            None if h is None else np.asarray(h, dtype=float).reshape(-1, dim))
-        return FiberCone(dim, rep, bp)
-    if kind == "arcs":
-        return FiberCone(2, Arcs2D(arcs_normalize([tuple(a) for a in doc["arcs"]])), bp)
-    dirs = np.asarray(doc["directions"], dtype=float).reshape(-1, dim)
-    return FiberCone(dim, Sampled(dirs, float(doc["resolution"])), bp)
-
-
-def relation_to_json(rel: ConicRelation) -> dict:
-    return {"schema_version": 1, "kind": "conic_relation",
-            "left_dim": rel.left_dim, "right_dim": rel.right_dim,
-            "cone": cone_to_json(rel.cone)}
-
-
-def relation_from_json(doc: dict) -> ConicRelation:
-    if doc.get("kind") != "conic_relation":
-        raise ValueError("not a conic relation document")
-    return ConicRelation(int(doc["left_dim"]), int(doc["right_dim"]),
-                         cone_from_json(doc["cone"]))

@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dini, geometry, sampling
-from .cones import (FiberCone, antipodal, as_sampled, contains, hausdorff_angle,
-                    intersect, join, member_directions, polar, top)
+from .cones import (DENSE_CELLS, FiberCone, antipodal, as_sampled,
+                    hausdorff_angle, intersect, join, member_directions, polar,
+                    top)
 from .errors import DimensionMismatchError
 
 # domain-direction grids for the slice intersection: one-degree steps on
@@ -124,6 +125,27 @@ def conormal_upper_bound(f, x, ladder=None) -> FiberCone:
     return slice_top_intersection(w, f.m)
 
 
+def _min_abs_dots(grid: np.ndarray, rows: np.ndarray,
+                  members: np.ndarray) -> np.ndarray:
+    """min |<g, v>| over the members v, for each grid row g = grid[rows].
+
+    The dots go in row blocks of at most DENSE_CELLS cells, so memory stays
+    bounded on the 4-D grid.  No block has a single row unless ``rows``
+    does: numpy hands a one-row product to gemv, which rounds differently
+    from gemm (see ``cones._dual_mask``).  gemm rounds each dot the same
+    whatever block holds its row, so the result equals the full product.
+    """
+    out = np.empty(len(rows))
+    step = max(2, DENSE_CELLS // len(members))
+    lo = 0
+    while lo < len(rows):
+        hi = len(rows) if len(rows) - lo <= step + 1 else lo + step
+        dots = grid[rows[lo:hi]] @ members.T
+        out[lo:hi] = np.min(np.abs(dots, out=dots), axis=1)
+        lo = hi
+    return out
+
+
 def slice_top_intersection(w: FiberCone, m: int) -> FiberCone:
     """The upper-bound construction on an already-computed Whitney cone."""
     d = w.dim
@@ -165,10 +187,7 @@ def slice_top_intersection(w: FiberCone, m: int) -> FiberCone:
             # an empty slice is a sampling artifact; skipping it only
             # loosens the intersection, which stays a valid upper bound
             continue
-        # grid x slice dots dominate the peak memory: abs in place
-        dots = grid[alive] @ V[sel].T
-        dmin = np.min(np.abs(dots, out=dots), axis=1)
-        alive = alive[dmin <= thr]
+        alive = alive[_min_abs_dots(grid, alive, V[sel]) <= thr]
         if len(alive) == 0:
             break
     return FiberCone.from_directions(grid[alive], d,

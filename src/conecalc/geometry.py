@@ -124,20 +124,52 @@ def cloud_from_function(f, x, ladder: dini.ScaleLadder,
 
 
 def _persistent_directions(dir_sets: list[np.ndarray], tol: float) -> np.ndarray:
-    """Directions present (within tol) in every one of the given sets."""
+    """Directions present (within tol) in every one of the given sets.
+
+    The candidates are the members of all sets, rounded to 4 decimals,
+    deduplicated in lexicographic order and normalised.  A candidate
+    lies within a chord of 1e-4 sqrt(d) of a member of each unit set it
+    came from: 5e-5 per coordinate from the rounding, at most as much
+    again from the normalising.  When that bound is below tol/2, the
+    query of a set skips its own candidates, which pass it whatever the
+    query returns; otherwise every live candidate is queried.
+    """
     pools = [s for s in dir_sets if len(s)]
     if not pools:
         return np.zeros((0, 0))
-    cand = np.vstack(pools)
-    # dedupe to keep the trees small
-    cand = np.unique(np.round(cand, 4), axis=0)
+    rounded = np.round(np.vstack(pools, dtype=float), 4)
+    # np.unique(rounded, axis=0) with one stable lexsort
+    order = np.lexsort(rounded.T[::-1])
+    srt = rounded[order]
+    new = np.ones(len(srt), dtype=bool)
+    new[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    if (srt.view(np.int64)[1:] != srt.view(np.int64)[:-1])[~new[1:]].any():
+        # rows equal up to the sign of a zero: np.unique keeps the one
+        # its unstable sort puts first, which fixes the sign in reports
+        cand = np.unique(rounded, axis=0)
+    else:
+        cand = srt[new]
+    group = np.empty(len(srt), dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    own = np.zeros((len(cand), len(dir_sets)), dtype=bool)
+    start = 0
+    for j, s in enumerate(dir_sets):
+        own[group[start:start + len(s)], j] = True
+        start += len(s)
     nrm = np.linalg.norm(cand, axis=1)
-    cand = cand[nrm > 0] / nrm[nrm > 0][:, None]
+    nz = nrm > 0
+    cand, own = cand[nz] / nrm[nz, None], own[nz]
+    unit = all(np.all(np.abs(np.einsum("ij,ij->i", s, s) - 1.0) <= 1e-9)
+               for s in pools)
+    if not (unit and 1e-4 * math.sqrt(cand.shape[1]) + 1e-9 <= 0.5 * tol):
+        own[:] = False
     keep = np.ones(len(cand), dtype=bool)
-    for s in dir_sets:
+    for j, s in enumerate(dir_sets):
         if len(s) == 0:
             return cand[:0]
-        keep &= sampling.min_angle_to_set(cand, s) <= tol
+        ask = keep & ~own[:, j]
+        if ask.any():
+            keep[ask] = sampling.min_angle_to_set(cand[ask], s) <= tol
         if not keep.any():
             break
     return cand[keep]

@@ -8,8 +8,9 @@ import math
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conecalc import cli, verify
+from conecalc import cli, cones, conormal, verify
 from conecalc.cones import FiberCone
 
 VALIDATOR = jsonschema.Draft202012Validator(cli.load_schema())
@@ -214,6 +215,61 @@ class TestDeterminism:
         assert json.loads(out)["config"]["seed"] == 11
 
 
+def wedge_cloud_csv(path, n=3000, seed=5):
+    """n seeded points of {x3 >= |x1|} in the unit ball, apex first."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1.0, 1.0, size=(8 * n, 3))
+    keep = (np.einsum("ij,ij->i", u, u) <= 1.0) & (u[:, 2] >= np.abs(u[:, 0]))
+    pts = np.vstack([np.zeros((1, 3)), u[keep][:n - 1]])
+    path.write_text("x1,x2,x3\n" + "".join(
+        ",".join(repr(float(v)) for v in p) + "\n" for p in pts))
+
+
+SPECIAL_VALUES = (-0.0, 0.0, 1e-05, -1e-05, 5e-07, 1.0, -1.0)
+
+
+@st.composite
+def sampled_cones(draw):
+    """Sampled cones of dim 3-5 with 0, 1, a few or several blocks of rows."""
+    dim = draw(st.sampled_from((3, 4, 5)))
+    values = st.one_of(st.sampled_from(SPECIAL_VALUES),
+                       st.floats(-1.0, 1.0, allow_nan=False))
+    base = draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
+                         min_size=1, max_size=6))
+    count = draw(st.sampled_from((0, 1, 2, 5, 7000)))
+    dirs = np.resize(np.array(base, dtype=float), (count, dim))
+    return FiberCone(dim, cones.Sampled(dirs, draw(st.floats(0.0, 1.0))))
+
+
+def library_render(report) -> str:
+    return json.dumps(cli.to_jsonable(report), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
+
+
+class TestRenderReport:
+    """render_report writes direction matrices itself; the bytes must be
+    those of the library encoder."""
+
+    @given(sampled_cones(), sampled_cones(), sampled_cones(), sampled_cones(),
+           st.floats(allow_nan=False))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_library_encoder(self, a, b, c, d, x):
+        report = {"top": a, "list": [b, {"nested": c, "value": x}],
+                  "conormal": conormal.ConormalEstimate(
+                      lower=d, upper=a, regime="bounds-only", exact=b,
+                      checks={"cone": c, "ok": True}),
+                  "tail": [1, "text", None]}
+        assert cli.render_report(report) == library_render(report)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_direction_raises(self, bad):
+        dirs = np.array([[1.0, 0.0, 0.0], [0.0, bad, 1.0]])
+        report = {"cone": FiberCone(3, cones.Sampled(dirs, 0.1))}
+        for render in (cli.render_report, library_render):
+            with pytest.raises(ValueError, match="refusing to serialize NaN"):
+                render(report)
+
+
 class TestGoldenReports:
     """Report bytes pinned by sha256; a speedup must leave them unchanged."""
 
@@ -225,11 +281,24 @@ class TestGoldenReports:
         (("--fn", "sin(x1)+x2*x2", "--at", "0.3,-0.2",
           "--ladder", "0.1,0.5,0,6"),
          "f43fc994bab06255cafd751f21c525972d27ac351b04fb0bc43574242da0b325"),
+        (("--fn", "x1+x2*x2, x1*x2", "--at", "0.2,-0.1",
+          "--ladder", "0.1,0.5,12,15"),
+         "b67a0f2cd63bb3de1c5a98a0eb50b8d7c0493e41b1528934f2ea8076be575138"),
     ])
     def test_analyze_report_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, "analyze", *argv, "--seed", "0")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_cones_report_digest(self, capsys, tmp_path, monkeypatch):
+        # the report embeds the --csv path, so it is relative
+        monkeypatch.chdir(tmp_path)
+        wedge_cloud_csv(tmp_path / "cloud.csv")
+        code, out, _ = run(capsys, "cones", "--csv", "cloud.csv",
+                           "--at", "0,0,0", "--seed", "0")
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "bade96cbbbba04223702f197fafc0177c44d3e3cdaeeefaa6d6a0252e27c08e1")
 
 
 class TestPlot:

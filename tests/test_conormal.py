@@ -190,3 +190,32 @@ class TestSubmanifoldBound:
         _, meta = conormal.subman_top_bound(cloud, [0.0, 0.0], lad)
         assert meta["exact"] is False
         assert meta["dim_estimate"] == pytest.approx(2.0, abs=0.4)
+
+
+class TestSliceTopBlocks:
+    """slice_top_intersection takes its grid-by-slice dots in row blocks;
+    the blocks must round exactly as the full product."""
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("rows,cells", [(1001, 10), (1001, 4000),
+                                            (2, 10), (1, 10)])
+    def test_blocks_equal_full_product(self, monkeypatch, dim, rows, cells):
+        monkeypatch.setattr(conormal, "DENSE_CELLS", cells)
+        rng = np.random.default_rng(dim)
+        grid = sampling.unit_grid(dim)
+        idx = np.sort(rng.choice(len(grid), rows, replace=False))
+        members = rng.normal(size=(37, dim))
+        members /= np.linalg.norm(members, axis=1)[:, None]
+        want = np.min(np.abs(grid[idx] @ members.T), axis=1)
+        got = conormal._min_abs_dots(grid, idx, members)
+        assert got.tobytes() == want.tobytes()
+
+    def test_small_blocks_keep_the_upper_bound(self, monkeypatch):
+        f = funcs.parse_expr("x1 + x2*x2, x1*x2", 2)
+        lad = dini.ScaleLadder(t0=0.1, ratio=0.5, k_min=12, k_max=15, seed=0)
+        w = geometry.graph_whitney(f, [0.2, -0.1], lad)
+        full = conormal.slice_top_intersection(w, 2)
+        monkeypatch.setattr(conormal, "DENSE_CELLS", 1 << 12)
+        blocked = conormal.slice_top_intersection(w, 2)
+        assert (cones.member_directions(blocked).tobytes()
+                == cones.member_directions(full).tobytes())

@@ -133,6 +133,99 @@ class TestWhitneyCone:
         assert w.is_zero()
 
 
+def reference_persistent_directions(dir_sets, tol):
+    """The persistence filter as first written: np.unique, then a query
+    of every candidate against every set."""
+    pools = [s for s in dir_sets if len(s)]
+    if not pools:
+        return np.zeros((0, 0))
+    cand = np.unique(np.round(np.vstack(pools), 4), axis=0)
+    nrm = np.linalg.norm(cand, axis=1)
+    cand = cand[nrm > 0] / nrm[nrm > 0][:, None]
+    keep = np.ones(len(cand), dtype=bool)
+    for s in dir_sets:
+        if len(s) == 0:
+            return cand[:0]
+        keep &= sampling.min_angle_to_set(cand, s) <= tol
+        if not keep.any():
+            break
+    return cand[keep]
+
+
+def cap(dim, center, spread, n, rng):
+    pts = np.asarray(center, dtype=float) + spread * rng.normal(size=(n, dim))
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+
+def overlapping_sets(dim, seed):
+    """Three unit sets around nearby centers, sharing some rows."""
+    rng = np.random.default_rng(seed)
+    e = np.eye(dim)[0]
+    sets = [cap(dim, e + 0.3 * k * np.eye(dim)[1], 0.4, 1500, rng)
+            for k in range(3)]
+    sets[1] = np.vstack([sets[1], sets[0][:200]])
+    sets[2] = np.vstack([sets[0][100:300], sets[2], sets[1][-50:]])
+    return sets
+
+
+class TestPersistentDirections:
+    """The own-set shortcut and the lexsort dedupe keep the output of the
+    reference filter, bit for bit (signs of zeros included)."""
+
+    @staticmethod
+    def check(sets, tol):
+        got = geometry._persistent_directions(sets, tol)
+        want = reference_persistent_directions(sets, tol)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_overlapping_sets(self, dim, seed):
+        tol = 2.0 * sampling.grid_resolution(dim)
+        got = self.check(overlapping_sets(dim, seed), tol)
+        assert 0 < len(got) < 4500
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_empty_set_empties_the_result(self, dim):
+        sets = overlapping_sets(dim, 2)
+        sets.insert(1, np.zeros((0, dim)))
+        got = self.check(sets, 2.0 * sampling.grid_resolution(dim))
+        assert got.shape == (0, dim)
+
+    def test_all_sets_empty(self):
+        self.check([np.zeros((0, 3))] * 3, 0.1)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_set_that_kills_every_candidate(self, dim):
+        rng = np.random.default_rng(3)
+        sets = overlapping_sets(dim, 3)
+        sets.insert(1, cap(dim, -np.eye(dim)[0], 0.05, 400, rng))
+        got = self.check(sets, 2.0 * sampling.grid_resolution(dim))
+        assert got.shape == (0, dim)
+
+    def test_zeros_of_both_signs(self):
+        # each row has a twin that rounds to the same candidate up to the
+        # sign of a zero, so the sign comes from np.unique's sort
+        rng = np.random.default_rng(4)
+        base = cap(3, [0.6, 0.8, 0.0], 0.01, 300, rng)
+        base[:, 2] = 1e-6
+        twin = base * [1.0, 1.0, -1.0]
+        got = self.check([base, twin, np.vstack([twin, base])[::-1]],
+                         2.0 * sampling.grid_resolution(3))
+        assert len(got) and (got[:, 2] == 0).all()
+
+    def test_non_unit_members_query_every_set(self):
+        sets = [3.0 * s for s in overlapping_sets(3, 5)]
+        self.check(sets, 2.0 * sampling.grid_resolution(3))
+
+    def test_tolerance_below_rounding_queries_every_set(self):
+        sets = overlapping_sets(3, 6)
+        self.check(sets, 1e-5)
+        self.check(sets, 0.0)
+
+
 class TestGraphWhitney:
     def test_linear_slope_line(self):
         h = funcs.parse_expr("2*x", 1)
