@@ -128,7 +128,7 @@ def _derivative_matrix(f: FunctionHandle, x, lad) -> np.ndarray:
     U = dini._direction_grid(f.m, 64) if f.m > 1 else np.array([[1.0]])
     rows = []
     for g in comps:
-        lows, highs, _, _ = dini.quotient_slabs(g, x, U, lad)
+        lows, highs, _ = dini.slabs(g, x, U, lad)
         mids = 0.5 * (lows + highs)
         if f.m == 1:
             rows.append([mids[0]])
@@ -565,6 +565,38 @@ def _dual_causal(lam: FiberCone, gm: FiberCone, gn: FiberCone, m: int,
             "dual_worst_angle": float(worst)}
 
 
+def _causal_entry(f: FunctionHandle, gamma_m, gamma_n, p, lad,
+                  tol: float | None) -> tuple[dict, FiberCone]:
+    """The per-point verdict of ``causal_check`` and the graph Whitney
+    cone of f at p that it was read from."""
+    p = p.reshape(f.m)
+    gm = _field_value(gamma_m, p, f.m)
+    y = f(p[None, :])[0]
+    gn = _field_value(gamma_n, y, f.n)
+    w = geometry.graph_whitney(f, p, lad)
+    ptol = tol if tol is not None else 2.0 * max(
+        cones.as_sampled(w).rep.resolution, gn.resolution(),
+        sampling.grid_resolution(max(2, f.n)))
+    # image membership filtered at half the verdict tolerance so a
+    # boundary direction cannot land exactly on the pass/fail line
+    img = cones.apply_relation(gm, ConicRelation(f.m, f.n, w), tol=0.5 * ptol)
+    worst = _directed_angle(img, gn)
+    lip_pw, lip = dini.lipschitz_constants(f, p, lad)
+    entry = {
+        "point": p.tolist(),
+        "causal": bool(worst <= ptol),
+        "worst_angle": float(worst),
+        "tolerance": float(ptol),
+        "lipschitz": bool(math.isfinite(lip)),
+        "lipschitz_constant": float(lip),
+        "dual_checked": False,
+    }
+    if f.m == 1 and f.n == 1:
+        # the exact conormal over a 1-D domain
+        entry.update(_dual_causal(cones.top(w), gm, gn, f.m, ptol))
+    return entry, w
+
+
 def causal_check(f: FunctionHandle, gamma_m, gamma_n, points,
                  ladder: dini.ScaleLadder | None = None,
                  tol: float | None = None) -> dict:
@@ -577,35 +609,8 @@ def causal_check(f: FunctionHandle, gamma_m, gamma_n, points,
     Lipschitz.
     """
     lad = _lad(f, ladder)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    per = []
-    for p in pts:
-        p = p.reshape(f.m)
-        gm = _field_value(gamma_m, p, f.m)
-        y = f(p[None, :])[0]
-        gn = _field_value(gamma_n, y, f.n)
-        w = geometry.graph_whitney(f, p, lad)
-        ptol = tol if tol is not None else 2.0 * max(
-            cones.as_sampled(w).rep.resolution, gn.resolution(),
-            sampling.grid_resolution(max(2, f.n)))
-        # image membership filtered at half the verdict tolerance so a
-        # boundary direction cannot land exactly on the pass/fail line
-        img = cones.apply_relation(gm, ConicRelation(f.m, f.n, w), tol=0.5 * ptol)
-        worst = _directed_angle(img, gn)
-        lip_pw, lip = dini.lipschitz_constants(f, p, lad)
-        entry = {
-            "point": p.tolist(),
-            "causal": bool(worst <= ptol),
-            "worst_angle": float(worst),
-            "tolerance": float(ptol),
-            "lipschitz": bool(math.isfinite(lip)),
-            "lipschitz_constant": float(lip),
-            "dual_checked": False,
-        }
-        if f.m == 1 and f.n == 1:
-            lam = conormal.conormal_dimM1(f, p, lad)
-            entry.update(_dual_causal(lam, gm, gn, f.m, ptol))
-        per.append(entry)
+    per = [_causal_entry(f, gamma_m, gamma_n, p, lad, tol)[0]
+           for p in np.atleast_2d(np.asarray(points, dtype=float))]
     return {
         "causal": all(e["causal"] for e in per),
         "per_point": per,
@@ -625,13 +630,11 @@ def time_function_check(tau: FunctionHandle, gamma_m, points,
     if tau.n != 1:
         raise DimensionMismatchError("time functions are scalar valued")
     gamma_r = FiberCone.from_directions(np.array([[1.0]]), 1, resolution=1e-9)
-    causal = causal_check(tau, gamma_m, gamma_r, points, ladder=ladder, tol=tol)
     lad = _lad(tau, ladder)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
     per = []
-    for entry, p in zip(causal["per_point"], pts):
+    for p in np.atleast_2d(np.asarray(points, dtype=float)):
+        entry, w = _causal_entry(tau, gamma_m, gamma_r, p, lad, tol)
         p = p.reshape(tau.m)
-        w = geometry.graph_whitney(tau, p, lad)
         est = conormal.conormal(tau, p, lad, whitney=w)
         lam = est.exact if est.exact is not None else est.upper
         sub_tol = (STRICT_VERTICAL_TOL if est.exact is not None
@@ -648,6 +651,6 @@ def time_function_check(tau: FunctionHandle, gamma_m, points,
                                           and strict_ok)})
     return {
         "time_function": all(e["time_function"] for e in per),
-        "causal": causal["causal"],
+        "causal": all(e["causal"] for e in per),
         "per_point": per,
     }

@@ -356,7 +356,7 @@ def _analyze_point(f, x, lad, cfg: RunConfig) -> dict:
             entry["checks"][name] = conormal.slice_top_intersection(
                 rep.whitney, f.m)
         elif name == "epigraph-split":
-            plus, minus = conormal.epigraph_split(f, x, lad)
+            plus, minus = conormal.epigraph_split(rep.conormal.upper, f.n)
             entry["checks"][name] = {"positive": plus, "negative": minus}
     return entry
 
@@ -415,11 +415,8 @@ def cmd_cones(cfg: RunConfig) -> dict:
                if cfg.ladder is None else _scale_ladder(cfg))
         tangent = geometry.tangent_cone(body, x, lad)
         whitney = geometry.whitney_cone(body, body, x, lad)
-        comp = complement if complement is not None else geometry.PointCloud(
-            np.full((1, body.dim), np.inf))
-        strict = geometry.strict_cone(body, comp, x, lad)
-        lower, upper = conormal.closed_set_bounds(body, x, lad,
-                                                  complement=complement)
+        strict = geometry.strict_cone(body, complement, x, lad)
+        lower, upper = conormal.closed_set_bounds(tangent, strict)
         results.append({"point": x.tolist(), "tangent": tangent,
                         "whitney": whitney, "strict": strict,
                         "conormal_lower": lower, "conormal_upper": upper,

@@ -39,8 +39,8 @@ _EPS = 1e-12
 _FULL = ((0.0, TWO_PI),)
 
 # polar of a sampled cone: grid rows whose nearest-member dot lies this
-# close to the threshold are decided by the dense product, computed in
-# blocks of at most DENSE_CELLS grid-by-member dots
+# close to the threshold are decided by the dense product; dense
+# grid-by-member products go in blocks of at most DENSE_CELLS dots
 DUAL_MARGIN = 1e-9
 DENSE_CELLS = 1 << 21
 
@@ -612,13 +612,31 @@ def top(cone: FiberCone, tol: float | None = None) -> FiberCone:
     grid = sampling.unit_grid(cone.dim)
     if tol is None:
         tol = max(cone.resolution(), sampling.grid_resolution(cone.dim))
-    thr = math.sin(tol)
-    ok = np.empty(len(grid), dtype=bool)
-    for lo in range(0, len(grid), 4096):
-        hi = lo + 4096
-        ok[lo:hi] = np.min(np.abs(grid[lo:hi] @ members.T), axis=1) <= thr
+    ok = min_abs_dots(grid, np.arange(len(grid)), members) <= math.sin(tol)
     return FiberCone(cone.dim, Sampled(grid[ok], sampling.grid_resolution(cone.dim)),
                      cone.base_point)
+
+
+def min_abs_dots(grid: np.ndarray, rows: np.ndarray,
+                 members: np.ndarray) -> np.ndarray:
+    """min |<g, v>| over the members v, for each grid row g = grid[rows].
+
+    The dots go in row blocks of at most DENSE_CELLS cells, so memory stays
+    bounded on the 4-D grid and for large member sets.  No block has a
+    single row unless ``rows`` does: numpy hands a one-row product to
+    gemv, which rounds differently from gemm (see ``_dual_mask``).  gemm
+    rounds each dot the same whatever block holds its row, so the result
+    equals the full product.
+    """
+    out = np.empty(len(rows))
+    step = max(2, DENSE_CELLS // len(members))
+    lo = 0
+    while lo < len(rows):
+        hi = len(rows) if len(rows) - lo <= step + 1 else lo + step
+        dots = grid[rows[lo:hi]] @ members.T
+        out[lo:hi] = np.min(np.abs(dots, out=dots), axis=1)
+        lo = hi
+    return out
 
 
 def contains(cone: FiberCone, v, tol: float | None = None) -> bool:

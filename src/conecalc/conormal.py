@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dini, geometry, sampling
-from .cones import (DENSE_CELLS, FiberCone, antipodal, as_sampled,
-                    hausdorff_angle, intersect, join, member_directions, polar,
+from .cones import (FiberCone, antipodal, as_sampled, hausdorff_angle,
+                    intersect, join, member_directions, min_abs_dots, polar,
                     top)
 from .errors import DimensionMismatchError
 
@@ -118,34 +118,6 @@ def directional_slice(w: FiberCone, m: int, u, half_width: float) -> FiberCone:
     return FiberCone.from_directions(keep, d, resolution=as_sampled(w).rep.resolution)
 
 
-def conormal_upper_bound(f, x, ladder=None) -> FiberCone:
-    """Intersection over domain directions u of top(directional slice of W)."""
-    lad = _resolved_ladder(f, ladder)
-    w = geometry.graph_whitney(f, x, lad)
-    return slice_top_intersection(w, f.m)
-
-
-def _min_abs_dots(grid: np.ndarray, rows: np.ndarray,
-                  members: np.ndarray) -> np.ndarray:
-    """min |<g, v>| over the members v, for each grid row g = grid[rows].
-
-    The dots go in row blocks of at most DENSE_CELLS cells, so memory stays
-    bounded on the 4-D grid.  No block has a single row unless ``rows``
-    does: numpy hands a one-row product to gemv, which rounds differently
-    from gemm (see ``cones._dual_mask``).  gemm rounds each dot the same
-    whatever block holds its row, so the result equals the full product.
-    """
-    out = np.empty(len(rows))
-    step = max(2, DENSE_CELLS // len(members))
-    lo = 0
-    while lo < len(rows):
-        hi = len(rows) if len(rows) - lo <= step + 1 else lo + step
-        dots = grid[rows[lo:hi]] @ members.T
-        out[lo:hi] = np.min(np.abs(dots, out=dots), axis=1)
-        lo = hi
-    return out
-
-
 def slice_top_intersection(w: FiberCone, m: int) -> FiberCone:
     """The upper-bound construction on an already-computed Whitney cone."""
     d = w.dim
@@ -187,7 +159,7 @@ def slice_top_intersection(w: FiberCone, m: int) -> FiberCone:
             # an empty slice is a sampling artifact; skipping it only
             # loosens the intersection, which stays a valid upper bound
             continue
-        alive = alive[_min_abs_dots(grid, alive, V[sel]) <= thr]
+        alive = alive[min_abs_dots(grid, alive, V[sel]) <= thr]
         if len(alive) == 0:
             break
     return FiberCone.from_directions(grid[alive], d,
@@ -203,7 +175,13 @@ def _epigraph_tangent(f, x, lad) -> FiberCone:
     derivative of f at x along u, fiberwise in the direction u."""
     x = np.asarray(x, dtype=float).reshape(f.m)
     if f.m == 1:
-        d_plus, d_minus = dini.inf_derivatives(f, x, [[1.0], [-1.0]], lad)
+        base = np.array([[1.0], [-1.0]])
+    else:
+        base = _domain_grid(f.m) if f.m > 2 else _domain_grid(2)[::2]
+    # lower Dini derivatives by the antipodal identity, one scan of -base
+    lows = -dini.limits(f, x, -base, lad, False)
+    if f.m == 1:
+        d_plus, d_minus = lows
         a1 = math.atan(d_plus) if abs(d_plus) <= dini.DIVERGENCE_CAP \
             else math.copysign(math.pi / 2.0, d_plus)
         a2 = math.pi - (math.atan(d_minus) if abs(d_minus) <= dini.DIVERGENCE_CAP
@@ -211,16 +189,13 @@ def _epigraph_tangent(f, x, lad) -> FiberCone:
         if a1 > a2:
             return FiberCone.zero(2)
         return FiberCone.from_arcs([(a1, a2)])
-    base = _domain_grid(f.m) if f.m > 2 else _domain_grid(2)[::2]
     step = sampling.grid_resolution(2) if f.m == 2 else sampling.grid_resolution(f.m)
     members = [np.concatenate([np.zeros(f.m), [1.0]])[None, :]]
-    for u, lo in zip(base, dini.inf_derivatives(f, x, base, lad)):
+    for u, lo in zip(base, lows):
         if lo > dini.DIVERGENCE_CAP:
             continue
         p1 = math.atan(lo) if abs(lo) <= dini.DIVERGENCE_CAP else -math.pi / 2.0
-        count = max(2, int(math.ceil((math.pi / 2.0 - p1) / step)) + 1)
-        psi = np.linspace(p1, math.pi / 2.0, count)
-        members.append(np.column_stack([np.outer(np.cos(psi), u), np.sin(psi)]))
+        members.append(geometry.fan(u, p1, math.pi / 2.0, step))
     return FiberCone.from_directions(np.vstack(members), f.m + 1, resolution=step)
 
 
@@ -317,26 +292,23 @@ def constant_cone_check(lam: FiberCone, c: float, m: int, n: int,
 # epigraph split and the assembled estimate
 
 
-def epigraph_split(f, x, ladder=None) -> tuple[FiberCone, FiberCone]:
-    """(Lambda+, Lambda-): the conormal estimate split by fiber sign.
+def epigraph_split(lam: FiberCone, n: int) -> tuple[FiberCone, FiberCone]:
+    """(Lambda+, Lambda-): a conormal estimate of a map with n outputs
+    split by fiber sign.
 
     Lambda+ collects covectors with nonnegative codomain component;
     Lambda- is exactly its antipode.
     """
-    if f.n != 1:
+    if n != 1:
         raise DimensionMismatchError("epigraph split needs a scalar target")
-    lad = _resolved_ladder(f, ladder)
-    if f.m == 1:
-        lam = conormal_dimM1(f, x, lad)
-        upper_half = FiberCone.from_arcs([(0.0, math.pi)])
-        plus = intersect(lam, upper_half)
+    if lam.dim == 2:
+        plus = intersect(lam, FiberCone.from_arcs([(0.0, math.pi)]))
         return plus, antipodal(plus)
-    lam = conormal_upper_bound(f, x, lad)
     V = member_directions(as_sampled(lam))
     keep = V[V[:, -1] >= -1e-12] if len(V) else V
-    plus = FiberCone.from_directions(keep, f.m + 1,
+    plus = FiberCone.from_directions(keep, lam.dim,
                                      resolution=as_sampled(lam).rep.resolution) \
-        if len(keep) else FiberCone.zero(f.m + 1)
+        if len(keep) else FiberCone.zero(lam.dim)
     return plus, antipodal(plus)
 
 
@@ -371,28 +343,15 @@ def conormal(f, x, ladder=None, whitney: FiberCone | None = None) -> ConormalEst
 # closed sets and submanifolds
 
 
-def closed_set_bounds(cloud: geometry.PointCloud, x, ladder: dini.ScaleLadder,
-                      complement: geometry.PointCloud | None = None
+def closed_set_bounds(tangent: FiberCone, strict: FiberCone
                       ) -> tuple[FiberCone, FiberCone]:
-    """Microsupport bracket of a sampled closed set at x.
-
-    lower = polar(tangent cone), upper = polar(strict cone).  The strict
-    cone needs samples of the complement; they are taken from a "B"
-    label on the cloud when not passed explicitly, and without either
-    the strict side degenerates to the absent-complement convention
-    (full strict cone, zero upper bound only when warranted).
+    """Microsupport bracket of a sampled closed set at a point, from its
+    tangent cone and its strict cone there (``geometry.tangent_cone`` and
+    ``geometry.strict_cone``): lower = polar(tangent), upper =
+    polar(strict).  Without a complement the strict cone is full and the
+    upper bound is the zero cone.
     """
-    comp = complement
-    if comp is None and cloud.labels is not None:
-        labels = set(np.unique(cloud.labels))
-        if {"A", "B"} <= labels:
-            comp = cloud.subset("B")
-            cloud = cloud.subset("A")
-    lower = polar(geometry.tangent_cone(cloud, x, ladder))
-    if comp is None:
-        comp = geometry.PointCloud(np.full((1, cloud.dim), np.inf))
-    upper = polar(geometry.strict_cone(cloud, comp, x, ladder))
-    return lower, upper
+    return polar(tangent), polar(strict)
 
 
 def _local_dim_estimate(cloud: geometry.PointCloud, x,

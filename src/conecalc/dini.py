@@ -1,13 +1,20 @@
 """Multiscale estimation of directional derivative bounds.
 
-Estimates the four one-sided quantities attached to a scalar function f
-at a point x and direction u:
+For a scalar function f, a point x and a direction u, the sup quotient
 
-    sup_derivative   limsup of (f(x+tv)-f(x))/t as t -> 0+, v -> u
-    inf_derivative   the liminf counterpart (via the antipodal identity)
-    sup_quotient     as above but the base point y also roams a shrinking
-                     ball around x (the "moving base" limsup)
-    inf_quotient     its liminf counterpart
+    limsup of (f(y+tv)-f(y))/t as t -> 0+, v -> u
+
+is read with a fixed base (y = x: the upper Dini derivative) or a moving
+base (y also roams a shrinking ball around x: Clarke's generalized
+quotient).  The lower counterparts are never estimated on their own:
+the antipodal identity inf Q(u) = -sup Q(-u) reads them off the sup side
+along -u.  All of this runs on one kernel, ``quotient_scan``, with two
+entry points on top of it:
+
+    limits   the extrapolated sup-side limit along every row of U
+    slabs    (lows, highs, vertical) from one moving-base scan of U, -U
+             and the zero direction, whose blow-up puts the vertical in
+             the graph Whitney cone
 
 plus radial first-order bounds and local Lipschitz constants.  All of
 them share one discretization, the ``ScaleLadder``: at scale k the base
@@ -17,13 +24,12 @@ that shrinks quadratically in r_k.  Per-scale extrema are extrapolated
 by the median of the last three scales; a monotone geometric blow-up
 past the cap is reported as an infinite sentinel.
 
-All of them run on one kernel, ``_quotient_scan``, which takes a stack
-of direction rows.  Per scale it calls ``f`` once on the base points and
-once on the whole t sub-ladder of every row, in t-major order.  A call
-holds at most ``QUOTIENT_ROW_CAP`` probe points (but always one full t
-step), so a larger stack splits its scale over several calls.  Rows
-never interact, so callers stack all their directions, the zero
-direction included, into one scan.
+``quotient_scan`` takes a stack of direction rows.  Per scale it calls
+``f`` once on the base points and once on the whole t sub-ladder of
+every row, in t-major order.  A call holds at most ``QUOTIENT_ROW_CAP``
+probe points (but always one full t step), so a larger stack splits its
+scale over several calls.  Rows never interact, so callers stack all
+their directions, the zero direction included, into one scan.
 
 Estimates are heuristic: any finite ladder can be fooled by structure
 below its deepest scale.  The full per-scale table is kept on the
@@ -163,7 +169,7 @@ def _probe_values(f, Y, V, ts) -> np.ndarray:
     return out
 
 
-def _quotient_scan(f, x, U, ladder: ScaleLadder, moving_base: bool) -> list[QuotientProfile]:
+def quotient_scan(f, x, U, ladder: ScaleLadder, moving_base: bool) -> list[QuotientProfile]:
     """Sup-side quotient profiles, vectorized across direction rows of U.
 
     Rows never interact: a row's profile is the same whether it is
@@ -256,50 +262,27 @@ def _quotient_scan(f, x, U, ladder: ScaleLadder, moving_base: bool) -> list[Quot
     return out
 
 
-def sup_quotient_profile(f, x, u, ladder: ScaleLadder) -> QuotientProfile:
-    return _quotient_scan(f, x, u, ladder, moving_base=True)[0]
+def limits(f, x, U, ladder: ScaleLadder, moving_base: bool) -> np.ndarray:
+    """The extrapolated sup-side limit along every row of U."""
+    return np.array([p.limit for p in quotient_scan(f, x, U, ladder, moving_base)])
 
 
-def sup_quotient(f, x, u, ladder: ScaleLadder) -> float:
-    return sup_quotient_profile(f, x, u, ladder).limit
+def slabs(f, x, U, ladder: ScaleLadder):
+    """(lows, highs, vertical) from one moving-base scan of U, -U and 0.
 
-
-def inf_quotient(f, x, u, ladder: ScaleLadder) -> float:
-    """By the antipodal identity inf Q(u) = -sup Q(-u); never re-estimated."""
-    return -sup_quotient(f, x, -np.asarray(u, dtype=float), ladder)
-
-
-def sup_derivative_profile(f, x, u, ladder: ScaleLadder) -> QuotientProfile:
-    return _quotient_scan(f, x, u, ladder, moving_base=False)[0]
-
-
-def sup_derivative(f, x, u, ladder: ScaleLadder) -> float:
-    return sup_derivative_profile(f, x, u, ladder).limit
-
-
-def inf_derivative(f, x, u, ladder: ScaleLadder) -> float:
-    return float(inf_derivatives(f, x, u, ladder)[0])
-
-
-def inf_derivatives(f, x, U, ladder: ScaleLadder) -> np.ndarray:
-    """inf_derivative along every row of U, from one fixed-base scan of -U."""
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    return -np.array([p.limit for p in _quotient_scan(f, x, -U, ladder,
-                                                     moving_base=False)])
-
-
-def quotient_slabs(f, x, U, ladder: ScaleLadder, moving_base: bool = True):
-    """(lows, highs) of the quotient slab for each direction row of U.
-
-    One vectorized scan over U stacked with -U; the low side comes from
-    the antipodal identity applied to the second half.
+    highs are the sup quotients along the rows of U; lows come from the
+    antipodal identity inf Q(u) = -sup Q(-u) on the second block, never
+    from a second estimate.  ``vertical`` says whether the quotient along
+    the zero direction blows up, i.e. whether the vertical belongs to the
+    graph Whitney cone.
     """
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    profs = _quotient_scan(f, x, np.vstack([U, -U]), ladder, moving_base)
+    U = np.asarray(U, dtype=float).reshape(-1, f.m)
     q = len(U)
-    highs = np.array([p.limit for p in profs[:q]])
-    lows = -np.array([p.limit for p in profs[q:]])
-    return lows, highs, profs[:q], profs[q:]
+    profs = quotient_scan(f, x, np.vstack([U, -U, np.zeros((1, f.m))]),
+                          ladder, moving_base=True)
+    lim = np.array([p.limit for p in profs])
+    vert = profs[-1]
+    return -lim[q:2 * q], lim[:q], vert.diverged or abs(vert.limit) > DIVERGENCE_CAP
 
 
 def radial_bounds(f, x, ladder: ScaleLadder) -> tuple[float, float]:
@@ -357,9 +340,9 @@ def lipschitz_constants(f, x, ladder: ScaleLadder,
                         dir_count: int = 72, covector_count: int = 16):
     """(pointwise, local) Lipschitz constants at x.
 
-    Pointwise: sphere maximum of |sup_derivative| (fixed base).  Local:
-    sphere maximum of |sup_quotient| (moving base).  Vector-valued f is
-    reduced over a grid of codomain covectors.
+    Pointwise: sphere maximum of the |limit| of a fixed-base scan.  Local:
+    the same for a moving-base scan.  Vector-valued f is reduced over a
+    grid of codomain covectors.
     """
     if f.n == 1:
         slices = [f]
@@ -372,15 +355,8 @@ def lipschitz_constants(f, x, ladder: ScaleLadder,
     lip_pw = 0.0
     lip = 0.0
     for g in slices:
-        for moving, slot in ((False, "pw"), (True, "loc")):
-            profs = _quotient_scan(g, x, U, ladder, moving_base=moving)
-            worst = 0.0
-            for p in profs:
-                worst = max(worst, abs(p.limit))
-            if slot == "pw":
-                lip_pw = max(lip_pw, worst)
-            else:
-                lip = max(lip, worst)
+        lip_pw = max(lip_pw, float(np.abs(limits(g, x, U, ladder, False)).max()))
+        lip = max(lip, float(np.abs(limits(g, x, U, ladder, True)).max()))
     # the moving-base window contains the fixed-base one
     if lip < lip_pw and math.isfinite(lip):
         lip = max(lip, lip_pw)

@@ -263,14 +263,17 @@ def whitney_cone(cloud_a: PointCloud, cloud_b: PointCloud, x,
     return FiberCone.from_directions(kept, cloud_a.dim, resolution=rho)
 
 
-def strict_cone(cloud: PointCloud, complement: PointCloud, x,
+def strict_cone(cloud: PointCloud, complement: PointCloud | None, x,
                 ladder: dini.ScaleLadder) -> FiberCone:
-    """N(A): fiber directions avoiding the Whitney cone C(A, comp)."""
+    """N(A): fiber directions avoiding the Whitney cone C(A, comp).
+
+    A complement that is None or out of reach gives the full cone:
+    C(A, empty) is empty, so everything is strict.
+    """
     x = np.asarray(x, dtype=float).reshape(cloud.dim)
     radii = ladder.radii()
-    dc = np.linalg.norm(complement.points - x, axis=1)
-    if not (dc <= radii[0]).any():
-        # no complement in reach: C(A, empty) is empty, everything is strict
+    if complement is None or not (
+            np.linalg.norm(complement.points - x, axis=1) <= radii[0]).any():
         return FiberCone.full(cloud.dim)
     W = whitney_cone(cloud, complement, x, ladder)
     grid = sampling.unit_grid(cloud.dim)
@@ -308,22 +311,15 @@ def convexity_check(cone: FiberCone, seed: int = 0, samples: int = 512) -> bool:
     return float(np.mean(inside)) >= 0.98
 
 
-def _slabs_and_vertical(f, x, U, ladder: dini.ScaleLadder):
-    """(lows, highs, vertical) from one moving-base scan of U, -U and 0.
+def fan(u, p1: float, p2: float, step: float) -> np.ndarray:
+    """Rows (cos psi * u, sin psi) for psi from p1 to p2 at most ``step`` apart.
 
-    lows/highs are the quotient slabs along the rows of U, as in
-    ``dini.quotient_slabs``; ``vertical`` says whether the quotient along
-    the zero direction blows up, i.e. whether the vertical belongs to the
-    graph Whitney cone.
+    The directions over the domain ray of u whose elevation runs from p1
+    to p2; every slab-built cone over a 2-D domain is a union of fans.
     """
-    U = np.asarray(U, dtype=float).reshape(-1, f.m)
-    q = len(U)
-    profs = dini._quotient_scan(f, x, np.vstack([U, -U, np.zeros((1, f.m))]),
-                                ladder, moving_base=True)
-    highs = np.array([p.limit for p in profs[:q]])
-    lows = -np.array([p.limit for p in profs[q:2 * q]])
-    vert = profs[-1]
-    return lows, highs, vert.diverged or abs(vert.limit) > dini.DIVERGENCE_CAP
+    count = max(2, int(math.ceil((p2 - p1) / step)) + 1)
+    psi = np.linspace(p1, p2, count)
+    return np.column_stack([np.outer(np.cos(psi), u), np.sin(psi)])
 
 
 def _slab_arcs(qlo: float, qhi: float, vertical: bool) -> list[tuple[float, float]]:
@@ -344,19 +340,14 @@ def graph_whitney(f, x, ladder: dini.ScaleLadder) -> FiberCone:
     """
     x = np.asarray(x, dtype=float).reshape(f.m)
     if f.n == 1 and f.m == 1:
-        lo, hi, vertical = _slabs_and_vertical(f, x, [[1.0]], ladder)
+        lo, hi, vertical = dini.slabs(f, x, [[1.0]], ladder)
         return FiberCone.from_arcs(_slab_arcs(lo[0], hi[0], vertical))
     if f.n == 1 and f.m == 2:
         base = sampling.unit_grid(2)[::2]
-        lo, hi, vertical = _slabs_and_vertical(f, x, base, ladder)
+        lo, hi, vertical = dini.slabs(f, x, base, ladder)
         step = sampling.grid_resolution(2)
-        members = []
-        for u, l2, h2 in zip(base, lo, hi):
-            p1, p2 = math.atan(min(l2, h2)), math.atan(max(l2, h2))
-            count = max(2, int(math.ceil((p2 - p1) / step)) + 1)
-            psi = np.linspace(p1, p2, count)
-            members.append(np.column_stack([
-                u[0] * np.cos(psi), u[1] * np.cos(psi), np.sin(psi)]))
+        members = [fan(u, math.atan(min(l2, h2)), math.atan(max(l2, h2)), step)
+                   for u, l2, h2 in zip(base, lo, hi)]
         if vertical:
             members.append(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
         return FiberCone.from_directions(np.vstack(members), 3, resolution=step)
@@ -380,28 +371,22 @@ def epigraph_strict_cone(f, x, ladder: dini.ScaleLadder) -> FiberCone:
         base = sampling.unit_grid(2)[::2]
     else:
         base = np.zeros((0, f.m))  # only the vertical test is defined here
-    lo, hi, vertical = _slabs_and_vertical(f, x, base, ladder)
+    lo, hi, vertical = dini.slabs(f, x, base, ladder)
     if vertical:
         return FiberCone.zero(f.m + 1)
     if f.m == 1:
-        q_plus = hi[0]          # sup-quotient along +1
-        q_minus = -lo[0]        # sup-quotient along -1, antipodal identity
-        a1 = math.atan(q_plus)
-        a2 = math.pi - math.atan(q_minus)
+        # the upper edge has slope hi along +1 and -lo along -1
+        a1 = math.atan(hi[0])
+        a2 = math.pi + math.atan(lo[0])
         if a1 > a2:
             return FiberCone.zero(2)
         return FiberCone.from_arcs([(a1, a2)])
     if f.m == 2:
         step = sampling.grid_resolution(2)
         members = [np.array([[0.0, 0.0, 1.0]])]
-        for u, h2 in zip(base, hi):
-            p1 = math.atan(h2)
-            if p1 >= math.pi / 2.0 - 1e-12:
-                continue
-            count = max(2, int(math.ceil((math.pi / 2.0 - p1) / step)) + 1)
-            psi = np.linspace(p1, math.pi / 2.0, count)
-            members.append(np.column_stack([
-                u[0] * np.cos(psi), u[1] * np.cos(psi), np.sin(psi)]))
+        members += [fan(u, math.atan(h2), math.pi / 2.0, step)
+                    for u, h2 in zip(base, hi)
+                    if math.atan(h2) < math.pi / 2.0 - 1e-12]
         return FiberCone.from_directions(np.vstack(members), 3, resolution=step)
     raise ValueError("epigraph cones support 1 or 2 input dimensions")
 

@@ -16,6 +16,7 @@ to twice this value.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -119,13 +120,22 @@ def min_angle_to_set(dirs: np.ndarray, members: np.ndarray) -> np.ndarray:
     return 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
 
 
+def _sobol(dim: int, count: int, seed: int) -> np.ndarray:
+    """The first ``count`` points of a seeded scrambled Sobol' sequence.
+
+    They are drawn as the next power of two and cut, which gives the same
+    points as ``random(count)`` without its warning about balance.
+    """
+    eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
+    return eng.random_base2(math.ceil(math.log2(max(count, 1))))[:count]
+
+
 def sphere_points(dim: int, count: int, seed: int) -> np.ndarray:
     """Seeded low-discrepancy points on S^{dim-1}."""
     if dim == 1:
         signs = np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
         return signs.reshape(-1, 1)
-    eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    u = eng.random(count)
+    u = _sobol(dim, count, seed)
     g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
     norm = np.linalg.norm(g, axis=1, keepdims=True)
     norm[norm == 0] = 1.0
@@ -134,8 +144,7 @@ def sphere_points(dim: int, count: int, seed: int) -> np.ndarray:
 
 def ball_points(dim: int, count: int, seed: int) -> np.ndarray:
     """Seeded low-discrepancy points in the closed unit ball."""
-    eng = qmc.Sobol(d=dim + 1, scramble=True, seed=seed)
-    u = eng.random(count)
+    u = _sobol(dim + 1, count, seed)
     if dim == 1:
         return (2.0 * u[:, :1] - 1.0)
     g = ndtri(np.clip(u[:, :dim], 1e-12, 1.0 - 1e-12))

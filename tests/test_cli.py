@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conecalc import cli, cones, conormal, verify
+from conecalc import analysis, cli, cones, conormal, dini, funcs, verify
 from conecalc.cones import FiberCone
 
 VALIDATOR = jsonschema.Draft202012Validator(cli.load_schema())
@@ -284,6 +284,12 @@ class TestGoldenReports:
         (("--fn", "x1+x2*x2, x1*x2", "--at", "0.2,-0.1",
           "--ladder", "0.1,0.5,12,15"),
          "b67a0f2cd63bb3de1c5a98a0eb50b8d7c0493e41b1528934f2ea8076be575138"),
+        (("--fn", "abs(x1)", "--at", "0", "--check", "conormal-upper",
+          "--check", "epigraph-split"),
+         "09701c5eb2c8b3af23ee705f275f55cde140dc10d57f1ae8b5ac11a729b0c336"),
+        (("--fn", "abs(x1)+x2", "--at", "0,0", "--check", "conormal-upper",
+          "--check", "epigraph-split"),
+         "c4a2d0d59998671f063e9bfb94f29c4e2b5a8a82496bb0d35923b93a0ff07f0e"),
     ])
     def test_analyze_report_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, "analyze", *argv, "--seed", "0")
@@ -299,6 +305,24 @@ class TestGoldenReports:
         assert code == 0
         assert (hashlib.sha256(out.encode()).hexdigest()
                 == "bade96cbbbba04223702f197fafc0177c44d3e3cdaeeefaa6d6a0252e27c08e1")
+
+    def test_labeled_cones_report_digest(self, capsys, tmp_path, monkeypatch):
+        # tangent and strict cones of the A part, then their polars
+        monkeypatch.chdir(tmp_path)
+        write_cloud(tmp_path, n=2000)
+        code, out, _ = run(capsys, "cones", "--csv", "cloud.csv",
+                           "--at", "0,0", "--seed", "0")
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "31220e8f6b538902d8cacf4deba38d5c7fa9e0d975849548b9c264d898753b66")
+
+    def test_time_function_report_digest(self):
+        lad = dini.ScaleLadder(t0=0.1, ratio=0.5, k_min=0, k_max=12, seed=0)
+        ray = FiberCone.from_directions(np.array([[1.0]]), 1, resolution=1e-9)
+        out = analysis.time_function_check(funcs.builtin("cube"), ray,
+                                           [[-0.5], [0.0], [0.7]], lad)
+        assert (hashlib.sha256(cli.render_report(out).encode()).hexdigest()
+                == "9b36a9a5eee0c4ab4b36eadc09e8d6c19e61e89062c71bb0f8e417e9c5708732")
 
 
 class TestPlot:

@@ -1,10 +1,13 @@
 """Core cone algebra against brute-force oracles and algebraic laws."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtri
+from scipy.stats import qmc
 
 from conecalc import cones, sampling
 from conecalc.cones import FiberCone
@@ -253,6 +256,20 @@ class TestSharedGrids:
         with pytest.raises(ValueError):
             grid[0, 0] = 5.0
         assert sampling.unit_grid(dim)[0, 0] != 5.0
+
+    @pytest.mark.parametrize("count", [1, 3, 36, 100])
+    def test_sobol_draws_warn_nothing_and_keep_their_points(self, count):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sphere = sampling.sphere_points(3, count, 7)
+            sampling.ball_points(3, count, 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            u = qmc.Sobol(d=3, scramble=True, seed=7).random(count)
+        assert sampling._sobol(3, count, 7).tobytes() == u.tobytes()
+        g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+        want = g / np.linalg.norm(g, axis=1, keepdims=True)
+        assert sphere.tobytes() == want.tobytes()
 
 
 class TestTopDuality:

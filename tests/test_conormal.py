@@ -79,26 +79,29 @@ class TestDimN1:
         assert not est.upper.is_zero()
 
 
+def split(f, x):
+    return conormal.epigraph_split(conormal.conormal(f, x, LAD).upper, f.n)
+
+
 class TestEpigraphSplit:
     def test_kink_split(self):
-        plus, minus = conormal.epigraph_split(funcs.builtin("abs"), [0.0], LAD)
+        plus, minus = split(funcs.builtin("abs"), [0.0])
         assert cones.hausdorff_angle(
             plus, FiberCone.from_arcs([(PI / 4, 3 * PI / 4)])) <= 0.02
         assert cones.hausdorff_angle(
             minus, FiberCone.from_arcs([(5 * PI / 4, 7 * PI / 4)])) <= 0.02
 
     def test_minus_is_antipodal_exactly(self):
-        plus, minus = conormal.epigraph_split(funcs.builtin("x2sin"), [0.0], LAD)
+        plus, minus = split(funcs.builtin("x2sin"), [0.0])
         assert cones.hausdorff_angle(minus, cones.antipodal(plus)) == 0.0
 
     def test_scalar_target_required(self):
         h = funcs.parse_expr("x1, x1", 1)
         with pytest.raises(DimensionMismatchError):
-            conormal.epigraph_split(h, [0.0], LAD)
+            conormal.epigraph_split(FiberCone.full(h.m + h.n), h.n)
 
     def test_planar_split_sign(self):
-        plus, _ = conormal.epigraph_split(funcs.builtin("x1sq_sin"),
-                                          [0.0, 0.0], LAD)
+        plus, _ = split(funcs.builtin("x1sq_sin"), [0.0, 0.0])
         md = cones.member_directions(cones.as_sampled(plus))
         assert len(md) > 0
         assert (md[:, -1] >= -1e-9).all()
@@ -141,11 +144,17 @@ class TestClosedSetBounds:
         comp = rng.uniform([-1.0, 1e-9], [1.0, 1.0], size=(12000, 2))
         return geometry.PointCloud(body), geometry.PointCloud(comp)
 
+    @staticmethod
+    def _bounds(body, comp, lad):
+        x = [0.0, 0.0]
+        return conormal.closed_set_bounds(
+            geometry.tangent_cone(body, x, lad),
+            geometry.strict_cone(body, comp, x, lad))
+
     def test_halfplane_bracket_tight(self):
         body, comp = self._halfplane()
         lad = geometry.cloud_ladder(body, [0.0, 0.0])
-        lower, upper = conormal.closed_set_bounds(body, [0.0, 0.0], lad,
-                                                  complement=comp)
+        lower, upper = self._bounds(body, comp, lad)
         ray = FiberCone.from_arcs([(3 * PI / 2, 3 * PI / 2)])
         assert cones.hausdorff_angle(lower, ray) <= 2.5 * RHO2
         assert cones.hausdorff_angle(upper, ray) <= 2.5 * RHO2
@@ -156,7 +165,7 @@ class TestClosedSetBounds:
         labels = np.array(["A"] * len(body.points) + ["B"] * len(comp.points))
         cloud = geometry.PointCloud(pts, labels)
         lad = geometry.cloud_ladder(body, [0.0, 0.0])
-        lower, upper = conormal.closed_set_bounds(cloud, [0.0, 0.0], lad)
+        lower, upper = self._bounds(cloud.subset("A"), cloud.subset("B"), lad)
         ray = FiberCone.from_arcs([(3 * PI / 2, 3 * PI / 2)])
         assert cones.hausdorff_angle(lower, ray) <= 2.5 * RHO2
         assert cones.hausdorff_angle(upper, ray) <= 2.5 * RHO2
@@ -164,7 +173,7 @@ class TestClosedSetBounds:
     def test_no_complement_upper_degenerates(self):
         body, _ = self._halfplane()
         lad = geometry.cloud_ladder(body, [0.0, 0.0])
-        lower, upper = conormal.closed_set_bounds(body, [0.0, 0.0], lad)
+        lower, upper = self._bounds(body, None, lad)
         assert upper.is_zero()
         assert not lower.is_zero()
 
@@ -193,29 +202,44 @@ class TestSubmanifoldBound:
 
 
 class TestSliceTopBlocks:
-    """slice_top_intersection takes its grid-by-slice dots in row blocks;
-    the blocks must round exactly as the full product."""
+    """slice_top_intersection and top take their grid-by-member dots in
+    row blocks; the blocks must round exactly as the full product."""
 
     @pytest.mark.parametrize("dim", [3, 4])
     @pytest.mark.parametrize("rows,cells", [(1001, 10), (1001, 4000),
                                             (2, 10), (1, 10)])
     def test_blocks_equal_full_product(self, monkeypatch, dim, rows, cells):
-        monkeypatch.setattr(conormal, "DENSE_CELLS", cells)
+        monkeypatch.setattr(cones, "DENSE_CELLS", cells)
         rng = np.random.default_rng(dim)
         grid = sampling.unit_grid(dim)
         idx = np.sort(rng.choice(len(grid), rows, replace=False))
         members = rng.normal(size=(37, dim))
         members /= np.linalg.norm(members, axis=1)[:, None]
         want = np.min(np.abs(grid[idx] @ members.T), axis=1)
-        got = conormal._min_abs_dots(grid, idx, members)
+        got = cones.min_abs_dots(grid, idx, members)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("count", [1, 2, 37, 500])
+    def test_blocked_top_equals_full_product(self, monkeypatch, dim, count):
+        rng = np.random.default_rng(count)
+        members = rng.normal(size=(count, dim))
+        members /= np.linalg.norm(members, axis=1)[:, None]
+        cone = FiberCone(dim, cones.Sampled(members, 0.02))
+        grid = sampling.unit_grid(dim)
+        full = np.min(np.abs(grid @ members.T), axis=1) <= math.sin(
+            max(0.02, sampling.grid_resolution(dim)))
+        for cells in (cones.DENSE_CELLS, 4096):
+            monkeypatch.setattr(cones, "DENSE_CELLS", cells)
+            got = cones.member_directions(cones.top(cone))
+            assert got.tobytes() == grid[full].tobytes()
 
     def test_small_blocks_keep_the_upper_bound(self, monkeypatch):
         f = funcs.parse_expr("x1 + x2*x2, x1*x2", 2)
         lad = dini.ScaleLadder(t0=0.1, ratio=0.5, k_min=12, k_max=15, seed=0)
         w = geometry.graph_whitney(f, [0.2, -0.1], lad)
         full = conormal.slice_top_intersection(w, 2)
-        monkeypatch.setattr(conormal, "DENSE_CELLS", 1 << 12)
+        monkeypatch.setattr(cones, "DENSE_CELLS", 1 << 12)
         blocked = conormal.slice_top_intersection(w, 2)
         assert (cones.member_directions(blocked).tobytes()
                 == cones.member_directions(full).tobytes())

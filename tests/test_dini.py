@@ -53,12 +53,22 @@ class TestScaleLadder:
         assert dini.ScaleLadder(seed=None).resolved_seed() == 77
 
 
+def upper(h, x, u, moving_base=True):
+    """sup quotient along u (moving base) or upper Dini derivative (fixed)."""
+    return dini.limits(h, x, [u], LAD, moving_base)[0]
+
+
+def lower(h, x, u, moving_base=True):
+    """The inf side, by the antipodal identity inf Q(u) = -sup Q(-u)."""
+    return -dini.limits(h, x, -np.array([u], dtype=float), LAD, moving_base)[0]
+
+
 class TestQuotients:
     def test_linear_exact(self):
         h = funcs.parse_expr("3*x", 1)
-        assert dini.sup_quotient(h, [0.0], [1.0], LAD) == pytest.approx(3.0, abs=1e-6)
-        assert dini.inf_quotient(h, [0.0], [1.0], LAD) == pytest.approx(3.0, abs=1e-6)
-        assert dini.sup_quotient(h, [0.0], [-1.0], LAD) == pytest.approx(-3.0, abs=1e-6)
+        assert upper(h, [0.0], [1.0]) == pytest.approx(3.0, abs=1e-6)
+        assert lower(h, [0.0], [1.0]) == pytest.approx(3.0, abs=1e-6)
+        assert upper(h, [0.0], [-1.0]) == pytest.approx(-3.0, abs=1e-6)
 
     def test_linear_multidim_exact(self):
         # direction jitter decays like ratio^(2k); at the extrapolated
@@ -66,13 +76,13 @@ class TestQuotients:
         h = funcs.parse_expr("2*x1 - x2", 2)
         for u in ([1.0, 0.0], [0.0, 1.0], [0.6, 0.8]):
             want = 2 * u[0] - u[1]
-            got = dini.sup_quotient(h, [0.3, -0.2], u, LAD)
+            got = upper(h, [0.3, -0.2], u)
             assert got == pytest.approx(want, abs=1e-5)
 
     def test_positive_homogeneity(self):
         h = funcs.parse_expr("x1^2 + sin(x2)", 2)
-        base = dini.sup_quotient(h, [0.5, 0.1], [0.6, 0.8], LAD)
-        double = dini.sup_quotient(h, [0.5, 0.1], [1.2, 1.6], LAD)
+        base = upper(h, [0.5, 0.1], [0.6, 0.8])
+        double = upper(h, [0.5, 0.1], [1.2, 1.6])
         assert double == pytest.approx(2 * base, abs=5e-4)
 
     def test_ordering_chain(self):
@@ -81,10 +91,10 @@ class TestQuotients:
                  (funcs.builtin("cube"), 0.7),
                  (funcs.builtin("preiss_lip(5)"), 0.37)]
         for h, x in cases:
-            iq = dini.inf_quotient(h, [x], [1.0], LAD)
-            idv = dini.inf_derivative(h, [x], [1.0], LAD)
-            sdv = dini.sup_derivative(h, [x], [1.0], LAD)
-            sq = dini.sup_quotient(h, [x], [1.0], LAD)
+            iq = lower(h, [x], [1.0])
+            idv = lower(h, [x], [1.0], moving_base=False)
+            sdv = upper(h, [x], [1.0], moving_base=False)
+            sq = upper(h, [x], [1.0])
             eps = 1e-6
             assert iq <= idv + eps <= sdv + 2 * eps <= sq + 3 * eps
 
@@ -92,22 +102,23 @@ class TestQuotients:
         # x^2 sin(1/x): one-sided derivative at 0 vanishes, but slopes
         # near 0 approach 1, so the moving-base quotient sees them
         h = funcs.builtin("x2sin")
-        assert abs(dini.sup_derivative(h, [0.0], [1.0], LAD)) <= 0.05
-        assert dini.sup_quotient(h, [0.0], [1.0], LAD) == pytest.approx(1.0, abs=0.05)
+        assert abs(upper(h, [0.0], [1.0], moving_base=False)) <= 0.05
+        assert upper(h, [0.0], [1.0]) == pytest.approx(1.0, abs=0.05)
 
     def test_abs_slab_at_kink(self):
         h = funcs.builtin("abs")
-        assert dini.sup_quotient(h, [0.0], [1.0], LAD) == pytest.approx(1.0, abs=1e-6)
-        assert dini.inf_quotient(h, [0.0], [1.0], LAD) == pytest.approx(-1.0, abs=1e-6)
-        assert dini.sup_derivative(h, [0.0], [1.0], LAD) == pytest.approx(1.0, abs=1e-6)
+        assert upper(h, [0.0], [1.0]) == pytest.approx(1.0, abs=1e-6)
+        assert lower(h, [0.0], [1.0]) == pytest.approx(-1.0, abs=1e-6)
+        assert upper(h, [0.0], [1.0], moving_base=False) == pytest.approx(1.0, abs=1e-6)
 
     def test_divergence_flagged(self):
         h = funcs.builtin("sqrt_abs")
-        p = dini.sup_quotient_profile(h, [0.0], [1.0], LAD)
+        p = dini.quotient_scan(h, [0.0], [1.0], LAD, moving_base=True)[0]
         assert p.limit == math.inf and p.diverged
 
     def test_profile_table(self):
-        p = dini.sup_quotient_profile(funcs.builtin("abs"), [0.0], [1.0], LAD)
+        p = dini.quotient_scan(funcs.builtin("abs"), [0.0], [1.0], LAD,
+                               moving_base=True)[0]
         rows = p.table()
         assert len(rows) == len(LAD.radii())
         assert all(set(r) == {"radius", "high", "low"} for r in rows)
@@ -115,14 +126,19 @@ class TestQuotients:
     def test_slabs_match_single_queries(self):
         h = funcs.builtin("abs")
         U = np.array([[1.0], [-1.0]])
-        lows, highs, _, _ = dini.quotient_slabs(h, [0.0], U, LAD)
+        lows, highs, vertical = dini.slabs(h, [0.0], U, LAD)
         assert highs == pytest.approx([1.0, 1.0], abs=1e-6)
         assert lows == pytest.approx([-1.0, -1.0], abs=1e-6)
+        assert not vertical
+
+    def test_slabs_see_the_vertical_of_a_cusp(self):
+        _, _, vertical = dini.slabs(funcs.builtin("sqrt_abs"), [0.0], [[1.0]], LAD)
+        assert vertical
 
     def test_vector_function_rejected(self):
         h = funcs.parse_expr("x, 2*x", 1)
         with pytest.raises(ValueError):
-            dini.sup_quotient(h, [0.0], [1.0], LAD)
+            dini.limits(h, [0.0], [[1.0]], LAD, True)
 
 
 class TestRadialBounds:
@@ -192,8 +208,8 @@ class TestStackedScan:
 
     @pytest.mark.parametrize("moving_base", [False, True])
     def test_rows_match_single_scans(self, moving_base):
-        stacked = dini._quotient_scan(self.H2, self.X2, self.U2, LAD, moving_base)
-        single = [dini._quotient_scan(self.H2, self.X2, u, LAD, moving_base)[0]
+        stacked = dini.quotient_scan(self.H2, self.X2, self.U2, LAD, moving_base)
+        single = [dini.quotient_scan(self.H2, self.X2, u, LAD, moving_base)[0]
                   for u in self.U2]
         assert len(stacked) == len(self.U2)
         self.assert_same(stacked, single)
@@ -202,17 +218,17 @@ class TestStackedScan:
     def test_zero_direction_on_a_cusp(self, moving_base):
         h = funcs.builtin("sqrt_abs")
         U = np.array([[1.0], [0.0], [-1.0]])
-        stacked = dini._quotient_scan(h, [0.0], U, LAD, moving_base)
-        single = [dini._quotient_scan(h, [0.0], u, LAD, moving_base)[0] for u in U]
+        stacked = dini.quotient_scan(h, [0.0], U, LAD, moving_base)
+        single = [dini.quotient_scan(h, [0.0], u, LAD, moving_base)[0] for u in U]
         self.assert_same(stacked, single)
         if moving_base:
             # the vertical belongs to the Whitney cone of sqrt|x| at 0
             assert stacked[1].diverged or stacked[1].limit > dini.DIVERGENCE_CAP
 
     def test_row_cap_splits_calls_without_changing_profiles(self, monkeypatch):
-        whole = dini._quotient_scan(self.H2, self.X2, self.U2, LAD, True)
+        whole = dini.quotient_scan(self.H2, self.X2, self.U2, LAD, True)
         monkeypatch.setattr(dini, "QUOTIENT_ROW_CAP", 1000)
-        split = dini._quotient_scan(self.H2, self.X2, self.U2, LAD, True)
+        split = dini.quotient_scan(self.H2, self.X2, self.U2, LAD, True)
         self.assert_same(split, whole)
 
     def test_one_probe_call_per_scale(self):
@@ -223,12 +239,22 @@ class TestStackedScan:
             return np.sin(X[:, :1]) + X[:, 1:] ** 2
 
         h = funcs.FunctionHandle(2, 1, "counted", fn)
-        dini._quotient_scan(h, self.X2, self.U2, LAD, moving_base=True)
+        dini.quotient_scan(h, self.X2, self.U2, LAD, moving_base=True)
         # base values, then the whole t sub-ladder of every row
         assert len(calls) == 2 * len(LAD.radii())
 
-    def test_inf_derivatives_match_single_queries(self):
+    def test_slabs_match_single_scans(self):
         U = np.array([[1.0, 0.0], [0.6, -0.8], [-1.0, 0.0]])
-        got = dini.inf_derivatives(self.H2, self.X2, U, LAD)
-        want = [-dini.sup_derivative(self.H2, self.X2, -u, LAD) for u in U]
+        lows, highs, vertical = dini.slabs(self.H2, self.X2, U, LAD)
+        assert np.array_equal(highs, [upper(self.H2, self.X2, u) for u in U])
+        assert np.array_equal(lows, [lower(self.H2, self.X2, u) for u in U])
+        zero = dini.quotient_scan(self.H2, self.X2, [0.0, 0.0], LAD, True)[0]
+        assert vertical == (zero.diverged or abs(zero.limit) > dini.DIVERGENCE_CAP)
+        assert not vertical
+
+    def test_inf_derivatives_match_single_queries(self):
+        # the stacked scan of -U that conormal._epigraph_tangent reads
+        U = np.array([[1.0, 0.0], [0.6, -0.8], [-1.0, 0.0]])
+        got = -dini.limits(self.H2, self.X2, -U, LAD, False)
+        want = [lower(self.H2, self.X2, u, moving_base=False) for u in U]
         assert np.array_equal(got, want)
