@@ -276,9 +276,12 @@ def _build_parser() -> _Parser:
 
 def _parse_point(text: str) -> tuple:
     try:
-        return tuple(float(tok) for tok in text.split(","))
+        point = tuple(float(tok) for tok in text.split(","))
     except ValueError as exc:
         raise UsageError(f"bad --at value {text!r}: {exc}") from None
+    if not all(map(math.isfinite, point)):
+        raise UsageError(f"bad --at value {text!r}: coordinates must be finite")
+    return point
 
 
 def _parse_ladder(text: str | None):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 from scipy.optimize import nnls
@@ -43,6 +43,10 @@ _FULL = ((0.0, TWO_PI),)
 # grid-by-member products go in blocks of at most DENSE_CELLS dots
 DUAL_MARGIN = 1e-9
 DENSE_CELLS = 1 << 21
+# before that, a row whose smallest dot with about DUAL_PROBES members lies
+# DUAL_REJECT margins below the threshold is out
+DUAL_PROBES = 256
+DUAL_REJECT = 4
 
 
 # ---------------------------------------------------------------------------
@@ -359,25 +363,6 @@ class FiberCone:
         return FiberCone(dim, Polyhedral(halfspaces=np.zeros((0, dim))),
                          _opt_vec(base_point))
 
-    @staticmethod
-    def from_predicate(dim: int, pred: Callable[[np.ndarray], np.ndarray],
-                       density: int = 1, base_point=None) -> "FiberCone":
-        """Mark a dense direction set by a vectorized membership predicate."""
-        if dim == 2:
-            n = sampling.GRID_SIZES[2] * max(1, density)
-            theta = np.arange(n) * (TWO_PI / n)
-            dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-        else:
-            base = sampling.unit_grid(dim)
-            if density > 1:
-                extra = sampling.sphere_points(dim, len(base) * (density - 1), seed=7)
-                dirs = np.vstack([base, extra])
-            else:
-                dirs = base
-        mask = np.asarray(pred(dirs), dtype=bool)
-        res = sampling.grid_resolution(dim) / max(1, density) ** (1.0 / max(1, dim - 1))
-        return FiberCone(dim, Sampled(dirs[mask], res), _opt_vec(base_point))
-
     # -- basic queries -------------------------------------------------
 
     def is_zero(self, tol: float = 1e-9) -> bool:
@@ -524,7 +509,7 @@ def grid_membership(cone: FiberCone, slack: float | None = None) -> np.ndarray:
         return np.array([arcs_contains(rep.arcs, t, tol=slack) for t in th])
     if len(rep.directions) == 0:
         return np.zeros(len(grid), dtype=bool)
-    return sampling.min_angle_to_set(grid, rep.directions) <= slack
+    return sampling.near_set(grid, rep.directions, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -567,15 +552,20 @@ def polar(cone: FiberCone, slack: float | None = None) -> FiberCone:
 def _dual_mask(grid: np.ndarray, dirs: np.ndarray, thr: float) -> np.ndarray:
     """Rows g of grid with <g, v> >= thr for every row v of dirs.
 
-    For unit members the smallest <g, v> is taken by the member nearest
-    to -g, so one KD-tree query per row replaces the dense product.  Rows
-    whose nearest-member dot lies within DUAL_MARGIN of thr are decided
-    again by the dense product, which covers the rounding of the tree's
-    distances; members that are not unit vectors skip the tree.  In
-    fibers of dimension 2 and 3 the blocked dense product rounds the same
-    for any block of rows, so the mask equals the full dense mask bit for
-    bit; above that a row within rounding of thr can flip, as it already
-    does with the BLAS thread count.
+    For unit members a row is first tested against a strided subset of
+    about DUAL_PROBES members: a subset dot below thr - DUAL_REJECT *
+    DUAL_MARGIN rejects it outright.  The smallest <g, v> over all unit
+    members is taken by the member nearest to -g, so one KD-tree query per
+    open row replaces the dense product.  Rows whose nearest-member dot
+    lies within DUAL_MARGIN of thr are decided again by the dense product,
+    which covers the rounding of the tree's distances; a rejected row is
+    never that close, so the dense re-check sees the same rows in the same
+    blocks as without the subset test.  Members that are not unit vectors
+    skip the subset and the tree.  In fibers of dimension 2 and 3 the
+    blocked dense product rounds the same for any block of rows, so the
+    mask equals the full dense mask bit for bit; above that a row within
+    rounding of thr can flip, as it already does with the BLAS thread
+    count.
     """
     from scipy.spatial import cKDTree
 
@@ -583,10 +573,16 @@ def _dual_mask(grid: np.ndarray, dirs: np.ndarray, thr: float) -> np.ndarray:
         near = np.arange(len(grid))
         ok = np.zeros(len(grid), dtype=bool)
     else:
-        _, idx = cKDTree(dirs).query(-grid)
-        dots = np.einsum("ij,ij->i", grid, dirs[idx])
-        ok = dots >= thr
-        near = np.flatnonzero(np.abs(dots - thr) <= DUAL_MARGIN)
+        probe = dirs[::max(1, len(dirs) // DUAL_PROBES)]
+        step = max(1, DENSE_CELLS // len(probe))
+        low = np.concatenate([(grid[lo:lo + step] @ probe.T).min(axis=1)
+                              for lo in range(0, len(grid), step)])
+        live = np.flatnonzero(low >= thr - DUAL_REJECT * DUAL_MARGIN)
+        _, idx = cKDTree(dirs).query(-grid[live])
+        dots = np.einsum("ij,ij->i", grid[live], dirs[idx])
+        ok = np.zeros(len(grid), dtype=bool)
+        ok[live] = dots >= thr
+        near = live[np.abs(dots - thr) <= DUAL_MARGIN]
     step = max(2, DENSE_CELLS // len(dirs))
     for lo in range(0, len(near), step):
         rows = near[lo:lo + step]
@@ -661,7 +657,7 @@ def contains(cone: FiberCone, v, tol: float | None = None) -> bool:
         return bool(np.all(Hn @ v >= -math.sin(tol)))
     if len(rep.directions) == 0:
         return False
-    return float(sampling.min_angle_to_set(v[None, :], rep.directions)[0]) <= tol
+    return bool(sampling.near_set(v[None, :], rep.directions, tol)[0])
 
 
 def is_symmetric(cone: FiberCone, tol: float | None = None) -> bool:
@@ -675,7 +671,7 @@ def is_symmetric(cone: FiberCone, tol: float | None = None) -> bool:
     d = rep.directions
     if len(d) == 0:
         return True
-    return float(np.max(sampling.min_angle_to_set(-d, d))) <= tol
+    return bool(sampling.near_set(-d, d, tol).all())
 
 
 def contains_line(cone: FiberCone, tol: float = 1e-9) -> bool:
@@ -689,7 +685,7 @@ def contains_line(cone: FiberCone, tol: float = 1e-9) -> bool:
     d = rep.directions
     if len(d) == 0:
         return False
-    return bool(np.any(sampling.min_angle_to_set(-d, d) <= max(tol, rep.resolution)))
+    return bool(sampling.near_set(-d, d, max(tol, rep.resolution)).any())
 
 
 # ---------------------------------------------------------------------------

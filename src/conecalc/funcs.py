@@ -30,6 +30,7 @@ these rules raises ``EvaluationError`` at evaluation time.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable
@@ -444,9 +445,12 @@ def read_csv_columns(path: str):
         if not row or all(not c.strip() for c in row):
             continue
         try:
-            pts.append([float(c) for c in row[: len(coord_names)]])
+            vals = [float(c) for c in row[: len(coord_names)]]
         except ValueError as exc:
             raise ValueError(f"{path}:{r}: bad number ({exc})") from None
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"{path}:{r}: non-finite number in {','.join(row)!r}")
+        pts.append(vals)
         if has_label:
             labels.append(row[-1].strip())
     points = np.asarray(pts, dtype=float)

@@ -132,7 +132,11 @@ def _persistent_directions(dir_sets: list[np.ndarray], tol: float) -> np.ndarray
     came from: 5e-5 per coordinate from the rounding, at most as much
     again from the normalising.  When that bound is below tol/2, the
     query of a set skips its own candidates, which pass it whatever the
-    query returns; otherwise every live candidate is queried.
+    query returns; otherwise every live candidate is queried.  A query is
+    ``sampling.near_set``: a candidate sharing a voxel with a member of
+    the set passes at once, and only the others get a KD search, bounded
+    just above tol, with the same outcome as a full nearest-neighbour
+    search.
     """
     pools = [s for s in dir_sets if len(s)]
     if not pools:
@@ -169,7 +173,7 @@ def _persistent_directions(dir_sets: list[np.ndarray], tol: float) -> np.ndarray
             return cand[:0]
         ask = keep & ~own[:, j]
         if ask.any():
-            keep[ask] = sampling.min_angle_to_set(cand[ask], s) <= tol
+            keep[ask] = sampling.near_set(cand[ask], s, tol)
         if not keep.any():
             break
     return cand[keep]
@@ -280,9 +284,7 @@ def strict_cone(cloud: PointCloud, complement: PointCloud | None, x,
     rho = sampling.grid_resolution(cloud.dim)
     if W.is_zero():
         return FiberCone.from_directions(grid, cloud.dim, resolution=rho)
-    members = member_directions(as_sampled(W))
-    ang = sampling.min_angle_to_set(grid, members)
-    keep = grid[ang > 2.0 * rho]
+    keep = grid[~sampling.near_set(grid, member_directions(as_sampled(W)), 2.0 * rho)]
     if len(keep) == 0:
         return FiberCone.zero(cloud.dim)
     return FiberCone.from_directions(keep, cloud.dim, resolution=rho)

@@ -120,6 +120,70 @@ def min_angle_to_set(dirs: np.ndarray, members: np.ndarray) -> np.ndarray:
     return 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
 
 
+# near_set: voxels are this much (relative) smaller than the chord of tol
+# allows, and the bounded query reaches this much beyond that chord
+NEAR_MARGIN = 1e-6
+VOXEL_BLOCK = 1 << 15
+
+
+def near_set(dirs: np.ndarray, members: np.ndarray, tol: float) -> np.ndarray:
+    """``min_angle_to_set(dirs, members) <= tol``, bit for bit, for each row.
+
+    The test needs to know only whether some member lies within the chord
+    c = 2 sin(tol/2), not which member is nearest, so it runs in two
+    stages.  Voxels of side c (1 - NEAR_MARGIN) / sqrt(d) have diagonals
+    shorter than c by far more than rounding, so a row sharing a voxel
+    with a member is near.  Every other row gets one KD query bounded a
+    margin above c; a miss reads as the angle pi.  A row the query finds
+    gets the same chord bits as in ``min_angle_to_set``, and goes through
+    the same formula.  The voxel stage is skipped where its packed keys
+    would overflow int64 or rounding could reach the margin.
+    """
+    dirs = np.atleast_2d(dirs)
+    if len(members) == 0 or len(dirs) == 0:
+        return np.full(len(dirs), np.inf) <= tol
+    # outside [0, pi] this chord is too short, which sends more rows to the
+    # query, and a miss still reads pi
+    chord = 2.0 * math.sin(0.5 * tol)
+    near = _voxel_hits(dirs, members, chord * (1.0 - NEAR_MARGIN)
+                       / math.sqrt(members.shape[1]))
+    rest = np.flatnonzero(~near)
+    if len(rest):
+        # the tree compares squared distances, so the bound keeps a floor
+        # whose square is a normal float; the tree's shape does not change
+        # the nearest distance, so it takes the faster unbalanced build
+        bound = max(chord * (1.0 + NEAR_MARGIN), 1e-150)
+        tree = cKDTree(members, balanced_tree=False, compact_nodes=False)
+        found, _ = tree.query(dirs[rest], distance_upper_bound=bound)
+        near[rest] = 2.0 * np.arcsin(np.clip(found / 2.0, 0.0, 1.0)) <= tol
+    return near
+
+
+def _voxel_hits(dirs: np.ndarray, members: np.ndarray, side: float) -> np.ndarray:
+    """Rows of dirs that share a voxel of the given side with some member."""
+    lo = np.minimum(dirs.min(axis=0), members.min(axis=0))
+    span = float((np.maximum(dirs.max(axis=0), members.max(axis=0)) - lo).max())
+    # floor((x - lo) / side) is off by at most span / side * 2^-52 cells,
+    # far below NEAR_MARGIN while span / side <= 2^26
+    cells = int(span / side) + 2 if side > 0.0 and span / side <= 2.0 ** 26 else 0
+    if not 0 < cells ** dirs.shape[1] < 2 ** 62:
+        return np.zeros(len(dirs), dtype=bool)
+
+    def keys(x):
+        # packed voxel index per row, in row blocks to bound the temporaries
+        out = np.empty(len(x), dtype=np.int64)
+        for at in range(0, len(x), VOXEL_BLOCK):
+            k = np.floor((x[at:at + VOXEL_BLOCK] - lo) / side).astype(np.int64)
+            key = out[at:at + VOXEL_BLOCK]
+            key[:] = k[:, 0]
+            for j in range(1, k.shape[1]):
+                key *= cells
+                key += k[:, j]
+        return out
+
+    return np.isin(keys(dirs), keys(members))
+
+
 def _sobol(dim: int, count: int, seed: int) -> np.ndarray:
     """The first ``count`` points of a seeded scrambled Sobol' sequence.
 

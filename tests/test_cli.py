@@ -79,6 +79,27 @@ class TestUsageErrors:
         assert code == 1 and "plot" in err
 
 
+    @pytest.mark.parametrize("cell,row", [("nan", 3), ("inf", 3), ("-inf", 2)])
+    def test_non_finite_csv_cell(self, capsys, tmp_path, cell, row):
+        p = tmp_path / "c.csv"
+        lines = ["0,0", "1,1", "2,2"]
+        lines[row - 2] = f"0,{cell}"
+        p.write_text("x1,x2\n" + "\n".join(lines) + "\n")
+        for cmd in (("cones", "--csv", str(p), "--at", "0,0"),
+                    ("analyze", "--csv", str(p), "--at", "0")):
+            code, out, err = run(capsys, *cmd)
+            assert code == 1
+            assert out == ""
+            assert err.startswith(f"conecalc: error: {p}:{row}: non-finite")
+            assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("at", ["nan", "0,inf", "0,-inf"])
+    def test_non_finite_point(self, capsys, at):
+        code, out, err = run(capsys, "analyze", "--fn", "x1", "--at", at)
+        assert code == 1
+        assert out == ""
+        assert err == f"conecalc: error: bad --at value {at!r}: coordinates must be finite\n"
+
     @pytest.mark.parametrize("ladder", ["0.1,1.5,0,6", "0.1,1.5,0,60",
                                         "0.1,0.5,0,60", "0.1,0.5,6,6"])
     def test_out_of_range_ladder(self, capsys, ladder):
@@ -225,6 +246,18 @@ def wedge_cloud_csv(path, n=3000, seed=5):
         ",".join(repr(float(v)) for v in p) + "\n" for p in pts))
 
 
+def labeled_ball_csv(path, n=3000, seed=7):
+    """n seeded points of the unit ball, origin first, labeled A on the
+    wedge {x3 >= |x1|} and B off it."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1.0, 1.0, size=(2 * n, 3))
+    pts = np.vstack([np.zeros((1, 3)), u[np.einsum("ij,ij->i", u, u) <= 1.0][:n - 1]])
+    labels = np.where(pts[:, 2] >= np.abs(pts[:, 0]), "A", "B")
+    path.write_text("x1,x2,x3,label\n" + "".join(
+        ",".join(repr(float(v)) for v in p) + f",{lab}\n"
+        for p, lab in zip(pts, labels)))
+
+
 SPECIAL_VALUES = (-0.0, 0.0, 1e-05, -1e-05, 5e-07, 1.0, -1.0)
 
 
@@ -305,6 +338,23 @@ class TestGoldenReports:
         assert code == 0
         assert (hashlib.sha256(out.encode()).hexdigest()
                 == "bade96cbbbba04223702f197fafc0177c44d3e3cdaeeefaa6d6a0252e27c08e1")
+
+    @pytest.mark.parametrize("write,digest", [
+        # 8000 wedge points: the voxel stage decides most persistence rows
+        (lambda p: wedge_cloud_csv(p, n=8000),
+         "2b88190a5045cf6d386988d76cc5fe44ac7a51798e6bcbd3f03397d8bf06e628"),
+        # a labeled 3-D ball: the strict cone of the wedge part
+        (labeled_ball_csv,
+         "30b7379aa9a95d37f91f6cc234b61aecab4df03e2fb1dbdc9add5406a1854a2b"),
+    ])
+    def test_3d_cones_report_digest(self, capsys, tmp_path, monkeypatch,
+                                    write, digest):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "cloud.csv")
+        code, out, _ = run(capsys, "cones", "--csv", "cloud.csv",
+                           "--at", "0,0,0", "--seed", "0")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_labeled_cones_report_digest(self, capsys, tmp_path, monkeypatch):
         # tangent and strict cones of the A part, then their polars

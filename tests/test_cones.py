@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from conecalc import cones, sampling
+from conecalc import cones, geometry, sampling
 from conecalc.cones import FiberCone
 from conecalc.errors import DimensionMismatchError
 
@@ -247,6 +247,149 @@ class TestSampledPolar:
         got = cones.polar(FiberCone(3, cones.Sampled(dirs, 0.01)), slack=0.01)
         want = grid[dense_polar_mask(grid, dirs, -math.sin(0.01))]
         assert np.array_equal(got.rep.directions, want)
+
+    # the subset pre-check must leave the mask of the KD path bit-equal
+
+    @staticmethod
+    def dense_fan(seed):
+        """An epigraph-like fan over the 2-D domain: about 64k members."""
+        rng = np.random.default_rng(seed)
+        base = sampling.unit_grid(2)[::2]
+        step = sampling.grid_resolution(2)
+        # a linear slope plus a bump keeps the polar a small cap
+        slopes = base @ rng.normal(size=2) + 0.05 * np.abs(rng.normal(size=len(base)))
+        return np.vstack([geometry.fan(u, math.atan(h), math.pi / 2.0, step)
+                          for u, h in zip(base, slopes)])
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_precheck_on_a_dense_fan(self, seed):
+        dirs = self.dense_fan(seed)
+        grid = sampling.unit_grid(3)
+        kept = 0
+        for slack in (0.0, 0.5 * sampling.grid_resolution(2), 0.05, 0.1):
+            thr = -math.sin(slack)
+            got = cones._dual_mask(grid, dirs, thr)
+            assert np.array_equal(got, exact_dual_mask(grid, dirs, thr))
+            kept += got.sum()
+        assert kept > 0
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_precheck_with_rows_at_the_threshold(self, dim):
+        # thr is a row's own smallest dot, taken by a probed member or not
+        dirs = random_sampled_cone(dim, 200 + dim, count=3000, spread=0.3)
+        grid = sampling.unit_grid(dim)
+        low = np.empty(len(grid))
+        arg = np.empty(len(grid), dtype=int)
+        for lo in range(0, len(grid), 4096):
+            dots = grid[lo:lo + 4096] @ dirs.T
+            low[lo:lo + 4096], arg[lo:lo + 4096] = dots.min(axis=1), dots.argmin(axis=1)
+        probed = arg % (len(dirs) // cones.DUAL_PROBES) == 0
+        for pick in (probed, ~probed):
+            for k in np.flatnonzero(pick)[:: max(1, pick.sum() // 5)][:5]:
+                thr = low[k]
+                got = cones._dual_mask(grid, dirs, thr)
+                assert got[k]
+                assert np.array_equal(got, exact_dual_mask(grid, dirs, thr))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_precheck_in_four_dimensions(self, seed):
+        dirs = random_sampled_cone(4, 300 + seed, count=2000)
+        grid = sampling.unit_grid(4)
+        for slack in (0.0, 0.5 * sampling.grid_resolution(4)):
+            thr = -math.sin(slack)
+            assert np.array_equal(cones._dual_mask(grid, dirs, thr),
+                                  exact_dual_mask(grid, dirs, thr))
+
+
+def exact_dual_mask(grid, dirs, thr):
+    """``cones._dual_mask`` without the subset pre-check: a KD query of every
+    row, then the dense product for rows within DUAL_MARGIN of thr."""
+    from scipy.spatial import cKDTree
+
+    _, idx = cKDTree(dirs).query(-grid)
+    dots = np.einsum("ij,ij->i", grid, dirs[idx])
+    ok = dots >= thr
+    near = np.flatnonzero(np.abs(dots - thr) <= cones.DUAL_MARGIN)
+    step = max(2, cones.DENSE_CELLS // len(dirs))
+    for lo in range(0, len(near), step):
+        rows = near[lo:lo + step]
+        dense = grid[np.resize(rows, max(2, len(rows)))] @ dirs.T
+        ok[rows] = np.all(dense[:len(rows)] >= thr, axis=1)
+    return ok
+
+
+@st.composite
+def near_set_cases(draw):
+    """Rows and members in dims 2-5: random, at the chord of tol, or on the
+    faces of the voxels that ``near_set`` uses."""
+    dim = draw(st.integers(2, 5))
+    tol = draw(st.one_of(
+        st.sampled_from((1e-9, 1e-6, 0.0, -1.0, 0.01, 0.05, 0.3, 1.0,
+                         math.pi / 2, 2.0, 3.0, math.pi, 4.0)),
+        st.floats(1e-9, 3.5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    counts = st.sampled_from((0, 1, 7, 150))
+    rows, count = draw(counts), draw(counts)
+    unit = lambda a: a / np.linalg.norm(a, axis=1, keepdims=True)
+    members = unit(rng.standard_normal((count, dim)))
+    if draw(st.booleans()):
+        members *= rng.uniform(0.2, 3.0, size=(count, 1))
+    chord = 2.0 * math.sin(0.5 * min(max(tol, 0.0), math.pi))
+    side = chord * (1.0 - sampling.NEAR_MARGIN) / math.sqrt(dim)
+    layout = draw(st.sampled_from(("random", "chord", "faces")))
+    if layout == "faces" and count:
+        members = side * rng.integers(-3, 4, size=(count, dim)).astype(float)
+    dirs = unit(rng.standard_normal((rows, dim)))
+    if count and rows and layout != "random":
+        pick = members[rng.integers(0, count, rows)]
+        if layout == "chord":
+            dirs = pick + chord * unit(rng.standard_normal((rows, dim)))
+        else:
+            dirs = pick + side * rng.integers(-1, 2, size=(rows, dim))
+    return dirs, members, tol
+
+
+class TestNearSet:
+    """near_set equals the full nearest-neighbour angle test bit for bit."""
+
+    @given(near_set_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_min_angle_test(self, case):
+        dirs, members, tol = case
+        want = sampling.min_angle_to_set(dirs, members) <= tol
+        assert np.array_equal(sampling.near_set(dirs, members, tol), want)
+
+    def test_voxel_stage_decides_dense_sets_soundly(self):
+        members = sampling.sphere_points(3, 20000, 1)
+        dirs = sampling.sphere_points(3, 4000, 2)
+        tol = 2.0 * sampling.grid_resolution(3)
+        side = 2.0 * math.sin(0.5 * tol) * (1.0 - sampling.NEAR_MARGIN) / math.sqrt(3)
+        hits = sampling._voxel_hits(dirs, members, side)
+        assert hits.mean() > 0.5
+        assert np.all(sampling.min_angle_to_set(dirs[hits], members)
+                      < tol * (1.0 - 0.5 * sampling.NEAR_MARGIN))
+        assert np.array_equal(sampling.near_set(dirs, members, tol),
+                              sampling.min_angle_to_set(dirs, members) <= tol)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("tol", [0.01, 0.05, 1.0])
+    def test_rows_along_a_voxel_diagonal(self, dim, tol):
+        # a member at the low corner of its voxel and rows along the
+        # diagonal, from just inside the chord of tol to just outside
+        chord = 2.0 * math.sin(0.5 * tol)
+        t = 1.0 + 2.0 * sampling.NEAR_MARGIN * np.linspace(-1.0, 1.0, 41)
+        dirs = np.outer(chord * t, np.ones(dim) / math.sqrt(dim))
+        members = np.zeros((1, dim))
+        want = sampling.min_angle_to_set(dirs, members) <= tol
+        assert want.any() and not want.all()
+        assert np.array_equal(sampling.near_set(dirs, members, tol), want)
+
+    @pytest.mark.parametrize("dim,tol", [(3, 1e-9), (5, 1e-4), (2, 0.0)])
+    def test_voxel_stage_skipped_for_tiny_voxels(self, dim, tol):
+        pts = sampling.sphere_points(dim, 64, 3)
+        side = 2.0 * math.sin(0.5 * tol) / math.sqrt(dim)
+        assert not sampling._voxel_hits(pts, pts, side).any()
+        assert sampling.near_set(pts, pts, tol).all()
 
 
 class TestSharedGrids:
