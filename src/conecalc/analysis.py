@@ -41,16 +41,8 @@ _INC_ARCS = cones.arcs_normalize([(0.0, 0.5 * math.pi), (math.pi, 1.5 * math.pi)
 _DEC_ARCS = cones.arcs_normalize([(0.5 * math.pi, math.pi), (1.5 * math.pi, 2.0 * math.pi)])
 
 
-def _lad(f, ladder):
-    return (dini.ScaleLadder() if ladder is None else ladder).for_handle(f)
-
-
 def _vert_tol(cone: FiberCone) -> float:
     return 2.0 * max(cone.resolution(), sampling.grid_resolution(cone.dim))
-
-
-def _members(cone: FiberCone) -> np.ndarray:
-    return cones.member_directions(cones.as_sampled(cone))
 
 
 def _slice_nontrivial(cone: FiberCone, m: int, tol: float, part: str) -> bool:
@@ -63,7 +55,7 @@ def _slice_nontrivial(cone: FiberCone, m: int, tol: float, part: str) -> bool:
         half = 0.5 * math.pi
         probes = (half, 3 * half) if part == "vertical" else (0.0, math.pi)
         return any(cones.arcs_point_distance(arcs, a) <= tol for a in probes)
-    V = _members(cone)
+    V = cones.member_directions(cone)
     if len(V) == 0:
         return False
     gone = V[:, :m] if part == "vertical" else V[:, m:]
@@ -79,7 +71,7 @@ def _ray_gap(cone: FiberCone, v) -> float:
         if not arcs:
             return math.pi
         return cones.arcs_point_distance(arcs, math.atan2(v[1], v[0]))
-    V = _members(cone)
+    V = cones.member_directions(cone)
     if len(V) == 0:
         return math.pi
     return float(math.acos(min(1.0, max(-1.0, float((V @ v).max())))))
@@ -87,10 +79,10 @@ def _ray_gap(cone: FiberCone, v) -> float:
 
 def _directed_angle(a: FiberCone, b: FiberCone) -> float:
     """sup over rays of a of the angle to the nearest ray of b."""
-    A = _members(a)
+    A = cones.member_directions(a)
     if len(A) == 0:
         return 0.0
-    B = _members(b)
+    B = cones.member_directions(b)
     if len(B) == 0:
         return math.pi
     G = np.clip(A @ B.T, -1.0, 1.0)
@@ -148,7 +140,7 @@ def classify_point(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
     the sampled directions.  The conormal-side verdict (no horizontal
     covector) is cross-checked in regimes where the conormal is trusted.
     """
-    lad = _lad(f, ladder)
+    lad = conormal._resolved_ladder(f, ladder)
     x = np.asarray(x, dtype=float).reshape(f.m)
     w = geometry.graph_whitney(f, x, lad)
     est = conormal.conormal(f, x, lad, whitney=w)
@@ -170,7 +162,7 @@ def classify_point(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
     strict = False
     deriv = None
     if lipschitz:
-        V = _members(w)
+        V = cones.member_directions(w)
         if len(V):
             s = np.linalg.svd(V, compute_uv=False)
             gap = float(s[f.m] / s[0]) if len(s) > f.m and s[0] > 0 else 0.0
@@ -226,7 +218,7 @@ def fo_extremum(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
     """
     if f.n != 1:
         raise DimensionMismatchError("extremum classification needs a scalar function")
-    lad = _lad(f, ladder)
+    lad = conormal._resolved_ladder(f, ladder)
     x = np.asarray(x, dtype=float).reshape(f.m)
     d_lo, d_hi = dini.radial_bounds(f, x, lad)
     is_min = d_lo >= -tol
@@ -312,7 +304,7 @@ def mean_value_witness(f: FunctionHandle, a, b, eta0: float = 1.0,
             nu = np.array([fb - fa, a[0] - b[0]])
             return ang, sgn * nu / np.linalg.norm(nu)
         est = conormal.conormal(f, c, lad.for_handle(f))
-        V = _members(est.upper)
+        V = cones.member_directions(est.upper)
         if len(V) == 0:
             return math.pi / 2.0, None
         dots = V @ chord_hat
@@ -380,7 +372,7 @@ def mean_value_witness(f: FunctionHandle, a, b, eta0: float = 1.0,
 
 def _middle_match(w1: FiberCone, w2: FiberCone, m1: int, m2: int) -> bool:
     """A shared middle direction witnessing (W1 x 0) cap (0 x W2) != 0."""
-    V1, V2 = _members(w1), _members(w2)
+    V1, V2 = cones.member_directions(w1), cones.member_directions(w2)
     if len(V1) == 0 or len(V2) == 0:
         return False
     t1, t2 = _vert_tol(w1), _vert_tol(w2)
@@ -411,9 +403,9 @@ def chain_rule_check(f1: FunctionHandle, f2: FunctionHandle, x,
     h = compose_handles(f1, f2)
     x = np.asarray(x, dtype=float).reshape(f1.m)
     y = f1(x[None, :])[0]
-    w1 = geometry.graph_whitney(f1, x, _lad(f1, ladder))
-    w2 = geometry.graph_whitney(f2, y, _lad(f2, ladder))
-    wh = geometry.graph_whitney(h, x, _lad(h, ladder))
+    w1 = geometry.graph_whitney(f1, x, conormal._resolved_ladder(f1, ladder))
+    w2 = geometry.graph_whitney(f2, y, conormal._resolved_ladder(f2, ladder))
+    wh = geometry.graph_whitney(h, x, conormal._resolved_ladder(h, ladder))
     comp = cones.compose(ConicRelation(f1.m, f1.n, w1),
                          ConicRelation(f2.m, f2.n, w2))
     regular = not _middle_match(w1, w2, f1.m, f2.m)
@@ -429,7 +421,7 @@ def chain_rule_check(f1: FunctionHandle, f2: FunctionHandle, x,
         "strict_inclusion": bool(inclusion and overshoot > tol),
         "overshoot_angle": float(overshoot),
         "tolerance": float(tol),
-        "composite_members": int(len(_members(comp.cone))),
+        "composite_members": int(len(cones.member_directions(comp.cone))),
         "equality_checked": False,
     }
     if regular and f2.meta.get("c1"):
@@ -486,7 +478,7 @@ def monotone_classify_1d(f: FunctionHandle, interval,
         raise DimensionMismatchError("monotone classification is one dimensional")
     lo, hi = float(interval[0]), float(interval[1])
     xs = np.linspace(lo, hi, grid)
-    lad = _lad(f, ladder)
+    lad = conormal._resolved_ladder(f, ladder)
     per = []
     for c in xs:
         w = geometry.graph_whitney(f, np.array([c]), lad)
@@ -553,7 +545,7 @@ def _dual_causal(lam: FiberCone, gm: FiberCone, gn: FiberCone, m: int,
     gm_polar = cones.polar(gm)
     gn_polar = cones.polar(gn)
     worst = 0.0
-    for v in _members(lam):
+    for v in cones.member_directions(lam):
         xi, eta = v[:m], v[m:]
         ne, nx = float(np.linalg.norm(eta)), float(np.linalg.norm(xi))
         if ne > math.sin(tol) and not cones.contains(gn_polar, -eta / ne, tol=tol):
@@ -575,7 +567,7 @@ def _causal_entry(f: FunctionHandle, gamma_m, gamma_n, p, lad,
     gn = _field_value(gamma_n, y, f.n)
     w = geometry.graph_whitney(f, p, lad)
     ptol = tol if tol is not None else 2.0 * max(
-        cones.as_sampled(w).rep.resolution, gn.resolution(),
+        w.resolution(), gn.resolution(),
         sampling.grid_resolution(max(2, f.n)))
     # image membership filtered at half the verdict tolerance so a
     # boundary direction cannot land exactly on the pass/fail line
@@ -608,7 +600,7 @@ def causal_check(f: FunctionHandle, gamma_m, gamma_n, points,
     conormal.  Lipschitz status rides along because a causal map must be
     Lipschitz.
     """
-    lad = _lad(f, ladder)
+    lad = conormal._resolved_ladder(f, ladder)
     per = [_causal_entry(f, gamma_m, gamma_n, p, lad, tol)[0]
            for p in np.atleast_2d(np.asarray(points, dtype=float))]
     return {
@@ -630,7 +622,7 @@ def time_function_check(tau: FunctionHandle, gamma_m, points,
     if tau.n != 1:
         raise DimensionMismatchError("time functions are scalar valued")
     gamma_r = FiberCone.from_directions(np.array([[1.0]]), 1, resolution=1e-9)
-    lad = _lad(tau, ladder)
+    lad = conormal._resolved_ladder(tau, ladder)
     per = []
     for p in np.atleast_2d(np.asarray(points, dtype=float)):
         entry, w = _causal_entry(tau, gamma_m, gamma_r, p, lad, tol)

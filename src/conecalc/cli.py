@@ -247,7 +247,6 @@ def _build_parser() -> _Parser:
                         metavar="V1,V2,...", help="evaluation point; repeatable")
         sp.add_argument("--ladder", metavar="T0,RATIO,KMIN,KMAX",
                         help="scale ladder override")
-        sp.add_argument("--tol", type=float, help="tolerance override")
         sp.add_argument("--seed", type=int, help="RNG seed "
                         "(falls back to CONECALC_SEED, then 0)")
         sp.add_argument("--jobs", type=int, default=1,
@@ -256,6 +255,8 @@ def _build_parser() -> _Parser:
 
     a = sub.add_parser("analyze", help="classify a map at points")
     common(a, needs_fn=True)
+    a.add_argument("--tol", type=_tolerance,
+                   help="first-order extremum tolerance (default 1e-4)")
     a.add_argument("--check", action="append", default=[],
                    choices=KNOWN_CHECKS, help="extra cone check; repeatable")
 
@@ -272,6 +273,16 @@ def _build_parser() -> _Parser:
     b = sub.add_parser("builtins", help="list the builtin function library")
     b.add_argument("--report", help="write the JSON report here")
     return p
+
+
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(f"need a finite number >= 0, got {text!r}")
+    return tol
 
 
 def _parse_point(text: str) -> tuple:
@@ -328,8 +339,6 @@ def _resolve_handle(cfg: RunConfig) -> funcs.FunctionHandle:
     if cfg.csv is not None:
         try:
             return funcs.grid_handle_from_csv(cfg.csv)
-        except FileNotFoundError:
-            raise UsageError(f"no such file: {cfg.csv}") from None
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     if not cfg.at:
@@ -356,8 +365,11 @@ def _analyze_point(f, x, lad, cfg: RunConfig) -> dict:
     entry = {"point": x.tolist(), "classification": rep, "checks": {}}
     for name in dict.fromkeys(cfg.checks):
         if name == "conormal-upper":
-            entry["checks"][name] = conormal.slice_top_intersection(
-                rep.whitney, f.m)
+            # the conormal over a 1-D domain is exact, so its upper bound
+            # is not the slice construction
+            entry["checks"][name] = (
+                conormal.slice_top_intersection(rep.whitney, 1) if f.m == 1
+                else rep.conormal.upper)
         elif name == "epigraph-split":
             plus, minus = conormal.epigraph_split(rep.conormal.upper, f.n)
             entry["checks"][name] = {"positive": plus, "negative": minus}
@@ -397,8 +409,6 @@ def _plot_rows(idx: int, name: str, cone: FiberCone):
 def cmd_cones(cfg: RunConfig) -> dict:
     try:
         cloud = geometry.cloud_from_csv(cfg.csv)
-    except FileNotFoundError:
-        raise UsageError(f"no such file: {cfg.csv}") from None
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     pts = _check_points(cfg, cloud.dim)
@@ -477,7 +487,12 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         report = _DISPATCH[cfg.command](cfg)
         text = render_report(report)
-    except (UsageError, ParseError, DimensionMismatchError) as exc:
+        if cfg.report:
+            with open(cfg.report, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (UsageError, ParseError, DimensionMismatchError, OSError) as exc:
         print(f"conecalc: error: {exc}", file=sys.stderr)
         return 1
     except EvaluationError as exc:
@@ -486,11 +501,6 @@ def main(argv=None) -> int:
     except ConeCalcError as exc:
         print(f"conecalc: estimation failed: {exc}", file=sys.stderr)
         return 2
-    if cfg.report:
-        with open(cfg.report, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     print(f"conecalc: {cfg.command} finished in "
           f"{time.monotonic() - started:.2f}s", file=sys.stderr)
     if cfg.command == "verify" and not report["suite"]["all_passed"]:

@@ -660,20 +660,6 @@ def contains(cone: FiberCone, v, tol: float | None = None) -> bool:
     return bool(sampling.near_set(v[None, :], rep.directions, tol)[0])
 
 
-def is_symmetric(cone: FiberCone, tol: float | None = None) -> bool:
-    rep = cone.rep
-    if isinstance(rep, Arcs2D):
-        return arcs_rotate(rep.arcs, np.pi) == rep.arcs
-    if tol is None:
-        tol = max(cone.resolution(), sampling.grid_resolution(cone.dim))
-    if isinstance(rep, Polyhedral):
-        return all(contains(cone, -g, tol=1e-9) for g in generators_of(cone))
-    d = rep.directions
-    if len(d) == 0:
-        return True
-    return bool(sampling.near_set(-d, d, tol).all())
-
-
 def contains_line(cone: FiberCone, tol: float = 1e-9) -> bool:
     """True when some nonzero v has both v and -v in the cone."""
     rep = cone.rep
@@ -709,8 +695,7 @@ def intersect(a: FiberCone, b: FiberCone) -> FiberCone:
         return intersect(as_arcs(a), as_arcs(b))
     mask = grid_membership(a) & grid_membership(b)
     grid = sampling.unit_grid(a.dim)
-    res = max(as_sampled(a).rep.resolution, as_sampled(b).rep.resolution,
-              sampling.grid_resolution(a.dim))
+    res = max(a.resolution(), b.resolution(), sampling.grid_resolution(a.dim))
     return FiberCone(a.dim, Sampled(grid[mask], res), a.base_point)
 
 
@@ -803,70 +788,19 @@ class ConicRelation:
             raise DimensionMismatchError("relation cone dim must equal left+right")
 
 
-def identity_relation(dim: int) -> ConicRelation:
-    eye = np.eye(dim)
-    gens = np.vstack([np.hstack([eye, eye]), -np.hstack([eye, eye])])
-    half = np.vstack([np.hstack([eye, -eye]), np.hstack([-eye, eye])])
-    cone = FiberCone(2 * dim, Polyhedral(generators=gens, halfspaces=half))
-    return ConicRelation(dim, dim, cone)
+def compose(r1: ConicRelation, r2: ConicRelation) -> ConicRelation:
+    """Composite relation {(u, w) : (u, v) in r1 and (v, w) in r2 for some v}.
 
-
-def graph_relation(L: np.ndarray) -> ConicRelation:
-    """The graph of a linear map as a polyhedral (subspace) relation."""
-    L = np.atleast_2d(np.asarray(L, dtype=float))
-    n, m = L.shape
-    basis = np.hstack([np.eye(m), L.T])
-    gens = np.vstack([basis, -basis])
-    rows = np.hstack([-L, np.eye(n)])
-    half = np.vstack([rows, -rows])
-    return ConicRelation(m, n, FiberCone(m + n, Polyhedral(gens, half)))
-
-
-def _negate_middle(rel: ConicRelation, side: str) -> ConicRelation:
-    d1, d2 = rel.left_dim, rel.right_dim
-    M = np.eye(d1 + d2)
-    if side == "right":
-        M[d1:, d1:] *= -1.0
-    else:
-        M[:d1, :d1] *= -1.0
-    return ConicRelation(d1, d2, linear_image(rel.cone, M))
-
-
-def compose(r1: ConicRelation, r2: ConicRelation, twisted: bool = False) -> ConicRelation:
-    """Composite relation; ``twisted`` negates the shared middle factor."""
+    It works on the sampled members of both cones.  Two members whose
+    middle parts agree within twice the resolution give a member of the
+    composite.
+    """
     if r1.right_dim != r2.left_dim:
         raise DimensionMismatchError("middle dimensions differ")
-    if twisted:
-        r1 = _negate_middle(r1, "right")
-    if isinstance(r1.cone.rep, Polyhedral) and isinstance(r2.cone.rep, Polyhedral):
-        total = r1.left_dim + r1.right_dim + r2.right_dim
-        if total <= 4:
-            return _compose_polyhedral(r1, r2)
-    return _compose_sampled(r1, r2)
-
-
-def _compose_polyhedral(r1: ConicRelation, r2: ConicRelation) -> ConicRelation:
-    d1, d2, d3 = r1.left_dim, r1.right_dim, r2.right_dim
-    H1 = halfspaces_of(r1.cone)
-    H2 = halfspaces_of(r2.cone)
-    lifted = []
-    for h in H1:
-        lifted.append(np.concatenate([h, np.zeros(d3)]))
-    for h in H2:
-        lifted.append(np.concatenate([np.zeros(d1), h]))
-    lifted = np.asarray(lifted, dtype=float).reshape(-1, d1 + d2 + d3)
-    G = dual_rays(lifted, d1 + d2 + d3)
-    proj = np.hstack([G[:, :d1], G[:, d1 + d2:]]) if len(G) else np.zeros((0, d1 + d3))
-    proj = _dedupe_rays(proj)
-    proj = _prune_rays(proj) if len(proj) > 1 else proj
-    return ConicRelation(d1, d3, FiberCone.from_generators(proj, d1 + d3))
-
-
-def _compose_sampled(r1: ConicRelation, r2: ConicRelation) -> ConicRelation:
     d1, d2, d3 = r1.left_dim, r1.right_dim, r2.right_dim
     A = member_directions(r1.cone)
     B = member_directions(r2.cone)
-    res = max(as_sampled(r1.cone).rep.resolution, as_sampled(r2.cone).rep.resolution)
+    res = max(r1.cone.resolution(), r2.cone.resolution())
     out_dim = d1 + d3
     out: list[np.ndarray] = []
     thr = math.sin(max(res, 1e-9))
@@ -923,56 +857,14 @@ def _compose_sampled(r1: ConicRelation, r2: ConicRelation) -> ConicRelation:
     return ConicRelation(d1, d3, FiberCone(out_dim, Sampled(dirs, res)))
 
 
-def relation_from_cone_pair(left: FiberCone, right: FiberCone) -> ConicRelation:
-    """Product relation A x B (used to build test relations)."""
-    la, lb = member_directions(left), member_directions(right)
-    res = max(left.resolution(), right.resolution())
-    dirs = []
-    for u in la:
-        dirs.append(np.concatenate([u, np.zeros(right.dim)]))
-        for w in lb:
-            for s in np.linspace(0.0, np.pi / 2.0, 7)[1:-1]:
-                dirs.append(np.concatenate([math.cos(s) * u, math.sin(s) * w]))
-    for w in lb:
-        dirs.append(np.concatenate([np.zeros(left.dim), w]))
-    cone = FiberCone.from_directions(np.asarray(dirs), left.dim + right.dim, res)
-    return ConicRelation(left.dim, right.dim, cone)
-
-
 def apply_relation(cone: FiberCone, rel: ConicRelation, tol: float | None = None) -> FiberCone:
     """Forward image {w : (v, w) in rel for some v in cone}."""
     if cone.dim != rel.left_dim:
         raise DimensionMismatchError("cone does not match relation's left factor")
     d1, d3 = rel.left_dim, rel.right_dim
-    if (isinstance(rel.cone.rep, Polyhedral) and isinstance(cone.rep, Polyhedral)
-            and d1 + d3 <= 4):
-        HA = halfspaces_of(cone)
-        lifted = [np.concatenate([h, np.zeros(d3)]) for h in HA]
-        lifted.extend(halfspaces_of(rel.cone))
-        G = dual_rays(np.asarray(lifted, dtype=float).reshape(-1, d1 + d3), d1 + d3)
-        proj = G[:, d1:] if len(G) else np.zeros((0, d3))
-        proj = _dedupe_rays(proj)
-        if len(proj) > 1:
-            proj = _prune_rays(proj)
-        return FiberCone.from_generators(proj, d3)
-    if isinstance(rel.cone.rep, Polyhedral) and isinstance(cone.rep, Arcs2D) and d1 == d3 == 2:
-        # split each arc into pointed wedges and push them through the
-        # exact path; a polyhedral relation is too thin to sample reliably
-        segs = []
-        for lo, hi in cone.rep.arcs:
-            width = hi - lo
-            nseg = max(1, math.ceil(width / (0.5 * math.pi)))
-            for i in range(nseg):
-                a = lo + width * i / nseg
-                b = lo + width * (i + 1) / nseg
-                gens = np.array([[math.cos(a), math.sin(a)],
-                                 [math.cos(b), math.sin(b)]])
-                img = apply_relation(FiberCone.from_generators(gens, 2), rel)
-                segs.extend(as_arcs(img).rep.arcs)
-        return FiberCone(2, Arcs2D(arcs_normalize(segs)), cone.base_point)
     members = member_directions(rel.cone)
     if tol is None:
-        tol = 2.0 * max(cone.resolution(), as_sampled(rel.cone).rep.resolution)
+        tol = 2.0 * max(cone.resolution(), rel.cone.resolution())
     out = []
     for w in members:
         u, v = w[:d1], w[d1:]
@@ -981,5 +873,5 @@ def apply_relation(cone: FiberCone, rel: ConicRelation, tol: float | None = None
             continue
         if nu <= math.sin(tol) or contains(cone, u, tol=tol):
             out.append(v / nv)
-    res = max(cone.resolution(), as_sampled(rel.cone).rep.resolution)
+    res = max(cone.resolution(), rel.cone.resolution())
     return FiberCone.from_directions(np.asarray(out, dtype=float), d3, res)

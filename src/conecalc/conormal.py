@@ -11,8 +11,7 @@ polar of the epigraph tangent cone (scalar targets only; the zero cone
 otherwise).
 
 Closed point sets get the microsupport bracket [polar of the tangent
-cone, polar of the strict tangent cone]; sampled submanifolds get the
-top of their self-Whitney cone, exact for curves.
+cone, polar of the strict tangent cone].
 """
 
 from __future__ import annotations
@@ -23,9 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dini, geometry, sampling
-from .cones import (FiberCone, antipodal, as_sampled, hausdorff_angle,
-                    intersect, join, member_directions, min_abs_dots, polar,
-                    top)
+from .cones import (FiberCone, antipodal, hausdorff_angle, intersect, join,
+                    member_directions, min_abs_dots, polar, top)
 from .errors import DimensionMismatchError
 
 # domain-direction grids for the slice intersection: one-degree steps on
@@ -102,7 +100,7 @@ def directional_slice(w: FiberCone, m: int, u, half_width: float) -> FiberCone:
         theta = 0.0 if u[0] > 0 else math.pi
         sector = FiberCone.from_arcs([(theta - half, theta + half)])
         return intersect(w, sector)
-    V = member_directions(as_sampled(w))
+    V = member_directions(w)
     if len(V) == 0:
         return FiberCone.zero(d)
     P = V[:, :m]
@@ -115,7 +113,7 @@ def directional_slice(w: FiberCone, m: int, u, half_width: float) -> FiberCone:
     keep = V[aligned | vanishing]
     if len(keep) == 0:
         return FiberCone.zero(d)
-    return FiberCone.from_directions(keep, d, resolution=as_sampled(w).rep.resolution)
+    return FiberCone.from_directions(keep, d, resolution=w.resolution())
 
 
 def slice_top_intersection(w: FiberCone, m: int) -> FiberCone:
@@ -134,10 +132,10 @@ def slice_top_intersection(w: FiberCone, m: int) -> FiberCone:
             t = top(sl)
             out = t if out is None else intersect(out, t)
         return FiberCone.zero(2) if out is None else out
-    V = member_directions(as_sampled(w))
+    V = member_directions(w)
     if len(V) == 0:
         return FiberCone.zero(d)
-    rho = max(as_sampled(w).rep.resolution, sampling.grid_resolution(d))
+    rho = max(w.resolution(), sampling.grid_resolution(d))
     # slice half-width follows the domain grid: twice its covering radius,
     # which for the circle grid matches the one-degree slab spacing
     if m == 2:
@@ -210,21 +208,23 @@ def _epigraph_polar_lower(f, x, lad) -> FiberCone:
     return join(pc, antipodal(pc))
 
 
-def conormal_lower_check(w: FiberCone, lam: FiberCone, m: int, n: int,
+def conormal_lower_check(w: FiberCone, lam: FiberCone,
                          tol: float | None = None) -> dict:
-    """Verify that every Whitney direction admits perpendicular covectors
-    in the conormal estimate, one for each codomain covector slice.
+    """Verify that every Whitney direction of a graph with a scalar target
+    admits a perpendicular covector in the conormal estimate.
 
-    Pure verification; reports the worst violation angle instead of
-    modifying either cone.
+    With one codomain dimension either fiber sign realizes some multiple
+    of a perpendicular covector, so the angle from perpendicularity alone
+    decides.  Pure verification; reports the worst violation angle
+    instead of modifying either cone.
     """
-    d = m + n
-    if w.dim != d or lam.dim != d:
+    if w.dim != lam.dim:
         raise DimensionMismatchError("cones do not share the product fiber")
-    WD = member_directions(as_sampled(w))
-    LD = member_directions(as_sampled(lam))
+    WD = member_directions(w)
+    LD = member_directions(lam)
     if tol is None:
-        tol = 2.0 * max(w.resolution(), lam.resolution(), sampling.grid_resolution(d))
+        tol = 2.0 * max(w.resolution(), lam.resolution(),
+                        sampling.grid_resolution(w.dim))
     report = {"passed": True, "worst_angle": 0.0, "worst_direction": None,
               "tolerance": float(tol), "w_count": int(len(WD)),
               "lambda_count": int(len(LD)), "scaled_ok": None}
@@ -241,33 +241,11 @@ def conormal_lower_check(w: FiberCone, lam: FiberCone, m: int, n: int,
                       worst_direction=WD[0].tolist())
         return report
     # angle away from perpendicularity, per (w, lambda) pair
-    perp = np.arcsin(np.clip(np.abs(WD @ LD.T), 0.0, 1.0))
-    F = LD[:, m:]
-    fn = np.linalg.norm(F, axis=1)
-    if n == 1:
-        # any fiber sign realizes some multiple of the slice covector
-        viol = perp.min(axis=1)
-        worst = int(np.argmax(viol))
-        worst_angle = float(viol[worst])
-    else:
-        etas = sampling.sphere_points(n, 64, 11)
-        slice_viol = np.full((len(LD), len(etas)), math.pi / 2.0)
-        flat = fn <= math.sin(tol)
-        slice_viol[flat] = 0.0
-        nz = ~flat
-        if nz.any():
-            c = np.abs((F[nz] / fn[nz, None]) @ etas.T)
-            slice_viol[nz] = np.arccos(np.clip(c, -1.0, 1.0))
-        worst_angle, worst = 0.0, 0
-        for e in range(len(etas)):
-            pair = np.maximum(perp, slice_viol[:, e][None, :])
-            per_w = pair.min(axis=1)
-            k = int(np.argmax(per_w))
-            if per_w[k] > worst_angle:
-                worst_angle, worst = float(per_w[k]), k
-    report["worst_angle"] = worst_angle
+    viol = np.arcsin(np.clip(np.abs(WD @ LD.T), 0.0, 1.0)).min(axis=1)
+    worst = int(np.argmax(viol))
+    report["worst_angle"] = float(viol[worst])
     report["worst_direction"] = WD[worst].tolist()
-    report["passed"] = worst_angle <= tol
+    report["passed"] = report["worst_angle"] <= tol
     return report
 
 
@@ -275,7 +253,7 @@ def constant_cone_check(lam: FiberCone, c: float, m: int, n: int,
                         tol: float | None = None) -> dict:
     """Check the Lipschitz constant cone: every covector (xi, eta) in the
     estimate satisfies |xi| <= c |eta|, up to an angular slack."""
-    LD = member_directions(as_sampled(lam))
+    LD = member_directions(lam)
     if tol is None:
         tol = 2.0 * max(lam.resolution(), sampling.grid_resolution(m + n))
     if len(LD) == 0:
@@ -304,10 +282,10 @@ def epigraph_split(lam: FiberCone, n: int) -> tuple[FiberCone, FiberCone]:
     if lam.dim == 2:
         plus = intersect(lam, FiberCone.from_arcs([(0.0, math.pi)]))
         return plus, antipodal(plus)
-    V = member_directions(as_sampled(lam))
+    V = member_directions(lam)
     keep = V[V[:, -1] >= -1e-12] if len(V) else V
     plus = FiberCone.from_directions(keep, lam.dim,
-                                     resolution=as_sampled(lam).rep.resolution) \
+                                     resolution=lam.resolution()) \
         if len(keep) else FiberCone.zero(lam.dim)
     return plus, antipodal(plus)
 
@@ -328,7 +306,7 @@ def conormal(f, x, ladder=None, whitney: FiberCone | None = None) -> ConormalEst
     upper = slice_top_intersection(w, f.m)
     if f.n == 1:
         lower = _epigraph_polar_lower(f, x, lad)
-        check = conormal_lower_check(w, upper, f.m, f.n)
+        check = conormal_lower_check(w, upper)
         est = ConormalEstimate(lower=lower, upper=upper, regime="dimN1")
         est.checks["lower_check"] = check
         est.checks["whitney_roundtrip_angle"] = float(
@@ -340,7 +318,7 @@ def conormal(f, x, ladder=None, whitney: FiberCone | None = None) -> ConormalEst
 
 
 # ---------------------------------------------------------------------------
-# closed sets and submanifolds
+# closed sets
 
 
 def closed_set_bounds(tangent: FiberCone, strict: FiberCone
@@ -353,47 +331,3 @@ def closed_set_bounds(tangent: FiberCone, strict: FiberCone
     """
     return polar(tangent), polar(strict)
 
-
-def _local_dim_estimate(cloud: geometry.PointCloud, x,
-                        ladder: dini.ScaleLadder) -> float:
-    """Pair-count scaling estimate of the local dimension.
-
-    Works inside a single deep shell so it is insensitive to how the
-    sampling density varies with the distance to x; pair counts at
-    scales well below the shell radius grow like s^dim.
-    """
-    x = np.asarray(x, dtype=float).reshape(cloud.dim)
-    dist = np.linalg.norm(cloud.points - x, axis=1)
-    radii = ladder.radii()
-    shell = None
-    for i in range(len(radii) - 1, 0, -1):
-        mask = (dist > radii[i]) & (dist <= radii[i - 1])
-        if int(mask.sum()) >= 160:
-            shell = cloud.points[mask]
-            r = radii[i - 1]
-            break
-    if shell is None:
-        return float(cloud.dim)
-    if len(shell) > 400:
-        idx = np.linspace(0, len(shell) - 1, 400).astype(int)
-        shell = shell[idx]
-    d = np.linalg.norm(shell[:, None, :] - shell[None, :, :], axis=2)
-    iu = np.triu_indices(len(shell), k=1)
-    d = d[iu]
-    slopes = []
-    for s in (0.25 * r, 0.125 * r):
-        hi = int(np.sum(d <= s))
-        lo = int(np.sum(d <= s / 2.0))
-        if lo >= 8:
-            slopes.append(math.log2(hi / lo))
-    return float(np.median(slopes)) if slopes else float(cloud.dim)
-
-
-def subman_top_bound(cloud: geometry.PointCloud, x,
-                     ladder: dini.ScaleLadder) -> tuple[FiberCone, dict]:
-    """Microsupport upper bound for a sampled closed submanifold: the top
-    of its self-Whitney cone, exact when the detected dimension is 1."""
-    w = geometry.whitney_cone(cloud, cloud, x, ladder)
-    dim_est = _local_dim_estimate(cloud, x, ladder)
-    bound = top(w)
-    return bound, {"exact": bool(round(dim_est) == 1), "dim_estimate": dim_est}

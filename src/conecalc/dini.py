@@ -347,9 +347,10 @@ def lipschitz_constants(f, x, ladder: ScaleLadder,
     if f.n == 1:
         slices = [f]
     else:
+        # the second half of the grid negates the first, which gives the
+        # same |limit|
         etas = _direction_grid(f.n, covector_count)
-        half = len(etas) // 2 if f.n > 1 else len(etas)
-        slices = [_scalar_slice(f, eta) for eta in etas[:max(half, 1)]]
+        slices = [_scalar_slice(f, eta) for eta in etas[:len(etas) // 2]]
 
     U = _direction_grid(f.m, dir_count)
     lip_pw = 0.0

@@ -342,16 +342,6 @@ def _preiss_tables(depth: int):
     return bk, signs, integ
 
 
-def preiss_family(depth: int):
-    """The interval family itself: list of levels, each a list of (lo, hi)."""
-    levels = []
-    for nlev in range(1, depth + 1):
-        s = 4.0 ** (-nlev)
-        centers = (np.arange(int(round(1.0 / s))) + 0.5) * s
-        levels.append([(c - s / 8.0, c + s / 8.0) for c in centers])
-    return levels
-
-
 def _preiss_handle(depth: int) -> FunctionHandle:
     bk, signs, integ = _preiss_tables(depth)
 

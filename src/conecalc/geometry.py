@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dini, sampling
-from .cones import FiberCone, linear_image, member_directions, as_sampled
+from .cones import FiberCone, linear_image, member_directions
 from .errors import EmptyShellError
 
 PAIR_BUDGET = 200_000
@@ -284,33 +284,10 @@ def strict_cone(cloud: PointCloud, complement: PointCloud | None, x,
     rho = sampling.grid_resolution(cloud.dim)
     if W.is_zero():
         return FiberCone.from_directions(grid, cloud.dim, resolution=rho)
-    keep = grid[~sampling.near_set(grid, member_directions(as_sampled(W)), 2.0 * rho)]
+    keep = grid[~sampling.near_set(grid, member_directions(W), 2.0 * rho)]
     if len(keep) == 0:
         return FiberCone.zero(cloud.dim)
     return FiberCone.from_directions(keep, cloud.dim, resolution=rho)
-
-
-def convexity_check(cone: FiberCone, seed: int = 0, samples: int = 512) -> bool:
-    """Do normalized midpoints of member pairs stay inside the cone?
-
-    The strict tangent cone is convex in exact theory, so failures here
-    flag under-sampling rather than being corrected.
-    """
-    dirs = member_directions(as_sampled(cone))
-    if len(dirs) < 2:
-        return True
-    res = max(cone.resolution(), sampling.grid_resolution(cone.dim))
-    rng = np.random.default_rng(seed)
-    i = rng.integers(0, len(dirs), samples)
-    j = rng.integers(0, len(dirs), samples)
-    mids = dirs[i] + dirs[j]
-    nrm = np.linalg.norm(mids, axis=1)
-    ok = nrm > 1e-9
-    if not ok.any():
-        return True
-    mids = mids[ok] / nrm[ok][:, None]
-    inside = sampling.min_angle_to_set(mids, dirs) <= 2.0 * res + 1e-9
-    return float(np.mean(inside)) >= 0.98
 
 
 def fan(u, p1: float, p2: float, step: float) -> np.ndarray:
@@ -403,59 +380,3 @@ def hypograph_strict_cone(f, x, ladder: dini.ScaleLadder) -> FiberCone:
     flip = np.diag([1.0] * f.m + [-1.0])
     return linear_image(cone, flip)
 
-
-def local_graph_direction(cloud: PointCloud, x, codim: int,
-                          ladder: dini.ScaleLadder):
-    """Search for a codim-dimensional subspace meeting the Whitney cone
-    only at the origin; its existence makes the set a local Lipschitz
-    graph transverse to it.
-
-    Returns (subspace cone, angular clearance) or None.
-    """
-    d = cloud.dim
-    if not 1 <= codim < d:
-        raise ValueError("codim must lie strictly between 0 and the dimension")
-    W = whitney_cone(cloud, cloud, x, ladder)
-    rho = sampling.grid_resolution(d)
-    if W.is_zero():
-        basis = np.eye(d)[d - codim:]
-        return FiberCone.from_generators(np.vstack([basis, -basis])), math.pi / 2.0
-    M = member_directions(as_sampled(W))
-
-    if codim == 1:
-        grid = sampling.unit_grid(d)
-        dots = np.abs(M @ grid.T).max(axis=0)
-        clear = np.arccos(np.clip(dots, -1.0, 1.0))
-        best = int(np.argmax(clear))
-        if clear[best] <= 2.0 * rho:
-            return None
-        w = grid[best]
-        return FiberCone.from_generators(np.vstack([w, -w])), float(clear[best])
-
-    if codim == d - 1:
-        # parameterize the subspace by its normal line
-        grid = sampling.unit_grid(d)
-        sines = np.abs(M @ grid.T).min(axis=0)
-        clear = np.arcsin(np.clip(sines, 0.0, 1.0))
-        best = int(np.argmax(clear))
-        if clear[best] <= 2.0 * rho:
-            return None
-        n = grid[best]
-        basis = np.linalg.svd(np.eye(d) - np.outer(n, n))[0][:, :d - 1].T
-        return FiberCone.from_generators(np.vstack([basis, -basis])), float(clear[best])
-
-    # middle codimensions: coarse scan over direction pairs
-    coarse = sampling.sphere_points(d, 72, 3)
-    best_clear, best_basis = -1.0, None
-    for i in range(len(coarse)):
-        for j in range(i + 1, len(coarse)):
-            Q = np.linalg.qr(np.column_stack([coarse[i], coarse[j]]))[0]
-            if Q.shape[1] < codim:
-                continue
-            proj = np.linalg.norm(M @ Q, axis=1)
-            clear = math.acos(min(1.0, float(proj.max())))
-            if clear > best_clear:
-                best_clear, best_basis = clear, Q.T
-    if best_basis is None or best_clear <= 2.0 * rho:
-        return None
-    return FiberCone.from_generators(np.vstack([best_basis, -best_basis])), best_clear

@@ -99,17 +99,6 @@ def grid_tree(dim: int) -> cKDTree:
     return cKDTree(unit_grid(dim))
 
 
-def nearest_grid_index(dirs: np.ndarray, dim: int) -> np.ndarray:
-    """Index of the nearest grid direction for each row of ``dirs``."""
-    dirs = np.atleast_2d(dirs)
-    if dim == 2:
-        theta = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), TWO_PI)
-        step = TWO_PI / GRID_SIZES[2]
-        return np.mod(np.round(theta / step).astype(int), GRID_SIZES[2])
-    _, idx = grid_tree(dim).query(dirs)
-    return idx
-
-
 def min_angle_to_set(dirs: np.ndarray, members: np.ndarray) -> np.ndarray:
     """For each unit row of dirs, the angle to the closest row of members."""
     dirs = np.atleast_2d(dirs)

@@ -100,6 +100,37 @@ class TestUsageErrors:
         assert out == ""
         assert err == f"conecalc: error: bad --at value {at!r}: coordinates must be finite\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["builtins", "--report", "{missing}/x.json"],
+        ["analyze", "--csv", "{tmp}", "--at", "0"],
+        ["cones", "--csv", "{cloud}", "--at", "0,0", "--plot", "{missing}/p.csv"],
+    ])
+    def test_file_faults(self, capsys, tmp_path, argv):
+        names = {"tmp": str(tmp_path), "missing": str(tmp_path / "missing"),
+                 "cloud": write_cloud(tmp_path, n=2000)}
+        argv = [a.format(**names) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("conecalc: error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert str(tmp_path) in err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--fn", "x1", "--at", "0", "--tol", "nan"],
+        ["analyze", "--fn", "x1", "--at", "0", "--tol", "inf"],
+        ["analyze", "--fn", "x1", "--at", "0", "--tol", "-1"],
+        ["analyze", "--fn", "x1", "--at", "0", "--tol", "tiny"],
+        ["cones", "--csv", "c.csv", "--at", "0,0", "--tol", "0.1"],
+    ])
+    def test_tolerance_faults(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("conecalc: error: ")
+        assert "--tol" in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("ladder", ["0.1,1.5,0,6", "0.1,1.5,0,60",
                                         "0.1,0.5,0,60", "0.1,0.5,6,6"])
     def test_out_of_range_ladder(self, capsys, ladder):

@@ -19,7 +19,7 @@ PERP_BOWTIE = FiberCone.from_arcs([(PI / 4, 3 * PI / 4),
 
 def included(inner, outer, tol):
     """Every sampled member of inner lies within tol of outer."""
-    md = cones.member_directions(cones.as_sampled(inner))
+    md = cones.member_directions(inner)
     return all(cones.contains(outer, v, tol=tol) for v in md)
 
 
@@ -102,7 +102,7 @@ class TestEpigraphSplit:
 
     def test_planar_split_sign(self):
         plus, _ = split(funcs.builtin("x1sq_sin"), [0.0, 0.0])
-        md = cones.member_directions(cones.as_sampled(plus))
+        md = cones.member_directions(plus)
         assert len(md) > 0
         assert (md[:, -1] >= -1e-9).all()
 
@@ -121,20 +121,19 @@ class TestChecks:
         w = FiberCone.from_arcs([(a, a), (a + PI, a + PI)])
         lam = FiberCone.from_arcs([(a + PI / 2, a + PI / 2),
                                    (a + 3 * PI / 2, a + 3 * PI / 2)])
-        rep = conormal.conormal_lower_check(w, lam, 1, 1)
+        rep = conormal.conormal_lower_check(w, lam)
         assert rep["passed"] and rep["worst_angle"] <= 1e-6
 
     def test_lower_check_detects_missing_covectors(self):
         a = math.atan(2.0)
         w = FiberCone.from_arcs([(a, a), (a + PI, a + PI)])
-        rep = conormal.conormal_lower_check(w, w, 1, 1)  # parallel, not perp
+        rep = conormal.conormal_lower_check(w, w)  # parallel, not perp
         assert not rep["passed"]
         assert rep["worst_angle"] > 1.0
 
     def test_lower_check_dim_guard(self):
         with pytest.raises(DimensionMismatchError):
-            conormal.conormal_lower_check(FiberCone.full(2),
-                                          FiberCone.full(3), 1, 1)
+            conormal.conormal_lower_check(FiberCone.full(2), FiberCone.full(3))
 
 
 class TestClosedSetBounds:
@@ -176,29 +175,6 @@ class TestClosedSetBounds:
         lower, upper = self._bounds(body, None, lad)
         assert upper.is_zero()
         assert not lower.is_zero()
-
-
-class TestSubmanifoldBound:
-    def test_circle_normal_line(self):
-        # chord spread scales with the deepest ball radius, so the cloud
-        # must be dense enough for the ladder to dig below 0.05 rad
-        th = np.arange(20000) * (2 * PI / 20000)
-        cloud = geometry.PointCloud(np.column_stack([np.cos(th), np.sin(th)]))
-        lad = geometry.cloud_ladder(cloud, [1.0, 0.0])
-        bound, meta = conormal.subman_top_bound(cloud, [1.0, 0.0], lad)
-        want = FiberCone.from_arcs([(0.0, 0.0), (PI, PI)])
-        assert cones.hausdorff_angle(bound, want) <= 0.05
-        assert meta["exact"] is True
-        assert meta["dim_estimate"] == pytest.approx(1.0, abs=0.35)
-
-    def test_solid_set_not_exact(self):
-        rng = np.random.default_rng(1)
-        pts = rng.uniform(-1, 1, size=(30000, 2))
-        cloud = geometry.PointCloud(pts)
-        lad = geometry.cloud_ladder(cloud, [0.0, 0.0])
-        _, meta = conormal.subman_top_bound(cloud, [0.0, 0.0], lad)
-        assert meta["exact"] is False
-        assert meta["dim_estimate"] == pytest.approx(2.0, abs=0.4)
 
 
 class TestSliceTopBlocks:

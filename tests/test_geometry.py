@@ -298,40 +298,6 @@ class TestEpigraphCones:
             geometry.epigraph_strict_cone(h, [0.0], LAD)
 
 
-class TestConvexityCheck:
-    def test_convex_arc(self):
-        assert geometry.convexity_check(FiberCone.from_arcs([(0.2, 1.5)]))
-
-    def test_bowtie_not_convex(self):
-        c = FiberCone.from_arcs([(0.0, 0.3), (2.0, 2.3)])
-        assert not geometry.convexity_check(c)
-
-
-class TestLocalGraphDirection:
-    def test_kink_graph_transversal(self):
-        t = np.linspace(-1, 1, 6001)
-        cloud = geometry.PointCloud(np.column_stack([t, np.abs(t)]))
-        lad = geometry.cloud_ladder(cloud, [0.0, 0.0])
-        out = geometry.local_graph_direction(cloud, [0.0, 0.0], 1, lad)
-        assert out is not None
-        line, clear = out
-        gens = cones.generators_of(line)
-        vertical = np.abs(gens @ np.array([1.0, 0.0]))
-        assert vertical.max() <= 0.1          # transversal is near-vertical
-        assert 0.6 <= clear <= PI / 4 + 0.1
-
-    def test_solid_set_has_no_transversal(self):
-        c = disk_cloud()
-        lad = geometry.cloud_ladder(c, [0.0, 0.0])
-        assert geometry.local_graph_direction(c, [0.0, 0.0], 1, lad) is None
-
-    def test_codim_validation(self):
-        c = disk_cloud()
-        with pytest.raises(ValueError):
-            geometry.local_graph_direction(c, [0.0, 0.0], 2,
-                                           geometry.cloud_ladder(c, [0.0, 0.0]))
-
-
 class TestCloudFromFunction:
     def test_graph_samples(self):
         h = funcs.builtin("abs")

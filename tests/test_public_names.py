@@ -1,0 +1,56 @@
+"""Every public module-level function or class of the package has a caller
+in the package itself, so code that only tests reach does not pile up."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "conecalc"
+
+# public names kept without a caller in the package, with the reason
+ALLOWED = {
+    "cli.load_schema": "tests validate reports against the schema",
+    "conormal.constant_cone_check": "ROADMAP item 5 puts it in the analyze "
+                                    "report",
+}
+
+
+def referenced_names(tree: ast.AST) -> set:
+    """Names a tree uses: loads, attribute reads and imported names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def unreferenced_public_names() -> list:
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            # every other top-level statement of every module, so a
+            # recursive call inside the definition does not count
+            elsewhere = set()
+            for other, other_tree in trees.items():
+                for stmt in other_tree.body:
+                    if not (other == module and stmt is node):
+                        elsewhere |= referenced_names(stmt)
+            if node.name not in elsewhere:
+                found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    assert sorted(set(unreferenced_public_names()) - set(ALLOWED)) == []
+
+
+def test_allowlist_names_exist_without_a_caller():
+    assert sorted(set(ALLOWED) - set(unreferenced_public_names())) == []
