@@ -32,5 +32,5 @@ __all__ = [
     "causal_check", "chain_rule_check", "classify_point", "cloud_from_csv",
     "closed_set_bounds", "conormal_estimate", "fo_extremum", "mean_value_witness",
     "monotone_classify_1d", "parse_expr", "run_suite", "strict_cone",
-    "tangent_cone", "whitney_cone", "__version__",
+    "tangent_cone", "time_function_check", "whitney_cone", "__version__",
 ]

@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -90,10 +91,18 @@ def _float_json(v: float, rounded: bool):
 
 
 # render_report: a direction matrix rides through json.dumps as the string
-# _ROWS_MARK + index and is written in blocks of about _ROW_BLOCK_VALUES
+# _ROWS_MARK + index and is written in blocks of at most _ROW_BLOCK rows
 _ROWS_MARK = "\x00rows"
 _ROWS_RE = re.compile(r'"\\u0000rows(\d+)"')
-_ROW_BLOCK_VALUES = 1 << 14
+_ROW_BLOCK = 1 << 14
+# _matrix_text looks up the six decimals of rint(|v| 1e6) as two groups of
+# three ASCII digits: _LOW[n] turns the trailing zeros of n into NULs, and
+# _HIGH[n] keeps them, except that _HIGH[n + 1000], taken when the low
+# group is zero, turns all of them but the first digit into NULs
+_FULL = np.array([b"%03d" % n for n in range(1000)]).view(np.uint8).reshape(1000, 3)
+_LOW = np.where(np.arange(1000)[:, None] % [1000, 100, 10] != 0, _FULL,
+                0).astype(np.uint8)
+_HIGH = np.vstack([_FULL, np.column_stack([_FULL[:, 0], _LOW[:, 1:]])])
 
 
 def cone_to_json(cone: FiberCone, rows: list | None = None) -> dict:
@@ -184,9 +193,9 @@ def render_report(report: dict) -> str:
     pure-Python encoder, one step per number, which is too slow for the
     hundreds of thousands of directions of a sampled cone.  So ``json``
     renders the report with a placeholder in place of each direction
-    matrix, and ``_matrix_text`` writes the matrices in row blocks with
-    ``%r``, which is ``float.__repr__``, as in ``json`` itself.  A
-    placeholder starts with NUL, which no other report string holds.
+    matrix, and ``_matrix_text`` writes the digits of the matrices with
+    numpy.  A placeholder starts with NUL, which no other report string
+    holds.  The pieces are joined once, at the end.
     """
     rows: list = []
     text = json.dumps(to_jsonable(report, rows=rows), sort_keys=True,
@@ -194,26 +203,73 @@ def render_report(report: dict) -> str:
     parts, pos = [], 0
     for mark in _ROWS_RE.finditer(text):
         line = text[text.rfind("\n", 0, mark.start()) + 1:mark.start()]
-        parts += [text[pos:mark.start()],
-                  _matrix_text(rows[int(mark.group(1))],
-                               len(line) - len(line.lstrip(" ")))]
+        parts.append(text[pos:mark.start()])
+        parts += _matrix_text(rows[int(mark.group(1))],
+                              len(line) - len(line.lstrip(" ")))
         pos = mark.end()
     parts += [text[pos:], "\n"]
     return "".join(parts)
 
 
-def _matrix_text(a: np.ndarray, indent: int) -> str:
-    """``json.dumps(a.tolist(), indent=2)`` for a 2-D array whose opening
-    bracket sits on a line indented by ``indent`` spaces."""
+def _matrix_text(a: np.ndarray, indent: int) -> list[str]:
+    """``json.dumps(a.tolist(), indent=2)`` in pieces, for a 2-D array of
+    finite floats whose opening bracket sits on a line indented by
+    ``indent`` spaces.
+
+    ``json`` writes a float as ``float.__repr__``.  For a value v rounded
+    to six decimals that string follows from k = rint(v 1e6) alone: when
+    k / 1e6 == v and 100 <= |k| <= 10**6, it is the sign, one integer
+    digit, ".", and the six decimals of k without their trailing zeros
+    but at least one; k = 0 gives "0.0" or "-0.0".  Every other value,
+    i.e. the exponent forms (0 < |k| < 100), |v| > 1 and values with more
+    decimals, gets its ``repr``.  Each block of at most ``_ROW_BLOCK``
+    rows is one byte matrix that holds the brackets, commas and
+    indentation, and one NUL-padded slot per value, as wide as the
+    longest value of the block; the NULs are then deleted.
+    """
     if len(a) == 0:
-        return "[]"
-    outer, inner = "\n" + " " * (indent + 2), "\n" + " " * (indent + 4)
-    row = "[" + inner + ("," + inner).join(["%r"] * a.shape[1]) + outer + "]"
-    sep = "," + outer
-    step = max(1, _ROW_BLOCK_VALUES // a.shape[1])
-    blocks = [sep.join([row] * len(b)) % tuple(b.ravel().tolist())
-              for b in (a[lo:lo + step] for lo in range(0, len(a), step))]
-    return "[" + outer + sep.join(blocks) + "\n" + " " * indent + "]"
+        return ["[]"]
+    outer = "\n" + " " * (indent + 2)
+    inner = "\n" + " " * (indent + 4)
+    pieces = [_block_text(a[lo:lo + _ROW_BLOCK], outer, inner)
+              for lo in range(0, len(a), _ROW_BLOCK)]
+    # every row is written after its separator "," + outer; the first
+    # row's separator becomes the opening "[" + outer
+    pieces[0] = "[" + pieces[0][1:]
+    pieces.append("\n" + " " * indent + "]")
+    return pieces
+
+
+def _block_text(v: np.ndarray, outer: str, inner: str) -> str:
+    """The rows of v, each after its separator "," + outer."""
+    scaled = np.rint(v * 1e6)
+    mag = np.abs(scaled)
+    fixed = (scaled / 1e6 == v) & (((mag >= 100) & (mag <= 1e6)) | (mag == 0))
+    other = np.flatnonzero(~fixed)
+    text = np.array([repr(x).encode() for x in v.ravel()[other].tolist()],
+                    dtype=bytes)
+    width = max(9, text.itemsize)
+    cells = np.zeros(v.shape + (width,), dtype=np.uint8)
+    k = np.where(fixed, mag, 0.0).astype(np.int32)
+    cells[..., 0] = np.where(np.signbit(v), ord("-"), 0)
+    cells[..., 1] = ord("0") + k // 10 ** 6
+    cells[..., 2] = ord(".")
+    high, low = k // 1000 % 1000, k % 1000
+    cells[..., 3:6] = _HIGH[high + 1000 * (low == 0)]
+    cells[..., 6:9] = _LOW[low]
+    cells.reshape(-1, width)[other] = (
+        text.astype(f"S{width}").view(np.uint8).reshape(-1, width))
+
+    slot = "\0" * width
+    template = ("," + outer + "[" + inner + slot
+                + ("," + inner + slot) * (v.shape[1] - 1) + outer + "]")
+    start = len("," + outer + "[" + inner)
+    step = len("," + inner) + width
+    buf = np.empty((len(v), len(template)), dtype=np.uint8)
+    buf[:] = np.frombuffer(template.encode(), dtype=np.uint8)
+    for j in range(v.shape[1]):
+        buf[:, start + j * step:start + j * step + width] = cells[:, j]
+    return buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def load_schema() -> dict:
@@ -419,6 +475,10 @@ def cmd_cones(cfg: RunConfig) -> dict:
         body = cloud.subset("A")
         complement = cloud.subset("B")
 
+    if cfg.plot and cloud.dim != 2:
+        raise UsageError("--plot draws plane cones; the cloud is "
+                         f"{cloud.dim}-dimensional")
+
     results = []
     plot_rows = []
     for i, x in enumerate(pts):
@@ -440,9 +500,6 @@ def cmd_cones(cfg: RunConfig) -> dict:
                 plot_rows.extend(_plot_rows(i, name, cone))
 
     if cfg.plot:
-        if cloud.dim != 2:
-            raise UsageError("--plot draws plane cones; the cloud is "
-                             f"{cloud.dim}-dimensional")
         with open(cfg.plot, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["point_index", "cone", "arc", "theta", "ux", "uy"])
@@ -472,6 +529,20 @@ def cmd_builtins(cfg: RunConfig) -> dict:
             "builtins": listing}
 
 
+def _check_output_paths(cfg: RunConfig) -> None:
+    """Fail before the run on an output file that cannot be created: its
+    directory is missing, or the path is a directory.  The files are
+    opened, and an existing report replaced, only after the run."""
+    for flag, path in (("--report", cfg.report), ("--plot", cfg.plot)):
+        if not path:
+            continue
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise UsageError(f"{flag} {path}: no directory {folder}")
+        if os.path.isdir(path):
+            raise UsageError(f"{flag} {path}: is a directory")
+
+
 _DISPATCH = {"analyze": cmd_analyze, "cones": cmd_cones,
              "verify": cmd_verify, "builtins": cmd_builtins}
 
@@ -485,6 +556,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _config_from_args(args)
+        _check_output_paths(cfg)
         report = _DISPATCH[cfg.command](cfg)
         text = render_report(report)
         if cfg.report:

@@ -127,23 +127,27 @@ def _persistent_directions(dir_sets: list[np.ndarray], tol: float) -> np.ndarray
     """Directions present (within tol) in every one of the given sets.
 
     The candidates are the members of all sets, rounded to 4 decimals,
-    deduplicated in lexicographic order and normalised.  A candidate
-    lies within a chord of 1e-4 sqrt(d) of a member of each unit set it
-    came from: 5e-5 per coordinate from the rounding, at most as much
-    again from the normalising.  When that bound is below tol/2, the
-    query of a set skips its own candidates, which pass it whatever the
-    query returns; otherwise every live candidate is queried.  A query is
-    ``sampling.near_set``: a candidate sharing a voxel with a member of
-    the set passes at once, and only the others get a KD search, bounded
-    just above tol, with the same outcome as a full nearest-neighbour
-    search.
+    deduplicated in lexicographic order and normalised.  The order comes
+    from one ``argsort`` of a packed int64 key per row (``_packed_key``),
+    or from a ``lexsort`` of the columns where that key would not fit.
+    A candidate lies within a chord of 1e-4 sqrt(d) of a member of each
+    unit set it came from: 5e-5 per coordinate from the rounding, at most
+    as much again from the normalising.  When that bound is below tol/2,
+    the query of a set skips its own candidates, which pass it whatever
+    the query returns; otherwise every live candidate is queried.  A
+    query is ``sampling.near_set``: a candidate sharing a voxel with a
+    member of the set passes at once, and only the others get a KD
+    search, bounded just above tol, with the same outcome as a full
+    nearest-neighbour search.
     """
     pools = [s for s in dir_sets if len(s)]
     if not pools:
         return np.zeros((0, 0))
     rounded = np.round(np.vstack(pools, dtype=float), 4)
-    # np.unique(rounded, axis=0) with one stable lexsort
-    order = np.lexsort(rounded.T[::-1])
+    # np.unique(rounded, axis=0) with one sort; rows that compare equal
+    # form a group in any order, so the sort need not be stable
+    key = _packed_key(rounded)
+    order = np.lexsort(rounded.T[::-1]) if key is None else np.argsort(key)
     srt = rounded[order]
     new = np.ones(len(srt), dtype=bool)
     new[1:] = (srt[1:] != srt[:-1]).any(axis=1)
@@ -177,6 +181,32 @@ def _persistent_directions(dir_sets: list[np.ndarray], tol: float) -> np.ndarray
         if not keep.any():
             break
     return cand[keep]
+
+
+def _packed_key(rounded: np.ndarray) -> np.ndarray | None:
+    """One int64 per row that orders rows of 4-decimal values as a
+    lexicographic sort does, the first column primary.
+
+    Each value is k / 1e4 for an integer k, and rint(value 1e4) gives k
+    back exactly while |k| <= 2^31.  With K = max |k|, the key is the
+    balanced base-(2K + 1) numeral sum_j k_j (2K + 1)^(d-1-j), so rows get
+    the same key exactly when they compare equal.  None when the key
+    would not fit in int64: non-finite or large values, or d > 4 for unit
+    rows.
+    """
+    k = np.rint(rounded * 1e4)
+    big = float(np.abs(k).max(initial=0.0))
+    if not big <= 2 ** 31:
+        return None
+    base = 2 * int(big) + 1
+    if base ** k.shape[1] >= 2 ** 63:
+        return None
+    digits = k.astype(np.int64)
+    key = digits[:, 0].copy()
+    for j in range(1, k.shape[1]):
+        key *= base
+        key += digits[:, j]
+    return key
 
 
 def tangent_cone(cloud: PointCloud, x, ladder: dini.ScaleLadder) -> FiberCone:

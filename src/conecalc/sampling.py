@@ -183,25 +183,38 @@ def _sobol(dim: int, count: int, seed: int) -> np.ndarray:
     return eng.random_base2(math.ceil(math.log2(max(count, 1))))[:count]
 
 
+# sphere_points and ball_points are memoized: the analysis draws each
+# (dim, count, seed) set several times per point
+@lru_cache(maxsize=64)
 def sphere_points(dim: int, count: int, seed: int) -> np.ndarray:
-    """Seeded low-discrepancy points on S^{dim-1}."""
+    """Seeded low-discrepancy points on S^{dim-1}.
+
+    The array is shared by every caller, so it is read-only.
+    """
     if dim == 1:
-        signs = np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
-        return signs.reshape(-1, 1)
-    u = _sobol(dim, count, seed)
-    g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-    norm = np.linalg.norm(g, axis=1, keepdims=True)
-    norm[norm == 0] = 1.0
-    return g / norm
+        out = np.where(np.arange(count) % 2 == 0, 1.0, -1.0).reshape(-1, 1)
+    else:
+        g = ndtri(np.clip(_sobol(dim, count, seed), 1e-12, 1.0 - 1e-12))
+        norm = np.linalg.norm(g, axis=1, keepdims=True)
+        norm[norm == 0] = 1.0
+        out = g / norm
+    out.setflags(write=False)
+    return out
 
 
+@lru_cache(maxsize=64)
 def ball_points(dim: int, count: int, seed: int) -> np.ndarray:
-    """Seeded low-discrepancy points in the closed unit ball."""
+    """Seeded low-discrepancy points in the closed unit ball.
+
+    The array is shared by every caller, so it is read-only.
+    """
     u = _sobol(dim + 1, count, seed)
     if dim == 1:
-        return (2.0 * u[:, :1] - 1.0)
-    g = ndtri(np.clip(u[:, :dim], 1e-12, 1.0 - 1e-12))
-    norm = np.linalg.norm(g, axis=1, keepdims=True)
-    norm[norm == 0] = 1.0
-    radii = u[:, dim:] ** (1.0 / dim)
-    return g / norm * radii
+        out = 2.0 * u[:, :1] - 1.0
+    else:
+        g = ndtri(np.clip(u[:, :dim], 1e-12, 1.0 - 1e-12))
+        norm = np.linalg.norm(g, axis=1, keepdims=True)
+        norm[norm == 0] = 1.0
+        out = g / norm * u[:, dim:] ** (1.0 / dim)
+    out.setflags(write=False)
+    return out

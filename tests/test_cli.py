@@ -4,13 +4,15 @@ import csv
 import hashlib
 import json
 import math
+import os
 
 import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conecalc import analysis, cli, cones, conormal, dini, funcs, verify
+from conecalc import (analysis, cli, cones, conormal, dini, funcs,
+                      geometry, verify)
 from conecalc.cones import FiberCone
 
 VALIDATOR = jsonschema.Draft202012Validator(cli.load_schema())
@@ -41,6 +43,14 @@ def write_cloud(tmp_path, name="cloud.csv", labeled=True, dim=2, n=4000):
 class TestUsageErrors:
     """Everything user-fixable exits 1 with a message on stderr."""
 
+    @pytest.fixture
+    def no_run(self, monkeypatch):
+        """Fail the test if a cone or a point classification is computed."""
+        def boom(*args, **kwargs):
+            raise AssertionError("the run started before the usage check")
+        monkeypatch.setattr(geometry, "tangent_cone", boom)
+        monkeypatch.setattr(analysis, "classify_point", boom)
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "--fn", "x +", "--at", "0"],
         ["analyze", "--builtin", "nope", "--at", "0"],
@@ -69,7 +79,7 @@ class TestUsageErrors:
         code, _, err = run(capsys, "cones", "--csv", str(p), "--at", "0,0")
         assert code == 1 and "header" in err
 
-    def test_plot_needs_plane_cloud(self, capsys, tmp_path):
+    def test_plot_needs_plane_cloud(self, capsys, tmp_path, no_run):
         p = tmp_path / "c3.csv"
         rows = "\n".join(f"{v},{v},{v}" for v in np.linspace(0, 1, 50))
         p.write_text("x1,x2,x3\n" + rows + "\n")
@@ -104,8 +114,11 @@ class TestUsageErrors:
         ["builtins", "--report", "{missing}/x.json"],
         ["analyze", "--csv", "{tmp}", "--at", "0"],
         ["cones", "--csv", "{cloud}", "--at", "0,0", "--plot", "{missing}/p.csv"],
+        ["cones", "--csv", "{cloud}", "--at", "0,0", "--report", "{missing}/r.json"],
+        ["cones", "--csv", "{cloud}", "--at", "0,0", "--report", "{tmp}"],
+        ["analyze", "--fn", "x1", "--at", "0", "--report", "{missing}/r.json"],
     ])
-    def test_file_faults(self, capsys, tmp_path, argv):
+    def test_file_faults(self, capsys, tmp_path, no_run, argv):
         names = {"tmp": str(tmp_path), "missing": str(tmp_path / "missing"),
                  "cloud": write_cloud(tmp_path, n=2000)}
         argv = [a.format(**names) for a in argv]
@@ -115,6 +128,16 @@ class TestUsageErrors:
         assert err.startswith("conecalc: error: ")
         assert len(err.strip().splitlines()) == 1
         assert str(tmp_path) in err
+
+    def test_output_fault_keeps_an_existing_report(self, capsys, tmp_path,
+                                                   no_run):
+        report = tmp_path / "r.json"
+        report.write_text("old report\n")
+        code, _, err = run(capsys, "cones", "--csv", write_cloud(tmp_path, n=200),
+                           "--at", "0,0", "--report", str(report),
+                           "--plot", str(tmp_path / "missing" / "p.csv"))
+        assert code == 1 and "--plot" in err
+        assert report.read_text() == "old report\n"
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--fn", "x1", "--at", "0", "--tol", "nan"],
@@ -293,14 +316,14 @@ SPECIAL_VALUES = (-0.0, 0.0, 1e-05, -1e-05, 5e-07, 1.0, -1.0)
 
 
 @st.composite
-def sampled_cones(draw):
-    """Sampled cones of dim 3-5 with 0, 1, a few or several blocks of rows."""
+def sampled_cones(draw, counts=(0, 1, 2, 5, 7000)):
+    """Sampled cones of dim 3-5 with one of the given row counts."""
     dim = draw(st.sampled_from((3, 4, 5)))
     values = st.one_of(st.sampled_from(SPECIAL_VALUES),
                        st.floats(-1.0, 1.0, allow_nan=False))
     base = draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
                          min_size=1, max_size=6))
-    count = draw(st.sampled_from((0, 1, 2, 5, 7000)))
+    count = draw(st.sampled_from(counts))
     dirs = np.resize(np.array(base, dtype=float), (count, dim))
     return FiberCone(dim, cones.Sampled(dirs, draw(st.floats(0.0, 1.0))))
 
@@ -323,7 +346,14 @@ class TestRenderReport:
                       lower=d, upper=a, regime="bounds-only", exact=b,
                       checks={"cone": c, "ok": True}),
                   "tail": [1, "text", None]}
-        assert cli.render_report(report) == library_render(report)
+        assert_same_text(cli.render_report(report), library_render(report))
+
+    @given(sampled_cones(counts=(cli._ROW_BLOCK + 1, 2 * cli._ROW_BLOCK + 3)),
+           sampled_cones())
+    @settings(max_examples=8, deadline=None)
+    def test_cones_over_one_block_equal_library_encoder(self, a, b):
+        report = {"big": a, "small": [b, {"again": a}]}
+        assert_same_text(cli.render_report(report), library_render(report))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_direction_raises(self, bad):
@@ -332,6 +362,69 @@ class TestRenderReport:
         for render in (cli.render_report, library_render):
             with pytest.raises(ValueError, match="refusing to serialize NaN"):
                 render(report)
+
+
+def assert_same_text(got, want):
+    """got == want, reporting the first difference (pytest's own diff of
+    megabyte strings takes minutes)."""
+    same = got == want
+    at = len(os.path.commonprefix([got, want]))
+    lo = max(0, at - 30)
+    assert same, f"differs at {at}: {got[lo:at + 30]!r} != {want[lo:at + 30]!r}"
+
+
+def library_matrix(a, indent):
+    return json.dumps(a.tolist(), indent=2).replace("\n", "\n" + " " * indent)
+
+
+# written by the digit rule, and by repr: exponent forms, |v| > 1, and
+# values with more than six decimals
+DIGIT_VALUES = (0.0, -0.0, 1.0, -1.0, 1e-4, -1e-4, 0.999999, -0.5, 0.12)
+REPR_VALUES = (-1e-06, 9.9e-05, 5e-05, 1.5, 123456.5, 1e300, -1.0000001,
+               0.1234567, 3e-300)
+
+
+class TestMatrixText:
+    """_matrix_text writes the bytes of json.dumps, re-indented."""
+
+    @staticmethod
+    def check(a, indent=4):
+        pieces = cli._matrix_text(a, indent)
+        assert_same_text("".join(pieces), library_matrix(a, indent))
+        return pieces
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("count", [0, 1, cli._ROW_BLOCK, cli._ROW_BLOCK + 1])
+    def test_rounded_rows_with_special_values(self, width, count):
+        rng = np.random.default_rng(width * count)
+        a = np.round(rng.uniform(-1.0, 1.0, (count, width)), 6)
+        spots = rng.integers(0, a.size, min(a.size, 300))
+        a.ravel()[spots] = rng.choice(DIGIT_VALUES + REPR_VALUES, len(spots))
+        for indent in (0, 6):
+            self.check(a, indent)
+
+    @pytest.mark.parametrize("value", DIGIT_VALUES + REPR_VALUES)
+    def test_each_value(self, value):
+        self.check(np.full((3, 3), value))
+        self.check(np.array([[value, 0.5, -value]]))
+
+    def test_every_six_decimal_value(self):
+        # against repr, which json writes, since the encoder takes seconds
+        v = np.arange(-10 ** 6, 10 ** 6 + 1) / 1e6
+        text = "".join(cli._matrix_text(v.reshape(-1, 1), 0))
+        want = "".join(f"\n  [\n    {x!r}\n  ]," for x in v.tolist())
+        assert_same_text(text, "[" + want[:-1] + "\n]")
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e-7])
+    def test_unrounded_values(self, scale):
+        rng = np.random.default_rng(1)
+        self.check(scale * rng.normal(size=(cli._ROW_BLOCK + 5, 3)))
+
+    def test_one_long_value_widens_only_its_block(self):
+        a = np.full((2 * cli._ROW_BLOCK + 1, 3), 0.25)
+        a[cli._ROW_BLOCK + 7, 1] = -1.2345678901234567e-300
+        pieces = self.check(a)
+        assert len(pieces) == 4
 
 
 class TestGoldenReports:

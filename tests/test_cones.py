@@ -409,6 +409,16 @@ class TestSharedGrids:
             grid[0, 0] = 5.0
         assert sampling.unit_grid(dim)[0, 0] != 5.0
 
+    @pytest.mark.parametrize("draw", [sampling.sphere_points,
+                                      sampling.ball_points])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_sobol_sets_are_drawn_once_and_read_only(self, draw, dim):
+        pts = draw(dim, 40, 11)
+        assert draw(dim, 40, 11) is pts
+        with pytest.raises(ValueError):
+            pts[0, 0] = 5.0
+        assert draw(dim, 40, 11)[0, 0] != 5.0
+
     @pytest.mark.parametrize("count", [1, 3, 36, 100])
     def test_sobol_draws_warn_nothing_and_keep_their_points(self, count):
         with warnings.catch_warnings():

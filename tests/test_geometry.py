@@ -169,8 +169,9 @@ def overlapping_sets(dim, seed):
 
 
 class TestPersistentDirections:
-    """The own-set shortcut and the lexsort dedupe keep the output of the
-    reference filter, bit for bit (signs of zeros included)."""
+    """The own-set shortcut and the sorted dedupe, on the packed key or on
+    the lexsort, keep the output of the reference filter, bit for bit
+    (signs of zeros included)."""
 
     @staticmethod
     def check(sets, tol):
@@ -215,6 +216,52 @@ class TestPersistentDirections:
         got = self.check([base, twin, np.vstack([twin, base])[::-1]],
                          2.0 * sampling.grid_resolution(3))
         assert len(got) and (got[:, 2] == 0).all()
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_zero_twins_on_the_packed_key(self, dim, column):
+        # twins differing in the sign of a zero in one column, mixed with
+        # exact duplicates, so groups hold rows of both signs in any order
+        rng = np.random.default_rng(10 + column)
+        center = np.ones(dim)
+        center[column] = 0.0
+        base = cap(dim, center, 0.05, 400, rng)
+        base[:, column] = rng.choice([1e-6, 4e-5, 0.3], size=len(base))
+        twin = base.copy()
+        twin[:, column] *= -1.0
+        sets = [np.vstack([base, twin[::3]]), np.vstack([twin, base[::2]]),
+                np.vstack([base, twin, base])[::-1]]
+        assert geometry._packed_key(np.round(np.vstack(sets), 4)) is not None
+        self.check(sets, 2.0 * sampling.grid_resolution(dim))
+
+    @pytest.mark.parametrize("dim,scale", [(5, 1.0), (3, 1e3), (4, 3.0)])
+    def test_sets_on_the_lexsort(self, dim, scale):
+        # d = 5 unit rows, and non-unit rows with K = max |rint(1e4 x)|
+        # above 1e4, whose key would not fit in int64
+        sets = [scale * s for s in overlapping_sets(dim, 7)]
+        # with twins that differ only in the sign of a zero
+        sets[1][:100, 0] = 0.0
+        sets[2][:100] = sets[1][:100]
+        sets[2][:100, 0] = -0.0
+        assert geometry._packed_key(np.round(np.vstack(sets), 4)) is None
+        self.check(sets, 2.0 * sampling.grid_resolution(dim))
+
+    def test_packed_key_orders_as_lexsort(self):
+        rng = np.random.default_rng(8)
+        rows = np.round(rng.uniform(-1.0, 1.0, (5000, 3)), 1)
+        rows[::7, 1] = -0.0
+        key = geometry._packed_key(rows)
+        by_key = rows[np.argsort(key)]
+        by_lex = rows[np.lexsort(rows.T[::-1])]
+        assert np.array_equal(by_key, by_lex)
+        same = (by_lex[1:] == by_lex[:-1]).all(axis=1)
+        assert np.array_equal(np.diff(key[np.argsort(key)]) == 0, same)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 2.0 ** 28])
+    def test_no_packed_key_for_huge_or_non_finite_rows(self, bad):
+        rows = np.zeros((3, 2))
+        rows[1, 1] = bad
+        assert geometry._packed_key(rows) is None
 
     def test_non_unit_members_query_every_set(self):
         sets = [3.0 * s for s in overlapping_sets(3, 5)]

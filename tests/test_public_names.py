@@ -1,8 +1,11 @@
 """Every public module-level function or class of the package has a caller
-in the package itself, so code that only tests reach does not pile up."""
+in the package itself, so code that only tests reach does not pile up; and
+the package exports what its ``__init__`` imports."""
 
 import ast
 from pathlib import Path
+
+import conecalc
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "conecalc"
 
@@ -54,3 +57,11 @@ def test_every_public_name_has_a_caller():
 
 def test_allowlist_names_exist_without_a_caller():
     assert sorted(set(ALLOWED) - set(unreferenced_public_names())) == []
+
+
+def test_all_lists_the_names_init_imports():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert set(conecalc.__all__) - {"__version__"} == imported
+    assert len(conecalc.__all__) == len(set(conecalc.__all__))
