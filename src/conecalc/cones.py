@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import nnls
 
 from . import sampling
 from .errors import DimensionMismatchError
@@ -244,6 +243,9 @@ def _prune_rays(rays: np.ndarray) -> np.ndarray:
     """Greedily drop rays expressible as nonnegative combinations of the rest."""
     if len(rays) <= 1:
         return rays
+    # imported here: scipy.optimize takes 0.1 s to import and few runs prune
+    from scipy.optimize import nnls
+
     out = [r for r in rays]
     i = 0
     while i < len(out):

@@ -30,7 +30,6 @@ these rules raises ``EvaluationError`` at evaluation time.
 from __future__ import annotations
 
 import csv
-import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable
@@ -429,24 +428,33 @@ def read_csv_columns(path: str):
     expected = [f"x{i+1}" for i in range(len(coord_names))]
     if coord_names != expected:
         raise ValueError(f"{path}: header must be x1,...,xd[,label], got {header}")
-    pts = []
-    labels = [] if has_label else None
-    for r, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        try:
-            vals = [float(c) for c in row[: len(coord_names)]]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{r}: bad number ({exc})") from None
-        if not all(map(math.isfinite, vals)):
-            raise ValueError(f"{path}:{r}: non-finite number in {','.join(row)!r}")
-        pts.append(vals)
-        if has_label:
-            labels.append(row[-1].strip())
-    points = np.asarray(pts, dtype=float)
-    if points.ndim != 2 or points.shape[0] == 0:
+    width = len(header)
+    data = [(r, row) for r, row in enumerate(rows[1:], start=2)
+            if any(map(str.strip, row))]
+    for r, row in data:
+        if len(row) != width:
+            raise ValueError(f"{path}:{r}: expected {width} cells, got {len(row)}")
+    if not data:
         raise ValueError(f"{path}: no data rows")
-    return points, (np.asarray(labels) if labels is not None else None)
+    ncoord = len(coord_names)
+    cells = [row[:ncoord] for _, row in data]
+    # numpy parses each cell as float() does
+    try:
+        points = np.array(cells, dtype=float)
+        ok = bool(np.isfinite(points).all())
+    except ValueError:
+        ok = False
+    if not ok:
+        # name the first faulty row, and float()'s message for a bad cell
+        for r, row in data:
+            try:
+                vals = [float(c) for c in row[:ncoord]]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{r}: bad number ({exc})") from None
+            if not np.isfinite(vals).all():
+                raise ValueError(f"{path}:{r}: non-finite number in {','.join(row)!r}")
+    labels = np.asarray([row[-1].strip() for _, row in data]) if has_label else None
+    return points, labels
 
 
 def grid_handle_from_csv(path: str) -> FunctionHandle:

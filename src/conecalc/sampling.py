@@ -7,7 +7,13 @@ the same points, so reports are reproducible byte for byte.
 Direction grids:
     dim 2   uniform circle grid, 720 points (0.5 degree step)
     dim 3   Fibonacci sphere, 16384 points
-    dim >3  seeded Gaussian low-discrepancy points, 32768 on S^3
+    dim >3  Halton points through the Gaussian quantile map, 32768 on S^3
+
+Probe sets (``sphere_points``, ``ball_points``) come from a scrambled
+Sobol' sequence.  Both generators are numpy reproductions of scipy's
+``qmc.Sobol(scramble=True)`` and ``qmc.Halton(scramble=False)``, pinned
+bit for bit by the tests: importing ``scipy.stats`` for them would cost
+about half a second, as much as many runs spend computing.
 
 The nominal angular resolution ``grid_resolution(dim)`` is the mean
 nearest-neighbor spacing of the grid; membership tests elsewhere default
@@ -16,13 +22,14 @@ to twice this value.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
 from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 TWO_PI = 2.0 * np.pi
 
@@ -74,7 +81,7 @@ def _build_grid(dim: int) -> np.ndarray:
     n = GRID_SIZES.get(dim, GRID_SIZES[4])
     # Halton points pushed through the Gaussian quantile map give an
     # even, deterministic spread on higher spheres.
-    h = qmc.Halton(d=dim, scramble=False).random(n + 1)[1:]
+    h = _halton(dim, n + 1)[1:]
     g = ndtri(np.clip(h, 1e-12, 1.0 - 1e-12))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     return g
@@ -173,14 +180,121 @@ def _voxel_hits(dirs: np.ndarray, members: np.ndarray, side: float) -> np.ndarra
     return np.isin(keys(dirs), keys(members))
 
 
+def _primes(count: int) -> list:
+    """The first ``count`` primes."""
+    out = []
+    k = 2
+    while len(out) < count:
+        if all(k % p for p in out):
+            out.append(k)
+        k += 1
+    return out
+
+
+def _halton(dim: int, count: int) -> np.ndarray:
+    """The first ``count`` points of the plain Halton sequence, from 0.
+
+    Each coordinate is the radical inverse of the index in one of the
+    first ``dim`` primes, summed digit by digit in scipy's order.
+    """
+    out = np.empty((count, dim))
+    for j, base in enumerate(_primes(dim)):
+        q = np.arange(count, dtype=np.int64)
+        col = np.zeros(count)
+        r = 1.0 / base
+        while q.any():
+            col += (q % base) * r
+            r /= base
+            q //= base
+        out[:, j] = col
+    return out
+
+
+# Sobol' points carry this many bits, as in scipy's default engine
+SOBOL_BITS = 30
+
+
+@lru_cache(maxsize=1)
+def _sobol_table() -> tuple:
+    """Primitive polynomials and initial direction numbers (Joe & Kuo 2008).
+
+    They are read from the table that ships with scipy.  ``find_spec``
+    locates ``scipy.stats`` without running its ``__init__``.
+    """
+    where = importlib.util.find_spec("scipy.stats").submodule_search_locations
+    with np.load(os.path.join(where[0], "_sobol_direction_numbers.npz")) as f:
+        poly, vinit = f["poly"], f["vinit"]
+    poly.setflags(write=False)
+    vinit.setflags(write=False)
+    return poly, vinit
+
+
+@lru_cache(maxsize=16)
+def _sobol_directions(dim: int) -> np.ndarray:
+    """Direction numbers, shape (dim, SOBOL_BITS), as scipy's _initialize_v.
+
+    Row d follows Bratley & Fox's recurrence on the degree-m polynomial
+    of dimension d; column j is then scaled by 2^(SOBOL_BITS - 1 - j).
+    """
+    poly, vinit = _sobol_table()
+    v = np.ones((dim, SOBOL_BITS), dtype=np.int64)
+    for d in range(1, dim):
+        p = int(poly[d])
+        m = p.bit_length() - 1
+        row = [int(c) for c in vinit[d, :m]]
+        for j in range(m, SOBOL_BITS):
+            new = row[j - m]
+            for k in range(m):
+                if (p >> (m - 1 - k)) & 1:
+                    new ^= row[j - k - 1] << (k + 1)
+            row.append(new)
+        v[d] = row
+    v <<= np.arange(SOBOL_BITS - 1, -1, -1)
+    v.setflags(write=False)
+    return v
+
+
 def _sobol(dim: int, count: int, seed: int) -> np.ndarray:
     """The first ``count`` points of a seeded scrambled Sobol' sequence.
 
-    They are drawn as the next power of two and cut, which gives the same
-    points as ``random(count)`` without its warning about balance.
+    A numpy reproduction of ``qmc.Sobol(dim, scramble=True, seed=seed)``,
+    equal to its points bit for bit (the tests pin it), kept here because
+    importing ``scipy.stats`` costs about half a second.  The seed's
+    generator draws a random digital shift, then one lower triangular
+    binary matrix per dimension (Matousek's linear matrix scrambling, unit
+    diagonal); each matrix multiplies the bits of its dimension's
+    direction numbers, most significant first.  Points are drawn as the
+    next power of two in gray-code order, then cut, which gives the same
+    points as scipy's ``random(count)``.
     """
-    eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    return eng.random_base2(math.ceil(math.log2(max(count, 1))))[:count]
+    bits = SOBOL_BITS
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(dim, bits), dtype=np.uint32)
+    ltm = np.tril(rng.integers(2, size=(dim, bits, bits), dtype=np.uint32))
+    ltm[:, np.arange(bits), np.arange(bits)] = 1
+    # msb[d, i, j] is bit bits-1-i of direction number j of dimension d;
+    # row p of the product mod 2 holds bit bits-1-p of the scrambled
+    # numbers (its entries count at most 30 ones, so floats are exact)
+    top = np.arange(bits - 1, -1, -1)
+    msb = (_sobol_directions(dim)[:, None, :] >> top[:, None]) & 1
+    parity = (ltm.astype(float) @ msb).astype(np.int64) & 1
+    sv = (parity << top[:, None]).sum(axis=1).astype(np.uint32)
+    # point i is the shift xor the columns of sv at the set bits of the
+    # gray code of i; each doubling appends the mirror image xor one
+    # column.  Dimensions run along rows here, which keeps the mirrored
+    # copies long and fast, and are written to columns at the end.
+    size = 1 << max(count - 1, 0).bit_length()
+    quasi = np.empty((dim, size), dtype=np.uint32)
+    quasi[:, 0] = shift @ (np.uint32(1) << np.arange(bits, dtype=np.uint32))
+    half = 1
+    while half < size:
+        np.bitwise_xor(quasi[:, half - 1::-1], sv[:, half.bit_length() - 1, None],
+                       out=quasi[:, half:2 * half])
+        half *= 2
+    out = np.empty((count, dim))
+    for j in range(dim):
+        np.multiply(quasi[j, :count], 1.0 / 2 ** bits, out=out[:, j])
+    return out
 
 
 # sphere_points and ball_points are memoized: the analysis draws each

@@ -5,6 +5,9 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -16,6 +19,7 @@ from conecalc import (analysis, cli, cones, conormal, dini, funcs,
 from conecalc.cones import FiberCone
 
 VALIDATOR = jsonschema.Draft202012Validator(cli.load_schema())
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -38,6 +42,22 @@ def write_cloud(tmp_path, name="cloud.csv", labeled=True, dim=2, n=4000):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def test_a_run_imports_neither_scipy_stats_nor_optimize(tmp_path):
+    # each costs a tenth of a second or more to import, more than many runs
+    # compute, so a stray top-level import should fail here
+    script = (
+        "import sys\n"
+        "import conecalc.cli as cli\n"
+        "code = cli.main(['analyze', '--fn', 'sin(x1)+x2*x2', '--at', "
+        "'0.3,-0.2', '--report', sys.argv[1]])\n"
+        "print(code, sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "r.json")],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "0 []\n"
 
 
 class TestUsageErrors:
@@ -102,6 +122,23 @@ class TestUsageErrors:
             assert out == ""
             assert err.startswith(f"conecalc: error: {p}:{row}: non-finite")
             assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("header,body,row,want,got", [
+        ("x1,x2", "0,0\n1,1,1\n", 3, 2, 3),
+        ("x1,x2", "0,0\n\n1\n", 4, 2, 1),
+        ("x1,x2", "0,0,\n", 2, 2, 3),
+        ("x1,x2,label", "0,0,A\n0,0\n", 3, 3, 2),
+        ("x1,x2,label", "0,0,A,B\n", 2, 3, 4),
+    ])
+    def test_ragged_csv_row(self, capsys, tmp_path, header, body, row, want,
+                            got):
+        p = tmp_path / "c.csv"
+        p.write_text(f"{header}\n{body}")
+        code, out, err = run(capsys, "cones", "--csv", str(p), "--at", "0,0")
+        assert code == 1
+        assert out == ""
+        assert err == (f"conecalc: error: {p}:{row}: expected {want} cells, "
+                       f"got {got}\n")
 
     @pytest.mark.parametrize("at", ["nan", "0,inf", "0,-inf"])
     def test_non_finite_point(self, capsys, at):

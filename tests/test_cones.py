@@ -433,6 +433,25 @@ class TestSharedGrids:
         want = g / np.linalg.norm(g, axis=1, keepdims=True)
         assert sphere.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_sobol_equals_scipy_bit_for_bit(self, dim):
+        seeds = [0, 7, 2 ** 32 - 1, sampling.child_seed(0, 1),
+                 sampling.child_seed(7, 3, 2), sampling.child_seed(123, 4)]
+        for seed in seeds:
+            for m in range(15):
+                want = qmc.Sobol(d=dim, scramble=True, seed=seed).random_base2(m)
+                got = sampling._sobol(dim, 2 ** m, seed)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (seed, m)
+
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_high_grids_equal_the_scipy_halton_construction(self, dim):
+        n = sampling.GRID_SIZES.get(dim, sampling.GRID_SIZES[4])
+        h = qmc.Halton(d=dim, scramble=False).random(n + 1)[1:]
+        g = ndtri(np.clip(h, 1e-12, 1.0 - 1e-12))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        assert sampling.unit_grid(dim).tobytes() == g.tobytes()
+
 
 class TestTopDuality:
     def oracle_top_mask(self, arcs):

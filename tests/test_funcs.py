@@ -219,6 +219,23 @@ class TestCsv:
         with pytest.raises(ValueError, match=":3:"):
             funcs.read_csv_columns(p)
 
+    def test_cells_parse_as_float_does(self, tmp_path):
+        cells = ["1_000", " 1.5 ", "+.5", "-0", "1e-400", "4.9e-324", "0.1"]
+        text = "x1,x2\n" + "".join(f"{c},{c}\n\n , \n" for c in cells)
+        pts, _ = funcs.read_csv_columns(self._write(tmp_path, "c.csv", text))
+        want = np.array([[float(c)] * 2 for c in cells])
+        assert pts.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("body,message", [
+        ("0,0\n1,inf\n2,zz\n", r":3: non-finite number in '1,inf'"),
+        ("0,0\n2,zz\n1,inf\n", r":3: bad number \(could not convert string "
+                                r"to float: 'zz'\)"),
+    ])
+    def test_first_bad_row_is_named(self, tmp_path, body, message):
+        p = self._write(tmp_path, "c.csv", "x1,x2\n" + body)
+        with pytest.raises(ValueError, match=message):
+            funcs.read_csv_columns(p)
+
     def test_empty_and_headers_only(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
             funcs.read_csv_columns(self._write(tmp_path, "a.csv", ""))
