@@ -115,13 +115,11 @@ class AnalysisReport:
 
 def _derivative_matrix(f: FunctionHandle, x, lad) -> np.ndarray:
     """Least-squares linear map through the quotient-slab midpoints."""
-    comps = [f] if f.n == 1 else [
-        dini._scalar_slice(f, np.eye(f.n)[j]) for j in range(f.n)]
     U = dini._direction_grid(f.m, 64) if f.m > 1 else np.array([[1.0]])
+    # one slab scan for all components, each read through its unit covector
+    lows, highs, _ = dini.slabs(f, x, U, lad, None if f.n == 1 else np.eye(f.n))
     rows = []
-    for g in comps:
-        lows, highs, _ = dini.slabs(g, x, U, lad)
-        mids = 0.5 * (lows + highs)
+    for mids in np.atleast_2d(0.5 * (lows + highs)):
         if f.m == 1:
             rows.append([mids[0]])
         else:
@@ -544,15 +542,17 @@ def _dual_causal(lam: FiberCone, gm: FiberCone, gn: FiberCone, m: int,
                  tol: float) -> dict:
     gm_polar = cones.polar(gm)
     gn_polar = cones.polar(gn)
+    V = cones.member_directions(lam)
+    nx = cones._row_norms(V[:, :m])
+    ne = cones._row_norms(V[:, m:])
+    # members whose -eta leaves the polar of gamma_N need no check
+    ask = ne > math.sin(tol)
+    flip = -V[ask, m:] / ne[ask, None]
+    skip = np.zeros(len(V), dtype=bool)
+    skip[ask] = ~cones._contains_rows(gn_polar, flip, cones._row_norms(flip), tol)
     worst = 0.0
-    for v in cones.member_directions(lam):
-        xi, eta = v[:m], v[m:]
-        ne, nx = float(np.linalg.norm(eta)), float(np.linalg.norm(xi))
-        if ne > math.sin(tol) and not cones.contains(gn_polar, -eta / ne, tol=tol):
-            continue
-        if nx <= math.sin(tol):
-            continue
-        worst = max(worst, _ray_gap(gm_polar, xi / nx))
+    for i in np.flatnonzero(~skip & (nx > math.sin(tol))):
+        worst = max(worst, _ray_gap(gm_polar, V[i, :m] / nx[i]))
     return {"dual_checked": True, "dual_ok": bool(worst <= tol),
             "dual_worst_angle": float(worst)}
 

@@ -662,6 +662,38 @@ def contains(cone: FiberCone, v, tol: float | None = None) -> bool:
     return bool(sampling.near_set(v[None, :], rep.directions, tol)[0])
 
 
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row on its own, bit for bit.
+
+    ``vecdot`` runs the dot product that the norm of one vector takes;
+    a norm along an axis sums the squares another way and can round
+    differently, and membership near a tolerance reads the last bit.
+    """
+    return np.sqrt(np.vecdot(A, A))
+
+
+def _contains_rows(cone: FiberCone, U: np.ndarray, norms: np.ndarray,
+                   tol: float) -> np.ndarray:
+    """``contains(cone, u, tol)`` for every row u of U, given its norm.
+
+    A sampled cone answers all rows with one ``near_set`` call, which
+    decides each row as it would alone; arcs take one angle per row and
+    polyhedral cones go through ``contains`` row by row.
+    """
+    rep = cone.rep
+    if isinstance(rep, Polyhedral):
+        return np.array([contains(cone, u, tol=tol) for u in U], dtype=bool)
+    out = norms < 1e-14
+    ask = ~out
+    V = U[ask] / norms[ask, None]
+    if isinstance(rep, Arcs2D):
+        out[ask] = [arcs_contains(rep.arcs, math.atan2(b, a), tol=tol)
+                    for a, b in V.tolist()]
+    elif len(rep.directions) and len(V):
+        out[ask] = sampling.near_set(V, rep.directions, tol)
+    return out
+
+
 def contains_line(cone: FiberCone, tol: float = 1e-9) -> bool:
     """True when some nonzero v has both v and -v in the cone."""
     rep = cone.rep
@@ -867,13 +899,10 @@ def apply_relation(cone: FiberCone, rel: ConicRelation, tol: float | None = None
     members = member_directions(rel.cone)
     if tol is None:
         tol = 2.0 * max(cone.resolution(), rel.cone.resolution())
-    out = []
-    for w in members:
-        u, v = w[:d1], w[d1:]
-        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-        if nv <= 1e-12:
-            continue
-        if nu <= math.sin(tol) or contains(cone, u, tol=tol):
-            out.append(v / nv)
+    nu = _row_norms(members[:, :d1])
+    nv = _row_norms(members[:, d1:])
+    keep = (nv > 1e-12) & (nu <= math.sin(tol))
+    ask = (nv > 1e-12) & ~keep
+    keep[ask] = _contains_rows(cone, members[ask, :d1], nu[ask], tol)
     res = max(cone.resolution(), rel.cone.resolution())
-    return FiberCone.from_directions(np.asarray(out, dtype=float), d3, res)
+    return FiberCone.from_directions(members[keep, d1:] / nv[keep, None], d3, res)

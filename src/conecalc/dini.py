@@ -8,32 +8,42 @@ is read with a fixed base (y = x: the upper Dini derivative) or a moving
 base (y also roams a shrinking ball around x: Clarke's generalized
 quotient).  The lower counterparts are never estimated on their own:
 the antipodal identity inf Q(u) = -sup Q(-u) reads them off the sup side
-along -u.  All of this runs on one kernel, ``quotient_scan``, with two
-entry points on top of it:
+along -u.  All of this runs on one kernel with three entry points:
 
-    limits   the extrapolated sup-side limit along every row of U
-    slabs    (lows, highs, vertical) from one moving-base scan of U, -U
-             and the zero direction, whose blow-up puts the vertical in
-             the graph Whitney cone
+    quotient_scan  per-row profiles: the per-scale table and the limit
+    limits         the extrapolated sup-side limit along every row of U
+    slabs          (lows, highs, vertical) from one moving-base scan of
+                   U, -U and the zero direction, whose blow-up puts the
+                   vertical in the graph Whitney cone
 
 plus radial first-order bounds and local Lipschitz constants.  All of
 them share one discretization, the ``ScaleLadder``: at scale k the base
 ball has radius r_k = t0 * ratio**k, steps t run down a geometric
 sub-ladder below r_k, and probe directions are jittered inside a window
 that shrinks quadratically in r_k.  Per-scale extrema are extrapolated
-by the median of the last three scales; a monotone geometric blow-up
-past the cap is reported as an infinite sentinel.
+by the median of the last three scales, for all rows at once; a
+monotone geometric blow-up past the cap is reported as an infinite
+sentinel.
 
-``quotient_scan`` takes a stack of direction rows.  Per scale it calls
-``f`` once on the base points and once on the whole t sub-ladder of
-every row, in t-major order.  A call holds at most ``QUOTIENT_ROW_CAP``
-probe points (but always one full t step), so a larger stack splits its
-scale over several calls.  Rows never interact, so callers stack all
+The kernel takes a stack of direction rows.  Per scale it calls ``f``
+once on the base points and once on the whole t sub-ladder of every
+row, in t-major order.  A call holds at most ``QUOTIENT_ROW_CAP`` probe
+points (but always one full t step), so a larger stack splits its scale
+over several calls.  Each call's values go straight to per-t extrema
+over the base points, then to extrema over t in t order; the full array
+of quotients is never built.  Rows never interact, so callers stack all
 their directions, the zero direction included, into one scan.
 
+A vector map is read through a block of codomain covectors eta: the
+kernel evaluates f once per probe set and takes every <eta, f> from
+those values.  Each covector keeps its own product ``F @ eta`` (one per
+call, of the shape a scan of <eta, f> alone would have), its own base
+values and its own noise floor, hence its own prefix of the t ladder, so
+its limits are those of the scalar map <eta, f> scanned alone.
+
 Estimates are heuristic: any finite ladder can be fooled by structure
-below its deepest scale.  The full per-scale table is kept on the
-returned profile so callers can judge convergence themselves.
+below its deepest scale.  ``quotient_scan`` keeps the full per-scale
+table on each profile so callers can judge convergence themselves.
 """
 
 from __future__ import annotations
@@ -45,6 +55,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import sampling
+from .errors import EvaluationError
 
 DIVERGENCE_CAP = 1e3
 HARD_CAP = 1e9
@@ -117,28 +128,64 @@ class QuotientProfile:
                 for r, h, lo in zip(self.scales, self.highs, self.lows)]
 
 
-def _extrapolate(values: np.ndarray) -> tuple[float, bool, bool]:
-    """Median-of-last-3 limit with blow-up detection.
+def _late(values: np.ndarray) -> np.ndarray:
+    """``np.median`` of the last three entries along the last axis.
+
+    np.median takes the mean of the middle one or two sorted entries, and
+    that sum starts from +0.0, so a zero median is always +0.0; signed
+    zeros of a limit reach the report.  The values are never NaN.
+    """
+    tail = np.sort(values[..., -3:], axis=-1)
+    if tail.shape[-1] == 3:
+        return 0.0 + tail[..., 1]
+    return (0.0 + tail[..., 0] + tail[..., -1]) / 2.0
+
+
+def _extrapolate(values: np.ndarray):
+    """Median-of-last-3 limit with blow-up detection, along the last axis.
 
     Divergent ladders grow geometrically while convergent ones plateau,
     so a deep-scale level far above both the cap and the early-scale
     level is read as an infinite sentinel.  Comparing medians of the two
-    ends is robust to per-scale sampling noise.
+    ends is robust to per-scale sampling noise.  Returns the arrays
+    (limit, diverged, stable) over the leading axes.
     """
     v = np.asarray(values, dtype=float)
+    limit = _late(v)
+    tail = v[..., -3:]
+    spread = tail.max(axis=-1) - tail.min(axis=-1)
+    stable = spread <= 0.05 * np.maximum(1.0, np.abs(limit))
+    diverged = np.zeros(limit.shape, dtype=bool)
+    # at most one side can blow up: their late levels have opposite signs
     for sign in (1.0, -1.0):
         w = sign * v
-        late = float(np.median(w[-min(3, len(w)):]))
-        if late >= DIVERGENCE_CAP:
-            if np.max(w) >= HARD_CAP:
-                return sign * math.inf, True, False
-            if len(w) >= 5 and late >= 5.0 * max(float(np.max(w[:3])), 1e-12):
-                return sign * math.inf, True, False
-    tail = v[-min(3, len(v)):]
-    limit = float(np.median(tail))
-    spread = float(np.max(tail) - np.min(tail))
-    stable = spread <= 0.05 * max(1.0, abs(limit))
-    return limit, False, stable
+        late = _late(w)
+        early = np.maximum(w[..., :3].max(axis=-1), 1e-12)
+        blow = (late >= DIVERGENCE_CAP) & (
+            (w.max(axis=-1) >= HARD_CAP)
+            | ((v.shape[-1] >= 5) & (late >= 5.0 * early)))
+        limit = np.where(blow, sign * math.inf, limit)
+        diverged |= blow
+    return limit, diverged, stable & ~diverged
+
+
+def _limits(highs: np.ndarray, shallow: np.ndarray):
+    """(limit, diverged, stable) of per-scale sup quotients, with the
+    shallow track's blow-up test on top of ``_extrapolate``."""
+    limit, diverged, stable = _extrapolate(highs)
+    if highs.shape[-1] >= 5:
+        # large level whose t = r quotient still grows geometrically:
+        # blow-up, even though the sub-ladder noise floor flattens the
+        # per-shell sup and hides the growth from the main test
+        large = ~diverged & np.isfinite(limit) & (limit >= DIVERGENCE_CAP)
+        if large.any():
+            early = np.maximum(shallow[..., :3].max(axis=-1), 1e-12)
+            rising = np.mean(np.diff(shallow, axis=-1) >= 0, axis=-1) >= 0.6
+            blow = large & (_late(shallow) >= 5.0 * early) & rising
+            limit = np.where(blow, math.inf, limit)
+            diverged = diverged | blow
+            stable = stable & ~blow
+    return limit, diverged, stable
 
 
 def _base_offsets(m: int, jitter: int, total: int, seed: int) -> np.ndarray:
@@ -152,31 +199,35 @@ def _base_offsets(m: int, jitter: int, total: int, seed: int) -> np.ndarray:
     return np.vstack([fixed, sampling.ball_points(m, rest, seed)])
 
 
-def _probe_values(f, Y, V, ts) -> np.ndarray:
-    """f at Y[b] + t * V[i, b] for every t in ts, flat in (t, i, b) order.
+def _covector_values(f, F: np.ndarray, eta: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """<eta, f> at the points P from F = f(P), as one matrix-vector product.
 
-    Each call takes as many whole t rows as fit in QUOTIENT_ROW_CAP probe
-    points, and never less than one row.
+    Products of the same shape round the same way, so callers pass the
+    rows a separate evaluation of <eta, f> would have had in one call.
     """
-    q, B, m = V.shape
-    block = q * B
-    per_call = max(1, QUOTIENT_ROW_CAP // max(block, 1))
-    out = np.empty(len(ts) * block)
-    for j in range(0, len(ts), per_call):
-        T = ts[j:j + per_call, None, None, None]
-        P = (Y[None, None, :, :] + T * V[None]).reshape(-1, m)
-        out[j * block:j * block + len(P)] = f(P)[:, 0]
+    with np.errstate(over="ignore"):
+        out = F @ eta
+    if not np.isfinite(out).all():
+        i = int(np.flatnonzero(~np.isfinite(out))[0])
+        raise EvaluationError(f"<eta,{f.name}> is non-finite at {P[i].tolist()}")
     return out
 
 
-def quotient_scan(f, x, U, ladder: ScaleLadder, moving_base: bool) -> list[QuotientProfile]:
-    """Sup-side quotient profiles, vectorized across direction rows of U.
+def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool, covectors,
+          want_lows: bool = False):
+    """Per-scale quotient extrema of every covector along every row of U.
 
-    Rows never interact: a row's profile is the same whether it is
-    scanned alone or stacked with others.
+    Returns (radii, highs, lows, shallow), the last three of shape
+    (nc, q, scales) for nc covectors (one for a scalar f without them)
+    and q rows.  ``shallow`` is the sup at t = r alone.  ``lows`` (the
+    per-scale inf) is None unless asked for: only the profiles show it.
     """
-    if f.n != 1:
-        raise ValueError("quotient estimation needs a scalar function")
+    if covectors is None:
+        if f.n != 1:
+            raise ValueError("quotient estimation needs a scalar function")
+        E = None
+    else:
+        E = np.asarray(covectors, dtype=float).reshape(-1, f.n)
     x = np.asarray(x, dtype=float).reshape(f.m)
     U = np.atleast_2d(np.asarray(U, dtype=float))
     if U.shape[1] != f.m:
@@ -185,6 +236,7 @@ def quotient_scan(f, x, U, ladder: ScaleLadder, moving_base: bool) -> list[Quoti
     seed = lad.resolved_seed()
     radii = lad.radii()
     q, m = U.shape
+    nc = 1 if E is None else len(E)
 
     norms = np.linalg.norm(U, axis=1)
     unit = np.divide(U, np.maximum(norms, 1e-300)[:, None])
@@ -195,11 +247,11 @@ def quotient_scan(f, x, U, ladder: ScaleLadder, moving_base: bool) -> list[Quoti
     t_floor = floor / 64.0 if floor else 0.0
 
     nk = len(radii)
-    highs = np.full((q, nk), -np.inf)
-    lows = np.full((q, nk), np.inf)
+    highs = np.full((nc, q, nk), -np.inf)
+    lows = np.full((nc, q, nk), np.inf) if want_lows else None
     # sup at t = r only; the deep sub-ladder hits its noise floor on every
     # shell, so geometric blow-up is only visible on this shallow track
-    shallow = np.full((q, nk), -np.inf)
+    shallow = np.full((nc, q, nk), -np.inf)
 
     for ki, r in enumerate(radii):
         k = lad.k_min + ki
@@ -224,65 +276,111 @@ def quotient_scan(f, x, U, ladder: ScaleLadder, moving_base: bool) -> list[Quoti
             # Lipschitz in the window and blows up otherwise
             V[zero_dir] = math.sqrt(r / lad.t0) * Gc[None, :, :]
 
-        FY = f(Y)[:, 0]
+        FB = f(Y)
+        FY = [FB[:, 0]] if E is None else [_covector_values(f, FB, eta, Y) for eta in E]
         # quotients difference nearly equal numbers; keep t above the
-        # level where argument and value roundoff would pollute them
+        # level where argument and value roundoff would pollute them.
+        # Each covector keeps the t steps above its own floor, a prefix
+        # of the sub-ladder and never an empty one.
         y_mag = float(np.max(np.abs(Y))) if Y.size else 0.0
-        f_mag = float(np.max(np.abs(FY))) if FY.size else 0.0
         eps = np.finfo(float).eps
-        noise_floor = eps * max(y_mag, f_mag) / NOISE_BUDGET
         ts = r * 2.0 ** (-np.arange(T_SUBSTEPS))
-        ts = ts[ts >= max(t_floor, noise_floor, 1e-300)]
-        if len(ts) == 0:
-            ts = np.array([r])
-        quot = (_probe_values(f, Y, V, ts).reshape(len(ts), q, B)
-                - FY[None, None, :]) / ts[:, None, None]
-        # per-t extrema first, then over t in t order, as the loop over t
-        # did: the extremum of signed zeros depends on that order
-        step_hi = quot.max(axis=2)
-        highs[:, ki] = step_hi.max(axis=0)
-        lows[:, ki] = quot.min(axis=2).min(axis=0)
-        shallow[:, ki] = step_hi[0]
+        nts = []
+        for fy in FY:
+            f_mag = float(np.max(np.abs(fy))) if fy.size else 0.0
+            noise_floor = eps * max(y_mag, f_mag) / NOISE_BUDGET
+            nts.append(max(1, int(np.count_nonzero(
+                ts >= max(t_floor, noise_floor, 1e-300)))))
 
-    out = []
-    for i in range(q):
-        limit, diverged, stable = _extrapolate(highs[i])
-        if (not diverged and len(radii) >= 5 and math.isfinite(limit)
-                and limit >= DIVERGENCE_CAP):
-            # large level whose t = r quotient still grows geometrically:
-            # blow-up, even though the sub-ladder noise floor flattens the
-            # per-shell sup and hides the growth from the main test
-            sh = shallow[i]
-            late_sh = float(np.median(sh[-3:]))
-            early_sh = max(float(np.max(sh[:3])), 1e-12)
-            if late_sh >= 5.0 * early_sh and float(np.mean(np.diff(sh) >= 0)) >= 0.6:
-                limit, diverged, stable = math.inf, True, False
-        out.append(QuotientProfile(U[i].copy(), radii.copy(), highs[i].copy(),
-                                   lows[i].copy(), limit, diverged, stable))
-    return out
+        # each f call takes as many whole t steps of every row as fit in
+        # QUOTIENT_ROW_CAP probe points, never less than one; the probes
+        # y + t v go one coordinate per contiguous row of a reused buffer
+        block = q * B
+        per_call = max(1, QUOTIENT_ROW_CAP // max(block, 1))
+        Vc = np.ascontiguousarray(np.moveaxis(V, 2, 0))
+        buf = np.empty((m, min(per_call, max(nts)) * block))
+        step_hi = [np.empty((n, q)) for n in nts]
+        step_lo = [np.empty((n, q)) for n in nts] if want_lows else None
+        for j in range(0, max(nts), per_call):
+            rows = min(per_call, max(nts) - j)
+            P = buf[:, :rows * block]
+            for d in range(m):
+                Pd = P[d].reshape(rows, q, B)
+                np.multiply(ts[j:j + rows, None, None], Vc[d], out=Pd)
+                Pd += Y[:, d]
+            F = f(P.T)
+            for c in range(nc):
+                # the per-t extrema of this call's t steps of covector c
+                rc = min(rows, nts[c] - j)
+                if rc <= 0:
+                    continue
+                vals = (F[:, 0] if E is None
+                        else _covector_values(f, F[:rc * block], E[c], P.T))
+                quot = vals[:rc * block].reshape(rc, q, B) - FY[c]
+                quot /= ts[j:j + rc, None, None]
+                quot.max(axis=2, out=step_hi[c][j:j + rc])
+                if want_lows:
+                    quot.min(axis=2, out=step_lo[c][j:j + rc])
+        # then over t in t order: the extremum of signed zeros depends on
+        # that order
+        for c in range(nc):
+            highs[c, :, ki] = step_hi[c].max(axis=0)
+            shallow[c, :, ki] = step_hi[c][0]
+            if want_lows:
+                lows[c, :, ki] = step_lo[c].min(axis=0)
+    return radii, highs, lows, shallow
 
 
-def limits(f, x, U, ladder: ScaleLadder, moving_base: bool) -> np.ndarray:
-    """The extrapolated sup-side limit along every row of U."""
-    return np.array([p.limit for p in quotient_scan(f, x, U, ladder, moving_base)])
+def quotient_scan(f, x, U, ladder: ScaleLadder, moving_base: bool,
+                  covectors=None) -> list:
+    """Sup-side quotient profiles, vectorized across direction rows of U.
+
+    Rows never interact: a row's profile is the same whether it is
+    scanned alone or stacked with others.  With ``covectors`` (k x n
+    rows eta) the profiles are those of the scalar maps <eta, f>, one
+    list of row profiles per covector, from one evaluation of f.
+    """
+    radii, highs, lows, shallow = _scan(f, x, U, ladder, moving_base,
+                                        covectors, want_lows=True)
+    limit, diverged, stable = _limits(highs, shallow)
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    out = [[QuotientProfile(U[i].copy(), radii.copy(), highs[c, i].copy(),
+                            lows[c, i].copy(), float(limit[c, i]),
+                            bool(diverged[c, i]), bool(stable[c, i]))
+            for i in range(len(U))] for c in range(len(highs))]
+    return out[0] if covectors is None else out
 
 
-def slabs(f, x, U, ladder: ScaleLadder):
+def limits(f, x, U, ladder: ScaleLadder, moving_base: bool,
+           covectors=None) -> np.ndarray:
+    """The extrapolated sup-side limit along every row of U.
+
+    With ``covectors`` (k x n) the limits of every <eta, f>, shape (k, q).
+    """
+    _, highs, _, shallow = _scan(f, x, U, ladder, moving_base, covectors)
+    limit = _limits(highs, shallow)[0]
+    return limit[0] if covectors is None else limit
+
+
+def slabs(f, x, U, ladder: ScaleLadder, covectors=None):
     """(lows, highs, vertical) from one moving-base scan of U, -U and 0.
 
     highs are the sup quotients along the rows of U; lows come from the
     antipodal identity inf Q(u) = -sup Q(-u) on the second block, never
     from a second estimate.  ``vertical`` says whether the quotient along
     the zero direction blows up, i.e. whether the vertical belongs to the
-    graph Whitney cone.
+    graph Whitney cone.  With ``covectors`` (k x n) every output gets a
+    leading axis of k, one entry per <eta, f>.
     """
     U = np.asarray(U, dtype=float).reshape(-1, f.m)
     q = len(U)
-    profs = quotient_scan(f, x, np.vstack([U, -U, np.zeros((1, f.m))]),
-                          ladder, moving_base=True)
-    lim = np.array([p.limit for p in profs])
-    vert = profs[-1]
-    return -lim[q:2 * q], lim[:q], vert.diverged or abs(vert.limit) > DIVERGENCE_CAP
+    _, highs, _, shallow = _scan(f, x, np.vstack([U, -U, np.zeros((1, f.m))]),
+                                 ladder, True, covectors)
+    lim, div, _ = _limits(highs, shallow)
+    vertical = div[:, -1] | (np.abs(lim[:, -1]) > DIVERGENCE_CAP)
+    if covectors is None:
+        lim, vertical = lim[0], bool(vertical[0])
+    return -lim[..., q:2 * q], lim[..., :q], vertical
 
 
 def radial_bounds(f, x, ladder: ScaleLadder) -> tuple[float, float]:
@@ -311,8 +409,8 @@ def radial_bounds(f, x, ladder: ScaleLadder) -> tuple[float, float]:
         highs.append(ratio.max())
         lows.append(ratio.min())
 
-    hi, _, _ = _extrapolate(np.array(highs))
-    lo, _, _ = _extrapolate(-np.array(lows))
+    hi = float(_extrapolate(np.array(highs))[0])
+    lo = float(_extrapolate(-np.array(lows))[0])
     return -lo, hi
 
 
@@ -326,38 +424,23 @@ def _direction_grid(m: int, count: int) -> np.ndarray:
     return np.vstack([pts, -pts])
 
 
-def _scalar_slice(f, eta):
-    """The scalar function <eta, f>."""
-    from .funcs import FunctionHandle
-
-    eta = np.asarray(eta, dtype=float)
-    return FunctionHandle(f.m, 1, f"<eta,{f.name}>",
-                          lambda X: (f(X) @ eta)[:, None], "composite",
-                          dict(getattr(f, "meta", {}) or {}))
-
-
 def lipschitz_constants(f, x, ladder: ScaleLadder,
                         dir_count: int = 72, covector_count: int = 16):
     """(pointwise, local) Lipschitz constants at x.
 
     Pointwise: sphere maximum of the |limit| of a fixed-base scan.  Local:
     the same for a moving-base scan.  Vector-valued f is reduced over a
-    grid of codomain covectors.
+    grid of codomain covectors, all of them read from the same two scans.
     """
-    if f.n == 1:
-        slices = [f]
-    else:
+    E = None
+    if f.n > 1:
         # the second half of the grid negates the first, which gives the
         # same |limit|
         etas = _direction_grid(f.n, covector_count)
-        slices = [_scalar_slice(f, eta) for eta in etas[:len(etas) // 2]]
-
+        E = etas[:len(etas) // 2]
     U = _direction_grid(f.m, dir_count)
-    lip_pw = 0.0
-    lip = 0.0
-    for g in slices:
-        lip_pw = max(lip_pw, float(np.abs(limits(g, x, U, ladder, False)).max()))
-        lip = max(lip, float(np.abs(limits(g, x, U, ladder, True)).max()))
+    lip_pw = float(np.abs(limits(f, x, U, ladder, False, E)).max())
+    lip = float(np.abs(limits(f, x, U, ladder, True, E)).max())
     # the moving-base window contains the fixed-base one
     if lip < lip_pw and math.isfinite(lip):
         lip = max(lip, lip_pw)

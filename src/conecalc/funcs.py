@@ -25,6 +25,14 @@ zero factor is zero even when the other factor fails to evaluate, so
 ``x^2 * sin(1/x)`` extends by 0 across x = 0.  ``guard(e, p, v)`` pins
 the value v on the slice {x1 == p}.  Any non-finite value that survives
 these rules raises ``EvaluationError`` at evaluation time.
+
+``parse_expr`` folds constants and compiles the tree into closures once;
+a call runs the closures, never a walk over the tree.  The values are
+the same bits as an elementwise walk: column views, numpy-scalar
+constants in arithmetic, and the zero rule checked only where a product
+is zero or non-finite change none of them.  Handles take points in any
+memory layout, so the quotient scan can pass one coordinate per
+contiguous row.
 """
 
 from __future__ import annotations
@@ -53,9 +61,8 @@ class FunctionHandle:
         single = X.ndim == 1
         pts = X.reshape(-1, self.m)
         out = np.asarray(self._fn(pts), dtype=float).reshape(len(pts), self.n)
-        bad = ~np.isfinite(out)
-        if bad.any():
-            i = int(np.argwhere(bad.any(axis=1))[0][0])
+        if not np.isfinite(out).all():
+            i = int(np.argwhere(~np.isfinite(out).all(axis=1))[0][0])
             raise EvaluationError(
                 f"{self.name} is non-finite at {pts[i].tolist()}")
         return out[0] if single else out
@@ -230,8 +237,10 @@ def _fold(node):
     children = [c for c in folded[1:] if isinstance(c, tuple)]
     # guard reads the evaluation point, so it never folds
     if kind != "guard" and all(c[0] == "num" for c in children):
+        X = np.zeros((1, 1))
         try:
-            val = _eval_node(folded, np.zeros((1, 1)))[0]
+            with np.errstate(all="ignore"):
+                val = _column(_compile(folded)(X), X)[0]
         except Exception:
             return folded
         if np.isfinite(val):
@@ -239,43 +248,62 @@ def _fold(node):
     return folded
 
 
-def _eval_node(node, X):
+def _column(v, X):
+    """v as one value per row of X; constants come back as numpy scalars."""
+    return v if np.ndim(v) else np.full(len(X), v)
+
+
+def _times(a, b):
+    out = a * b
+    # an exact zero factor wins over a non-finite partner, so oscillatory
+    # singularities declared through a vanishing envelope evaluate
+    # cleanly; such a product is zero or non-finite, so only then is the
+    # rule checked
+    if out.all() and np.isfinite(out).all():
+        return out
+    zero = (a == 0.0) | (b == 0.0)
+    if zero.any():
+        out = np.where(zero, 0.0, out)
+    return out
+
+
+def _compile(node):
+    """The folded tree as a closure X -> values, built once per expression.
+
+    Columns of X are read without a copy and constants stay numpy
+    scalars in arithmetic, whose IEEE results do not depend on either.
+    ``pow`` and the function calls get full columns, as numpy may pick
+    another kernel for a broadcast scalar (``x^2`` would square).  Callers
+    run the closure under ``np.errstate(all="ignore")``.
+    """
     kind = node[0]
     if kind == "num":
-        return np.full(len(X), node[1])
+        v = np.float64(node[1])
+        return lambda X: v
     if kind == "var":
-        return X[:, node[1]].copy()
-    with np.errstate(all="ignore"):
-        if kind == "neg":
-            return -_eval_node(node[1], X)
-        if kind == "add":
-            return _eval_node(node[1], X) + _eval_node(node[2], X)
-        if kind == "sub":
-            return _eval_node(node[1], X) - _eval_node(node[2], X)
-        if kind == "mul":
-            a = _eval_node(node[1], X)
-            b = _eval_node(node[2], X)
-            out = a * b
-            # an exact zero factor wins over a non-finite partner, so
-            # oscillatory singularities declared through a vanishing
-            # envelope evaluate cleanly
-            zero = (a == 0.0) | (b == 0.0)
-            if zero.any():
-                out = np.where(zero, 0.0, out)
-            return out
-        if kind == "div":
-            return _eval_node(node[1], X) / _eval_node(node[2], X)
-        if kind == "pow":
-            return np.power(_eval_node(node[1], X), _eval_node(node[2], X))
-        if kind == "call1":
-            return _FUNCS_1[node[1]](_eval_node(node[2], X))
-        if kind == "call2":
-            return _FUNCS_2[node[1]](_eval_node(node[2], X), _eval_node(node[3], X))
-        if kind == "guard":
-            val = _eval_node(node[1], X)
-            point = _eval_node(node[2], X)
-            repl = _eval_node(node[3], X)
-            return np.where(X[:, 0] == point, repl, val)
+        j = node[1]
+        return lambda X: X[:, j]
+    if kind == "guard":
+        val, point, repl = (_compile(c) for c in node[1:])
+        return lambda X: np.where(X[:, 0] == point(X), repl(X), val(X))
+    if kind in ("call1", "call2"):
+        fn = (_FUNCS_1 if kind == "call1" else _FUNCS_2)[node[1]]
+        args = [_compile(c) for c in node[2:]]
+        return lambda X: fn(*[_column(a(X), X) for a in args])
+    a = _compile(node[1])
+    if kind == "neg":
+        return lambda X: -a(X)
+    b = _compile(node[2])
+    if kind == "add":
+        return lambda X: a(X) + b(X)
+    if kind == "sub":
+        return lambda X: a(X) - b(X)
+    if kind == "mul":
+        return lambda X: _times(a(X), b(X))
+    if kind == "div":
+        return lambda X: a(X) / b(X)
+    if kind == "pow":
+        return lambda X: np.power(_column(a(X), X), _column(b(X), X))
     raise AssertionError(f"unknown node {kind}")
 
 
@@ -287,9 +315,20 @@ def parse_expr(src: str, m: int) -> FunctionHandle:
     if m < 1:
         raise ValueError("need at least one variable")
     comps = [_fold(c) for c in _Parser(src, m).parse_vector()]
+    parts = [_compile(c) for c in comps]
+    if len(parts) == 1:
+        (part,) = parts
+        # a bare variable would hand back a view of the caller's points
+        own = comps[0][0] == "var"
 
-    def fn(X, comps=comps):
-        return np.column_stack([_eval_node(c, X) for c in comps])
+        def fn(X):
+            with np.errstate(all="ignore"):
+                v = _column(part(X), X)
+            return (v.copy() if own else v)[:, None]
+    else:
+        def fn(X):
+            with np.errstate(all="ignore"):
+                return np.column_stack([_column(p(X), X) for p in parts])
 
     return FunctionHandle(m, len(comps), src.strip(), fn, "expression", {})
 

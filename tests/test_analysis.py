@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conecalc import analysis, cones, dini, funcs
+from conecalc import analysis, cones, dini, funcs, geometry
 from conecalc.cones import FiberCone
 from conecalc.errors import (DimensionMismatchError, ImproperConeError)
 
@@ -210,3 +210,38 @@ class TestCausal:
         assert out["causal"]
         assert not out["time_function"]
         assert not out["per_point"][0]["microlocally_submersive"]
+
+
+def reference_dual_causal(lam, gm, gn, m, tol):
+    """``_dual_causal`` with one ``contains`` call per member, as it was."""
+    gm_polar = cones.polar(gm)
+    gn_polar = cones.polar(gn)
+    worst = 0.0
+    for v in cones.member_directions(lam):
+        xi, eta = v[:m], v[m:]
+        ne, nx = float(np.linalg.norm(eta)), float(np.linalg.norm(xi))
+        if ne > math.sin(tol) and not cones.contains(gn_polar, -eta / ne, tol=tol):
+            continue
+        if nx <= math.sin(tol):
+            continue
+        worst = max(worst, analysis._ray_gap(gm_polar, xi / nx))
+    return {"dual_checked": True, "dual_ok": bool(worst <= tol),
+            "dual_worst_angle": float(worst)}
+
+
+class TestDualCausalBatch:
+    """One membership batch per cone gives the member loop's verdict."""
+
+    RAY = FiberCone.from_directions(np.array([[1.0]]), 1, resolution=1e-9)
+    BACK = FiberCone.from_generators([[-1.0]], 1)
+
+    @pytest.mark.parametrize("tag,x", [("cube", 0.4), ("abs", 0.0), ("cbrt", 0.0),
+                                       ("x2sin", 0.0)])
+    @pytest.mark.parametrize("tol", [1e-6, 0.02, 0.3])
+    def test_equals_the_member_loop(self, tag, x, tol):
+        w = geometry.graph_whitney(funcs.builtin(tag), np.array([x]), LAD)
+        lam = cones.top(w)
+        for gm in (self.RAY, self.BACK):
+            for gn in (self.RAY, self.BACK):
+                got = analysis._dual_causal(lam, gm, gn, 1, tol)
+                assert got == reference_dual_causal(lam, gm, gn, 1, tol)

@@ -579,3 +579,81 @@ class TestRelations:
         both = (np.linalg.norm(md[:, :2], axis=1) > 0.5) & (
             np.linalg.norm(md[:, 2:], axis=1) > 0.5)
         assert both.any()
+
+
+def reference_apply_relation(cone, rel, tol=None):
+    """``apply_relation`` with one ``contains`` call per member, as it was."""
+    d1, d3 = rel.left_dim, rel.right_dim
+    members = cones.member_directions(rel.cone)
+    if tol is None:
+        tol = 2.0 * max(cone.resolution(), rel.cone.resolution())
+    out = []
+    for w in members:
+        u, v = w[:d1], w[d1:]
+        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+        if nv <= 1e-12:
+            continue
+        if nu <= math.sin(tol) or cones.contains(cone, u, tol=tol):
+            out.append(v / nv)
+    res = max(cone.resolution(), rel.cone.resolution())
+    return FiberCone.from_directions(np.asarray(out, dtype=float), d3, res)
+
+
+def membership_cones(dim):
+    """One cone of each representation in the given dimension."""
+    rng = np.random.default_rng(dim)
+    out = [FiberCone.from_directions(random_sampled_cone(dim, 3, count=300,
+                                                         spread=0.6), dim),
+           FiberCone.from_directions(np.zeros((0, dim)), dim),
+           FiberCone.from_halfspaces(rng.standard_normal((2, dim)), dim),
+           FiberCone.full(dim)]
+    if dim == 2:
+        out.append(FiberCone.from_arcs([(0.3, 1.4), (3.0, 3.5)]))
+    return out
+
+
+class TestBatchedMembership:
+    """Row batches answer as one ``contains`` call per row would."""
+
+    @given(st.integers(1, 5).flatmap(lambda d: st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e-200, 0.6, -0.8, 3.0,
+                                  1e150, -7e-9]) | st.floats(-1e3, 1e3),
+                 min_size=d, max_size=d), min_size=0, max_size=40)))
+    @settings(max_examples=300, deadline=None)
+    def test_row_norms_equal_single_norms(self, rows):
+        A = np.array(rows, dtype=float).reshape(len(rows), -1) if rows else np.zeros((0, 3))
+        want = np.array([np.linalg.norm(a) for a in A], dtype=float)
+        assert cones._row_norms(A).tobytes() == want.tobytes()
+        # column slices, as the relations take them
+        if A.shape[1] > 1:
+            B = A[:, 1:]
+            want = np.array([np.linalg.norm(b) for b in B], dtype=float)
+            assert cones._row_norms(B).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("tol", [1e-9, 0.05, 0.4])
+    def test_contains_rows_equal_contains(self, dim, tol):
+        rng = np.random.default_rng(7)
+        U = rng.standard_normal((500, dim)) * rng.choice([1e-16, 1e-3, 1.0, 50.0],
+                                                         size=(500, 1))
+        U[:3] = 0.0
+        for cone in membership_cones(dim):
+            # rows at exactly the cone's members as well
+            V = U.copy()
+            if isinstance(cone.rep, cones.Sampled) and len(cone.rep.directions):
+                V[3:13] = 2.0 * cone.rep.directions[:10]
+            want = [cones.contains(cone, v, tol=tol) for v in V]
+            got = cones._contains_rows(cone, V, cones._row_norms(V), tol)
+            assert got.dtype == bool and got.tolist() == want
+
+    @pytest.mark.parametrize("L", [[[1.0, 0.5], [0.0, 1.0]],
+                                   [[0.0, 0.0], [1.0, -1.0]],
+                                   [[2.0, 0.0], [0.0, 0.0]]])
+    @pytest.mark.parametrize("tol", [None, 1e-9, 0.02])
+    def test_apply_relation_equals_member_loop(self, L, tol):
+        rel = sampled_graph(L)
+        for cone in membership_cones(2):
+            got = cones.apply_relation(cone, rel, tol=tol)
+            want = reference_apply_relation(cone, rel, tol=tol)
+            assert got.rep.directions.tobytes() == want.rep.directions.tobytes()
+            assert got.rep.resolution == want.rep.resolution

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from conecalc import dini, funcs
+from conecalc.errors import EvaluationError
 
 LAD = dini.ScaleLadder(t0=0.1, ratio=0.5, k_min=0, k_max=10, seed=0)
 
@@ -258,3 +261,209 @@ class TestStackedScan:
         got = -dini.limits(self.H2, self.X2, -U, LAD, False)
         want = [lower(self.H2, self.X2, u, moving_base=False) for u in U]
         assert np.array_equal(got, want)
+
+
+def reference_extrapolate(values):
+    """The per-row extrapolation that the vectorized one replaced."""
+    v = np.asarray(values, dtype=float)
+    for sign in (1.0, -1.0):
+        w = sign * v
+        late = float(np.median(w[-min(3, len(w)):]))
+        if late >= dini.DIVERGENCE_CAP:
+            if np.max(w) >= dini.HARD_CAP:
+                return sign * math.inf, True, False
+            if len(w) >= 5 and late >= 5.0 * max(float(np.max(w[:3])), 1e-12):
+                return sign * math.inf, True, False
+    tail = v[-min(3, len(v)):]
+    limit = float(np.median(tail))
+    spread = float(np.max(tail) - np.min(tail))
+    stable = spread <= 0.05 * max(1.0, abs(limit))
+    return limit, False, stable
+
+
+def reference_limit(highs, shallow):
+    """One row's limit, with the shallow track's blow-up test on top."""
+    limit, diverged, stable = reference_extrapolate(highs)
+    if (not diverged and len(highs) >= 5 and math.isfinite(limit)
+            and limit >= dini.DIVERGENCE_CAP):
+        late_sh = float(np.median(shallow[-3:]))
+        early_sh = max(float(np.max(shallow[:3])), 1e-12)
+        if late_sh >= 5.0 * early_sh and float(np.mean(np.diff(shallow) >= 0)) >= 0.6:
+            limit, diverged, stable = math.inf, True, False
+    return limit, diverged, stable
+
+
+# levels around both caps, signed zeros and infinities; never NaN
+LEVELS = [0.0, -0.0, 1e-13, 0.3, -0.3, 2.0, 199.0, 200.0, 999.0, 1e3,
+          1001.0, 5e3, 1e9, 2e9, 1e300, math.inf, -math.inf, -1e3, -5e3, -1e9]
+ladders = st.integers(2, 9).flatmap(
+    lambda n: st.lists(st.lists(st.sampled_from(LEVELS) | st.floats(-1e4, 1e4),
+                                min_size=n, max_size=n), min_size=1, max_size=6))
+
+
+def same_limits(got, want):
+    """Vectorized (limit, diverged, stable) arrays against per-row tuples."""
+    limit, diverged, stable = got
+    assert np.asarray(limit).tobytes() == np.array([w[0] for w in want]).tobytes()
+    assert np.asarray(diverged).tolist() == [w[1] for w in want]
+    assert np.asarray(stable).tolist() == [w[2] for w in want]
+
+
+class TestVectorizedExtrapolation:
+    """All rows at once give the per-row bits, signed zeros included."""
+
+    @given(ladders)
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_per_row_version(self, rows):
+        V = np.array(rows)
+        with np.errstate(all="ignore"):
+            same_limits(dini._extrapolate(V), [reference_extrapolate(r) for r in V])
+
+    @given(ladders, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_shallow_rule_equals_the_per_row_version(self, rows, data):
+        H = np.array(rows)
+        S = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from(LEVELS) | st.floats(-1e4, 1e4),
+                     min_size=H.shape[1], max_size=H.shape[1]),
+            min_size=len(H), max_size=len(H))))
+        with np.errstate(all="ignore"):
+            same_limits(dini._limits(H, S),
+                        [reference_limit(h, s) for h, s in zip(H, S)])
+
+    @pytest.mark.parametrize("row", [
+        [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 0.0],
+        [5.0, -0.0, 0.0, -0.0], [1e3, 2e3, 4e3, 8e3, 1.6e4, 3.2e4],
+        [math.inf, math.inf, 1.0], [-math.inf, 2.0], [1.0, 2.0, 1e9, 3.0, 4.0],
+    ])
+    def test_named_rows(self, row):
+        same_limits(dini._extrapolate(np.array([row, row])),
+                    [reference_extrapolate(row)] * 2)
+
+    def test_radial_bounds_return_floats(self):
+        lo, hi = dini.radial_bounds(funcs.builtin("abs"), [0.0], LAD)
+        assert type(lo) is float and type(hi) is float
+
+
+def reference_slice(f, eta):
+    """The scalar map <eta, f> as its own handle, the way vector maps were
+    scanned one covector at a time."""
+    eta = np.asarray(eta, dtype=float)
+    return funcs.FunctionHandle(f.m, 1, f"<eta,{f.name}>",
+                                lambda X: (f(X) @ eta)[:, None], "composite",
+                                dict(f.meta))
+
+
+class TestCovectorBlocks:
+    """A covector block reads every <eta, f> from one evaluation of f and
+    gives each the bits of its own scalar scan."""
+
+    # the large constant puts the first component's noise floor, hence its
+    # t prefix, far from the other covectors'
+    MAP = funcs.parse_expr("10000 + x1 + x2*x2, x1*x2 + sin(x2), abs(x1) - x2", 2)
+    X = [0.2, -0.1]
+    U = np.array([[1.0, 0.0], [0.6, -0.8], [0.0, 0.0], [-2.0, 1.0]])
+    E = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0],
+                  [0.6, 0.0, 0.8], [0.3, -0.4, 0.5]])
+
+    @staticmethod
+    def assert_same(a, b):
+        assert a.highs.tobytes() == b.highs.tobytes()
+        assert a.lows.tobytes() == b.lows.tobytes()
+        assert a.scales.tobytes() == b.scales.tobytes()
+        assert (a.limit, a.diverged, a.stable) == (b.limit, b.diverged, b.stable)
+
+    @pytest.mark.parametrize("cap", [dini.QUOTIENT_ROW_CAP, 1000, 5000, 20000])
+    @pytest.mark.parametrize("moving_base", [False, True])
+    def test_profiles_equal_per_slice_scans(self, monkeypatch, cap, moving_base):
+        monkeypatch.setattr(dini, "QUOTIENT_ROW_CAP", cap)
+        block = dini.quotient_scan(self.MAP, self.X, self.U, LAD, moving_base,
+                                   covectors=self.E)
+        assert len(block) == len(self.E)
+        for eta, profiles in zip(self.E, block):
+            single = dini.quotient_scan(reference_slice(self.MAP, eta), self.X,
+                                        self.U, LAD, moving_base)
+            assert len(profiles) == len(single)
+            for a, b in zip(profiles, single):
+                self.assert_same(a, b)
+
+    def test_covectors_keep_their_own_t_prefix(self):
+        # the first covector sees |f| ~ 1e4, so its noise floor cuts the t
+        # ladder shorter than the others' at every scale
+        calls = {}
+        for c, eta in enumerate(self.E[:2]):
+            g = reference_slice(self.MAP, eta)
+            inner, seen = g._fn, []
+            g._fn = lambda X, inner=inner, seen=seen: seen.append(len(X)) or inner(X)
+            dini.quotient_scan(g, self.X, self.U, LAD, False)
+            calls[c] = sum(seen)
+        assert calls[0] < calls[1]
+
+    @pytest.mark.parametrize("cap", [dini.QUOTIENT_ROW_CAP, 1000])
+    def test_limits_and_slabs_equal_per_slice(self, monkeypatch, cap):
+        monkeypatch.setattr(dini, "QUOTIENT_ROW_CAP", cap)
+        slices = [reference_slice(self.MAP, eta) for eta in self.E]
+        got = dini.limits(self.MAP, self.X, self.U, LAD, True, self.E)
+        want = np.array([dini.limits(g, self.X, self.U, LAD, True) for g in slices])
+        assert got.tobytes() == want.tobytes()
+        lows, highs, vertical = dini.slabs(self.MAP, self.X, self.U[:2], LAD, self.E)
+        for c, g in enumerate(slices):
+            lo, hi, vert = dini.slabs(g, self.X, self.U[:2], LAD)
+            assert lows[c].tobytes() == lo.tobytes()
+            assert highs[c].tobytes() == hi.tobytes()
+            assert vertical[c] == vert
+
+    def test_row_cap_does_not_change_covector_limits(self, monkeypatch):
+        whole = dini.limits(self.MAP, self.X, self.U, LAD, True, self.E)
+        monkeypatch.setattr(dini, "QUOTIENT_ROW_CAP", 1000)
+        split = dini.limits(self.MAP, self.X, self.U, LAD, True, self.E)
+        assert whole.tobytes() == split.tobytes()
+
+    def test_overflowing_covector_names_its_slice(self):
+        big = "1" + "0" * 308
+        h = funcs.parse_expr(f"{big} + x1, {big} + x2", 2)
+        with pytest.raises(EvaluationError) as got:
+            dini.limits(h, [0.0, 0.0], [[1.0, 0.0]], LAD, False, [[1.0, 1.0]])
+        with pytest.raises(EvaluationError) as want, np.errstate(over="ignore"):
+            dini.limits(reference_slice(h, [1.0, 1.0]), [0.0, 0.0], [[1.0, 0.0]],
+                        LAD, False)
+        assert str(got.value) == str(want.value)
+
+    def test_vector_map_needs_covectors(self):
+        with pytest.raises(ValueError):
+            dini.limits(self.MAP, self.X, self.U, LAD, True)
+
+
+def counting(src: str, m: int):
+    """A parsed handle that logs the number of points of every call."""
+    h = funcs.parse_expr(src, m)
+    inner, log = h._fn, []
+
+    def fn(X):
+        log.append(len(X))
+        return inner(X)
+
+    h._fn = fn
+    return h, log
+
+
+class TestEvaluationCounts:
+    """Function evaluations are counted, not timed: a regression in how
+    often the scan calls f shows on any host."""
+
+    LAD6 = dini.ScaleLadder(t0=0.1, ratio=0.5, k_min=0, k_max=6, seed=0)
+
+    def test_scalar_golden_point(self):
+        from conecalc import analysis
+
+        h, log = counting("sin(x1)+x2*x2", 2)
+        analysis.classify_point(h, [0.3, -0.2], self.LAD6)
+        assert (len(log), sum(log)) == (108, 11331825)
+
+    def test_vector_lipschitz_constants_take_two_scans(self):
+        h, log = counting("x1+x2*x2, x1*x2", 2)
+        dini.lipschitz_constants(h, [0.2, -0.1], self.LAD6)
+        # per scan and scale: the base points, then all t steps of the 72
+        # directions in one call; 8 covectors used to take 16 scans
+        assert len(log) == 2 * 2 * len(self.LAD6.radii())
+        assert sum(log) == 1210272

@@ -98,6 +98,182 @@ class TestParser:
         assert h.scalar(a, b) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def reference_fold(node):
+    """Constant folding as the tree walker did it (the oracle's half)."""
+    kind = node[0]
+    if kind in ("num", "var"):
+        return node
+    folded = (kind,) + tuple(reference_fold(c) if isinstance(c, tuple) else c
+                             for c in node[1:])
+    children = [c for c in folded[1:] if isinstance(c, tuple)]
+    if kind != "guard" and all(c[0] == "num" for c in children):
+        try:
+            val = reference_eval_node(folded, np.zeros((1, 1)))[0]
+        except Exception:
+            return folded
+        if np.isfinite(val):
+            return ("num", float(val))
+    return folded
+
+
+def reference_eval_node(node, X):
+    """The tree walker that evaluated every node on every call."""
+    kind = node[0]
+    if kind == "num":
+        return np.full(len(X), node[1])
+    if kind == "var":
+        return X[:, node[1]].copy()
+    with np.errstate(all="ignore"):
+        if kind == "neg":
+            return -reference_eval_node(node[1], X)
+        if kind == "add":
+            return reference_eval_node(node[1], X) + reference_eval_node(node[2], X)
+        if kind == "sub":
+            return reference_eval_node(node[1], X) - reference_eval_node(node[2], X)
+        if kind == "mul":
+            a = reference_eval_node(node[1], X)
+            b = reference_eval_node(node[2], X)
+            out = a * b
+            zero = (a == 0.0) | (b == 0.0)
+            if zero.any():
+                out = np.where(zero, 0.0, out)
+            return out
+        if kind == "div":
+            return reference_eval_node(node[1], X) / reference_eval_node(node[2], X)
+        if kind == "pow":
+            return np.power(reference_eval_node(node[1], X),
+                            reference_eval_node(node[2], X))
+        if kind == "call1":
+            return funcs._FUNCS_1[node[1]](reference_eval_node(node[2], X))
+        if kind == "call2":
+            return funcs._FUNCS_2[node[1]](reference_eval_node(node[2], X),
+                                           reference_eval_node(node[3], X))
+        if kind == "guard":
+            val = reference_eval_node(node[1], X)
+            point = reference_eval_node(node[2], X)
+            repl = reference_eval_node(node[3], X)
+            return np.where(X[:, 0] == point, repl, val)
+    raise AssertionError(f"unknown node {kind}")
+
+
+def reference_handle(src: str, m: int) -> funcs.FunctionHandle:
+    comps = [reference_fold(c) for c in funcs._Parser(src, m).parse_vector()]
+
+    def fn(X):
+        return np.column_stack([reference_eval_node(c, X) for c in comps])
+
+    return funcs.FunctionHandle(m, len(comps), src.strip(), fn)
+
+
+def same_bits(a, b) -> bool:
+    """Equal bytes, except that any NaN matches any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
+        return False
+    return a[~np.isnan(a)].tobytes() == b[~np.isnan(b)].tobytes()
+
+
+# every pair of these, signed zeros and overflow included, then values
+# whose powers and sines round differently in different numpy kernels
+SPECIAL = [0.0, -0.0, 5e-324, -1e-300, 0.3, -2.5, 7.0, 1e200, -1e300, 1.0]
+POINTS = np.vstack([
+    [(a, b) for a in SPECIAL for b in SPECIAL],
+    np.random.default_rng(11).normal(size=(400, 2))
+    * 10.0 ** np.random.default_rng(12).integers(-3, 4, size=(400, 1))])
+
+_atoms = st.sampled_from(["x1", "x2", "0", "0.0", "1", "2", ".5", "1.5", "3"])
+
+
+def _grow(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        inner.map(lambda e: f"-{e}"),
+        st.tuples(st.sampled_from(sorted(funcs._FUNCS_1)), inner).map(
+            lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(st.sampled_from(sorted(funcs._FUNCS_2)), inner, inner).map(
+            lambda t: f"{t[0]}({t[1]}, {t[2]})"),
+        st.tuples(inner, inner, inner).map(
+            lambda t: f"guard({t[0]}, {t[1]}, {t[2]})"),
+    )
+
+
+expressions = st.recursive(_atoms, _grow, max_leaves=8)
+
+
+class TestCompiledExpressions:
+    """Compiled closures give the tree walker's bits on every input."""
+
+    @staticmethod
+    def assert_same(src: str, X: np.ndarray):
+        h, ref = funcs.parse_expr(src, 2), reference_handle(src, 2)
+        for pts in (X, np.asfortranarray(X)):
+            assert same_bits(h._fn(pts), ref._fn(pts)), src
+            try:
+                want = ref(pts)
+            except EvaluationError as exc:
+                with pytest.raises(EvaluationError) as got:
+                    h(pts)
+                assert str(got.value) == str(exc)
+            else:
+                assert h(pts).tobytes() == want.tobytes(), src
+
+    @given(st.lists(expressions, min_size=1, max_size=3).map(", ".join))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_walker(self, src):
+        self.assert_same(src, POINTS)
+
+    @pytest.mark.parametrize("src", [
+        "x1*x1*sin(1/x1)", "x1*sin(1/x1) + 0*x2", "guard(sin(1/x1), 0, 0)",
+        "guard(x2/x1, 0.0, -x2)", "x1", "x2, x1", "-x1*0", "0*(1/0)",
+        "x1^2 + x1^.5 + x1^1.5", "min(x1, -x1), max(x1*0, -0)", "1/0 + x1",
+        "3", "sqrt(x1) * 0", "sign(x1) * x2 - x2",
+    ])
+    def test_named_cases(self, src):
+        self.assert_same(src, POINTS)
+
+    def test_a_bare_variable_is_a_copy(self):
+        X = np.array([[1.0, 2.0], [3.0, 4.0]])
+        out = funcs.parse_expr("x2", 2)(X)
+        out[:] = 0.0
+        assert X.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+class TestHandleLayouts:
+    """Every handle kind gives the same bits for coordinate-major points,
+    which the quotient scan passes."""
+
+    @staticmethod
+    def assert_layouts_agree(h):
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-1.5, 1.5, size=(4099, h.m))
+        X[::7] = 0.0
+        X[1::11] *= 1e-9
+        want = h(X)
+        for pts in (np.asfortranarray(X), np.ascontiguousarray(X.T).T):
+            assert h(pts).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", [n.replace("(d)", "(4)")
+                                      for n, _ in funcs.builtin_names()])
+    def test_builtins(self, name):
+        self.assert_layouts_agree(funcs.builtin(name))
+
+    def test_grid_handles(self, tmp_path):
+        xs = np.linspace(-2.0, 2.0, 17).tolist()
+        line = tmp_path / "line.csv"
+        line.write_text("x1,x2\n" + "".join(f"{x!r},{math.sin(3 * x)!r}\n" for x in xs))
+        self.assert_layouts_agree(funcs.grid_handle_from_csv(str(line)))
+        plane = tmp_path / "plane.csv"
+        plane.write_text("x1,x2,x3\n" + "".join(
+            f"{a!r},{b!r},{math.cos(a * b) + a!r}\n" for a in xs for b in xs[::2]))
+        self.assert_layouts_agree(funcs.grid_handle_from_csv(str(plane)))
+
+    def test_compositions(self):
+        h = funcs.compose_handles(funcs.parse_expr("x1*x2, sin(x1)", 2),
+                                  funcs.builtin("cbrt_x1"))
+        self.assert_layouts_agree(h)
+
+
 class TestBuiltins:
     def test_all_listed_tags_resolve(self):
         for name, _ in funcs.builtin_names():
