@@ -108,6 +108,10 @@ _HIGH = np.vstack([_FULL, np.column_stack([_FULL[:, 0], _LOW[:, 1:]])])
 def cone_to_json(cone: FiberCone, rows: list | None = None) -> dict:
     """Structured form of a cone.
 
+    The kind ``"polyhedral"`` marks the zero cone, written with an empty
+    ``"generators"`` list, or the full cone, written with an empty
+    ``"halfspaces"`` list; in 2-D both carry their ``"arcs"`` as well.
+
     A sampled cone's direction matrix goes into the dict as nested lists,
     or, when ``rows`` is given, is appended to ``rows`` and replaced by a
     placeholder string that ``render_report`` swaps for the matrix text.
@@ -118,12 +122,9 @@ def cone_to_json(cone: FiberCone, rows: list | None = None) -> dict:
         out["kind"] = "arcs"
         out["arcs"] = [[round(float(lo), 6), round(float(hi), 6)]
                        for lo, hi in rep.arcs]
-    elif isinstance(rep, cones.Polyhedral):
+    elif isinstance(rep, cones.Trivial):
         out["kind"] = "polyhedral"
-        if rep.generators is not None:
-            out["generators"] = np.round(rep.generators, 6).tolist()
-        if rep.halfspaces is not None:
-            out["halfspaces"] = np.round(rep.halfspaces, 6).tolist()
+        out["halfspaces" if rep.full else "generators"] = []
         if cone.dim == 2:
             out["arcs"] = [[round(float(lo), 6), round(float(hi), 6)]
                            for lo, hi in cones.as_arcs(cone).rep.arcs]

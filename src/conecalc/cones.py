@@ -3,10 +3,9 @@
 A ``FiberCone`` is a closed cone of directions sitting in the fiber of a
 (co)tangent space, stored in one of three representations:
 
-``Polyhedral``
-    finitely many generators and/or halfspaces, exact algebra.  The
-    missing description is completed on demand by a small double
-    description sweep (intended for ambient dimension <= 4).
+``Trivial``
+    the zero cone {0} or the whole fiber, which every operation answers
+    exactly.
 ``Arcs2D``
     a union of closed angular intervals on the unit circle, exact
     algebra for two-dimensional fibers.
@@ -225,82 +224,14 @@ def _arcs_directed(a, b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# double description: generators of an intersection of halfspaces
-
-
-def _dedupe_rays(rays: np.ndarray) -> np.ndarray:
-    if len(rays) == 0:
-        return rays
-    n = np.linalg.norm(rays, axis=1)
-    rays = rays[n > 1e-12] / n[n > 1e-12, None]
-    if len(rays) == 0:
-        return rays
-    _, idx = np.unique(np.round(rays, 9), axis=0, return_index=True)
-    return rays[np.sort(idx)]
-
-
-def _prune_rays(rays: np.ndarray) -> np.ndarray:
-    """Greedily drop rays expressible as nonnegative combinations of the rest."""
-    if len(rays) <= 1:
-        return rays
-    # imported here: scipy.optimize takes 0.1 s to import and few runs prune
-    from scipy.optimize import nnls
-
-    out = [r for r in rays]
-    i = 0
-    while i < len(out):
-        others = out[:i] + out[i + 1 :]
-        A = np.array(others).T
-        _, res = nnls(A, out[i])
-        if res < 1e-8:
-            out.pop(i)
-        else:
-            i += 1
-    return np.array(out)
-
-
-def dual_rays(rows: np.ndarray, dim: int) -> np.ndarray:
-    """Generators of {x : <r, x> >= 0 for every row r}.
-
-    Also serves as the generator-to-halfspace converter, because the
-    halfspaces of cone(G) are exactly the generators of its polar.
-    """
-    rays = np.vstack([np.eye(dim), -np.eye(dim)])
-    A = np.asarray(rows, dtype=float).reshape(-1, dim)
-    norms = np.linalg.norm(A, axis=1)
-    A = A[norms > 1e-12] / norms[norms > 1e-12, None]
-    for h in A:
-        s = rays @ h
-        keep = rays[s >= -1e-10]
-        plus = rays[s > 1e-10]
-        minus = rays[s < -1e-10]
-        if len(plus) and len(minus):
-            sp = plus @ h
-            sm = minus @ h
-            combos = sp[:, None, None] * minus[None, :, :] - sm[None, :, None] * plus[:, None, :]
-            rays = np.vstack([keep, combos.reshape(-1, dim)])
-        else:
-            rays = keep
-        rays = _dedupe_rays(rays)
-        if len(rays) > 6 * dim:
-            rays = _prune_rays(rays)
-    return _prune_rays(_dedupe_rays(rays))
-
-
-# ---------------------------------------------------------------------------
 # representations
 
 
 @dataclass(frozen=True)
-class Polyhedral:
-    """generators: rows spanning the cone; halfspaces: rows h with <h,v> >= 0."""
+class Trivial:
+    """The zero cone {0} (full=False) or the whole fiber (full=True)."""
 
-    generators: np.ndarray | None = None
-    halfspaces: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.generators is None and self.halfspaces is None:
-            raise ValueError("need generators or halfspaces")
+    full: bool
 
 
 @dataclass(frozen=True)
@@ -314,7 +245,7 @@ class Sampled:
     resolution: float
 
 
-Representation = Polyhedral | Arcs2D | Sampled
+Representation = Trivial | Arcs2D | Sampled
 
 
 @dataclass(frozen=True)
@@ -324,22 +255,6 @@ class FiberCone:
     base_point: np.ndarray | None = None
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def from_generators(gens, dim: int | None = None, base_point=None) -> "FiberCone":
-        g = np.asarray(gens, dtype=float)
-        if g.size == 0:
-            if dim is None:
-                raise ValueError("dimension needed for the zero cone")
-            g = g.reshape(0, dim)
-        else:
-            g = np.atleast_2d(g)
-        return FiberCone(g.shape[1], Polyhedral(generators=g), _opt_vec(base_point))
-
-    @staticmethod
-    def from_halfspaces(rows, dim: int, base_point=None) -> "FiberCone":
-        h = np.asarray(rows, dtype=float).reshape(-1, dim)
-        return FiberCone(dim, Polyhedral(halfspaces=h), _opt_vec(base_point))
 
     @staticmethod
     def from_arcs(arcs, base_point=None) -> "FiberCone":
@@ -358,30 +273,26 @@ class FiberCone:
 
     @staticmethod
     def zero(dim: int, base_point=None) -> "FiberCone":
-        return FiberCone.from_generators(np.zeros((0, dim)), dim, base_point)
+        return FiberCone(dim, Trivial(False), _opt_vec(base_point))
 
     @staticmethod
     def full(dim: int, base_point=None) -> "FiberCone":
-        return FiberCone(dim, Polyhedral(halfspaces=np.zeros((0, dim))),
-                         _opt_vec(base_point))
+        return FiberCone(dim, Trivial(True), _opt_vec(base_point))
 
     # -- basic queries -------------------------------------------------
 
-    def is_zero(self, tol: float = 1e-9) -> bool:
+    def is_zero(self) -> bool:
         r = self.rep
+        if isinstance(r, Trivial):
+            return not r.full
         if isinstance(r, Arcs2D):
             return not r.arcs
-        if isinstance(r, Sampled):
-            return len(r.directions) == 0
-        if r.generators is not None:
-            return len(r.generators) == 0 or bool(
-                np.all(np.linalg.norm(r.generators, axis=1) < tol))
-        return len(generators_of(self)) == 0
+        return len(r.directions) == 0
 
     def resolution(self) -> float:
         if isinstance(self.rep, Sampled):
             return self.rep.resolution
-        return sampling.grid_resolution(self.dim) if self.dim > 1 else 0.0
+        return sampling.grid_resolution(self.dim)
 
 
 def _opt_vec(v):
@@ -392,23 +303,15 @@ def _opt_vec(v):
 # representation access and conversion
 
 
-def generators_of(cone: FiberCone) -> np.ndarray:
-    """Generator rows for a polyhedral cone, completing via duality if needed."""
-    rep = cone.rep
-    if not isinstance(rep, Polyhedral):
-        raise TypeError("generators_of expects a polyhedral cone")
-    if rep.generators is not None:
-        return rep.generators
-    return dual_rays(rep.halfspaces, cone.dim)
-
-
-def halfspaces_of(cone: FiberCone) -> np.ndarray:
-    rep = cone.rep
-    if not isinstance(rep, Polyhedral):
-        raise TypeError("halfspaces_of expects a polyhedral cone")
-    if rep.halfspaces is not None:
-        return rep.halfspaces
-    return dual_rays(rep.generators, cone.dim)
+def _dedupe_rays(rays: np.ndarray) -> np.ndarray:
+    if len(rays) == 0:
+        return rays
+    n = np.linalg.norm(rays, axis=1)
+    rays = rays[n > 1e-12] / n[n > 1e-12, None]
+    if len(rays) == 0:
+        return rays
+    _, idx = np.unique(np.round(rays, 9), axis=0, return_index=True)
+    return rays[np.sort(idx)]
 
 
 def member_directions(cone: FiberCone) -> np.ndarray:
@@ -417,36 +320,29 @@ def member_directions(cone: FiberCone) -> np.ndarray:
 
 
 def as_sampled(cone: FiberCone) -> FiberCone:
+    """Sampled form: the full cone is the whole grid, the zero cone no rows.
+
+    Arcs give the 2-D grid directions they hold plus their ends and
+    midpoints.
+    """
     rep = cone.rep
     if isinstance(rep, Sampled):
         return cone
-    dim = cone.dim
-    if isinstance(rep, Arcs2D):
-        n = sampling.GRID_SIZES[2]
-        step = TWO_PI / n
-        picks = []
-        for lo, hi in rep.arcs:
-            k0 = math.ceil((lo - 1e-12) / step)
-            k1 = math.floor((hi + 1e-12) / step)
-            picks.extend(np.arange(k0, k1 + 1) * step)
-            picks.extend([lo, (lo + hi) / 2.0, hi])
-        th = np.asarray(picks, dtype=float)
-        dirs = np.column_stack([np.cos(th), np.sin(th)])
-        return FiberCone(2, Sampled(_dedupe_rays(dirs), step), cone.base_point)
-    # polyhedral: grid points within half a grid step, plus the generators
-    # themselves; the collar keeps subspace cones (empty interior) populated
-    H = halfspaces_of(cone)
-    grid = sampling.unit_grid(dim)
-    if len(H):
-        Hn = H / np.linalg.norm(H, axis=1, keepdims=True)
-        thr = -math.sin(0.5 * sampling.grid_resolution(dim))
-        ok = np.all(grid @ Hn.T >= thr, axis=1)
-        inside = grid[ok]
-    else:
-        inside = grid
-    gens = rep.generators if rep.generators is not None else generators_of(cone)
-    dirs = _dedupe_rays(np.vstack([inside, gens.reshape(-1, dim)]))
-    return FiberCone(dim, Sampled(dirs, sampling.grid_resolution(dim)), cone.base_point)
+    if isinstance(rep, Trivial):
+        dim = cone.dim
+        dirs = sampling.unit_grid(dim) if rep.full else np.zeros((0, dim))
+        return FiberCone(dim, Sampled(dirs, sampling.grid_resolution(dim)),
+                         cone.base_point)
+    step = TWO_PI / sampling.GRID_SIZES[2]
+    picks = []
+    for lo, hi in rep.arcs:
+        k0 = math.ceil((lo - 1e-12) / step)
+        k1 = math.floor((hi + 1e-12) / step)
+        picks.extend(np.arange(k0, k1 + 1) * step)
+        picks.extend([lo, (lo + hi) / 2.0, hi])
+    th = np.asarray(picks, dtype=float)
+    dirs = np.column_stack([np.cos(th), np.sin(th)])
+    return FiberCone(2, Sampled(_dedupe_rays(dirs), step), cone.base_point)
 
 
 def as_arcs(cone: FiberCone) -> FiberCone:
@@ -456,13 +352,10 @@ def as_arcs(cone: FiberCone) -> FiberCone:
     rep = cone.rep
     if isinstance(rep, Arcs2D):
         return cone
-    if isinstance(rep, Sampled):
-        th = np.mod(np.arctan2(rep.directions[:, 1], rep.directions[:, 0]), TWO_PI)
-        return FiberCone(2, Arcs2D(arcs_normalize([(t, t) for t in th])), cone.base_point)
-    gens = generators_of(cone)
-    th = np.mod(np.arctan2(gens[:, 1], gens[:, 0]), TWO_PI)
-    hull = arcs_convex_hull([(t, t) for t in th])
-    return FiberCone(2, Arcs2D(hull), cone.base_point)
+    if isinstance(rep, Trivial):
+        return FiberCone(2, Arcs2D(_FULL if rep.full else ()), cone.base_point)
+    th = np.mod(np.arctan2(rep.directions[:, 1], rep.directions[:, 0]), TWO_PI)
+    return FiberCone(2, Arcs2D(arcs_normalize([(t, t) for t in th])), cone.base_point)
 
 
 def arcs_cover(cone: FiberCone, slack: float | None = None) -> FiberCone:
@@ -474,7 +367,7 @@ def arcs_cover(cone: FiberCone, slack: float | None = None) -> FiberCone:
     """
     if cone.dim != 2:
         raise DimensionMismatchError("arc cover needs a 2-dimensional fiber")
-    if isinstance(cone.rep, (Arcs2D, Polyhedral)):
+    if isinstance(cone.rep, (Arcs2D, Trivial)):
         return as_arcs(cone)
     mask = grid_membership(cone, slack)
     if not mask.any():
@@ -498,14 +391,10 @@ def grid_membership(cone: FiberCone, slack: float | None = None) -> np.ndarray:
     dim = cone.dim
     grid = sampling.unit_grid(dim)
     rep = cone.rep
+    if isinstance(rep, Trivial):
+        return np.full(len(grid), rep.full)
     if slack is None:
         slack = 0.51 * max(cone.resolution(), sampling.grid_resolution(dim))
-    if isinstance(rep, Polyhedral):
-        H = halfspaces_of(cone)
-        if len(H) == 0:
-            return np.ones(len(grid), dtype=bool)
-        Hn = H / np.linalg.norm(H, axis=1, keepdims=True)
-        return np.all(grid @ Hn.T >= -math.sin(slack), axis=1)
     if isinstance(rep, Arcs2D):
         th = np.mod(np.arctan2(grid[:, 1], grid[:, 0]), TWO_PI)
         return np.array([arcs_contains(rep.arcs, t, tol=slack) for t in th])
@@ -525,9 +414,7 @@ def antipodal(cone: FiberCone) -> FiberCone:
     if isinstance(rep, Sampled):
         return FiberCone(cone.dim, Sampled(-rep.directions, rep.resolution),
                          cone.base_point)
-    g = -rep.generators if rep.generators is not None else None
-    h = -rep.halfspaces if rep.halfspaces is not None else None
-    return FiberCone(cone.dim, Polyhedral(g, h), cone.base_point)
+    return cone
 
 
 def polar(cone: FiberCone, slack: float | None = None) -> FiberCone:
@@ -535,10 +422,8 @@ def polar(cone: FiberCone, slack: float | None = None) -> FiberCone:
     rep = cone.rep
     if isinstance(rep, Arcs2D):
         return FiberCone(2, Arcs2D(arcs_polar(rep.arcs)), cone.base_point)
-    if isinstance(rep, Polyhedral):
-        return FiberCone(cone.dim, Polyhedral(generators=rep.halfspaces,
-                                              halfspaces=rep.generators),
-                         cone.base_point)
+    if isinstance(rep, Trivial):
+        return FiberCone(cone.dim, Trivial(not rep.full), cone.base_point)
     dirs = rep.directions
     if len(dirs) == 0:
         return FiberCone.full(cone.dim, cone.base_point)
@@ -651,12 +536,8 @@ def contains(cone: FiberCone, v, tol: float | None = None) -> bool:
     rep = cone.rep
     if isinstance(rep, Arcs2D):
         return arcs_contains(rep.arcs, math.atan2(v[1], v[0]), tol=tol)
-    if isinstance(rep, Polyhedral):
-        H = halfspaces_of(cone)
-        if len(H) == 0:
-            return True
-        Hn = H / np.linalg.norm(H, axis=1, keepdims=True)
-        return bool(np.all(Hn @ v >= -math.sin(tol)))
+    if isinstance(rep, Trivial):
+        return rep.full
     if len(rep.directions) == 0:
         return False
     return bool(sampling.near_set(v[None, :], rep.directions, tol)[0])
@@ -677,13 +558,12 @@ def _contains_rows(cone: FiberCone, U: np.ndarray, norms: np.ndarray,
     """``contains(cone, u, tol)`` for every row u of U, given its norm.
 
     A sampled cone answers all rows with one ``near_set`` call, which
-    decides each row as it would alone; arcs take one angle per row and
-    polyhedral cones go through ``contains`` row by row.
+    decides each row as it would alone; arcs take one angle per row.
     """
     rep = cone.rep
-    if isinstance(rep, Polyhedral):
-        return np.array([contains(cone, u, tol=tol) for u in U], dtype=bool)
     out = norms < 1e-14
+    if isinstance(rep, Trivial):
+        return out | rep.full
     ask = ~out
     V = U[ask] / norms[ask, None]
     if isinstance(rep, Arcs2D):
@@ -699,9 +579,8 @@ def contains_line(cone: FiberCone, tol: float = 1e-9) -> bool:
     rep = cone.rep
     if isinstance(rep, Arcs2D):
         return bool(arcs_intersect(rep.arcs, arcs_rotate(rep.arcs, np.pi)))
-    if isinstance(rep, Polyhedral):
-        return any(contains(cone, -g, tol=tol) for g in generators_of(cone)
-                   if np.linalg.norm(g) > 1e-12)
+    if isinstance(rep, Trivial):
+        return rep.full
     d = rep.directions
     if len(d) == 0:
         return False
@@ -722,9 +601,8 @@ def intersect(a: FiberCone, b: FiberCone) -> FiberCone:
     ra, rb = a.rep, b.rep
     if isinstance(ra, Arcs2D) and isinstance(rb, Arcs2D):
         return FiberCone(2, Arcs2D(arcs_intersect(ra.arcs, rb.arcs)), a.base_point)
-    if isinstance(ra, Polyhedral) and isinstance(rb, Polyhedral):
-        H = np.vstack([halfspaces_of(a), halfspaces_of(b)])
-        return FiberCone(a.dim, Polyhedral(halfspaces=H), a.base_point)
+    if isinstance(ra, Trivial) and isinstance(rb, Trivial):
+        return FiberCone(a.dim, Trivial(ra.full and rb.full), a.base_point)
     if a.dim == 2:
         return intersect(as_arcs(a), as_arcs(b))
     mask = grid_membership(a) & grid_membership(b)
@@ -734,14 +612,13 @@ def intersect(a: FiberCone, b: FiberCone) -> FiberCone:
 
 
 def join(a: FiberCone, b: FiberCone) -> FiberCone:
-    """Set union for arc/sampled cones, conic hull for polyhedral ones."""
+    """Set union of the two cones."""
     _check_dims(a, b)
     ra, rb = a.rep, b.rep
     if isinstance(ra, Arcs2D) and isinstance(rb, Arcs2D):
         return FiberCone(2, Arcs2D(arcs_union(ra.arcs, rb.arcs)), a.base_point)
-    if isinstance(ra, Polyhedral) and isinstance(rb, Polyhedral):
-        g = np.vstack([generators_of(a), generators_of(b)])
-        return FiberCone(a.dim, Polyhedral(generators=g), a.base_point)
+    if isinstance(ra, Trivial) and isinstance(rb, Trivial):
+        return FiberCone(a.dim, Trivial(ra.full or rb.full), a.base_point)
     sa, sb = as_sampled(a), as_sampled(b)
     dirs = _dedupe_rays(np.vstack([sa.rep.directions, sb.rep.directions]))
     return FiberCone(a.dim, Sampled(dirs, max(sa.rep.resolution, sb.rep.resolution)),
@@ -775,10 +652,8 @@ def linear_image(cone: FiberCone, M: np.ndarray) -> FiberCone:
     if abs(det) < 1e-12:
         raise ValueError("linear_image needs an invertible matrix")
     rep = cone.rep
-    if isinstance(rep, Polyhedral):
-        g = rep.generators @ M.T if rep.generators is not None else None
-        h = rep.halfspaces @ np.linalg.inv(M) if rep.halfspaces is not None else None
-        return FiberCone(cone.dim, Polyhedral(g, h), cone.base_point)
+    if isinstance(rep, Trivial):
+        return cone
     if isinstance(rep, Sampled):
         d = rep.directions @ M.T
         return FiberCone(cone.dim, Sampled(_dedupe_rays(d), rep.resolution),

@@ -61,7 +61,6 @@ DIVERGENCE_CAP = 1e3
 HARD_CAP = 1e9
 T_SUBSTEPS = 30          # t sub-ladder: r_k * 2**-(0..29)
 QUOTIENT_ROW_CAP = 1 << 18  # probe points per f call in the quotient scan
-GROWTH_FACTOR = 1.2      # per-scale growth that counts as monotone blow-up
 NOISE_BUDGET = 1e-7      # cancellation noise allowed in a single quotient
 
 

@@ -38,31 +38,26 @@ def _result(passed, worst, tolerance, cases, **extra):
 # randomized algebraic properties
 
 
-def _poly_subset_violation(a: FiberCone, b: FiberCone) -> float:
-    """max over generators of a of the (negative) halfspace slack in b."""
-    G = cones.generators_of(a)
-    H = cones.halfspaces_of(b)
-    if len(G) == 0 or len(H) == 0:
-        return 0.0
-    G = G / np.maximum(np.linalg.norm(G, axis=1, keepdims=True), 1e-300)
-    H = H / np.maximum(np.linalg.norm(H, axis=1, keepdims=True), 1e-300)
-    return max(0.0, float(-(G @ H.T).min()))
-
-
 @_prop("bipolarity")
 def _bipolarity(seed: int) -> dict:
-    """polar(polar(C)) = C for random polyhedral cones in R^3, exactly."""
+    """polar(polar(C)) = C within 2 rho on convex sampled cones in R^3.
+
+    C is the sampled bipolar polar(polar(S)) of 2-5 random directions S,
+    the kind of convex cone the commands compute, and rho is the 3-D grid
+    resolution.  When S lies in no closed halfspace, its polar is the zero
+    cone and C is the full cone, so those cases check the zero and full
+    cones too.
+    """
     rng = np.random.default_rng(sampling.child_seed(seed, 101))
-    tol = 1e-9
+    tol = 2.0 * sampling.grid_resolution(3)
     worst = 0.0
-    for _ in range(50):
+    for _ in range(16):
         k = int(rng.integers(2, 6))
-        gens = rng.standard_normal((k, 3))
-        c = FiberCone.from_generators(gens, 3)
-        cc = cones.polar(cones.polar(c))
-        worst = max(worst, _poly_subset_violation(c, cc),
-                    _poly_subset_violation(cc, c))
-    return _result(worst <= tol, worst, tol, 50)
+        s = FiberCone.from_directions(rng.standard_normal((k, 3)), 3)
+        c = cones.polar(cones.polar(s))
+        worst = max(worst,
+                    cones.hausdorff_angle(cones.polar(cones.polar(c)), c))
+    return _result(worst <= tol, worst, tol, 16)
 
 
 def _random_symmetric_arcs(rng) -> FiberCone:

@@ -233,7 +233,7 @@ class TestDualCausalBatch:
     """One membership batch per cone gives the member loop's verdict."""
 
     RAY = FiberCone.from_directions(np.array([[1.0]]), 1, resolution=1e-9)
-    BACK = FiberCone.from_generators([[-1.0]], 1)
+    BACK = FiberCone.from_directions(np.array([[-1.0]]), 1, resolution=1e-9)
 
     @pytest.mark.parametrize("tag,x", [("cube", 0.4), ("abs", 0.0), ("cbrt", 0.0),
                                        ("x2sin", 0.0)])

@@ -60,6 +60,26 @@ def test_a_run_imports_neither_scipy_stats_nor_optimize(tmp_path):
     assert done.stdout == "0 []\n"
 
 
+def test_verify_and_cones_runs_do_not_import_scipy_optimize(tmp_path):
+    # the zero and full cones need no solver: the bipolarity property and a
+    # 3-D cones run, whose report holds both, leave scipy.optimize unloaded
+    wedge_cloud_csv(tmp_path / "cloud.csv", n=300)
+    script = (
+        "import sys\n"
+        "import conecalc.cli as cli\n"
+        "codes = [cli.main(['verify', '--only', 'bipolarity', '--seed', '0', "
+        "'--report', sys.argv[1] + '/v.json']),\n"
+        "         cli.main(['cones', '--csv', sys.argv[1] + '/cloud.csv', "
+        "'--at', '0,0,0', '--seed', '0', '--report', sys.argv[1] + '/c.json'])]\n"
+        "print(codes, 'scipy.optimize' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[0, 0] False\n"
+    assert '"kind": "polyhedral"' in (tmp_path / "c.json").read_text()
+
+
 class TestUsageErrors:
     """Everything user-fixable exits 1 with a message on stderr."""
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from conecalc import cones, geometry, sampling
+from conecalc import cli, cones, geometry, sampling
 from conecalc.cones import FiberCone
 from conecalc.errors import DimensionMismatchError
 
@@ -135,53 +135,88 @@ class TestArcArithmetic:
         assert (d <= 1e-9) == cones.arcs_contains(arcs, theta, tol=1e-9)
 
 
-class TestPolyhedral:
-    def test_dual_rays_quadrant(self):
-        # halfspaces x>=0, y>=0 generate the nonnegative quadrant
-        G = cones.dual_rays(np.eye(2), 2)
-        want = {(1.0, 0.0), (0.0, 1.0)}
-        got = {tuple(np.round(g / np.linalg.norm(g), 9)) for g in G}
-        assert got == want
+# the resolutions of the standard grids, which the zero and full cones report
+GRID_RESOLUTION_HEX = {1: "0x0.0p+0", 2: "0x1.1df46a2529d39p-7",
+                       3: "0x1.b180117b136bap-6", 4: "0x1.8ce19e3831d0cp-5"}
 
-    def test_polar_swaps_descriptions(self):
-        c = FiberCone.from_generators([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], 3)
-        p = cones.polar(c)
-        H = cones.halfspaces_of(p)
-        G = cones.generators_of(c)
-        assert np.all(G @ H.T >= -1e-9)
 
-    def test_bipolar_roundtrip_fixed(self):
-        gens = np.array([[1.0, 2.0, 0.5], [-1.0, 1.0, 1.0], [0.3, -0.2, 2.0]])
-        c = FiberCone.from_generators(gens, 3)
-        cc = cones.polar(cones.polar(c))
-        H = cones.halfspaces_of(cc)
-        assert np.all(gens @ H.T >= -1e-8)
-        H0 = cones.halfspaces_of(c)
-        G2 = cones.generators_of(cc)
-        assert np.all(G2 @ H0.T >= -1e-8)
+def trivial_json(dim, full):
+    """The report form of the zero or the full cone."""
+    out = {"dim": dim, "kind": "polyhedral",
+           ("halfspaces" if full else "generators"): []}
+    if dim == 2:
+        out["arcs"] = [[0.0, 6.283185]] if full else []
+    return out
 
-    @given(st.integers(0, 2 ** 31 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_bipolar_random(self, seed):
-        rng = np.random.default_rng(seed)
-        gens = rng.standard_normal((int(rng.integers(2, 6)), 3))
-        c = FiberCone.from_generators(gens, 3)
-        cc = cones.polar(cones.polar(c))
-        for a, b in ((c, cc), (cc, c)):
-            G = cones.generators_of(a)
-            H = cones.halfspaces_of(b)
-            if len(G) and len(H):
-                Gn = G / np.linalg.norm(G, axis=1, keepdims=True)
-                Hn = H / np.linalg.norm(H, axis=1, keepdims=True)
-                assert (Gn @ Hn.T).min() >= -1e-9
+
+class TestTrivialCones:
+    """Every operation answers the zero and the full cone exactly, and
+    reports write them as polyhedral cones with no generators or no
+    halfspaces."""
 
     def test_full_and_zero(self):
-        full = FiberCone.full(3)
-        zero = FiberCone.zero(3)
-        assert not full.is_zero() and zero.is_zero()
-        assert cones.polar(full).is_zero()
-        g = cones.generators_of(cones.polar(zero))
-        assert len(g) >= 6  # polar of zero is everything
+        for dim in (1, 2, 3, 4):
+            zero, full = FiberCone.zero(dim), FiberCone.full(dim)
+            assert zero.is_zero() and not full.is_zero()
+            assert not cones.contains_line(zero) and cones.contains_line(full)
+            M = np.eye(dim) + 0.3 * np.tri(dim, k=-1)
+            for c, is_full in ((zero, False), (full, True)):
+                assert c.resolution().hex() == GRID_RESOLUTION_HEX[dim]
+                for same in (c, cones.antipodal(c), cones.linear_image(c, M)):
+                    assert cli.cone_to_json(same) == trivial_json(dim, is_full)
+                assert cli.cone_to_json(cones.polar(c)) == trivial_json(dim, not is_full)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_membership(self, dim):
+        zero, full = FiberCone.zero(dim), FiberCone.full(dim)
+        n = len(sampling.unit_grid(dim))
+        assert cones.grid_membership(zero).tolist() == [False] * n
+        assert cones.grid_membership(full).tolist() == [True] * n
+        V = np.random.default_rng(dim).standard_normal((20, dim))
+        V[0] = 0.0
+        for tol in (None, 1e-9, 0.05, 0.4):
+            assert [cones.contains(zero, v, tol=tol) for v in V] == [True] + [False] * 19
+            assert all(cones.contains(full, v, tol=tol) for v in V)
+            if tol is not None:
+                norms = cones._row_norms(V)
+                assert cones._contains_rows(zero, V, norms, tol).tolist() == [True] + [False] * 19
+                assert cones._contains_rows(full, V, norms, tol).all()
+
+    def test_arcs(self):
+        zero, full = FiberCone.zero(2), FiberCone.full(2)
+        for c, arcs in ((zero, ()), (full, ((0.0, TWO_PI),))):
+            assert cones.as_arcs(c).rep.arcs == arcs
+            assert cones.arcs_cover(c).rep.arcs == arcs
+            assert cones.top(c).rep == cones.Arcs2D(arcs)
+
+    @pytest.mark.parametrize("dim", [1, 3, 4])
+    def test_top(self, dim):
+        assert cli.cone_to_json(cones.top(FiberCone.zero(dim))) == trivial_json(dim, False)
+        top = cones.top(FiberCone.full(dim)).rep
+        # every grid row is nearly orthogonal to some other row, so the top
+        # of the full cone is the whole grid; in 1-D no row is
+        want = sampling.unit_grid(dim) if dim > 1 else np.zeros((0, 1))
+        assert top.directions.tobytes() == want.tobytes()
+        assert top.resolution.hex() == GRID_RESOLUTION_HEX[dim]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_sampled_forms(self, dim):
+        zero = cones.as_sampled(FiberCone.zero(dim)).rep
+        full = cones.as_sampled(FiberCone.full(dim)).rep
+        assert zero.directions.shape == (0, dim)
+        assert full.directions.tobytes() == sampling.unit_grid(dim).tobytes()
+        for rep in (zero, full):
+            assert rep.resolution.hex() == GRID_RESOLUTION_HEX[dim]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_intersect_and_join(self, dim):
+        zero, full = FiberCone.zero(dim), FiberCone.full(dim)
+        for a, b, meet, hull in ((zero, zero, False, False), (zero, full, False, True),
+                                 (full, zero, False, True), (full, full, True, True)):
+            assert cli.cone_to_json(cones.intersect(a, b)) == trivial_json(dim, meet)
+            assert cli.cone_to_json(cones.join(a, b)) == trivial_json(dim, hull)
+            want = 0.0 if meet == hull else math.inf
+            assert cones.hausdorff_angle(cones.intersect(a, b), cones.join(a, b)) == want
 
 
 def dense_polar_mask(grid, dirs, thr):
@@ -491,8 +526,11 @@ class TestTopDuality:
 
 class TestMembership:
     def test_contains_polyhedral(self):
-        q = FiberCone.from_halfspaces(np.eye(2), 2)
+        # the closed first quadrant, sampled on the grid
+        grid = sampling.unit_grid(2)
+        q = FiberCone.from_directions(grid[(grid >= 0.0).all(axis=1)], 2)
         assert cones.contains(q, [1.0, 1.0])
+        assert cones.contains(q, [0.0, 3.0])
         assert not cones.contains(q, [-1.0, 0.2])
 
     def test_contains_arcs(self):
@@ -501,8 +539,8 @@ class TestMembership:
         assert not cones.contains(c, [-1.0, -1.0])
 
     def test_contains_line_detects_subspace(self):
-        line = FiberCone.from_generators([[1.0, 0.0], [-1.0, 0.0]], 2)
-        ray = FiberCone.from_generators([[1.0, 0.0]], 2)
+        line = FiberCone.from_directions([[1.0, 0.0], [-1.0, 0.0]], 2)
+        ray = FiberCone.from_directions([[1.0, 0.0]], 2)
         assert cones.contains_line(line)
         assert not cones.contains_line(ray)
 
@@ -517,8 +555,7 @@ class TestResolution:
         # cone.resolution() stands in for as_sampled(cone).rep.resolution
         gens = np.random.default_rng(dim).standard_normal((3, dim))
         cases = [FiberCone.zero(dim), FiberCone.full(dim),
-                 FiberCone.from_generators(gens, dim),
-                 FiberCone.from_halfspaces(gens, dim),
+                 FiberCone.from_directions(gens, dim),
                  FiberCone.from_directions(gens, dim, resolution=0.0123)]
         if dim == 2:
             cases.append(FiberCone.from_arcs([(0.2, 1.1), (3.0, 3.0)]))
@@ -601,12 +638,14 @@ def reference_apply_relation(cone, rel, tol=None):
 
 def membership_cones(dim):
     """One cone of each representation in the given dimension."""
-    rng = np.random.default_rng(dim)
+    H = np.random.default_rng(dim).standard_normal((2, dim))
+    grid = sampling.unit_grid(dim)
     out = [FiberCone.from_directions(random_sampled_cone(dim, 3, count=300,
                                                          spread=0.6), dim),
            FiberCone.from_directions(np.zeros((0, dim)), dim),
-           FiberCone.from_halfspaces(rng.standard_normal((2, dim)), dim),
-           FiberCone.full(dim)]
+           # the intersection of two halfspaces, sampled on the grid
+           FiberCone.from_directions(grid[(grid @ H.T >= 0.0).all(axis=1)], dim),
+           FiberCone.zero(dim), FiberCone.full(dim)]
     if dim == 2:
         out.append(FiberCone.from_arcs([(0.3, 1.4), (3.0, 3.5)]))
     return out

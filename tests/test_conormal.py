@@ -79,6 +79,36 @@ class TestDimN1:
         assert not est.upper.is_zero()
 
 
+def directed_angle(inner, outer):
+    """The largest angle from a member of inner to the nearest one of outer."""
+    if inner.is_zero():
+        return 0.0
+    if inner.dim == 2:
+        return cones._arcs_directed(cones.as_arcs(inner).rep.arcs,
+                                    cones.as_arcs(outer).rep.arcs)
+    return float(sampling.min_angle_to_set(
+        cones.member_directions(inner), cones.member_directions(outer)).max())
+
+
+class TestGoldenBrackets:
+    """lower is inside upper within 2 rho on the scalar inputs of the golden
+    analyze reports, with their ladders (rho: the fiber's grid resolution)."""
+
+    @pytest.mark.parametrize("fn,at,ladder,lower_zero", [
+        ("abs(x1)", [0.0], {}, False),
+        ("x1*x1*sin(1/x1)", [0.0], {}, False),
+        ("sin(x1)+x2*x2", [0.3, -0.2],
+         {"t0": 0.1, "ratio": 0.5, "k_min": 0, "k_max": 6}, False),
+        ("abs(x1)+x2", [0.0, 0.0], {}, True),
+    ])
+    def test_lower_within_upper(self, fn, at, ladder, lower_zero):
+        f = funcs.parse_expr(fn, len(at))
+        est = conormal.conormal(f, at, dini.ScaleLadder(seed=0, **ladder))
+        assert est.lower.is_zero() == lower_zero
+        rho = sampling.grid_resolution(est.lower.dim)
+        assert directed_angle(est.lower, est.upper) <= 2.0 * rho
+
+
 def split(f, x):
     return conormal.epigraph_split(conormal.conormal(f, x, LAD).upper, f.n)
 

@@ -35,6 +35,9 @@ def referenced_names(tree: ast.AST) -> set:
 
 def unreferenced_public_names() -> list:
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    # the names each top-level statement of each module uses, walked once
+    uses = [(stmt, referenced_names(stmt))
+            for tree in trees.values() for stmt in tree.body]
     found = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -42,14 +45,10 @@ def unreferenced_public_names() -> list:
                 continue
             if node.name.startswith("_"):
                 continue
-            # every other top-level statement of every module, so a
-            # recursive call inside the definition does not count
-            elsewhere = set()
-            for other, other_tree in trees.items():
-                for stmt in other_tree.body:
-                    if not (other == module and stmt is node):
-                        elsewhere |= referenced_names(stmt)
-            if node.name not in elsewhere:
+            # every other top-level statement, so a recursive call inside
+            # the definition does not count
+            if not any(node.name in names for stmt, names in uses
+                       if stmt is not node):
                 found.append(f"{module}.{node.name}")
     return found
 
