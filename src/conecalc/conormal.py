@@ -227,7 +227,7 @@ def conormal_lower_check(w: FiberCone, lam: FiberCone,
                         sampling.grid_resolution(w.dim))
     report = {"passed": True, "worst_angle": 0.0, "worst_direction": None,
               "tolerance": float(tol), "w_count": int(len(WD)),
-              "lambda_count": int(len(LD)), "scaled_ok": None}
+              "lambda_count": int(len(LD))}
     if len(WD) == 0:
         return report
     if len(WD) > CHECK_W_CAP:

@@ -5,7 +5,9 @@ single points approaching x), ``whitney_cone`` (directions of point
 pairs collapsing at x), and ``strict_cone`` (complement of the Whitney
 cone of the set against its complement).  They share one persistence
 rule: a direction counts only if it recurs, within twice the grid
-resolution, at each of the three deepest populated scales.
+resolution rho, at each of the three deepest populated scales; of the
+sampled directions that do, one per voxel of diameter rho/2 is kept, so
+a cone has about as many members as its resolution can tell apart.
 
 For function graphs the Whitney cone has an exact description through
 moving-base quotient slabs, used here for one and two dimensional
@@ -124,89 +126,36 @@ def cloud_from_function(f, x, ladder: dini.ScaleLadder,
 
 
 def _persistent_directions(dir_sets: list[np.ndarray], tol: float) -> np.ndarray:
-    """Directions present (within tol) in every one of the given sets.
+    """Members of the sets that lie within tol of every set, one per voxel.
 
-    The candidates are the members of all sets, rounded to 4 decimals,
-    deduplicated in lexicographic order and normalised.  The order comes
-    from one ``argsort`` of a packed int64 key per row (``_packed_key``),
-    or from a ``lexsort`` of the columns where that key would not fit.
-    A candidate lies within a chord of 1e-4 sqrt(d) of a member of each
-    unit set it came from: 5e-5 per coordinate from the rounding, at most
-    as much again from the normalising.  When that bound is below tol/2,
-    the query of a set skips its own candidates, which pass it whatever
-    the query returns; otherwise every live candidate is queried.  A
-    query is ``sampling.near_set``: a candidate sharing a voxel with a
-    member of the set passes at once, and only the others get a KD
-    search, bounded just above tol, with the same outcome as a full
-    nearest-neighbour search.
+    Deciding is exact: a member passes its own set, and each other set is
+    asked with ``sampling.near_set`` on the raw members.  Of the members
+    that pass, the first in member order in each voxel of side
+    tol / (4 sqrt d) stays.  With tol = 2 rho every passing member lies
+    within rho/2 of a kept row, below the 0.51 rho slack at which
+    ``cones.grid_membership`` reads a cone.  ``np.unique`` returns first
+    occurrences, so no sort order reaches the result.
     """
-    pools = [s for s in dir_sets if len(s)]
-    if not pools:
-        return np.zeros((0, 0))
-    rounded = np.round(np.vstack(pools, dtype=float), 4)
-    # np.unique(rounded, axis=0) with one sort; rows that compare equal
-    # form a group in any order, so the sort need not be stable
-    key = _packed_key(rounded)
-    order = np.lexsort(rounded.T[::-1]) if key is None else np.argsort(key)
-    srt = rounded[order]
-    new = np.ones(len(srt), dtype=bool)
-    new[1:] = (srt[1:] != srt[:-1]).any(axis=1)
-    if (srt.view(np.int64)[1:] != srt.view(np.int64)[:-1])[~new[1:]].any():
-        # rows equal up to the sign of a zero: np.unique keeps the one
-        # its unstable sort puts first, which fixes the sign in reports
-        cand = np.unique(rounded, axis=0)
-    else:
-        cand = srt[new]
-    group = np.empty(len(srt), dtype=np.intp)
-    group[order] = np.cumsum(new) - 1
-    own = np.zeros((len(cand), len(dir_sets)), dtype=bool)
-    start = 0
+    members = np.vstack(dir_sets, dtype=float)
+    if not all(len(s) for s in dir_sets):
+        return members[:0]
+    own = np.repeat(np.arange(len(dir_sets)), [len(s) for s in dir_sets])
+    keys = sampling.voxel_keys([members], 0.25 * tol / math.sqrt(members.shape[1]))
+    if keys is None:
+        # voxels too fine to key (tol = 0 in 1-D clouds) hold only equal
+        # rows, which every set decides alike: ask the first of each
+        _, first = np.unique(members, axis=0, return_index=True)
+        first.sort()
+        members, own, keys = members[first], own[first], [first]
+    keep = np.ones(len(members), dtype=bool)
     for j, s in enumerate(dir_sets):
-        own[group[start:start + len(s)], j] = True
-        start += len(s)
-    nrm = np.linalg.norm(cand, axis=1)
-    nz = nrm > 0
-    cand, own = cand[nz] / nrm[nz, None], own[nz]
-    unit = all(np.all(np.abs(np.einsum("ij,ij->i", s, s) - 1.0) <= 1e-9)
-               for s in pools)
-    if not (unit and 1e-4 * math.sqrt(cand.shape[1]) + 1e-9 <= 0.5 * tol):
-        own[:] = False
-    keep = np.ones(len(cand), dtype=bool)
-    for j, s in enumerate(dir_sets):
-        if len(s) == 0:
-            return cand[:0]
-        ask = keep & ~own[:, j]
+        ask = keep & (own != j)
         if ask.any():
-            keep[ask] = sampling.near_set(cand[ask], s, tol)
+            keep[ask] = sampling.near_set(members[ask], s, tol)
         if not keep.any():
-            break
-    return cand[keep]
-
-
-def _packed_key(rounded: np.ndarray) -> np.ndarray | None:
-    """One int64 per row that orders rows of 4-decimal values as a
-    lexicographic sort does, the first column primary.
-
-    Each value is k / 1e4 for an integer k, and rint(value 1e4) gives k
-    back exactly while |k| <= 2^31.  With K = max |k|, the key is the
-    balanced base-(2K + 1) numeral sum_j k_j (2K + 1)^(d-1-j), so rows get
-    the same key exactly when they compare equal.  None when the key
-    would not fit in int64: non-finite or large values, or d > 4 for unit
-    rows.
-    """
-    k = np.rint(rounded * 1e4)
-    big = float(np.abs(k).max(initial=0.0))
-    if not big <= 2 ** 31:
-        return None
-    base = 2 * int(big) + 1
-    if base ** k.shape[1] >= 2 ** 63:
-        return None
-    digits = k.astype(np.int64)
-    key = digits[:, 0].copy()
-    for j in range(1, k.shape[1]):
-        key *= base
-        key += digits[:, j]
-    return key
+            return members[:0]
+    _, first = np.unique(keys[0][keep], return_index=True)
+    return members[keep][np.sort(first)]
 
 
 def tangent_cone(cloud: PointCloud, x, ladder: dini.ScaleLadder) -> FiberCone:
@@ -312,8 +261,6 @@ def strict_cone(cloud: PointCloud, complement: PointCloud | None, x,
     W = whitney_cone(cloud, complement, x, ladder)
     grid = sampling.unit_grid(cloud.dim)
     rho = sampling.grid_resolution(cloud.dim)
-    if W.is_zero():
-        return FiberCone.from_directions(grid, cloud.dim, resolution=rho)
     keep = grid[~sampling.near_set(grid, member_directions(W), 2.0 * rho)]
     if len(keep) == 0:
         return FiberCone.zero(cloud.dim)

@@ -141,8 +141,9 @@ def near_set(dirs: np.ndarray, members: np.ndarray, tol: float) -> np.ndarray:
     # outside [0, pi] this chord is too short, which sends more rows to the
     # query, and a miss still reads pi
     chord = 2.0 * math.sin(0.5 * tol)
-    near = _voxel_hits(dirs, members, chord * (1.0 - NEAR_MARGIN)
-                       / math.sqrt(members.shape[1]))
+    keys = voxel_keys([dirs, members], chord * (1.0 - NEAR_MARGIN)
+                      / math.sqrt(members.shape[1]))
+    near = np.zeros(len(dirs), dtype=bool) if keys is None else np.isin(*keys)
     rest = np.flatnonzero(~near)
     if len(rest):
         # the tree compares squared distances, so the bound keeps a floor
@@ -155,29 +156,30 @@ def near_set(dirs: np.ndarray, members: np.ndarray, tol: float) -> np.ndarray:
     return near
 
 
-def _voxel_hits(dirs: np.ndarray, members: np.ndarray, side: float) -> np.ndarray:
-    """Rows of dirs that share a voxel of the given side with some member."""
-    lo = np.minimum(dirs.min(axis=0), members.min(axis=0))
-    span = float((np.maximum(dirs.max(axis=0), members.max(axis=0)) - lo).max())
+def voxel_keys(arrays: list, side: float) -> list | None:
+    """One int64 per row of each non-empty array: its voxel on one grid of
+    cubes of the given side, anchored at the arrays' common minimum.
+
+    Rows get the same key exactly when they share a voxel.  None when the
+    side is not positive or the packed index would not fit in int64.
+    """
+    lo = np.min([a.min(axis=0) for a in arrays], axis=0)
+    span = float((np.max([a.max(axis=0) for a in arrays], axis=0) - lo).max())
     # floor((x - lo) / side) is off by at most span / side * 2^-52 cells,
-    # far below NEAR_MARGIN while span / side <= 2^26
+    # far below near_set's NEAR_MARGIN while span / side <= 2^26
     cells = int(span / side) + 2 if side > 0.0 and span / side <= 2.0 ** 26 else 0
-    if not 0 < cells ** dirs.shape[1] < 2 ** 62:
-        return np.zeros(len(dirs), dtype=bool)
+    if not 0 < cells ** len(lo) < 2 ** 62:
+        return None
 
     def keys(x):
         # packed voxel index per row, in row blocks to bound the temporaries
         out = np.empty(len(x), dtype=np.int64)
         for at in range(0, len(x), VOXEL_BLOCK):
             k = np.floor((x[at:at + VOXEL_BLOCK] - lo) / side).astype(np.int64)
-            key = out[at:at + VOXEL_BLOCK]
-            key[:] = k[:, 0]
-            for j in range(1, k.shape[1]):
-                key *= cells
-                key += k[:, j]
+            out[at:at + VOXEL_BLOCK] = np.ravel_multi_index(k.T, (cells,) * len(lo))
         return out
 
-    return np.isin(keys(dirs), keys(members))
+    return [keys(a) for a in arrays]
 
 
 def _primes(count: int) -> list:

@@ -488,27 +488,49 @@ class TestGoldenReports:
     """Report bytes pinned by sha256; a speedup must leave them unchanged."""
 
     @pytest.mark.parametrize("argv,digest", [
-        (("--fn", "abs(x1)", "--at", "0"),
-         "1a3ecaaaf6e1d7c35c6580a4045ab58559fb943de556829e7c1a7160db8bd46d"),
-        (("--fn", "x1*x1*sin(1/x1)", "--at", "0"),
-         "0b9d7a8719ae39b99c9e77841c7668197680c07a6aac98ba04b9caaff62e3335"),
-        (("--fn", "sin(x1)+x2*x2", "--at", "0.3,-0.2",
-          "--ladder", "0.1,0.5,0,6"),
-         "f43fc994bab06255cafd751f21c525972d27ac351b04fb0bc43574242da0b325"),
-        (("--fn", "x1+x2*x2, x1*x2", "--at", "0.2,-0.1",
-          "--ladder", "0.1,0.5,12,15"),
-         "b67a0f2cd63bb3de1c5a98a0eb50b8d7c0493e41b1528934f2ea8076be575138"),
-        (("--fn", "abs(x1)", "--at", "0", "--check", "conormal-upper",
-          "--check", "epigraph-split"),
-         "09701c5eb2c8b3af23ee705f275f55cde140dc10d57f1ae8b5ac11a729b0c336"),
-        (("--fn", "abs(x1)+x2", "--at", "0,0", "--check", "conormal-upper",
-          "--check", "epigraph-split"),
-         "c4a2d0d59998671f063e9bfb94f29c4e2b5a8a82496bb0d35923b93a0ff07f0e"),
+        pytest.param(
+            ("--fn", "abs(x1)", "--at", "0"),
+            "2ec93d11be91148443d393afa1d4a1d9a1f2ddd17d0d91242c4864a54ff7d7e1",
+            id="abs"),
+        pytest.param(
+            ("--fn", "x1*x1*sin(1/x1)", "--at", "0"),
+            "52d0797132151b75dd897a7542d6a2e9b5f0458d5121e61ad8cf193f2a6f2be1",
+            id="x2sin"),
+        pytest.param(
+            ("--fn", "sin(x1)+x2*x2", "--at", "0.3,-0.2", "--ladder", "0.1,0.5,0,6"),
+            "092d6b2633bd8fccaa20a1de98844bf5c91c66ab09a60841b6fdb2ba0ea731e4",
+            id="sin-2d"),
+        pytest.param(
+            ("--fn", "x1+x2*x2, x1*x2", "--at", "0.2,-0.1",
+             "--ladder", "0.1,0.5,12,15"),
+            "d79cda50a017e7d4ed0744d2cb236a5b745068d4ac2da7d40a136abaeceb02e5",
+            id="map-2d"),
+        pytest.param(
+            ("--fn", "abs(x1)", "--at", "0", "--check", "conormal-upper",
+             "--check", "epigraph-split"),
+            "4841eb3e9a99bb92bc99f09d1cc0b0a2850c48262218d3ccf5dd2e168bb567b3",
+            id="abs-checks"),
+        pytest.param(
+            ("--fn", "abs(x1)+x2", "--at", "0,0", "--check", "conormal-upper",
+             "--check", "epigraph-split"),
+            "cea8cf1ec7ac496b45267eb9d8d1d3939feafd4120d3c5df6c43ad92a39ad805",
+            id="abs-2d-checks"),
     ])
     def test_analyze_report_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, "analyze", *argv, "--seed", "0")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_3d_domain_report_digest(self, capsys):
+        # the graph Whitney cone of a 3-D domain comes from persistence
+        code, out, _ = run(capsys, "analyze", "--fn", "x1+x2+x3", "--at", "0,0,0",
+                           "--ladder", "0.1,0.5,4,10", "--seed", "0")
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "b8d4176a0b284188c881ed21c0acaba605888a5c64867f996896550a23a0f5a3")
+        c = json.loads(out)["results"][0]["classification"]
+        assert c["lipschitz"] is True and c["strictly_differentiable"] is True
+        assert np.abs(np.array(c["derivative"]) - 1.0).max() <= 1e-3
 
     def test_cones_report_digest(self, capsys, tmp_path, monkeypatch):
         # the report embeds the --csv path, so it is relative
@@ -518,15 +540,19 @@ class TestGoldenReports:
                            "--at", "0,0,0", "--seed", "0")
         assert code == 0
         assert (hashlib.sha256(out.encode()).hexdigest()
-                == "bade96cbbbba04223702f197fafc0177c44d3e3cdaeeefaa6d6a0252e27c08e1")
+                == "7d6e0a9577e5b3c97fe0bd1cad1f29cab4962e9c68cde99c263d88343c0b293a")
 
     @pytest.mark.parametrize("write,digest", [
         # 8000 wedge points: the voxel stage decides most persistence rows
-        (lambda p: wedge_cloud_csv(p, n=8000),
-         "2b88190a5045cf6d386988d76cc5fe44ac7a51798e6bcbd3f03397d8bf06e628"),
+        pytest.param(
+            lambda p: wedge_cloud_csv(p, n=8000),
+            "b6924ef18623c230d1f0a551a2f9f39787435b11f3832898c515bbaf7fca6d7b",
+            id="wedge"),
         # a labeled 3-D ball: the strict cone of the wedge part
-        (labeled_ball_csv,
-         "30b7379aa9a95d37f91f6cc234b61aecab4df03e2fb1dbdc9add5406a1854a2b"),
+        pytest.param(
+            labeled_ball_csv,
+            "27f358d871d357142d15d103173eb40a18aef2781411fdc7e637a567b09e2bf9",
+            id="labeled-ball"),
     ])
     def test_3d_cones_report_digest(self, capsys, tmp_path, monkeypatch,
                                     write, digest):
@@ -545,7 +571,7 @@ class TestGoldenReports:
                            "--at", "0,0", "--seed", "0")
         assert code == 0
         assert (hashlib.sha256(out.encode()).hexdigest()
-                == "31220e8f6b538902d8cacf4deba38d5c7fa9e0d975849548b9c264d898753b66")
+                == "d8834560a0c5a615c215c315464a362072313b6565f0ac1ac4ca1fc2f13e698f")
 
     def test_time_function_report_digest(self):
         lad = dini.ScaleLadder(t0=0.1, ratio=0.5, k_min=0, k_max=12, seed=0)
@@ -554,6 +580,31 @@ class TestGoldenReports:
                                            [[-0.5], [0.0], [0.7]], lad)
         assert (hashlib.sha256(cli.render_report(out).encode()).hexdigest()
                 == "9b36a9a5eee0c4ab4b36eadc09e8d6c19e61e89062c71bb0f8e417e9c5708732")
+
+
+class TestLineClouds:
+    """1-D clouds: the grid resolution is 0, so persistence decides at
+    tol = 0 and merges only equal directions."""
+
+    @staticmethod
+    def cones_at_zero(capsys, tmp_path, lo):
+        xs = np.linspace(lo, 1.0, 2001)
+        path = tmp_path / "line.csv"
+        path.write_text("x1\n" + "".join(f"{float(v)!r}\n" for v in xs))
+        code, out, _ = run(capsys, "cones", "--csv", str(path), "--at", "0",
+                           "--seed", "0")
+        assert code == 0
+        res = json.loads(out)["results"][0]
+        return {name: sorted(res[name]["directions"])
+                for name in ("tangent", "whitney")}
+
+    def test_interval_interior(self, capsys, tmp_path):
+        got = self.cones_at_zero(capsys, tmp_path, -1.0)
+        assert got == {"tangent": [[-1.0], [1.0]], "whitney": [[-1.0], [1.0]]}
+
+    def test_interval_end(self, capsys, tmp_path):
+        got = self.cones_at_zero(capsys, tmp_path, 0.0)
+        assert got == {"tangent": [[1.0]], "whitney": [[-1.0], [1.0]]}
 
 
 class TestPlot:

@@ -408,7 +408,7 @@ class TestNearSet:
         dirs = sampling.sphere_points(3, 4000, 2)
         tol = 2.0 * sampling.grid_resolution(3)
         side = 2.0 * math.sin(0.5 * tol) * (1.0 - sampling.NEAR_MARGIN) / math.sqrt(3)
-        hits = sampling._voxel_hits(dirs, members, side)
+        hits = np.isin(*sampling.voxel_keys([dirs, members], side))
         assert hits.mean() > 0.5
         assert np.all(sampling.min_angle_to_set(dirs[hits], members)
                       < tol * (1.0 - 0.5 * sampling.NEAR_MARGIN))
@@ -432,7 +432,7 @@ class TestNearSet:
     def test_voxel_stage_skipped_for_tiny_voxels(self, dim, tol):
         pts = sampling.sphere_points(dim, 64, 3)
         side = 2.0 * math.sin(0.5 * tol) / math.sqrt(dim)
-        assert not sampling._voxel_hits(pts, pts, side).any()
+        assert sampling.voxel_keys([pts, pts], side) is None
         assert sampling.near_set(pts, pts, tol).all()
 
 

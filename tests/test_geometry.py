@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from conecalc import cones, dini, funcs, geometry, sampling
 from conecalc.cones import FiberCone
@@ -168,109 +169,220 @@ def overlapping_sets(dim, seed):
     return sets
 
 
-class TestPersistentDirections:
-    """The own-set shortcut and the sorted dedupe, on the packed key or on
-    the lexsort, keep the output of the reference filter, bit for bit
-    (signs of zeros included)."""
+def voxel_side(tol, dim):
+    return 0.25 * tol / math.sqrt(dim)
 
-    @staticmethod
-    def check(sets, tol):
-        got = geometry._persistent_directions(sets, tol)
-        want = reference_persistent_directions(sets, tol)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-        return got
+
+def check_rule(sets, tol):
+    """The persistence rule's output, checked against its definition."""
+    got = geometry._persistent_directions(sets, tol)
+    members = np.vstack(sets)
+    assert got.shape[1:] == members.shape[1:]
+    # every output row is an input member, bit for bit
+    rows = {r.tobytes() for r in members}
+    assert all(r.tobytes() in rows for r in got)
+    # each output row passes every set
+    for s in sets:
+        assert np.all(sampling.min_angle_to_set(got, s) <= tol)
+    # every passing member lies within one voxel diameter of an output row
+    own = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    passing = np.ones(len(members), dtype=bool)
+    for j, s in enumerate(sets):
+        passing[own != j] &= sampling.min_angle_to_set(members[own != j], s) <= tol
+    assert passing.any() == bool(len(got))
+    side = voxel_side(tol, members.shape[1])
+    if passing.any() and side > 0:
+        gap, _ = cKDTree(got).query(members[passing])
+        assert gap.max() <= side * math.sqrt(members.shape[1]) * (1 + 1e-9)
+    # no two output rows share a voxel, on the grid the rule anchors at
+    # the members' minimum
+    keys = sampling.voxel_keys([members, got], side)
+    if keys is not None:
+        assert len(np.unique(keys[1])) == len(got)
+    return got
+
+
+class TestPersistentDirections:
+    """Exact decisions on the raw members, then one member per voxel of
+    diameter tol/4, the first in member order."""
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_overlapping_sets(self, dim, seed):
+        # against the filter as first written, which kept every 4-decimal
+        # candidate: each side lies within a voxel diameter plus rounding
+        # of the other, apart from the few rows whose angle to some set is
+        # within rounding of tol, which rounding may decide either way
         tol = 2.0 * sampling.grid_resolution(dim)
-        got = self.check(overlapping_sets(dim, seed), tol)
-        assert 0 < len(got) < 4500
+        sets = overlapping_sets(dim, seed)
+        got = check_rule(sets, tol)
+        want = reference_persistent_directions(sets, tol)
+        assert 0 < len(got) <= len(want) < 4500
+        rounding = 2e-4 * math.sqrt(dim)
+        diameter = voxel_side(tol, dim) * math.sqrt(dim)
+
+        def borderline(rows):
+            worst = np.max([sampling.min_angle_to_set(rows, s) for s in sets], axis=0)
+            return worst >= tol - rounding
+
+        for rows, other, reach in ((got, want, rounding),
+                                   (want, got, diameter + rounding)):
+            far = sampling.min_angle_to_set(rows, other) > 2.0 * math.asin(0.5 * reach)
+            assert np.all(borderline(rows[far]))
+            assert far.sum() <= 0.01 * len(rows)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_empty_set_empties_the_result(self, dim):
         sets = overlapping_sets(dim, 2)
         sets.insert(1, np.zeros((0, dim)))
-        got = self.check(sets, 2.0 * sampling.grid_resolution(dim))
+        got = geometry._persistent_directions(sets, 2.0 * sampling.grid_resolution(dim))
         assert got.shape == (0, dim)
 
     def test_all_sets_empty(self):
-        self.check([np.zeros((0, 3))] * 3, 0.1)
+        got = geometry._persistent_directions([np.zeros((0, 3))] * 3, 0.1)
+        assert got.shape == (0, 3)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_set_that_kills_every_candidate(self, dim):
         rng = np.random.default_rng(3)
         sets = overlapping_sets(dim, 3)
         sets.insert(1, cap(dim, -np.eye(dim)[0], 0.05, 400, rng))
-        got = self.check(sets, 2.0 * sampling.grid_resolution(dim))
+        got = geometry._persistent_directions(sets, 2.0 * sampling.grid_resolution(dim))
         assert got.shape == (0, dim)
 
     def test_zeros_of_both_signs(self):
-        # each row has a twin that rounds to the same candidate up to the
-        # sign of a zero, so the sign comes from np.unique's sort
+        # each row has a twin that differs only in the sign of a zero;
+        # twins share a voxel, and the first in member order stays
         rng = np.random.default_rng(4)
         base = cap(3, [0.6, 0.8, 0.0], 0.01, 300, rng)
-        base[:, 2] = 1e-6
+        base[:, 2] = 0.0
         twin = base * [1.0, 1.0, -1.0]
-        got = self.check([base, twin, np.vstack([twin, base])[::-1]],
-                         2.0 * sampling.grid_resolution(3))
-        assert len(got) and (got[:, 2] == 0).all()
+        for sets in ([base, twin, twin], [twin, base, base]):
+            got = check_rule(sets, 2.0 * sampling.grid_resolution(3))
+            assert len(got)
+            assert np.array_equal(np.signbit(got[:, 2]),
+                                  np.full(len(got), np.signbit(sets[0][0, 2])))
 
     @pytest.mark.parametrize("dim", [3, 4])
     @pytest.mark.parametrize("column", [0, 1, 2])
     def test_zero_twins_on_the_packed_key(self, dim, column):
         # twins differing in the sign of a zero in one column, mixed with
-        # exact duplicates, so groups hold rows of both signs in any order
+        # exact duplicates: each voxel keeps the first of its rows, so the
+        # output is the same whichever twin a later set lists first
         rng = np.random.default_rng(10 + column)
         center = np.ones(dim)
         center[column] = 0.0
         base = cap(dim, center, 0.05, 400, rng)
-        base[:, column] = rng.choice([1e-6, 4e-5, 0.3], size=len(base))
+        base[:, column] = 0.0
         twin = base.copy()
         twin[:, column] *= -1.0
-        sets = [np.vstack([base, twin[::3]]), np.vstack([twin, base[::2]]),
-                np.vstack([base, twin, base])[::-1]]
-        assert geometry._packed_key(np.round(np.vstack(sets), 4)) is not None
-        self.check(sets, 2.0 * sampling.grid_resolution(dim))
-
-    @pytest.mark.parametrize("dim,scale", [(5, 1.0), (3, 1e3), (4, 3.0)])
-    def test_sets_on_the_lexsort(self, dim, scale):
-        # d = 5 unit rows, and non-unit rows with K = max |rint(1e4 x)|
-        # above 1e4, whose key would not fit in int64
-        sets = [scale * s for s in overlapping_sets(dim, 7)]
-        # with twins that differ only in the sign of a zero
-        sets[1][:100, 0] = 0.0
-        sets[2][:100] = sets[1][:100]
-        sets[2][:100, 0] = -0.0
-        assert geometry._packed_key(np.round(np.vstack(sets), 4)) is None
-        self.check(sets, 2.0 * sampling.grid_resolution(dim))
-
-    def test_packed_key_orders_as_lexsort(self):
-        rng = np.random.default_rng(8)
-        rows = np.round(rng.uniform(-1.0, 1.0, (5000, 3)), 1)
-        rows[::7, 1] = -0.0
-        key = geometry._packed_key(rows)
-        by_key = rows[np.argsort(key)]
-        by_lex = rows[np.lexsort(rows.T[::-1])]
-        assert np.array_equal(by_key, by_lex)
-        same = (by_lex[1:] == by_lex[:-1]).all(axis=1)
-        assert np.array_equal(np.diff(key[np.argsort(key)]) == 0, same)
+        tol = 2.0 * sampling.grid_resolution(dim)
+        head = np.vstack([base, twin[::3]])
+        sets = [head, np.vstack([twin, base[::2]]), np.vstack([base, twin, base])[::-1]]
+        assert sampling.voxel_keys([np.vstack(sets)], voxel_side(tol, dim)) is not None
+        got = check_rule(sets, tol)
+        flipped = [head, np.vstack([base[::2], twin]), np.vstack([twin, base])]
+        assert geometry._persistent_directions(flipped, tol).tobytes() == got.tobytes()
+        assert not np.signbit(got[:, column]).any()
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, 2.0 ** 28])
     def test_no_packed_key_for_huge_or_non_finite_rows(self, bad):
+        # the voxel key would overflow int64, so persistence merges only
+        # equal rows
         rows = np.zeros((3, 2))
         rows[1, 1] = bad
-        assert geometry._packed_key(rows) is None
+        assert sampling.voxel_keys([rows], 0.01) is None
+
+    def test_packed_key_orders_as_lexsort(self):
+        # keys order rows as a lexsort of their voxel indices, and are
+        # equal exactly when the voxel indices are
+        rng = np.random.default_rng(8)
+        rows = rng.uniform(-1.0, 1.0, (5000, 3))
+        side = 0.07
+        (key,) = sampling.voxel_keys([rows], side)
+        cells = np.floor((rows - rows.min(axis=0)) / side)
+        _, by_key = np.unique(key, return_inverse=True)
+        _, by_cells = np.unique(cells, axis=0, return_inverse=True)
+        assert np.array_equal(by_key, by_cells)
 
     def test_non_unit_members_query_every_set(self):
         sets = [3.0 * s for s in overlapping_sets(3, 5)]
-        self.check(sets, 2.0 * sampling.grid_resolution(3))
+        assert len(check_rule(sets, 2.0 * sampling.grid_resolution(3)))
 
     def test_tolerance_below_rounding_queries_every_set(self):
+        # 1e-5 still keys voxels; 0 leaves them unkeyable, so equal rows
+        # merge and only rows shared by every set survive
         sets = overlapping_sets(3, 6)
-        self.check(sets, 1e-5)
-        self.check(sets, 0.0)
+        check_rule(sets, 1e-5)
+        got = check_rule(sets, 0.0)
+        shared = set.intersection(*({r.tobytes() for r in s} for s in sets))
+        assert sorted(r.tobytes() for r in got) == sorted(shared)
+
+    def test_one_dimensional_members(self):
+        # tol = 0 (grid_resolution(1) = 0): equal rows merge, the first stays
+        sets = [np.array([[1.0], [-1.0], [1.0]]), np.array([[-1.0], [1.0]]),
+                np.array([[1.0], [1.0], [-1.0]])]
+        got = check_rule(sets, 0.0)
+        assert got.tolist() == [[1.0], [-1.0]]
+        assert geometry._persistent_directions(sets[:2] + [np.array([[1.0]])],
+                                               0.0).tolist() == [[1.0]]
+
+
+class TestThinSets:
+    """Thinned persistence still gives the expected cones of thin sets."""
+
+    def test_two_rays(self):
+        u, v = np.array([1.0, 0.0, 0.0]), np.array([0.6, 0.8, 0.0])
+        t = np.linspace(0.0, 1.0, 3001)[1:, None]
+        c = geometry.PointCloud(np.vstack([np.zeros((1, 3)), t * u, t * v]))
+        lad = geometry.cloud_ladder(c, [0.0, 0.0, 0.0])
+        rho3 = sampling.grid_resolution(3)
+        tangent = geometry.tangent_cone(c, [0.0, 0.0, 0.0], lad)
+        assert cones.hausdorff_angle(
+            tangent, FiberCone.from_directions(np.array([u, v]), 3)) <= 2 * rho3
+        # pairs across the rays fill the plane sectors between v and -u
+        # and between -v and u
+        w = cones.member_directions(
+            geometry.whitney_cone(c, c, [0.0, 0.0, 0.0], lad))
+        assert np.all(w[:, 2] == 0.0)
+        a = math.atan2(v[1], v[0])
+        want = FiberCone.from_arcs([(a, PI), (a + PI, 2 * PI)])
+        assert cones.hausdorff_angle(
+            FiberCone.from_directions(w[:, :2], 2), want) <= 2 * rho3
+
+    def test_wedge_boundary(self):
+        # the surface x3 = |x1|: its tangent cone at the edge is itself
+        rng = np.random.default_rng(11)
+        p = rng.uniform(-1.0, 1.0, size=(20000, 2))
+        c = geometry.PointCloud(np.vstack([
+            np.zeros((1, 3)), np.column_stack([p[:, 0], p[:, 1], np.abs(p[:, 0])])]))
+        tangent = geometry.tangent_cone(c, [0.0, 0.0, 0.0],
+                                        geometry.cloud_ladder(c, [0.0, 0.0, 0.0]))
+        d = cones.member_directions(tangent)
+        assert np.abs(np.abs(d[:, 0]) - d[:, 2]).max() <= 1e-12
+        grid = sampling.unit_grid(3)
+        rho3 = sampling.grid_resolution(3)
+        on = np.abs(np.abs(grid[:, 0]) - grid[:, 2]) <= 0.1 * rho3
+        assert on.sum() > 20
+        assert sampling.min_angle_to_set(grid[on], d).max() <= rho3
+
+    def test_labeled_plane_cloud(self):
+        # A = {x2 <= 0} of a square, B the rest, at the origin on the edge
+        rng = np.random.default_rng(0)
+        pts = rng.uniform(-1.0, 1.0, size=(24000, 2))
+        body = geometry.PointCloud(pts[pts[:, 1] <= 0.0])
+        comp = geometry.PointCloud(pts[pts[:, 1] > 0.0])
+        x = [0.0, 0.0]
+        lad = geometry.cloud_ladder(body, x)
+        lower = FiberCone.from_arcs([(PI, 2 * PI)])
+        tangent = geometry.tangent_cone(body, x, lad)
+        assert cones.hausdorff_angle(tangent, lower) <= 3 * RHO
+        # the Whitney cone of a solid half-plane is every direction, and
+        # its grid cover is one unbroken circle
+        whitney = geometry.whitney_cone(body, body, x, lad)
+        assert cones.grid_membership(whitney).all()
+        strict = geometry.strict_cone(body, comp, x, lad)
+        assert cones.hausdorff_angle(strict, lower) <= 0.05
 
 
 class TestGraphWhitney:
