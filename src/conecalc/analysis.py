@@ -113,39 +113,48 @@ class AnalysisReport:
     checks: dict = field(default_factory=dict)
 
 
-def _derivative_matrix(f: FunctionHandle, x, lad) -> np.ndarray:
-    """Least-squares linear map through the quotient-slab midpoints."""
-    U = dini._direction_grid(f.m, 64) if f.m > 1 else np.array([[1.0]])
-    # one slab scan for all components, each read through its unit covector
-    lows, highs, _ = dini.slabs(f, x, U, lad, None if f.n == 1 else np.eye(f.n))
-    rows = []
-    for mids in np.atleast_2d(0.5 * (lows + highs)):
-        if f.m == 1:
-            rows.append([mids[0]])
-        else:
-            sol, *_ = np.linalg.lstsq(U, mids, rcond=None)
-            rows.append(sol)
-    return np.asarray(rows, dtype=float).reshape(f.n, f.m)
+def _local_constant(w: FiberCone, m: int) -> float:
+    """Local Lipschitz constant read off the graph Whitney cone W: the
+    largest |fiber| / |domain| over its members.  +inf when W meets the
+    vertical within ``_vert_tol(w)``, the test of the Lipschitz verdict;
+    otherwise every member's domain part exceeds the sine of that slack,
+    so the ratio is finite."""
+    if _slice_nontrivial(w, m, _vert_tol(w), "vertical"):
+        return math.inf
+    V = cones.member_directions(w)
+    if len(V) == 0:
+        return 0.0
+    return float((np.linalg.norm(V[:, m:], axis=1)
+                  / np.linalg.norm(V[:, :m], axis=1)).max())
 
 
 def classify_point(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
                    fo_tol: float = 1e-4) -> AnalysisReport:
     """Lipschitz / strict-differentiability report at a single point.
 
-    Lipschitz holds iff the vertical slice of the graph Whitney cone is
-    trivial; strict differentiability additionally needs the cone inside an
-    m-dimensional subspace, detected by the relative singular-value gap of
-    the sampled directions.  The conormal-side verdict (no horizontal
-    covector) is cross-checked in regimes where the conormal is trusted.
+    Every moving-base number comes from the graph Whitney cone W, the
+    point's one moving-base scan.  Lipschitz holds iff the vertical slice
+    of W is trivial; the local constant is the largest slope of W's
+    members (+inf exactly when that verdict fails), floored by the
+    pointwise (fixed-base) constant.  Strict differentiability
+    additionally needs W inside an m-dimensional subspace, detected by
+    the relative singular-value gap of its members, and, as part of the
+    verdict, that subspace must be the graph of a linear map: its domain
+    block's smallest singular value must exceed the sine of the vertical
+    slack.  That map is the derivative.
+    The conormal-side verdict (no horizontal covector) is cross-checked in
+    regimes where the conormal is trusted.
     """
     lad = conormal._resolved_ladder(f, ladder)
     x = np.asarray(x, dtype=float).reshape(f.m)
     w = geometry.graph_whitney(f, x, lad)
     est = conormal.conormal(f, x, lad, whitney=w)
     vt = _vert_tol(w)
-    lip_pw, lip = dini.lipschitz_constants(f, x, lad)
+    lip_w = _local_constant(w, f.m)
+    lipschitz = math.isfinite(lip_w)
+    lip_pw = dini.pointwise_lipschitz(f, x, lad)
+    lip = max(lip_w, lip_pw)
 
-    lipschitz = not _slice_nontrivial(w, f.m, vt, "vertical")
     checks: dict = {"dini_local_constant": float(lip)}
     dual = None
     if est.exact is not None:
@@ -162,12 +171,20 @@ def classify_point(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
     if lipschitz:
         V = cones.member_directions(w)
         if len(V):
-            s = np.linalg.svd(V, compute_uv=False)
+            _, s, Q = np.linalg.svd(V, full_matrices=False)
             gap = float(s[f.m] / s[0]) if len(s) > f.m and s[0] > 0 else 0.0
             checks["subspace_gap"] = gap
-            strict = gap < math.sin(vt)
-    if strict:
-        deriv = _derivative_matrix(f, x, lad)
+            # the span of the top m right singular vectors is a graph when
+            # it is m-dimensional and none of its unit vectors lies within
+            # vt of the vertical, the slack the Lipschitz verdict gives W's
+            # members.  Then its domain block A is square with every
+            # singular value above sin(vt) > 0, so the solve cannot fail.
+            A, B = Q[:f.m, :f.m], Q[:f.m, f.m:]
+            strict = (gap < math.sin(vt) and len(A) == f.m
+                      and np.linalg.svd(A, compute_uv=False)[-1] > math.sin(vt))
+            if strict:
+                # each row (a, b) of the span has D a = b, so A D^T = B
+                deriv = np.linalg.solve(A, B).T
 
     fo = None
     if f.n == 1:
@@ -573,7 +590,7 @@ def _causal_entry(f: FunctionHandle, gamma_m, gamma_n, p, lad,
     # boundary direction cannot land exactly on the pass/fail line
     img = cones.apply_relation(gm, ConicRelation(f.m, f.n, w), tol=0.5 * ptol)
     worst = _directed_angle(img, gn)
-    lip_pw, lip = dini.lipschitz_constants(f, p, lad)
+    lip = _local_constant(w, f.m)
     entry = {
         "point": p.tolist(),
         "causal": bool(worst <= ptol),

@@ -252,32 +252,31 @@ Representation = Trivial | Arcs2D | Sampled
 class FiberCone:
     dim: int
     rep: Representation
-    base_point: np.ndarray | None = None
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def from_arcs(arcs, base_point=None) -> "FiberCone":
-        return FiberCone(2, Arcs2D(arcs_normalize(arcs)), _opt_vec(base_point))
+    def from_arcs(arcs) -> "FiberCone":
+        return FiberCone(2, Arcs2D(arcs_normalize(arcs)))
 
     @staticmethod
-    def from_directions(dirs, dim: int, resolution: float | None = None,
-                        base_point=None) -> "FiberCone":
+    def from_directions(dirs, dim: int,
+                        resolution: float | None = None) -> "FiberCone":
         d = np.asarray(dirs, dtype=float).reshape(-1, dim)
         if len(d):
             n = np.linalg.norm(d, axis=1)
             d = d[n > 1e-12] / n[n > 1e-12, None]
         if resolution is None:
             resolution = sampling.grid_resolution(dim)
-        return FiberCone(dim, Sampled(d, float(resolution)), _opt_vec(base_point))
+        return FiberCone(dim, Sampled(d, float(resolution)))
 
     @staticmethod
-    def zero(dim: int, base_point=None) -> "FiberCone":
-        return FiberCone(dim, Trivial(False), _opt_vec(base_point))
+    def zero(dim: int) -> "FiberCone":
+        return FiberCone(dim, Trivial(False))
 
     @staticmethod
-    def full(dim: int, base_point=None) -> "FiberCone":
-        return FiberCone(dim, Trivial(True), _opt_vec(base_point))
+    def full(dim: int) -> "FiberCone":
+        return FiberCone(dim, Trivial(True))
 
     # -- basic queries -------------------------------------------------
 
@@ -293,10 +292,6 @@ class FiberCone:
         if isinstance(self.rep, Sampled):
             return self.rep.resolution
         return sampling.grid_resolution(self.dim)
-
-
-def _opt_vec(v):
-    return None if v is None else np.asarray(v, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +326,7 @@ def as_sampled(cone: FiberCone) -> FiberCone:
     if isinstance(rep, Trivial):
         dim = cone.dim
         dirs = sampling.unit_grid(dim) if rep.full else np.zeros((0, dim))
-        return FiberCone(dim, Sampled(dirs, sampling.grid_resolution(dim)),
-                         cone.base_point)
+        return FiberCone(dim, Sampled(dirs, sampling.grid_resolution(dim)))
     step = TWO_PI / sampling.GRID_SIZES[2]
     picks = []
     for lo, hi in rep.arcs:
@@ -342,7 +336,7 @@ def as_sampled(cone: FiberCone) -> FiberCone:
         picks.extend([lo, (lo + hi) / 2.0, hi])
     th = np.asarray(picks, dtype=float)
     dirs = np.column_stack([np.cos(th), np.sin(th)])
-    return FiberCone(2, Sampled(_dedupe_rays(dirs), step), cone.base_point)
+    return FiberCone(2, Sampled(_dedupe_rays(dirs), step))
 
 
 def as_arcs(cone: FiberCone) -> FiberCone:
@@ -353,9 +347,9 @@ def as_arcs(cone: FiberCone) -> FiberCone:
     if isinstance(rep, Arcs2D):
         return cone
     if isinstance(rep, Trivial):
-        return FiberCone(2, Arcs2D(_FULL if rep.full else ()), cone.base_point)
+        return FiberCone(2, Arcs2D(_FULL if rep.full else ()))
     th = np.mod(np.arctan2(rep.directions[:, 1], rep.directions[:, 0]), TWO_PI)
-    return FiberCone(2, Arcs2D(arcs_normalize([(t, t) for t in th])), cone.base_point)
+    return FiberCone(2, Arcs2D(arcs_normalize([(t, t) for t in th])))
 
 
 def arcs_cover(cone: FiberCone, slack: float | None = None) -> FiberCone:
@@ -371,7 +365,7 @@ def arcs_cover(cone: FiberCone, slack: float | None = None) -> FiberCone:
         return as_arcs(cone)
     mask = grid_membership(cone, slack)
     if not mask.any():
-        return FiberCone(2, Arcs2D(()), cone.base_point)
+        return FiberCone(2, Arcs2D(()))
     grid = sampling.unit_grid(2)
     th = np.sort(np.mod(np.arctan2(grid[mask, 1], grid[mask, 0]), TWO_PI))
     step = TWO_PI / len(grid)
@@ -383,7 +377,7 @@ def arcs_cover(cone: FiberCone, slack: float | None = None) -> FiberCone:
             lo = t
         prev = t
     arcs.append((lo, prev))
-    return FiberCone(2, Arcs2D(arcs_normalize(arcs)), cone.base_point)
+    return FiberCone(2, Arcs2D(arcs_normalize(arcs)))
 
 
 def grid_membership(cone: FiberCone, slack: float | None = None) -> np.ndarray:
@@ -410,10 +404,9 @@ def grid_membership(cone: FiberCone, slack: float | None = None) -> np.ndarray:
 def antipodal(cone: FiberCone) -> FiberCone:
     rep = cone.rep
     if isinstance(rep, Arcs2D):
-        return FiberCone(2, Arcs2D(arcs_rotate(rep.arcs, np.pi)), cone.base_point)
+        return FiberCone(2, Arcs2D(arcs_rotate(rep.arcs, np.pi)))
     if isinstance(rep, Sampled):
-        return FiberCone(cone.dim, Sampled(-rep.directions, rep.resolution),
-                         cone.base_point)
+        return FiberCone(cone.dim, Sampled(-rep.directions, rep.resolution))
     return cone
 
 
@@ -421,19 +414,18 @@ def polar(cone: FiberCone, slack: float | None = None) -> FiberCone:
     """{xi : <xi, v> >= 0 for all v in the cone}; closed and convex."""
     rep = cone.rep
     if isinstance(rep, Arcs2D):
-        return FiberCone(2, Arcs2D(arcs_polar(rep.arcs)), cone.base_point)
+        return FiberCone(2, Arcs2D(arcs_polar(rep.arcs)))
     if isinstance(rep, Trivial):
-        return FiberCone(cone.dim, Trivial(not rep.full), cone.base_point)
+        return FiberCone(cone.dim, Trivial(not rep.full))
     dirs = rep.directions
     if len(dirs) == 0:
-        return FiberCone.full(cone.dim, cone.base_point)
+        return FiberCone.full(cone.dim)
     grid = sampling.unit_grid(cone.dim)
     if slack is None:
         slack = 0.5 * rep.resolution
     thr = -math.sin(slack)
     return FiberCone(cone.dim, Sampled(grid[_dual_mask(grid, dirs, thr)],
-                                       sampling.grid_resolution(cone.dim)),
-                     cone.base_point)
+                                       sampling.grid_resolution(cone.dim)))
 
 
 def _dual_mask(grid: np.ndarray, dirs: np.ndarray, thr: float) -> np.ndarray:
@@ -486,18 +478,17 @@ def top(cone: FiberCone, tol: float | None = None) -> FiberCone:
     if isinstance(rep, Arcs2D):
         half = np.pi / 2.0
         out = arcs_union(arcs_rotate(rep.arcs, half), arcs_rotate(rep.arcs, -half))
-        return FiberCone(2, Arcs2D(out), cone.base_point)
+        return FiberCone(2, Arcs2D(out))
     if cone.dim == 2:
         return top(as_arcs(cone))
     members = member_directions(cone)
     if len(members) == 0:
-        return FiberCone.zero(cone.dim, cone.base_point)
+        return FiberCone.zero(cone.dim)
     grid = sampling.unit_grid(cone.dim)
     if tol is None:
         tol = max(cone.resolution(), sampling.grid_resolution(cone.dim))
     ok = min_abs_dots(grid, np.arange(len(grid)), members) <= math.sin(tol)
-    return FiberCone(cone.dim, Sampled(grid[ok], sampling.grid_resolution(cone.dim)),
-                     cone.base_point)
+    return FiberCone(cone.dim, Sampled(grid[ok], sampling.grid_resolution(cone.dim)))
 
 
 def min_abs_dots(grid: np.ndarray, rows: np.ndarray,
@@ -600,15 +591,15 @@ def intersect(a: FiberCone, b: FiberCone) -> FiberCone:
     _check_dims(a, b)
     ra, rb = a.rep, b.rep
     if isinstance(ra, Arcs2D) and isinstance(rb, Arcs2D):
-        return FiberCone(2, Arcs2D(arcs_intersect(ra.arcs, rb.arcs)), a.base_point)
+        return FiberCone(2, Arcs2D(arcs_intersect(ra.arcs, rb.arcs)))
     if isinstance(ra, Trivial) and isinstance(rb, Trivial):
-        return FiberCone(a.dim, Trivial(ra.full and rb.full), a.base_point)
+        return FiberCone(a.dim, Trivial(ra.full and rb.full))
     if a.dim == 2:
         return intersect(as_arcs(a), as_arcs(b))
     mask = grid_membership(a) & grid_membership(b)
     grid = sampling.unit_grid(a.dim)
     res = max(a.resolution(), b.resolution(), sampling.grid_resolution(a.dim))
-    return FiberCone(a.dim, Sampled(grid[mask], res), a.base_point)
+    return FiberCone(a.dim, Sampled(grid[mask], res))
 
 
 def join(a: FiberCone, b: FiberCone) -> FiberCone:
@@ -616,13 +607,12 @@ def join(a: FiberCone, b: FiberCone) -> FiberCone:
     _check_dims(a, b)
     ra, rb = a.rep, b.rep
     if isinstance(ra, Arcs2D) and isinstance(rb, Arcs2D):
-        return FiberCone(2, Arcs2D(arcs_union(ra.arcs, rb.arcs)), a.base_point)
+        return FiberCone(2, Arcs2D(arcs_union(ra.arcs, rb.arcs)))
     if isinstance(ra, Trivial) and isinstance(rb, Trivial):
-        return FiberCone(a.dim, Trivial(ra.full or rb.full), a.base_point)
+        return FiberCone(a.dim, Trivial(ra.full or rb.full))
     sa, sb = as_sampled(a), as_sampled(b)
     dirs = _dedupe_rays(np.vstack([sa.rep.directions, sb.rep.directions]))
-    return FiberCone(a.dim, Sampled(dirs, max(sa.rep.resolution, sb.rep.resolution)),
-                     a.base_point)
+    return FiberCone(a.dim, Sampled(dirs, max(sa.rep.resolution, sb.rep.resolution)))
 
 
 def hausdorff_angle(a: FiberCone, b: FiberCone) -> float:
@@ -656,12 +646,11 @@ def linear_image(cone: FiberCone, M: np.ndarray) -> FiberCone:
         return cone
     if isinstance(rep, Sampled):
         d = rep.directions @ M.T
-        return FiberCone(cone.dim, Sampled(_dedupe_rays(d), rep.resolution),
-                         cone.base_point)
+        return FiberCone(cone.dim, Sampled(_dedupe_rays(d), rep.resolution))
     out = []
     for lo, hi in rep.arcs:
         if hi - lo >= TWO_PI - 1e-9:
-            return FiberCone(2, Arcs2D(_FULL), cone.base_point)
+            return FiberCone(2, Arcs2D(_FULL))
         a = _image_angle(M, lo)
         bxy = _image_angle(M, hi)
         if hi - lo <= _EPS:
@@ -672,7 +661,7 @@ def linear_image(cone: FiberCone, M: np.ndarray) -> FiberCone:
         else:
             length = (a - bxy) % TWO_PI
             out.append((bxy, bxy + length))
-    return FiberCone(2, Arcs2D(arcs_normalize(out)), cone.base_point)
+    return FiberCone(2, Arcs2D(arcs_normalize(out)))
 
 
 def _image_angle(M, theta):

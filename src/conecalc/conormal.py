@@ -87,51 +87,25 @@ def _domain_grid(m: int) -> np.ndarray:
     return sampling.sphere_points(m, DOMAIN_DIRS_HIGH, 5)
 
 
-def directional_slice(w: FiberCone, m: int, u, half_width: float) -> FiberCone:
-    """W ∩ (ray(u) x fiber), thickened to the given angular half-width.
-
-    Members whose domain part vanishes (limits of purely vertical
-    chords) belong to every slice.
-    """
-    u = np.asarray(u, dtype=float).reshape(m)
-    d = w.dim
-    if m == 1 and d == 2:
-        half = math.pi / 2.0
-        theta = 0.0 if u[0] > 0 else math.pi
-        sector = FiberCone.from_arcs([(theta - half, theta + half)])
-        return intersect(w, sector)
-    V = member_directions(w)
-    if len(V) == 0:
-        return FiberCone.zero(d)
-    P = V[:, :m]
-    pn = np.linalg.norm(P, axis=1)
-    vanishing = pn <= math.sin(half_width)
-    cosang = np.zeros(len(V))
-    nz = ~vanishing
-    cosang[nz] = (P[nz] @ (u / np.linalg.norm(u))) / pn[nz]
-    aligned = nz & (cosang >= math.cos(half_width))
-    keep = V[aligned | vanishing]
-    if len(keep) == 0:
-        return FiberCone.zero(d)
-    return FiberCone.from_directions(keep, d, resolution=w.resolution())
-
-
 def slice_top_intersection(w: FiberCone, m: int) -> FiberCone:
     """The upper-bound construction on an already-computed Whitney cone."""
     d = w.dim
     n = d - m
     if n < 1:
         raise DimensionMismatchError("product fiber smaller than the domain part")
-    U = _domain_grid(m)
     if m == 1 and d == 2:
+        # the slices over u = +1 and -1 are W's closed right and left
+        # half planes
         out = None
-        for u in U:
-            sl = directional_slice(w, m, u, 0.0)
+        for theta in (0.0, math.pi):
+            sl = intersect(w, FiberCone.from_arcs(
+                [(theta - math.pi / 2.0, theta + math.pi / 2.0)]))
             if sl.is_zero():
                 continue
             t = top(sl)
             out = t if out is None else intersect(out, t)
         return FiberCone.zero(2) if out is None else out
+    U = _domain_grid(m)
     V = member_directions(w)
     if len(V) == 0:
         return FiberCone.zero(d)
@@ -170,24 +144,14 @@ def slice_top_intersection(w: FiberCone, m: int) -> FiberCone:
 
 def _epigraph_tangent(f, x, lad) -> FiberCone:
     """Tangent cone of the region above the graph: t >= lower directional
-    derivative of f at x along u, fiberwise in the direction u."""
+    derivative of f at x along u, fiberwise in the direction u.  Only
+    domains of dimension 2 or more get here: ``conormal`` answers m = 1
+    exactly."""
     x = np.asarray(x, dtype=float).reshape(f.m)
-    if f.m == 1:
-        base = np.array([[1.0], [-1.0]])
-    else:
-        base = _domain_grid(f.m) if f.m > 2 else _domain_grid(2)[::2]
+    base = _domain_grid(f.m) if f.m > 2 else _domain_grid(2)[::2]
     # lower Dini derivatives by the antipodal identity, one scan of -base
     lows = -dini.limits(f, x, -base, lad, False)
-    if f.m == 1:
-        d_plus, d_minus = lows
-        a1 = math.atan(d_plus) if abs(d_plus) <= dini.DIVERGENCE_CAP \
-            else math.copysign(math.pi / 2.0, d_plus)
-        a2 = math.pi - (math.atan(d_minus) if abs(d_minus) <= dini.DIVERGENCE_CAP
-                        else math.copysign(math.pi / 2.0, d_minus))
-        if a1 > a2:
-            return FiberCone.zero(2)
-        return FiberCone.from_arcs([(a1, a2)])
-    step = sampling.grid_resolution(2) if f.m == 2 else sampling.grid_resolution(f.m)
+    step = sampling.grid_resolution(f.m)
     members = [np.concatenate([np.zeros(f.m), [1.0]])[None, :]]
     for u, lo in zip(base, lows):
         if lo > dini.DIVERGENCE_CAP:
@@ -203,8 +167,7 @@ def _epigraph_polar_lower(f, x, lad) -> FiberCone:
     ct = _epigraph_tangent(f, x, lad)
     # low-dimensional polars (rays, lines) have no interior on the sphere,
     # so the membership slack must cover the ambient grid's covering radius
-    slack = None if ct.dim == 2 else sampling.grid_resolution(ct.dim)
-    pc = polar(ct, slack=slack)
+    pc = polar(ct, slack=sampling.grid_resolution(ct.dim))
     return join(pc, antipodal(pc))
 
 

@@ -16,14 +16,19 @@ along -u.  All of this runs on one kernel with three entry points:
                    U, -U and the zero direction, whose blow-up puts the
                    vertical in the graph Whitney cone
 
-plus radial first-order bounds and local Lipschitz constants.  All of
-them share one discretization, the ``ScaleLadder``: at scale k the base
-ball has radius r_k = t0 * ratio**k, steps t run down a geometric
-sub-ladder below r_k, and probe directions are jittered inside a window
-that shrinks quadratically in r_k.  Per-scale extrema are extrapolated
-by the median of the last three scales, for all rows at once; a
-monotone geometric blow-up past the cap is reported as an infinite
-sentinel.
+plus radial first-order bounds and the pointwise (fixed-base)
+Lipschitz constant.  The moving-base numbers of a point, its local
+Lipschitz constant and its strict derivative, get no scan of their own:
+``analysis`` reads them off the graph Whitney cone, which ``slabs``
+builds for scalar maps of one or two variables.
+
+All of these share one discretization, the ``ScaleLadder``: at scale k
+the base ball has radius r_k = t0 * ratio**k, steps t run down a
+geometric sub-ladder below r_k, and probe directions are jittered inside
+a window that shrinks quadratically in r_k.  Per-scale extrema are
+extrapolated by the median of the last three scales, for all rows at
+once; a monotone geometric blow-up past the cap is reported as an
+infinite sentinel.
 
 The kernel takes a stack of direction rows.  Per scale it calls ``f``
 once on the base points and once on the whole t sub-ladder of every
@@ -34,7 +39,8 @@ over the base points, then to extrema over t in t order; the full array
 of quotients is never built.  Rows never interact, so callers stack all
 their directions, the zero direction included, into one scan.
 
-A vector map is read through a block of codomain covectors eta: the
+A vector map is read through a block of codomain covectors eta (by
+``quotient_scan`` and ``limits``; ``slabs`` takes a scalar f): the
 kernel evaluates f once per probe set and takes every <eta, f> from
 those values.  Each covector keeps its own product ``F @ eta`` (one per
 call, of the shape a scan of <eta, f> alone would have), its own base
@@ -361,25 +367,22 @@ def limits(f, x, U, ladder: ScaleLadder, moving_base: bool,
     return limit[0] if covectors is None else limit
 
 
-def slabs(f, x, U, ladder: ScaleLadder, covectors=None):
+def slabs(f, x, U, ladder: ScaleLadder):
     """(lows, highs, vertical) from one moving-base scan of U, -U and 0.
 
     highs are the sup quotients along the rows of U; lows come from the
     antipodal identity inf Q(u) = -sup Q(-u) on the second block, never
     from a second estimate.  ``vertical`` says whether the quotient along
     the zero direction blows up, i.e. whether the vertical belongs to the
-    graph Whitney cone.  With ``covectors`` (k x n) every output gets a
-    leading axis of k, one entry per <eta, f>.
+    graph Whitney cone.  f is scalar.
     """
     U = np.asarray(U, dtype=float).reshape(-1, f.m)
     q = len(U)
     _, highs, _, shallow = _scan(f, x, np.vstack([U, -U, np.zeros((1, f.m))]),
-                                 ladder, True, covectors)
-    lim, div, _ = _limits(highs, shallow)
-    vertical = div[:, -1] | (np.abs(lim[:, -1]) > DIVERGENCE_CAP)
-    if covectors is None:
-        lim, vertical = lim[0], bool(vertical[0])
-    return -lim[..., q:2 * q], lim[..., :q], vertical
+                                 ladder, True, None)
+    lim, div, _ = _limits(highs[0], shallow[0])
+    vertical = bool(div[-1] or abs(lim[-1]) > DIVERGENCE_CAP)
+    return -lim[q:2 * q], lim[:q], vertical
 
 
 def radial_bounds(f, x, ladder: ScaleLadder) -> tuple[float, float]:
@@ -423,24 +426,19 @@ def _direction_grid(m: int, count: int) -> np.ndarray:
     return np.vstack([pts, -pts])
 
 
-def lipschitz_constants(f, x, ladder: ScaleLadder,
-                        dir_count: int = 72, covector_count: int = 16):
-    """(pointwise, local) Lipschitz constants at x.
+def pointwise_lipschitz(f, x, ladder: ScaleLadder) -> float:
+    """Pointwise Lipschitz constant at x: the sphere maximum of the |limit|
+    of a fixed-base scan over 72 directions.  Vector-valued f is reduced
+    over 8 codomain covectors, all of them read from the same scan.
 
-    Pointwise: sphere maximum of the |limit| of a fixed-base scan.  Local:
-    the same for a moving-base scan.  Vector-valued f is reduced over a
-    grid of codomain covectors, all of them read from the same two scans.
+    The local constant needs a moving base; ``analysis`` reads it off the
+    graph Whitney cone, which already holds that scan.
     """
     E = None
     if f.n > 1:
         # the second half of the grid negates the first, which gives the
         # same |limit|
-        etas = _direction_grid(f.n, covector_count)
+        etas = _direction_grid(f.n, 16)
         E = etas[:len(etas) // 2]
-    U = _direction_grid(f.m, dir_count)
-    lip_pw = float(np.abs(limits(f, x, U, ladder, False, E)).max())
-    lip = float(np.abs(limits(f, x, U, ladder, True, E)).max())
-    # the moving-base window contains the fixed-base one
-    if lip < lip_pw and math.isfinite(lip):
-        lip = max(lip, lip_pw)
-    return lip_pw, lip
+    U = _direction_grid(f.m, 72)
+    return float(np.abs(limits(f, x, U, ladder, False, E)).max())

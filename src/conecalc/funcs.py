@@ -4,7 +4,6 @@ A ``FunctionHandle`` wraps a vectorized map f: R^m -> R^n together with
 light metadata used by the estimators:
 
     c1           declared continuous differentiability (None = unknown)
-    lipschitz    a known global Lipschitz constant, when one exists
     scale_floor  finest spatial scale at which the handle carries real
                  structure; probe ladders clamp to it
 
@@ -393,7 +392,7 @@ def _preiss_handle(depth: int) -> FunctionHandle:
         return val[:, None]
 
     return _h(f"preiss_lip({depth})", 1, 1, fn,
-              lipschitz=1.0, c1=False, scale_floor=4.0 ** (-depth))
+              c1=False, scale_floor=4.0 ** (-depth))
 
 
 _BUILTIN_SUMMARY = {
@@ -412,20 +411,20 @@ _BUILTIN_SUMMARY = {
 
 def _make_builtin(tag: str, arg: int | None) -> FunctionHandle:
     if tag == "abs":
-        return _h("abs", 1, 1, lambda X: np.abs(X[:, :1]), lipschitz=1.0, c1=False)
+        return _h("abs", 1, 1, lambda X: np.abs(X[:, :1]), c1=False)
     if tag == "sqrt_abs":
         return _h("sqrt_abs", 1, 1, lambda X: np.sqrt(np.abs(X[:, :1])), c1=False)
     if tag == "xsin":
         return _h("xsin", 1, 1, _osc(lambda x: x), c1=False)
     if tag == "x2sin":
-        return _h("x2sin", 1, 1, _osc(lambda x: x * x), lipschitz=1.0, c1=False)
+        return _h("x2sin", 1, 1, _osc(lambda x: x * x), c1=False)
     if tag == "x1sq_sin":
         def fn(X):
             x1 = X[:, 0]
             with np.errstate(all="ignore"):
                 out = x1 * x1 * np.sin(1.0 / x1)
             return np.where(x1 == 0.0, 0.0, out)[:, None]
-        return _h("x1sq_sin", 2, 1, fn, lipschitz=1.0, c1=False)
+        return _h("x1sq_sin", 2, 1, fn, c1=False)
     if tag == "cbrt_x1":
         return _h("cbrt_x1", 2, 1, lambda X: np.cbrt(X[:, :1]), c1=False)
     if tag == "cube":

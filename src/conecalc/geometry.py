@@ -299,8 +299,13 @@ def graph_whitney(f, x, ladder: dini.ScaleLadder) -> FiberCone:
         lo, hi, vertical = dini.slabs(f, x, [[1.0]], ladder)
         return FiberCone.from_arcs(_slab_arcs(lo[0], hi[0], vertical))
     if f.n == 1 and f.m == 2:
-        base = sampling.unit_grid(2)[::2]
-        lo, hi, vertical = dini.slabs(f, x, base, ladder)
+        # slabs scans every -u as well, so one scan of the half circle
+        # gives every fan: the slab over -u is (-hi, -lo)
+        grid = sampling.unit_grid(2)
+        half = grid[:len(grid) // 2:2]
+        lo, hi, vertical = dini.slabs(f, x, half, ladder)
+        base = np.vstack([half, -half])
+        lo, hi = np.concatenate([lo, -hi]), np.concatenate([hi, -lo])
         step = sampling.grid_resolution(2)
         members = [fan(u, math.atan(min(l2, h2)), math.atan(max(l2, h2)), step)
                    for u, l2, h2 in zip(base, lo, hi)]
@@ -313,38 +318,23 @@ def graph_whitney(f, x, ladder: dini.ScaleLadder) -> FiberCone:
 
 
 def epigraph_strict_cone(f, x, ladder: dini.ScaleLadder) -> FiberCone:
-    """N at (x, f(x)) of the region above the graph: {(u,t): t > sup-slab}.
+    """N at (x, f(x)) of the region above the graph of f: R -> R:
+    {(u,t): t > sup-slab}.
 
     Open in exact theory; the closure is returned.  Empty (zero cone)
     exactly when f is not Lipschitz around x.
     """
-    x = np.asarray(x, dtype=float).reshape(f.m)
-    if f.n != 1:
-        raise ValueError("epigraphs need a scalar function")
-    if f.m == 1:
-        base = np.array([[1.0]])
-    elif f.m == 2:
-        base = sampling.unit_grid(2)[::2]
-    else:
-        base = np.zeros((0, f.m))  # only the vertical test is defined here
-    lo, hi, vertical = dini.slabs(f, x, base, ladder)
+    if f.m != 1 or f.n != 1:
+        raise ValueError("epigraph cones need a scalar function of one variable")
+    lo, hi, vertical = dini.slabs(f, x, [[1.0]], ladder)
     if vertical:
-        return FiberCone.zero(f.m + 1)
-    if f.m == 1:
-        # the upper edge has slope hi along +1 and -lo along -1
-        a1 = math.atan(hi[0])
-        a2 = math.pi + math.atan(lo[0])
-        if a1 > a2:
-            return FiberCone.zero(2)
-        return FiberCone.from_arcs([(a1, a2)])
-    if f.m == 2:
-        step = sampling.grid_resolution(2)
-        members = [np.array([[0.0, 0.0, 1.0]])]
-        members += [fan(u, math.atan(h2), math.pi / 2.0, step)
-                    for u, h2 in zip(base, hi)
-                    if math.atan(h2) < math.pi / 2.0 - 1e-12]
-        return FiberCone.from_directions(np.vstack(members), 3, resolution=step)
-    raise ValueError("epigraph cones support 1 or 2 input dimensions")
+        return FiberCone.zero(2)
+    # the upper edge has slope hi along +1 and -lo along -1
+    a1 = math.atan(hi[0])
+    a2 = math.pi + math.atan(lo[0])
+    if a1 > a2:
+        return FiberCone.zero(2)
+    return FiberCone.from_arcs([(a1, a2)])
 
 
 def hypograph_strict_cone(f, x, ladder: dini.ScaleLadder) -> FiberCone:

@@ -1,7 +1,10 @@
 """Command line driver: exit codes, report schema, determinism."""
 
+import contextlib
 import csv
+import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -484,53 +487,95 @@ class TestMatrixText:
         assert len(pieces) == 4
 
 
+# argv of the analyze goldens, run with --seed 0
+GOLDEN_ANALYZE = {
+    "abs": ("--fn", "abs(x1)", "--at", "0"),
+    "x2sin": ("--fn", "x1*x1*sin(1/x1)", "--at", "0"),
+    "sin-2d": ("--fn", "sin(x1)+x2*x2", "--at", "0.3,-0.2", "--ladder", "0.1,0.5,0,6"),
+    "map-2d": ("--fn", "x1+x2*x2, x1*x2", "--at", "0.2,-0.1",
+               "--ladder", "0.1,0.5,12,15"),
+    "abs-checks": ("--fn", "abs(x1)", "--at", "0", "--check", "conormal-upper",
+                   "--check", "epigraph-split"),
+    "abs-2d-checks": ("--fn", "abs(x1)+x2", "--at", "0,0", "--check",
+                      "conormal-upper", "--check", "epigraph-split"),
+    # the graph Whitney cone of a 3-D domain comes from persistence
+    "3d": ("--fn", "x1+x2+x3", "--at", "0,0,0", "--ladder", "0.1,0.5,4,10"),
+}
+
+
+@functools.cache
+def golden_stdout(name: str) -> str:
+    """The analyze golden's report, run once for the digest and verdicts."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["analyze", *GOLDEN_ANALYZE[name], "--seed", "0"]) == 0
+    return out.getvalue()
+
+
+@functools.cache
+def time_function_golden() -> dict:
+    lad = dini.ScaleLadder(t0=0.1, ratio=0.5, k_min=0, k_max=12, seed=0)
+    ray = FiberCone.from_directions(np.array([[1.0]]), 1, resolution=1e-9)
+    return analysis.time_function_check(funcs.builtin("cube"), ray,
+                                        [[-0.5], [0.0], [0.7]], lad)
+
+
 class TestGoldenReports:
-    """Report bytes pinned by sha256; a speedup must leave them unchanged."""
+    """Report bytes pinned by sha256; a speedup must leave them unchanged.
 
-    @pytest.mark.parametrize("argv,digest", [
-        pytest.param(
-            ("--fn", "abs(x1)", "--at", "0"),
-            "2ec93d11be91148443d393afa1d4a1d9a1f2ddd17d0d91242c4864a54ff7d7e1",
-            id="abs"),
-        pytest.param(
-            ("--fn", "x1*x1*sin(1/x1)", "--at", "0"),
-            "52d0797132151b75dd897a7542d6a2e9b5f0458d5121e61ad8cf193f2a6f2be1",
-            id="x2sin"),
-        pytest.param(
-            ("--fn", "sin(x1)+x2*x2", "--at", "0.3,-0.2", "--ladder", "0.1,0.5,0,6"),
-            "092d6b2633bd8fccaa20a1de98844bf5c91c66ab09a60841b6fdb2ba0ea731e4",
-            id="sin-2d"),
-        pytest.param(
-            ("--fn", "x1+x2*x2, x1*x2", "--at", "0.2,-0.1",
-             "--ladder", "0.1,0.5,12,15"),
-            "d79cda50a017e7d4ed0744d2cb236a5b745068d4ac2da7d40a136abaeceb02e5",
-            id="map-2d"),
-        pytest.param(
-            ("--fn", "abs(x1)", "--at", "0", "--check", "conormal-upper",
-             "--check", "epigraph-split"),
-            "4841eb3e9a99bb92bc99f09d1cc0b0a2850c48262218d3ccf5dd2e168bb567b3",
-            id="abs-checks"),
-        pytest.param(
-            ("--fn", "abs(x1)+x2", "--at", "0,0", "--check", "conormal-upper",
-             "--check", "epigraph-split"),
-            "cea8cf1ec7ac496b45267eb9d8d1d3939feafd4120d3c5df6c43ad92a39ad805",
-            id="abs-2d-checks"),
+    A change of report bytes on purpose re-pins the digests; the verdict
+    tables must hold across it."""
+
+    @pytest.mark.parametrize("name,digest", [
+        pytest.param("abs",
+                     "065fa04bfc07b59825a8ac061ae45bcf835498361f03ec8ebc182ec2f50052c9",
+                     id="abs"),
+        pytest.param("x2sin",
+                     "2c69fb38986ee1d6f11226db98dbb6805a780b516cabe0bd28d679eb3baae2c0",
+                     id="x2sin"),
+        pytest.param("sin-2d",
+                     "032d3d5b8327d777eb81ac7b3777699faaa61cb5f015eeec77d4c1c9096ae8f7",
+                     id="sin-2d"),
+        pytest.param("map-2d",
+                     "1843e096c7a3fe612bd60a84b838dde69725937ea6051438c627c7be4fc421a6",
+                     id="map-2d"),
+        pytest.param("abs-checks",
+                     "3b10238e5f4730b83297cfef2d574d350248a75721b2c6451ac29390819216bd",
+                     id="abs-checks"),
+        pytest.param("abs-2d-checks",
+                     "c056cf597572ed8ad39cdf525988294c45d05a393c2018c64062073f1e52762d",
+                     id="abs-2d-checks"),
     ])
-    def test_analyze_report_digest(self, capsys, argv, digest):
-        code, out, _ = run(capsys, "analyze", *argv, "--seed", "0")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    def test_analyze_report_digest(self, name, digest):
+        assert hashlib.sha256(golden_stdout(name).encode()).hexdigest() == digest
 
-    def test_3d_domain_report_digest(self, capsys):
-        # the graph Whitney cone of a 3-D domain comes from persistence
-        code, out, _ = run(capsys, "analyze", "--fn", "x1+x2+x3", "--at", "0,0,0",
-                           "--ladder", "0.1,0.5,4,10", "--seed", "0")
-        assert code == 0
-        assert (hashlib.sha256(out.encode()).hexdigest()
-                == "b8d4176a0b284188c881ed21c0acaba605888a5c64867f996896550a23a0f5a3")
-        c = json.loads(out)["results"][0]["classification"]
-        assert c["lipschitz"] is True and c["strictly_differentiable"] is True
-        assert np.abs(np.array(c["derivative"]) - 1.0).max() <= 1e-3
+    def test_3d_domain_report_digest(self):
+        assert (hashlib.sha256(golden_stdout("3d").encode()).hexdigest()
+                == "c0efd8c6ebb2b08cefd8a4dcb8cd15d13f1e661c605fe5dd2ea6876b05942da8")
+
+    # lipschitz, strictly_differentiable, derivative (within 1e-3),
+    # fo_extremum, dual_agrees (None: the report has no dual verdict)
+    @pytest.mark.parametrize("name,lip,strict,deriv,fo,dual", [
+        pytest.param("abs", True, False, None, "min", True, id="abs"),
+        pytest.param("x2sin", True, False, None, "stationary", True, id="x2sin"),
+        pytest.param("sin-2d", True, True, [[0.9555, -0.4002]], "none", True,
+                     id="sin-2d"),
+        pytest.param("map-2d", True, True, [[1.0, -0.2], [-0.1, 0.2]], None, None,
+                     id="map-2d"),
+        pytest.param("abs-checks", True, False, None, "min", True, id="abs-checks"),
+        pytest.param("abs-2d-checks", True, False, None, "none", True,
+                     id="abs-2d-checks"),
+        pytest.param("3d", True, True, [[1.0, 1.0, 1.0]], "none", True, id="3d"),
+    ])
+    def test_analyze_verdicts(self, name, lip, strict, deriv, fo, dual):
+        c = json.loads(golden_stdout(name))["results"][0]["classification"]
+        assert (c["lipschitz"], c["strictly_differentiable"]) == (lip, strict)
+        if deriv is None:
+            assert c["derivative"] is None
+        else:
+            assert np.abs(np.array(c["derivative"]) - deriv).max() <= 1e-3
+        assert c["fo_extremum"] == fo
+        assert c["checks"].get("dual_agrees") == dual
 
     def test_cones_report_digest(self, capsys, tmp_path, monkeypatch):
         # the report embeds the --csv path, so it is relative
@@ -540,18 +585,18 @@ class TestGoldenReports:
                            "--at", "0,0,0", "--seed", "0")
         assert code == 0
         assert (hashlib.sha256(out.encode()).hexdigest()
-                == "7d6e0a9577e5b3c97fe0bd1cad1f29cab4962e9c68cde99c263d88343c0b293a")
+                == "f04c05481eca7d0c558d77a44032cef944a15af402582d60fbb18297ec7bcfcf")
 
     @pytest.mark.parametrize("write,digest", [
         # 8000 wedge points: the voxel stage decides most persistence rows
         pytest.param(
             lambda p: wedge_cloud_csv(p, n=8000),
-            "b6924ef18623c230d1f0a551a2f9f39787435b11f3832898c515bbaf7fca6d7b",
+            "c992a4927b69c068f963b60345a73f5e32135dac43b7e3aa7224198b800525c8",
             id="wedge"),
         # a labeled 3-D ball: the strict cone of the wedge part
         pytest.param(
             labeled_ball_csv,
-            "27f358d871d357142d15d103173eb40a18aef2781411fdc7e637a567b09e2bf9",
+            "6ad8bbcfa4be18048bab7e5e5accc51ef1eef32b526bb179838f5ec8460b0ac3",
             id="labeled-ball"),
     ])
     def test_3d_cones_report_digest(self, capsys, tmp_path, monkeypatch,
@@ -571,15 +616,21 @@ class TestGoldenReports:
                            "--at", "0,0", "--seed", "0")
         assert code == 0
         assert (hashlib.sha256(out.encode()).hexdigest()
-                == "d8834560a0c5a615c215c315464a362072313b6565f0ac1ac4ca1fc2f13e698f")
+                == "d7729b48dac9950d3354a2ced42fd0f27bacc26da70751cf53e91b8b8cf509ee")
 
     def test_time_function_report_digest(self):
-        lad = dini.ScaleLadder(t0=0.1, ratio=0.5, k_min=0, k_max=12, seed=0)
-        ray = FiberCone.from_directions(np.array([[1.0]]), 1, resolution=1e-9)
-        out = analysis.time_function_check(funcs.builtin("cube"), ray,
-                                           [[-0.5], [0.0], [0.7]], lad)
-        assert (hashlib.sha256(cli.render_report(out).encode()).hexdigest()
-                == "9b36a9a5eee0c4ab4b36eadc09e8d6c19e61e89062c71bb0f8e417e9c5708732")
+        out = cli.render_report(time_function_golden())
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "8c5044523ffb91fbc12aa48b4760497b3ecb4a9ac8a7c9fcaed61077dd7e3cb7")
+
+    def test_time_function_verdicts(self):
+        out = time_function_golden()
+        assert (out["causal"], out["time_function"]) == (True, False)
+        got = [(e["lipschitz"], e["causal"], e["dual_ok"], e["time_function"])
+               for e in out["per_point"]]
+        # cube at -0.5, 0 (a vertical covector: not submersive) and 0.7
+        assert got == [(True, True, True, True), (True, True, True, False),
+                       (True, True, True, True)]
 
 
 class TestLineClouds:

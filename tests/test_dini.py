@@ -7,7 +7,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from conecalc import dini, funcs
+from conecalc import analysis, dini, funcs
 from conecalc.errors import EvaluationError
 
 LAD = dini.ScaleLadder(t0=0.1, ratio=0.5, k_min=0, k_max=10, seed=0)
@@ -165,32 +165,42 @@ class TestRadialBounds:
 
 
 class TestLipschitzConstants:
+    """The pointwise constant comes from a fixed-base scan here; the local
+    one is read off the graph Whitney cone by ``classify_point``."""
+
     def test_kink(self):
-        pw, loc = dini.lipschitz_constants(funcs.builtin("abs"), [0.0], LAD)
-        assert pw == pytest.approx(1.0, abs=1e-4)
-        assert loc == pytest.approx(1.0, abs=1e-4)
+        h = funcs.builtin("abs")
+        assert dini.pointwise_lipschitz(h, [0.0], LAD) == pytest.approx(1.0, abs=1e-4)
+        rep = analysis.classify_point(h, [0.0], LAD)
+        assert rep.lipschitz_constant == pytest.approx(1.0, abs=1e-4)
 
     def test_smooth(self):
-        pw, loc = dini.lipschitz_constants(funcs.builtin("cube"), [1.0], LAD)
-        assert pw == pytest.approx(3.0, abs=0.05)
-        assert loc == pytest.approx(3.0, abs=0.05)
+        h = funcs.builtin("cube")
+        assert dini.pointwise_lipschitz(h, [1.0], LAD) == pytest.approx(3.0, abs=0.05)
+        rep = analysis.classify_point(h, [1.0], LAD)
+        assert rep.lipschitz_constant == pytest.approx(3.0, abs=0.05)
 
     def test_pointwise_strictly_smaller_on_oscillation(self):
-        pw, loc = dini.lipschitz_constants(funcs.builtin("x2sin"), [0.0], LAD)
-        assert pw <= 0.1
-        assert loc == pytest.approx(1.0, abs=0.1)
+        h = funcs.builtin("x2sin")
+        assert dini.pointwise_lipschitz(h, [0.0], LAD) <= 0.1
+        rep = analysis.classify_point(h, [0.0], LAD)
+        assert rep.lipschitz_constant == pytest.approx(1.0, abs=0.1)
 
     def test_vector_valued_reduces_over_covectors(self):
         h = funcs.parse_expr("x1 + x2, x1 - x2", 2)
-        pw, loc = dini.lipschitz_constants(h, [0.0, 0.0], LAD)
         # operator norm of [[1,1],[1,-1]] is sqrt(2)
-        assert pw == pytest.approx(math.sqrt(2), abs=0.05)
-        assert loc == pytest.approx(math.sqrt(2), abs=0.05)
+        assert dini.pointwise_lipschitz(h, [0.0, 0.0], LAD) == pytest.approx(
+            math.sqrt(2), abs=0.05)
+        rep = analysis.classify_point(h, [0.0, 0.0], LAD)
+        assert rep.lipschitz_constant == pytest.approx(math.sqrt(2), abs=0.05)
 
     def test_local_never_below_pointwise(self):
         for tag, x in (("abs", 0.3), ("xsin", 0.0), ("preiss_lip(5)", 0.61)):
-            pw, loc = dini.lipschitz_constants(funcs.builtin(tag), [x], LAD)
-            assert loc >= pw - 1e-9
+            rep = analysis.classify_point(funcs.builtin(tag), [x], LAD)
+            # the moving-base slab holds the fixed-base quotients, so W's
+            # slopes need no floor to reach the pointwise constant
+            local = analysis._local_constant(rep.whitney, 1)
+            assert local >= rep.pointwise_lipschitz - 1e-9
 
 
 class TestStackedScan:
@@ -406,12 +416,13 @@ class TestCovectorBlocks:
         got = dini.limits(self.MAP, self.X, self.U, LAD, True, self.E)
         want = np.array([dini.limits(g, self.X, self.U, LAD, True) for g in slices])
         assert got.tobytes() == want.tobytes()
-        lows, highs, vertical = dini.slabs(self.MAP, self.X, self.U[:2], LAD, self.E)
+        # slabs reads U and -U off the moving-base scan, as the block does
+        U = self.U[:2]
+        both = dini.limits(self.MAP, self.X, np.vstack([U, -U]), LAD, True, self.E)
         for c, g in enumerate(slices):
-            lo, hi, vert = dini.slabs(g, self.X, self.U[:2], LAD)
-            assert lows[c].tobytes() == lo.tobytes()
-            assert highs[c].tobytes() == hi.tobytes()
-            assert vertical[c] == vert
+            lo, hi, _ = dini.slabs(g, self.X, U, LAD)
+            assert (-both[c, 2:]).tobytes() == lo.tobytes()
+            assert both[c, :2].tobytes() == hi.tobytes()
 
     def test_row_cap_does_not_change_covector_limits(self, monkeypatch):
         whole = dini.limits(self.MAP, self.X, self.U, LAD, True, self.E)
@@ -454,16 +465,20 @@ class TestEvaluationCounts:
     LAD6 = dini.ScaleLadder(t0=0.1, ratio=0.5, k_min=0, k_max=6, seed=0)
 
     def test_scalar_golden_point(self):
-        from conecalc import analysis
-
         h, log = counting("sin(x1)+x2*x2", 2)
         analysis.classify_point(h, [0.3, -0.2], self.LAD6)
-        assert (len(log), sum(log)) == (108, 11331825)
+        assert (len(log), sum(log)) == (62, 5299057)
 
-    def test_vector_lipschitz_constants_take_two_scans(self):
+    def test_map_golden_point(self):
         h, log = counting("x1+x2*x2, x1*x2", 2)
-        dini.lipschitz_constants(h, [0.2, -0.1], self.LAD6)
-        # per scan and scale: the base points, then all t steps of the 72
-        # directions in one call; 8 covectors used to take 16 scans
-        assert len(log) == 2 * 2 * len(self.LAD6.radii())
-        assert sum(log) == 1210272
+        analysis.classify_point(h, [0.2, -0.1], self.LAD6)
+        # the graph cloud, f(x), then the pointwise scan: two calls a scale
+        assert (len(log), sum(log)) == (16, 473426)
+
+    def test_vector_pointwise_constant_takes_one_scan(self):
+        h, log = counting("x1+x2*x2, x1*x2", 2)
+        dini.pointwise_lipschitz(h, [0.2, -0.1], self.LAD6)
+        # per scale: the base points, then all t steps of the 72 directions
+        # in one call, for all 8 covectors
+        assert len(log) == 2 * len(self.LAD6.radii())
+        assert sum(log) == 403424

@@ -418,6 +418,22 @@ class TestGraphWhitney:
         assert cones.contains(w, [0.0, 1.0, 0.0], tol=0.05)
         assert not cones.contains(w, [0.0, 0.0, 1.0], tol=0.05)
 
+    @pytest.mark.parametrize("src,x", [("sin(x1) + x2*x2", [0.3, -0.2]),
+                                       ("abs(x1) + x2", [0.0, 0.0])])
+    def test_half_circle_scan_gives_the_whole_circle(self, src, x):
+        # reference: slabs over every second grid direction of the whole
+        # circle, each -u scanned as a row of its own
+        h = funcs.parse_expr(src, 2)
+        base = sampling.unit_grid(2)[::2]
+        lo, hi, _ = dini.slabs(h, x, base, LAD)
+        step = sampling.grid_resolution(2)
+        want = np.vstack([geometry.fan(u, math.atan(min(a, b)),
+                                       math.atan(max(a, b)), step)
+                          for u, a, b in zip(base, lo, hi)])
+        got = cones.member_directions(geometry.graph_whitney(h, x, LAD))
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-9
+
 
 class TestStrictCone:
     def test_halfplane_open_lower(self):
@@ -455,6 +471,11 @@ class TestEpigraphCones:
         h = funcs.parse_expr("x, 2*x", 1)
         with pytest.raises(ValueError):
             geometry.epigraph_strict_cone(h, [0.0], LAD)
+
+    def test_two_variables_rejected(self):
+        h = funcs.parse_expr("x1 + x2", 2)
+        with pytest.raises(ValueError):
+            geometry.epigraph_strict_cone(h, [0.0, 0.0], LAD)
 
 
 class TestCloudFromFunction:
