@@ -133,10 +133,10 @@ def classify_point(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
     """Lipschitz / strict-differentiability report at a single point.
 
     Every moving-base number comes from the graph Whitney cone W, the
-    point's one moving-base scan.  Lipschitz holds iff the vertical slice
-    of W is trivial; the local constant is the largest slope of W's
-    members (+inf exactly when that verdict fails), floored by the
-    pointwise (fixed-base) constant.  Strict differentiability
+    point's one moving-base scan.  The local constant is the largest
+    slope of W's members (+inf when the vertical slice of W is
+    nontrivial), floored by the pointwise (fixed-base) constant, and
+    Lipschitz holds iff that constant is finite.  Strict differentiability
     additionally needs W inside an m-dimensional subspace, detected by
     the relative singular-value gap of its members, and, as part of the
     verdict, that subspace must be the graph of a linear map: its domain
@@ -150,10 +150,11 @@ def classify_point(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
     w = geometry.graph_whitney(f, x, lad)
     est = conormal.conormal(f, x, lad, whitney=w)
     vt = _vert_tol(w)
-    lip_w = _local_constant(w, f.m)
-    lipschitz = math.isfinite(lip_w)
     lip_pw = dini.pointwise_lipschitz(f, x, lad)
-    lip = max(lip_w, lip_pw)
+    lip = max(_local_constant(w, f.m), lip_pw)
+    # the verdict reads the floored constant: a sparse W on a coarse ladder
+    # can miss the vertical that the fixed-base scan already sees
+    lipschitz = math.isfinite(lip)
 
     checks: dict = {"dini_local_constant": float(lip)}
     dual = None

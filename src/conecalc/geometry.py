@@ -7,7 +7,10 @@ cone of the set against its complement).  They share one persistence
 rule: a direction counts only if it recurs, within twice the grid
 resolution rho, at each of the three deepest populated scales; of the
 sampled directions that do, one per voxel of diameter rho/2 is kept, so
-a cone has about as many members as its resolution can tell apart.
+a cone has about as many members as its resolution can tell apart.  The
+rule keys each sampled direction to its voxel once and decides only the
+first direction of each voxel, and a later one only where the first
+fails.
 
 For function graphs the Whitney cone has an exact description through
 moving-base quotient slabs, used here for one and two dimensional
@@ -128,34 +131,101 @@ def cloud_from_function(f, x, ladder: dini.ScaleLadder,
 def _persistent_directions(dir_sets: list[np.ndarray], tol: float) -> np.ndarray:
     """Members of the sets that lie within tol of every set, one per voxel.
 
-    Deciding is exact: a member passes its own set, and each other set is
-    asked with ``sampling.near_set`` on the raw members.  Of the members
-    that pass, the first in member order in each voxel of side
-    tol / (4 sqrt d) stays.  With tol = 2 rho every passing member lies
-    within rho/2 of a kept row, below the 0.51 rho slack at which
-    ``cones.grid_membership`` reads a cone.  ``np.unique`` returns first
-    occurrences, so no sort order reaches the result.
+    The result is the first passing member, in member order, of each voxel
+    of side tol / (4 sqrt d), rows in member order.  With tol = 2 rho every
+    passing member lies within rho/2 of a kept row, below the 0.51 rho
+    slack at which ``cones.grid_membership`` reads a cone.
+
+    Each member is keyed once.  Grouping the keys gives each voxel's first
+    member, and only those candidates are decided; the voxels whose first
+    candidate fails decide their other members in one more batch.  Deciding
+    is exact (``_near_every_other``).  Where the voxels are too fine to key
+    (tol = 0 in 1-D clouds, non-finite rows) they hold only equal rows,
+    which group instead.
     """
-    members = np.vstack(dir_sets, dtype=float)
+    dim = dir_sets[0].shape[1]
     if not all(len(s) for s in dir_sets):
-        return members[:0]
-    own = np.repeat(np.arange(len(dir_sets)), [len(s) for s in dir_sets])
-    keys = sampling.voxel_keys([members], 0.25 * tol / math.sqrt(members.shape[1]))
-    if keys is None:
-        # voxels too fine to key (tol = 0 in 1-D clouds) hold only equal
-        # rows, which every set decides alike: ask the first of each
-        _, first = np.unique(members, axis=0, return_index=True)
-        first.sort()
-        members, own, keys = members[first], own[first], [first]
-    keep = np.ones(len(members), dtype=bool)
-    for j, s in enumerate(dir_sets):
-        ask = keep & (own != j)
-        if ask.any():
-            keep[ask] = sampling.near_set(members[ask], s, tol)
-        if not keep.any():
-            return members[:0]
-    _, first = np.unique(keys[0][keep], return_index=True)
-    return members[keep][np.sort(first)]
+        return np.zeros((0, dim))
+    sets = [np.asarray(s, dtype=float) for s in dir_sets]
+    starts = np.cumsum([0] + [len(s) for s in sets])
+    keyed = sampling.voxel_keys(sets, 0.25 * tol / math.sqrt(dim), merge=3)
+    if keyed is None:
+        _, keys = np.unique(np.vstack(sets), axis=0, return_inverse=True)
+        keys = keys.reshape(-1)
+        cubes = None
+    else:
+        keys = np.concatenate([k for k, _ in keyed])
+        # a cube of 3^d voxels has the diagonal 0.75 tol, below near_set's
+        # voxel diagonal 2 sin(tol/2) (1 - NEAR_MARGIN) for tol up to 2.5,
+        # so a row in a cube that a set occupies lies within tol of it
+        fits = 0.75 * tol <= 2.0 * math.sin(0.5 * tol) * (1.0 - sampling.NEAR_MARGIN)
+        cubes = [c for _, c in keyed] if fits else None
+    del keyed
+    # no sort order reaches the result: a voxel's first member is the
+    # smallest index in its run of equal keys
+    order = np.argsort(keys)
+    keys = keys[order]
+    head = np.r_[True, keys[1:] != keys[:-1]]
+    del keys
+    first = np.zeros(len(order), dtype=bool)
+    first[np.minimum.reduceat(order, np.flatnonzero(head))] = True
+    cand = np.flatnonzero(first)
+    trees: dict = {}
+    passed = _near_every_other(sets, starts, cubes, cand, tol, trees)
+    keep = np.zeros(len(order), dtype=bool)
+    keep[cand[passed]] = True
+    if not passed.all():
+        count = np.cumsum(head)
+        voxel = np.empty(len(order), dtype=np.int64)
+        voxel[order] = count - 1
+        failed = np.zeros(count[-1], dtype=bool)
+        failed[voxel[cand[~passed]]] = True
+        later = np.flatnonzero(failed[voxel] & ~first)
+        later = later[_near_every_other(sets, starts, cubes, later, tol, trees)]
+        _, at = np.unique(voxel[later], return_index=True)
+        keep[later[at]] = True
+    return _rows(sets, starts, np.flatnonzero(keep))
+
+
+def _rows(arrays: list, starts: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows idx (ascending) of the arrays laid end to end; arrays[j]
+    starts at row starts[j]."""
+    cut = np.searchsorted(idx, starts)
+    return np.concatenate([a[idx[cut[j]:cut[j + 1]] - starts[j]]
+                           for j, a in enumerate(arrays)])
+
+
+def _near_every_other(sets: list, starts: np.ndarray, cubes: list | None,
+                      idx: np.ndarray, tol: float, trees: dict) -> np.ndarray:
+    """Whether each member idx (ascending, rows of the sets laid end to end)
+    lies within tol of every set but its own, bit for bit as
+    ``sampling.near_set`` decides it.
+
+    A member passes its own set.  A member whose cube (``cubes[j]`` holds
+    the cube keys of set j's rows) holds a row of another set is near that
+    set.  Each row left open gets ``sampling.near_query`` against the
+    set's tree, built once per set into ``trees`` and only when a row is
+    open.
+    """
+    rows = _rows(sets, starts, idx)
+    cube = None if cubes is None else _rows(cubes, starts, idx)
+    cut = np.searchsorted(idx, starts)
+    alive = np.ones(len(idx), dtype=bool)
+    for j, s in enumerate(sets):
+        ask = alive.copy()
+        ask[cut[j]:cut[j + 1]] = False
+        ask = np.flatnonzero(ask)
+        near = (np.zeros(len(ask), dtype=bool) if cube is None
+                else np.isin(cube[ask], cubes[j]))
+        rest = np.flatnonzero(~near)
+        if len(rest):
+            if j not in trees:
+                trees[j] = sampling.near_tree(s)
+            near[rest] = sampling.near_query(trees[j], rows[ask[rest]], tol)
+        alive[ask] = near
+        if not alive.any():
+            break
+    return alive
 
 
 def tangent_cone(cloud: PointCloud, x, ladder: dini.ScaleLadder) -> FiberCone:

@@ -87,6 +87,12 @@ def _build_grid(dim: int) -> np.ndarray:
     return g
 
 
+# grid_resolution of the fixed 3-D and 4-D grids, pinned by the tests
+# against the KD computation in it, which costs a process 10-20 ms on a
+# 2-core x86 host
+GRID_RESOLUTIONS = {3: 0.026458756514606142, 4: 0.04844742681739875}
+
+
 @lru_cache(maxsize=8)
 def grid_resolution(dim: int) -> float:
     """Mean nearest-neighbor angle of the grid for this dimension."""
@@ -94,6 +100,8 @@ def grid_resolution(dim: int) -> float:
         return 0.0
     if dim == 2:
         return TWO_PI / GRID_SIZES[2]
+    if dim in GRID_RESOLUTIONS:
+        return GRID_RESOLUTIONS[dim]
     pts = unit_grid(dim)
     probe = pts if len(pts) <= 4096 else pts[:: len(pts) // 4096]
     d, _ = grid_tree(dim).query(probe, k=2)
@@ -117,7 +125,7 @@ def min_angle_to_set(dirs: np.ndarray, members: np.ndarray) -> np.ndarray:
 
 
 # near_set: voxels are this much (relative) smaller than the chord of tol
-# allows, and the bounded query reaches this much beyond that chord
+# allows, and near_query reaches this much beyond that chord
 NEAR_MARGIN = 1e-6
 VOXEL_BLOCK = 1 << 15
 
@@ -129,11 +137,9 @@ def near_set(dirs: np.ndarray, members: np.ndarray, tol: float) -> np.ndarray:
     c = 2 sin(tol/2), not which member is nearest, so it runs in two
     stages.  Voxels of side c (1 - NEAR_MARGIN) / sqrt(d) have diagonals
     shorter than c by far more than rounding, so a row sharing a voxel
-    with a member is near.  Every other row gets one KD query bounded a
-    margin above c; a miss reads as the angle pi.  A row the query finds
-    gets the same chord bits as in ``min_angle_to_set``, and goes through
-    the same formula.  The voxel stage is skipped where its packed keys
-    would overflow int64 or rounding could reach the margin.
+    with a member is near.  Every other row goes to ``near_query``.  The
+    voxel stage is skipped where its packed keys would overflow int64 or
+    rounding could reach the margin.
     """
     dirs = np.atleast_2d(dirs)
     if len(members) == 0 or len(dirs) == 0:
@@ -146,38 +152,64 @@ def near_set(dirs: np.ndarray, members: np.ndarray, tol: float) -> np.ndarray:
     near = np.zeros(len(dirs), dtype=bool) if keys is None else np.isin(*keys)
     rest = np.flatnonzero(~near)
     if len(rest):
-        # the tree compares squared distances, so the bound keeps a floor
-        # whose square is a normal float; the tree's shape does not change
-        # the nearest distance, so it takes the faster unbalanced build
-        bound = max(chord * (1.0 + NEAR_MARGIN), 1e-150)
-        tree = cKDTree(members, balanced_tree=False, compact_nodes=False)
-        found, _ = tree.query(dirs[rest], distance_upper_bound=bound)
-        near[rest] = 2.0 * np.arcsin(np.clip(found / 2.0, 0.0, 1.0)) <= tol
+        near[rest] = near_query(near_tree(members), dirs[rest], tol)
     return near
 
 
-def voxel_keys(arrays: list, side: float) -> list | None:
+def near_tree(members: np.ndarray) -> cKDTree:
+    """The KD tree ``near_query`` asks.  The tree's shape does not change
+    the nearest distance, so it takes the faster unbalanced build."""
+    return cKDTree(members, balanced_tree=False, compact_nodes=False)
+
+
+def near_query(tree: cKDTree, dirs: np.ndarray, tol: float) -> np.ndarray:
+    """The KD stage of ``near_set``: whether each row of dirs lies within
+    tol of the tree's members, bit for bit as ``min_angle_to_set``.
+
+    One query per row, bounded a margin above the chord 2 sin(tol/2); a
+    miss reads as the angle pi.  A row the query finds gets the same chord
+    bits as in ``min_angle_to_set``, and goes through the same formula.
+    """
+    # the tree compares squared distances, so the bound keeps a floor
+    # whose square is a normal float
+    bound = max(2.0 * math.sin(0.5 * tol) * (1.0 + NEAR_MARGIN), 1e-150)
+    found, _ = tree.query(dirs, distance_upper_bound=bound)
+    return 2.0 * np.arcsin(np.clip(found / 2.0, 0.0, 1.0)) <= tol
+
+
+def voxel_keys(arrays: list, side: float, merge: int = 1) -> list | None:
     """One int64 per row of each non-empty array: its voxel on one grid of
     cubes of the given side, anchored at the arrays' common minimum.
 
-    Rows get the same key exactly when they share a voxel.  None when the
-    side is not positive or the packed index would not fit in int64.
+    Rows get the same key exactly when they share a voxel.  With merge > 1
+    each array gets a pair instead: those keys, and the keys of the cubes
+    of side merge * side on the same anchor, each the union of merge^d
+    voxels, from the same floored cells.  None when the side is not
+    positive or the packed index would not fit in int64.
     """
-    lo = np.min([a.min(axis=0) for a in arrays], axis=0)
-    span = float((np.max([a.max(axis=0) for a in arrays], axis=0) - lo).max())
+    # column by column: a strided reduction of one column is several times
+    # faster than min(axis=0) over narrow rows, with the same result
+    lo = np.min([[a[:, c].min() for c in range(a.shape[1])] for a in arrays], axis=0)
+    hi = np.max([[a[:, c].max() for c in range(a.shape[1])] for a in arrays], axis=0)
+    span = float((hi - lo).max())
     # floor((x - lo) / side) is off by at most span / side * 2^-52 cells,
     # far below near_set's NEAR_MARGIN while span / side <= 2^26
     cells = int(span / side) + 2 if side > 0.0 and span / side <= 2.0 ** 26 else 0
     if not 0 < cells ** len(lo) < 2 ** 62:
         return None
+    shape = (cells,) * len(lo)
+    merged = ((cells - 1) // merge + 1,) * len(lo)
 
     def keys(x):
         # packed voxel index per row, in row blocks to bound the temporaries
         out = np.empty(len(x), dtype=np.int64)
+        big = np.empty(len(x) if merge > 1 else 0, dtype=np.int64)
         for at in range(0, len(x), VOXEL_BLOCK):
             k = np.floor((x[at:at + VOXEL_BLOCK] - lo) / side).astype(np.int64)
-            out[at:at + VOXEL_BLOCK] = np.ravel_multi_index(k.T, (cells,) * len(lo))
-        return out
+            out[at:at + VOXEL_BLOCK] = np.ravel_multi_index(k.T, shape)
+            if merge > 1:
+                big[at:at + VOXEL_BLOCK] = np.ravel_multi_index((k // merge).T, merged)
+        return (out, big) if merge > 1 else out
 
     return [keys(a) for a in arrays]
 

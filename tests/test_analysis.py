@@ -97,6 +97,18 @@ class TestWhitneyReadings:
         entry = analysis.causal_check(h, ray, LIGHT, [[0.0]], LAD)["per_point"][0]
         assert not entry["lipschitz"] and entry["lipschitz_constant"] == math.inf
 
+    def test_pointwise_constant_decides_a_sparse_cone(self):
+        # on this coarse ladder the cloud-chord W keeps no member near the
+        # vertical, so W alone reads a finite constant; the fixed-base
+        # scan's infinite one floors it, and the verdict follows
+        h = funcs.parse_expr("sqrt(abs(x1)), x2", 2)
+        r = analysis.classify_point(h, [0.0, 0.0], LAD)
+        assert math.isfinite(analysis._local_constant(r.whitney, 2))
+        assert r.pointwise_lipschitz == math.inf
+        assert r.lipschitz_constant == math.inf
+        assert not r.lipschitz and not r.strictly_differentiable
+        assert r.derivative is None
+
     @pytest.mark.parametrize("src,x,lipschitz,jac", [
         ("18.8*x1", [0.1, 0.0], True, [[18.8, 0.0]]),
         ("18.9*x1 + x2", [0.0, 0.0], False, None),

@@ -550,6 +550,15 @@ class TestMembership:
 
 
 class TestResolution:
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_pinned_grid_resolution_equals_the_kd_computation(self, dim):
+        # the literal stands in for a KD query of the grid's probe rows
+        pts = sampling.unit_grid(dim)
+        probe = pts if len(pts) <= 4096 else pts[:: len(pts) // 4096]
+        d, _ = sampling.grid_tree(dim).query(probe, k=2)
+        want = float(np.mean(2.0 * np.arcsin(np.clip(d[:, 1] / 2.0, 0.0, 1.0))))
+        assert sampling.grid_resolution(dim).hex() == want.hex()
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_sampled_form_keeps_the_resolution(self, dim):
         # cone.resolution() stands in for as_sampled(cone).rep.resolution

@@ -153,6 +153,30 @@ def reference_persistent_directions(dir_sets, tol):
     return cand[keep]
 
 
+def reference_eager_persistence(dir_sets, tol):
+    """The persistence filter before candidates: every member is asked of
+    every other set with ``sampling.near_set``, then the first passing
+    member of each voxel stays."""
+    members = np.vstack(dir_sets, dtype=float)
+    if not all(len(s) for s in dir_sets):
+        return members[:0]
+    own = np.repeat(np.arange(len(dir_sets)), [len(s) for s in dir_sets])
+    keys = sampling.voxel_keys([members], 0.25 * tol / math.sqrt(members.shape[1]))
+    if keys is None:
+        _, first = np.unique(members, axis=0, return_index=True)
+        first.sort()
+        members, own, keys = members[first], own[first], [first]
+    keep = np.ones(len(members), dtype=bool)
+    for j, s in enumerate(dir_sets):
+        ask = keep & (own != j)
+        if ask.any():
+            keep[ask] = sampling.near_set(members[ask], s, tol)
+        if not keep.any():
+            return members[:0]
+    _, first = np.unique(keys[0][keep], return_index=True)
+    return members[keep][np.sort(first)]
+
+
 def cap(dim, center, spread, n, rng):
     pts = np.asarray(center, dtype=float) + spread * rng.normal(size=(n, dim))
     return pts / np.linalg.norm(pts, axis=1)[:, None]
@@ -174,8 +198,10 @@ def voxel_side(tol, dim):
 
 
 def check_rule(sets, tol):
-    """The persistence rule's output, checked against its definition."""
+    """The persistence rule's output, checked against its definition and,
+    bit for bit, against the eager filter."""
     got = geometry._persistent_directions(sets, tol)
+    assert got.tobytes() == reference_eager_persistence(sets, tol).tobytes()
     members = np.vstack(sets)
     assert got.shape[1:] == members.shape[1:]
     # every output row is an input member, bit for bit
@@ -247,8 +273,10 @@ class TestPersistentDirections:
         rng = np.random.default_rng(3)
         sets = overlapping_sets(dim, 3)
         sets.insert(1, cap(dim, -np.eye(dim)[0], 0.05, 400, rng))
-        got = geometry._persistent_directions(sets, 2.0 * sampling.grid_resolution(dim))
+        tol = 2.0 * sampling.grid_resolution(dim)
+        got = geometry._persistent_directions(sets, tol)
         assert got.shape == (0, dim)
+        assert got.tobytes() == reference_eager_persistence(sets, tol).tobytes()
 
     def test_zeros_of_both_signs(self):
         # each row has a twin that differs only in the sign of a zero;
@@ -326,6 +354,92 @@ class TestPersistentDirections:
         assert got.tolist() == [[1.0], [-1.0]]
         assert geometry._persistent_directions(sets[:2] + [np.array([[1.0]])],
                                                0.0).tolist() == [[1.0]]
+
+    def test_later_member_of_a_failing_voxel_stays(self, monkeypatch):
+        # a voxel's first member a1 lies just beyond tol of the third set's
+        # ray c, the voxel's later member a2 just inside: the retry batch
+        # keeps a2.  The rays point away from the bulk rows.
+        tol = 2.0 * sampling.grid_resolution(2)
+        th, dt = math.pi + 0.3, tol / 100.0
+        ray = lambda a: np.array([[math.cos(a), math.sin(a)]])
+        bulk = overlapping_sets(2, 7)
+        sets = [np.vstack([ray(th), bulk[0]]), np.vstack([bulk[1], ray(th + dt)]),
+                np.vstack([bulk[2], ray(th + tol + 0.5 * dt)])]
+        a2 = len(sets[0]) + len(bulk[1])
+        (keys,) = sampling.voxel_keys([np.vstack(sets)], voxel_side(tol, 2))
+        assert keys[0] == keys[a2]
+        batches = []
+        decide = geometry._near_every_other
+
+        def recorded(sets, starts, cubes, idx, tol, trees):
+            out = decide(sets, starts, cubes, idx, tol, trees)
+            batches.append((idx[~out].tolist(), idx[out].tolist()))
+            return out
+
+        monkeypatch.setattr(geometry, "_near_every_other", recorded)
+        got = {r.tobytes() for r in check_rule(sets, tol)}
+        assert len(batches) == 2
+        assert 0 in batches[0][0] and a2 in batches[1][1]
+        assert ray(th + dt).tobytes() in got and ray(th).tobytes() not in got
+
+    def test_whitney_cone_of_a_wedge_cloud(self, monkeypatch):
+        # the sets a real 3-D Whitney cone filters, against the eager filter
+        rng = np.random.default_rng(12)
+        pts = rng.uniform(-1.0, 1.0, (24000, 3))
+        pts = pts[(np.linalg.norm(pts, axis=1) <= 1.0) & (pts[:, 2] >= np.abs(pts[:, 0]))]
+        cloud = geometry.PointCloud(np.vstack([np.zeros((1, 3)), pts[:4999]]))
+        seen = []
+        persist = geometry._persistent_directions
+
+        def recorded(sets, tol):
+            seen.append((sets, tol, persist(sets, tol)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(geometry, "_persistent_directions", recorded)
+        w = geometry.whitney_cone(cloud, cloud, [0.0, 0.0, 0.0],
+                                  geometry.cloud_ladder(cloud, [0.0, 0.0, 0.0], seed=3))
+        (sets, tol, got), = seen
+        assert len(got) > 1000 and len(cones.member_directions(w)) == len(got)
+        assert got.tobytes() == reference_eager_persistence(sets, tol).tobytes()
+
+
+class TestPersistenceCounts:
+    """Candidates decided and KD trees built are counted, not timed: a
+    regression in how much persistence asks shows on any host."""
+
+    def counting(self, monkeypatch):
+        log = {"rows": [], "trees": 0}
+        decide, tree = geometry._near_every_other, sampling.near_tree
+
+        def counted_decide(sets, starts, cubes, idx, tol, trees):
+            log["rows"].append(len(idx))
+            return decide(sets, starts, cubes, idx, tol, trees)
+
+        def counted_tree(members):
+            log["trees"] += 1
+            return tree(members)
+
+        monkeypatch.setattr(geometry, "_near_every_other", counted_decide)
+        monkeypatch.setattr(sampling, "near_tree", counted_tree)
+        return log
+
+    @pytest.mark.parametrize("dim,rows", [(2, [857, 16]), (3, [4233, 48]),
+                                          (4, [4491, 71])])
+    def test_overlapping_sets(self, monkeypatch, dim, rows):
+        # of the 4950 members, the candidates, then the later members of
+        # the voxels whose candidate failed; one tree per set for both
+        log = self.counting(monkeypatch)
+        geometry._persistent_directions(overlapping_sets(dim, 0),
+                                        2.0 * sampling.grid_resolution(dim))
+        assert (log["rows"], log["trees"]) == (rows, 3)
+
+    def test_no_tree_when_no_row_is_open(self, monkeypatch):
+        # every set holds every candidate's own row, so the cube stage
+        # decides all of them
+        log = self.counting(monkeypatch)
+        s = cap(3, [0.0, 0.0, 1.0], 0.2, 3000, np.random.default_rng(9))
+        got = geometry._persistent_directions([s, s[::-1], s], 2.0 * sampling.grid_resolution(3))
+        assert len(got) == log["rows"][0] and log["trees"] == 0
 
 
 class TestThinSets:
