@@ -309,9 +309,9 @@ def mean_value_witness(f: FunctionHandle, a, b, eta0: float = 1.0,
 
     def probe(s: float, lad) -> tuple[float, np.ndarray]:
         c = a + s * (b - a)
+        est = conormal.conormal(f, c, lad.for_handle(f))
         if f.m == 1:
-            lam = conormal.conormal_dimM1(f, c, lad.for_handle(f))
-            arcs = cones.as_arcs(lam).rep.arcs
+            arcs = cones.as_arcs(est.exact).rep.arcs
             if not arcs:
                 return math.pi / 2.0, None
             perp = math.atan2(chord_hat[0], -chord_hat[1])
@@ -319,7 +319,6 @@ def mean_value_witness(f: FunctionHandle, a, b, eta0: float = 1.0,
                       cones.arcs_point_distance(arcs, perp + math.pi))
             nu = np.array([fb - fa, a[0] - b[0]])
             return ang, sgn * nu / np.linalg.norm(nu)
-        est = conormal.conormal(f, c, lad.for_handle(f))
         V = cones.member_directions(est.upper)
         if len(V) == 0:
             return math.pi / 2.0, None

@@ -28,7 +28,7 @@ from .cones import FiberCone
 from .errors import (ConeCalcError, DimensionMismatchError, EvaluationError,
                      ParseError)
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 KNOWN_CHECKS = ("conormal-upper", "epigraph-split")
 
@@ -306,7 +306,7 @@ def _build_parser() -> _Parser:
                         help="scale ladder override")
         sp.add_argument("--seed", type=int, help="RNG seed "
                         "(falls back to CONECALC_SEED, then 0)")
-        sp.add_argument("--jobs", type=int, default=1,
+        sp.add_argument("--jobs", type=_jobs, default=1,
                         help="worker threads for per-point work")
         sp.add_argument("--report", help="write the JSON report here")
 
@@ -340,6 +340,16 @@ def _tolerance(text: str) -> float:
     if not (math.isfinite(tol) and tol >= 0.0):
         raise argparse.ArgumentTypeError(f"need a finite number >= 0, got {text!r}")
     return tol
+
+
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+    return jobs
 
 
 def _parse_point(text: str) -> tuple:
@@ -376,7 +386,7 @@ def _config_from_args(args) -> RunConfig:
         ladder=_parse_ladder(get("ladder")),
         tol=get("tol"),
         seed=dini.resolve_seed(get("seed")),
-        jobs=max(1, int(get("jobs", 1) or 1)),
+        jobs=get("jobs", 1),
         only=tuple(get("only", [])),
         report=get("report"),
         plot=get("plot"),

@@ -57,24 +57,6 @@ def _resolved_ladder(f, ladder):
 
 
 # ---------------------------------------------------------------------------
-# equality regimes
-
-
-def conormal_dimM1(f, x, ladder=None) -> FiberCone:
-    """Conormal over a 1-dimensional domain: top of the graph Whitney cone."""
-    if f.m != 1:
-        raise DimensionMismatchError(
-            f"domain dimension is {f.m}; the equality route needs 1")
-    lad = _resolved_ladder(f, ladder)
-    return top(geometry.graph_whitney(f, x, lad))
-
-
-def whitney_from_conormal_dimN1(lam: FiberCone) -> FiberCone:
-    """Whitney cone recovered from a scalar-target conormal: its top."""
-    return top(lam)
-
-
-# ---------------------------------------------------------------------------
 # upper bound: intersection of directional slice tops
 
 
@@ -273,7 +255,7 @@ def conormal(f, x, ladder=None, whitney: FiberCone | None = None) -> ConormalEst
         est = ConormalEstimate(lower=lower, upper=upper, regime="dimN1")
         est.checks["lower_check"] = check
         est.checks["whitney_roundtrip_angle"] = float(
-            hausdorff_angle(whitney_from_conormal_dimN1(upper), w))
+            hausdorff_angle(top(upper), w))
         return est
     est = ConormalEstimate(lower=FiberCone.zero(f.m + f.n), upper=upper,
                            regime="bounds-only")

@@ -39,13 +39,13 @@ over the base points, then to extrema over t in t order; the full array
 of quotients is never built.  Rows never interact, so callers stack all
 their directions, the zero direction included, into one scan.
 
-A vector map is read through a block of codomain covectors eta (by
-``quotient_scan`` and ``limits``; ``slabs`` takes a scalar f): the
-kernel evaluates f once per probe set and takes every <eta, f> from
-those values.  Each covector keeps its own product ``F @ eta`` (one per
-call, of the shape a scan of <eta, f> alone would have), its own base
-values and its own noise floor, hence its own prefix of the t ladder, so
-its limits are those of the scalar map <eta, f> scanned alone.
+A vector map (n >= 2) is scanned through the Euclidean norm of its
+increment, |f(y+tv) - f(y)| / t, with either base; a scalar map keeps
+its signed quotient.  The paper's criterion |xi| <= L |eta| on the
+graph's microsupport uses Euclidean norms, so the Lipschitz constant of
+a map is an operator norm, which the norm quotient reads directly.
+``slabs`` needs the signed quotient for its antipodal identity and so
+takes a scalar f only.
 
 Estimates are heuristic: any finite ladder can be fooled by structure
 below its deepest scale.  ``quotient_scan`` keeps the full per-scale
@@ -61,7 +61,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import sampling
-from .errors import EvaluationError
 
 DIVERGENCE_CAP = 1e3
 HARD_CAP = 1e9
@@ -90,8 +89,8 @@ class ScaleLadder:
     def __post_init__(self):
         if not (0.0 < self.ratio < 1.0):
             raise ValueError("ratio must lie in (0,1)")
-        if self.t0 <= 0 or self.k_min >= self.k_max:
-            raise ValueError("need t0 > 0 and k_min < k_max")
+        if not (math.isfinite(self.t0) and self.t0 > 0) or self.k_min >= self.k_max:
+            raise ValueError("need a finite t0 > 0 and k_min < k_max")
         if self.t0 * self.ratio ** self.k_max <= math.sqrt(np.finfo(float).eps):
             raise ValueError("deepest scale is below sqrt(machine epsilon)")
 
@@ -158,7 +157,9 @@ def _extrapolate(values: np.ndarray):
     v = np.asarray(values, dtype=float)
     limit = _late(v)
     tail = v[..., -3:]
-    spread = tail.max(axis=-1) - tail.min(axis=-1)
+    with np.errstate(invalid="ignore"):
+        # a tail of equal infinities has a NaN spread: never stable
+        spread = tail.max(axis=-1) - tail.min(axis=-1)
     stable = spread <= 0.05 * np.maximum(1.0, np.abs(limit))
     diverged = np.zeros(limit.shape, dtype=bool)
     # at most one side can blow up: their late levels have opposite signs
@@ -204,35 +205,16 @@ def _base_offsets(m: int, jitter: int, total: int, seed: int) -> np.ndarray:
     return np.vstack([fixed, sampling.ball_points(m, rest, seed)])
 
 
-def _covector_values(f, F: np.ndarray, eta: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """<eta, f> at the points P from F = f(P), as one matrix-vector product.
-
-    Products of the same shape round the same way, so callers pass the
-    rows a separate evaluation of <eta, f> would have had in one call.
-    """
-    with np.errstate(over="ignore"):
-        out = F @ eta
-    if not np.isfinite(out).all():
-        i = int(np.flatnonzero(~np.isfinite(out))[0])
-        raise EvaluationError(f"<eta,{f.name}> is non-finite at {P[i].tolist()}")
-    return out
-
-
-def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool, covectors,
+def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool,
           want_lows: bool = False):
-    """Per-scale quotient extrema of every covector along every row of U.
+    """Per-scale quotient extrema along every row of U.
 
     Returns (radii, highs, lows, shallow), the last three of shape
-    (nc, q, scales) for nc covectors (one for a scalar f without them)
-    and q rows.  ``shallow`` is the sup at t = r alone.  ``lows`` (the
-    per-scale inf) is None unless asked for: only the profiles show it.
+    (q, scales) for q rows.  ``shallow`` is the sup at t = r alone.
+    ``lows`` (the per-scale inf) is None unless asked for: only the
+    profiles show it.  The quotient of a vector map is the norm of its
+    increment over t.
     """
-    if covectors is None:
-        if f.n != 1:
-            raise ValueError("quotient estimation needs a scalar function")
-        E = None
-    else:
-        E = np.asarray(covectors, dtype=float).reshape(-1, f.n)
     x = np.asarray(x, dtype=float).reshape(f.m)
     U = np.atleast_2d(np.asarray(U, dtype=float))
     if U.shape[1] != f.m:
@@ -241,7 +223,7 @@ def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool, covectors,
     seed = lad.resolved_seed()
     radii = lad.radii()
     q, m = U.shape
-    nc = 1 if E is None else len(E)
+    n = f.n
 
     norms = np.linalg.norm(U, axis=1)
     unit = np.divide(U, np.maximum(norms, 1e-300)[:, None])
@@ -252,11 +234,11 @@ def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool, covectors,
     t_floor = floor / 64.0 if floor else 0.0
 
     nk = len(radii)
-    highs = np.full((nc, q, nk), -np.inf)
-    lows = np.full((nc, q, nk), np.inf) if want_lows else None
+    highs = np.full((q, nk), -np.inf)
+    lows = np.full((q, nk), np.inf) if want_lows else None
     # sup at t = r only; the deep sub-ladder hits its noise floor on every
     # shell, so geometric blow-up is only visible on this shallow track
-    shallow = np.full((nc, q, nk), -np.inf)
+    shallow = np.full((q, nk), -np.inf)
 
     for ki, r in enumerate(radii):
         k = lad.k_min + ki
@@ -281,21 +263,15 @@ def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool, covectors,
             # Lipschitz in the window and blows up otherwise
             V[zero_dir] = math.sqrt(r / lad.t0) * Gc[None, :, :]
 
-        FB = f(Y)
-        FY = [FB[:, 0]] if E is None else [_covector_values(f, FB, eta, Y) for eta in E]
+        FY = f(Y)
         # quotients difference nearly equal numbers; keep t above the
-        # level where argument and value roundoff would pollute them.
-        # Each covector keeps the t steps above its own floor, a prefix
-        # of the sub-ladder and never an empty one.
+        # level where argument and value roundoff would pollute them: a
+        # prefix of the sub-ladder, never an empty one
         y_mag = float(np.max(np.abs(Y))) if Y.size else 0.0
-        eps = np.finfo(float).eps
+        f_mag = float(np.max(np.abs(FY))) if FY.size else 0.0
+        noise_floor = np.finfo(float).eps * max(y_mag, f_mag) / NOISE_BUDGET
         ts = r * 2.0 ** (-np.arange(T_SUBSTEPS))
-        nts = []
-        for fy in FY:
-            f_mag = float(np.max(np.abs(fy))) if fy.size else 0.0
-            noise_floor = eps * max(y_mag, f_mag) / NOISE_BUDGET
-            nts.append(max(1, int(np.count_nonzero(
-                ts >= max(t_floor, noise_floor, 1e-300)))))
+        nt = max(1, int(np.count_nonzero(ts >= max(t_floor, noise_floor, 1e-300))))
 
         # each f call takes as many whole t steps of every row as fit in
         # QUOTIENT_ROW_CAP probe points, never less than one; the probes
@@ -303,68 +279,57 @@ def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool, covectors,
         block = q * B
         per_call = max(1, QUOTIENT_ROW_CAP // max(block, 1))
         Vc = np.ascontiguousarray(np.moveaxis(V, 2, 0))
-        buf = np.empty((m, min(per_call, max(nts)) * block))
-        step_hi = [np.empty((n, q)) for n in nts]
-        step_lo = [np.empty((n, q)) for n in nts] if want_lows else None
-        for j in range(0, max(nts), per_call):
-            rows = min(per_call, max(nts) - j)
+        buf = np.empty((m, min(per_call, nt) * block))
+        step_hi = np.empty((nt, q))
+        step_lo = np.empty((nt, q)) if want_lows else None
+        for j in range(0, nt, per_call):
+            rows = min(per_call, nt - j)
             P = buf[:, :rows * block]
             for d in range(m):
                 Pd = P[d].reshape(rows, q, B)
                 np.multiply(ts[j:j + rows, None, None], Vc[d], out=Pd)
                 Pd += Y[:, d]
             F = f(P.T)
-            for c in range(nc):
-                # the per-t extrema of this call's t steps of covector c
-                rc = min(rows, nts[c] - j)
-                if rc <= 0:
-                    continue
-                vals = (F[:, 0] if E is None
-                        else _covector_values(f, F[:rc * block], E[c], P.T))
-                quot = vals[:rc * block].reshape(rc, q, B) - FY[c]
-                quot /= ts[j:j + rc, None, None]
-                quot.max(axis=2, out=step_hi[c][j:j + rc])
-                if want_lows:
-                    quot.min(axis=2, out=step_lo[c][j:j + rc])
+            if n == 1:
+                quot = F[:, 0].reshape(rows, q, B) - FY[:, 0]
+            else:
+                # a huge map overflows the squares to +inf, a true reading
+                with np.errstate(over="ignore"):
+                    quot = np.linalg.norm(F.reshape(rows, q, B, n) - FY, axis=3)
+            quot /= ts[j:j + rows, None, None]
+            # the per-t extrema of this call's t steps
+            quot.max(axis=2, out=step_hi[j:j + rows])
+            if want_lows:
+                quot.min(axis=2, out=step_lo[j:j + rows])
         # then over t in t order: the extremum of signed zeros depends on
         # that order
-        for c in range(nc):
-            highs[c, :, ki] = step_hi[c].max(axis=0)
-            shallow[c, :, ki] = step_hi[c][0]
-            if want_lows:
-                lows[c, :, ki] = step_lo[c].min(axis=0)
+        highs[:, ki] = step_hi.max(axis=0)
+        shallow[:, ki] = step_hi[0]
+        if want_lows:
+            lows[:, ki] = step_lo.min(axis=0)
     return radii, highs, lows, shallow
 
 
-def quotient_scan(f, x, U, ladder: ScaleLadder, moving_base: bool,
-                  covectors=None) -> list:
+def quotient_scan(f, x, U, ladder: ScaleLadder, moving_base: bool) -> list:
     """Sup-side quotient profiles, vectorized across direction rows of U.
 
     Rows never interact: a row's profile is the same whether it is
-    scanned alone or stacked with others.  With ``covectors`` (k x n
-    rows eta) the profiles are those of the scalar maps <eta, f>, one
-    list of row profiles per covector, from one evaluation of f.
+    scanned alone or stacked with others.
     """
     radii, highs, lows, shallow = _scan(f, x, U, ladder, moving_base,
-                                        covectors, want_lows=True)
+                                        want_lows=True)
     limit, diverged, stable = _limits(highs, shallow)
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    out = [[QuotientProfile(U[i].copy(), radii.copy(), highs[c, i].copy(),
-                            lows[c, i].copy(), float(limit[c, i]),
-                            bool(diverged[c, i]), bool(stable[c, i]))
-            for i in range(len(U))] for c in range(len(highs))]
-    return out[0] if covectors is None else out
+    return [QuotientProfile(U[i].copy(), radii.copy(), highs[i].copy(),
+                            lows[i].copy(), float(limit[i]),
+                            bool(diverged[i]), bool(stable[i]))
+            for i in range(len(U))]
 
 
-def limits(f, x, U, ladder: ScaleLadder, moving_base: bool,
-           covectors=None) -> np.ndarray:
-    """The extrapolated sup-side limit along every row of U.
-
-    With ``covectors`` (k x n) the limits of every <eta, f>, shape (k, q).
-    """
-    _, highs, _, shallow = _scan(f, x, U, ladder, moving_base, covectors)
-    limit = _limits(highs, shallow)[0]
-    return limit[0] if covectors is None else limit
+def limits(f, x, U, ladder: ScaleLadder, moving_base: bool) -> np.ndarray:
+    """The extrapolated sup-side limit along every row of U."""
+    _, highs, _, shallow = _scan(f, x, U, ladder, moving_base)
+    return _limits(highs, shallow)[0]
 
 
 def slabs(f, x, U, ladder: ScaleLadder):
@@ -374,13 +339,15 @@ def slabs(f, x, U, ladder: ScaleLadder):
     antipodal identity inf Q(u) = -sup Q(-u) on the second block, never
     from a second estimate.  ``vertical`` says whether the quotient along
     the zero direction blows up, i.e. whether the vertical belongs to the
-    graph Whitney cone.  f is scalar.
+    graph Whitney cone.  f is scalar: the identity needs a signed quotient.
     """
+    if f.n != 1:
+        raise ValueError("slabs need a scalar function")
     U = np.asarray(U, dtype=float).reshape(-1, f.m)
     q = len(U)
     _, highs, _, shallow = _scan(f, x, np.vstack([U, -U, np.zeros((1, f.m))]),
-                                 ladder, True, None)
-    lim, div, _ = _limits(highs[0], shallow[0])
+                                 ladder, True)
+    lim, div, _ = _limits(highs, shallow)
     vertical = bool(div[-1] or abs(lim[-1]) > DIVERGENCE_CAP)
     return -lim[q:2 * q], lim[:q], vertical
 
@@ -428,17 +395,12 @@ def _direction_grid(m: int, count: int) -> np.ndarray:
 
 def pointwise_lipschitz(f, x, ladder: ScaleLadder) -> float:
     """Pointwise Lipschitz constant at x: the sphere maximum of the |limit|
-    of a fixed-base scan over 72 directions.  Vector-valued f is reduced
-    over 8 codomain covectors, all of them read from the same scan.
+    of a fixed-base scan over 72 directions.  For a vector map the limits
+    are those of the norm quotient, so the maximum reads the operator norm
+    of the derivative where there is one.
 
     The local constant needs a moving base; ``analysis`` reads it off the
     graph Whitney cone, which already holds that scan.
     """
-    E = None
-    if f.n > 1:
-        # the second half of the grid negates the first, which gives the
-        # same |limit|
-        etas = _direction_grid(f.n, 16)
-        E = etas[:len(etas) // 2]
     U = _direction_grid(f.m, 72)
-    return float(np.abs(limits(f, x, U, ladder, False, E)).max())
+    return float(np.abs(limits(f, x, U, ladder, False)).max())

@@ -215,7 +215,8 @@ class TestUsageErrors:
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("ladder", ["0.1,1.5,0,6", "0.1,1.5,0,60",
-                                        "0.1,0.5,0,60", "0.1,0.5,6,6"])
+                                        "0.1,0.5,0,60", "0.1,0.5,6,6",
+                                        "nan,0.5,4,16", "inf,0.5,4,16"])
     def test_out_of_range_ladder(self, capsys, ladder):
         code, out, err = run(capsys, "analyze", "--fn", "abs(x1)", "--at", "0",
                              "--ladder", ladder)
@@ -223,6 +224,24 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("conecalc: error: bad --ladder value")
         assert len(err.strip().splitlines()) == 1
+
+    def test_non_finite_ladder_on_cones(self, capsys, tmp_path, no_run):
+        code, out, err = run(capsys, "cones", "--csv", write_cloud(tmp_path, n=200),
+                             "--at", "0,0", "--ladder", "nan,0.5,0,6")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("conecalc: error: bad --ladder value")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two", "1.5"])
+    def test_jobs_below_one(self, capsys, tmp_path, no_run, jobs):
+        for cmd in (("analyze", "--fn", "abs(x1)", "--at", "0"),
+                    ("cones", "--csv", write_cloud(tmp_path, n=200), "--at", "0,0")):
+            code, out, err = run(capsys, *cmd, "--jobs", jobs)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("conecalc: error: argument --jobs: need an integer >= 1")
+            assert len(err.strip().splitlines()) == 1
 
 
 class TestEstimationErrors:
@@ -528,22 +547,22 @@ class TestGoldenReports:
 
     @pytest.mark.parametrize("name,digest", [
         pytest.param("abs",
-                     "065fa04bfc07b59825a8ac061ae45bcf835498361f03ec8ebc182ec2f50052c9",
+                     "a60d0dafcef5432d114416585ae74275f233a55dfbcfd3d713a9621c70cdc35d",
                      id="abs"),
         pytest.param("x2sin",
-                     "2c69fb38986ee1d6f11226db98dbb6805a780b516cabe0bd28d679eb3baae2c0",
+                     "54e42299b3a9cb08c097d0dd96e400b42911c5cf322324f9fb138a2d04d57697",
                      id="x2sin"),
         pytest.param("sin-2d",
-                     "032d3d5b8327d777eb81ac7b3777699faaa61cb5f015eeec77d4c1c9096ae8f7",
+                     "921abf9b5d0d73a8d8d9ccc6b30cfddcbbcdc2c6eabf6f31ec7f633e764dbfb2",
                      id="sin-2d"),
         pytest.param("map-2d",
-                     "1843e096c7a3fe612bd60a84b838dde69725937ea6051438c627c7be4fc421a6",
+                     "7a022440ded1223f580bbb163377e4b411f4d0a2a8d89d53056eccd0a740496d",
                      id="map-2d"),
         pytest.param("abs-checks",
-                     "3b10238e5f4730b83297cfef2d574d350248a75721b2c6451ac29390819216bd",
+                     "f3cbcb78ff0a0c40053119ce429eaf00b5346b159344ae792f9e75b1a04f74c1",
                      id="abs-checks"),
         pytest.param("abs-2d-checks",
-                     "c056cf597572ed8ad39cdf525988294c45d05a393c2018c64062073f1e52762d",
+                     "263775d59c480bccc5b06510f01c5d9a2f203158132e1057b28baef38c257c7d",
                      id="abs-2d-checks"),
     ])
     def test_analyze_report_digest(self, name, digest):
@@ -551,7 +570,7 @@ class TestGoldenReports:
 
     def test_3d_domain_report_digest(self):
         assert (hashlib.sha256(golden_stdout("3d").encode()).hexdigest()
-                == "c0efd8c6ebb2b08cefd8a4dcb8cd15d13f1e661c605fe5dd2ea6876b05942da8")
+                == "b3bc1154e31c6392c576c07e231a7954e686e80b5ec8e998b73916424245549a")
 
     # lipschitz, strictly_differentiable, derivative (within 1e-3),
     # fo_extremum, dual_agrees (None: the report has no dual verdict)
@@ -585,18 +604,18 @@ class TestGoldenReports:
                            "--at", "0,0,0", "--seed", "0")
         assert code == 0
         assert (hashlib.sha256(out.encode()).hexdigest()
-                == "f04c05481eca7d0c558d77a44032cef944a15af402582d60fbb18297ec7bcfcf")
+                == "109c4a279d9993d404ac23ec21535b79b4975693f1a3fb1d29e96783caec88b3")
 
     @pytest.mark.parametrize("write,digest", [
         # 8000 wedge points: the voxel stage decides most persistence rows
         pytest.param(
             lambda p: wedge_cloud_csv(p, n=8000),
-            "c992a4927b69c068f963b60345a73f5e32135dac43b7e3aa7224198b800525c8",
+            "89dfbd81050219263f077d155c10af4be17916cb9c0158532a0155d885902f9b",
             id="wedge"),
         # a labeled 3-D ball: the strict cone of the wedge part
         pytest.param(
             labeled_ball_csv,
-            "6ad8bbcfa4be18048bab7e5e5accc51ef1eef32b526bb179838f5ec8460b0ac3",
+            "f0b240c7ebede42d72c1bc302cb41f85ad072772e3783bcee690861af8e9be47",
             id="labeled-ball"),
     ])
     def test_3d_cones_report_digest(self, capsys, tmp_path, monkeypatch,
@@ -616,7 +635,7 @@ class TestGoldenReports:
                            "--at", "0,0", "--seed", "0")
         assert code == 0
         assert (hashlib.sha256(out.encode()).hexdigest()
-                == "d7729b48dac9950d3354a2ced42fd0f27bacc26da70751cf53e91b8b8cf509ee")
+                == "c5baf27308e1cbef46034646bb2a9a01596c64401eac4b714a14133487ac8542")
 
     def test_time_function_report_digest(self):
         out = cli.render_report(time_function_golden())

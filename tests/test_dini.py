@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conecalc import analysis, dini, funcs
-from conecalc.errors import EvaluationError
 
 LAD = dini.ScaleLadder(t0=0.1, ratio=0.5, k_min=0, k_max=10, seed=0)
 
@@ -139,9 +138,10 @@ class TestQuotients:
         assert vertical
 
     def test_vector_function_rejected(self):
+        # the radial bounds need a signed quotient
         h = funcs.parse_expr("x, 2*x", 1)
         with pytest.raises(ValueError):
-            dini.limits(h, [0.0], [[1.0]], LAD, True)
+            dini.radial_bounds(h, [0.0], LAD)
 
 
 class TestRadialBounds:
@@ -355,94 +355,66 @@ class TestVectorizedExtrapolation:
         assert type(lo) is float and type(hi) is float
 
 
-def reference_slice(f, eta):
-    """The scalar map <eta, f> as its own handle, the way vector maps were
-    scanned one covector at a time."""
-    eta = np.asarray(eta, dtype=float)
-    return funcs.FunctionHandle(f.m, 1, f"<eta,{f.name}>",
-                                lambda X: (f(X) @ eta)[:, None], "composite",
-                                dict(f.meta))
+class TestNormQuotient:
+    """A vector map is scanned through the norm of its increment."""
 
-
-class TestCovectorBlocks:
-    """A covector block reads every <eta, f> from one evaluation of f and
-    gives each the bits of its own scalar scan."""
-
-    # the large constant puts the first component's noise floor, hence its
-    # t prefix, far from the other covectors'
+    # the large constant puts the noise floor of the whole map at |f| ~ 1e4
     MAP = funcs.parse_expr("10000 + x1 + x2*x2, x1*x2 + sin(x2), abs(x1) - x2", 2)
     X = [0.2, -0.1]
     U = np.array([[1.0, 0.0], [0.6, -0.8], [0.0, 0.0], [-2.0, 1.0]])
-    E = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0],
-                  [0.6, 0.0, 0.8], [0.3, -0.4, 0.5]])
 
-    @staticmethod
-    def assert_same(a, b):
-        assert a.highs.tobytes() == b.highs.tobytes()
-        assert a.lows.tobytes() == b.lows.tobytes()
-        assert a.scales.tobytes() == b.scales.tobytes()
-        assert (a.limit, a.diverged, a.stable) == (b.limit, b.diverged, b.stable)
-
-    @pytest.mark.parametrize("cap", [dini.QUOTIENT_ROW_CAP, 1000, 5000, 20000])
     @pytest.mark.parametrize("moving_base", [False, True])
-    def test_profiles_equal_per_slice_scans(self, monkeypatch, cap, moving_base):
-        monkeypatch.setattr(dini, "QUOTIENT_ROW_CAP", cap)
-        block = dini.quotient_scan(self.MAP, self.X, self.U, LAD, moving_base,
-                                   covectors=self.E)
-        assert len(block) == len(self.E)
-        for eta, profiles in zip(self.E, block):
-            single = dini.quotient_scan(reference_slice(self.MAP, eta), self.X,
-                                        self.U, LAD, moving_base)
-            assert len(profiles) == len(single)
-            for a, b in zip(profiles, single):
-                self.assert_same(a, b)
+    def test_linear_map_reads_the_norm_of_its_image(self, moving_base):
+        L = np.array([[2.0, -1.0], [0.5, 3.0], [1.0, 1.0]])
+        h = funcs.parse_expr("2*x1 - x2, 0.5*x1 + 3*x2, x1 + x2", 2)
+        U = np.array([[1.0, 0.0], [0.6, -0.8], [-2.0, 1.0], [0.0, -0.5]])
+        # the default ladder's deepest jitter windows are ~1e-9 wide
+        got = dini.limits(h, [0.3, -0.2], U, dini.ScaleLadder(seed=0), moving_base)
+        want = np.linalg.norm(U @ L.T, axis=1)
+        assert got == pytest.approx(want, rel=1e-6)
 
-    def test_covectors_keep_their_own_t_prefix(self):
-        # the first covector sees |f| ~ 1e4, so its noise floor cuts the t
-        # ladder shorter than the others' at every scale
-        calls = {}
-        for c, eta in enumerate(self.E[:2]):
-            g = reference_slice(self.MAP, eta)
-            inner, seen = g._fn, []
-            g._fn = lambda X, inner=inner, seen=seen: seen.append(len(X)) or inner(X)
-            dini.quotient_scan(g, self.X, self.U, LAD, False)
-            calls[c] = sum(seen)
-        assert calls[0] < calls[1]
-
-    @pytest.mark.parametrize("cap", [dini.QUOTIENT_ROW_CAP, 1000])
-    def test_limits_and_slabs_equal_per_slice(self, monkeypatch, cap):
-        monkeypatch.setattr(dini, "QUOTIENT_ROW_CAP", cap)
-        slices = [reference_slice(self.MAP, eta) for eta in self.E]
-        got = dini.limits(self.MAP, self.X, self.U, LAD, True, self.E)
-        want = np.array([dini.limits(g, self.X, self.U, LAD, True) for g in slices])
-        assert got.tobytes() == want.tobytes()
-        # slabs reads U and -U off the moving-base scan, as the block does
-        U = self.U[:2]
-        both = dini.limits(self.MAP, self.X, np.vstack([U, -U]), LAD, True, self.E)
-        for c, g in enumerate(slices):
-            lo, hi, _ = dini.slabs(g, self.X, U, LAD)
-            assert (-both[c, 2:]).tobytes() == lo.tobytes()
-            assert both[c, :2].tobytes() == hi.tobytes()
-
-    def test_row_cap_does_not_change_covector_limits(self, monkeypatch):
-        whole = dini.limits(self.MAP, self.X, self.U, LAD, True, self.E)
-        monkeypatch.setattr(dini, "QUOTIENT_ROW_CAP", 1000)
-        split = dini.limits(self.MAP, self.X, self.U, LAD, True, self.E)
-        assert whole.tobytes() == split.tobytes()
-
-    def test_overflowing_covector_names_its_slice(self):
-        big = "1" + "0" * 308
-        h = funcs.parse_expr(f"{big} + x1, {big} + x2", 2)
-        with pytest.raises(EvaluationError) as got:
-            dini.limits(h, [0.0, 0.0], [[1.0, 0.0]], LAD, False, [[1.0, 1.0]])
-        with pytest.raises(EvaluationError) as want, np.errstate(over="ignore"):
-            dini.limits(reference_slice(h, [1.0, 1.0]), [0.0, 0.0], [[1.0, 0.0]],
-                        LAD, False)
-        assert str(got.value) == str(want.value)
-
-    def test_vector_map_needs_covectors(self):
+    def test_slabs_reject_a_vector_map(self):
+        # the antipodal identity needs a signed quotient, not a norm
         with pytest.raises(ValueError):
-            dini.limits(self.MAP, self.X, self.U, LAD, True)
+            dini.slabs(self.MAP, self.X, self.U[:2], LAD)
+
+    def test_row_cap_does_not_change_profiles(self, monkeypatch):
+        whole = dini.quotient_scan(self.MAP, self.X, self.U, LAD, True)
+        monkeypatch.setattr(dini, "QUOTIENT_ROW_CAP", 1000)
+        split = dini.quotient_scan(self.MAP, self.X, self.U, LAD, True)
+        for a, b in zip(whole, split):
+            assert a.highs.tobytes() == b.highs.tobytes()
+            assert a.lows.tobytes() == b.lows.tobytes()
+            assert (a.limit, a.diverged, a.stable) == (b.limit, b.diverged, b.stable)
+
+    def test_noise_floor_reads_the_largest_value(self):
+        # |f| ~ 1e4 at the base points cuts the t ladder shorter than the
+        # same increments without the offset, at every scale
+        sums = []
+        for src in ("10000 + x1 + x2*x2, x1*x2 + sin(x2), abs(x1) - x2",
+                    "x1 + x2*x2, x1*x2 + sin(x2), abs(x1) - x2"):
+            h, log = counting(src, 2)
+            dini.limits(h, self.X, self.U, LAD, False)
+            sums.append(sum(log))
+        assert sums[0] < sums[1]
+
+    @pytest.mark.parametrize("src,m,x,jac", [
+        ("10000 + x1 + x2*x2, x1*x2 + sin(x2), abs(x1) - x2", 2, [0.2, -0.1],
+         [[1.0, -0.2], [-0.1, 0.2 + math.cos(-0.1)], [1.0, -1.0]]),
+        ("x1, x1*x1", 1, [0.3], [[1.0], [0.6]]),
+    ], ids=["offset-map", "curve"])
+    def test_pointwise_constant_is_the_operator_norm(self, src, m, x, jac):
+        # within the half-spacing of the 72-direction grid below, and
+        # second-order terms of the deepest scales above
+        got = dini.pointwise_lipschitz(funcs.parse_expr(src, m), x,
+                                       dini.ScaleLadder(seed=0))
+        norm = np.linalg.norm(np.array(jac), 2)
+        assert norm * math.cos(math.radians(2.5)) <= got <= norm * (1 + 1e-4)
+
+    def test_overflowing_norm_reads_inf(self):
+        # the squares overflow to +inf; pytest turns any warning into an error
+        h = funcs.parse_expr("1" + "0" * 200 + "*x1, x2", 2)
+        assert dini.pointwise_lipschitz(h, [0.0, 0.0], LAD) == math.inf
 
 
 def counting(src: str, m: int):
@@ -479,6 +451,6 @@ class TestEvaluationCounts:
         h, log = counting("x1+x2*x2, x1*x2", 2)
         dini.pointwise_lipschitz(h, [0.2, -0.1], self.LAD6)
         # per scale: the base points, then all t steps of the 72 directions
-        # in one call, for all 8 covectors
+        # in one call
         assert len(log) == 2 * len(self.LAD6.radii())
         assert sum(log) == 403424
