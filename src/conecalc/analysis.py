@@ -309,9 +309,10 @@ def mean_value_witness(f: FunctionHandle, a, b, eta0: float = 1.0,
 
     def probe(s: float, lad) -> tuple[float, np.ndarray]:
         c = a + s * (b - a)
-        est = conormal.conormal(f, c, lad.for_handle(f))
+        w = geometry.graph_whitney(f, c, lad.for_handle(f))
         if f.m == 1:
-            arcs = cones.as_arcs(est.exact).rep.arcs
+            # the exact conormal over a 1-D domain
+            arcs = cones.as_arcs(cones.top(w)).rep.arcs
             if not arcs:
                 return math.pi / 2.0, None
             perp = math.atan2(chord_hat[0], -chord_hat[1])
@@ -319,7 +320,7 @@ def mean_value_witness(f: FunctionHandle, a, b, eta0: float = 1.0,
                       cones.arcs_point_distance(arcs, perp + math.pi))
             nu = np.array([fb - fa, a[0] - b[0]])
             return ang, sgn * nu / np.linalg.norm(nu)
-        V = cones.member_directions(est.upper)
+        V = cones.member_directions(conormal.slice_top_intersection(w, f.m))
         if len(V) == 0:
             return math.pi / 2.0, None
         dots = V @ chord_hat
@@ -644,10 +645,12 @@ def time_function_check(tau: FunctionHandle, gamma_m, points,
     for p in np.atleast_2d(np.asarray(points, dtype=float)):
         entry, w = _causal_entry(tau, gamma_m, gamma_r, p, lad, tol)
         p = p.reshape(tau.m)
-        est = conormal.conormal(tau, p, lad, whitney=w)
-        lam = est.exact if est.exact is not None else est.upper
-        sub_tol = (STRICT_VERTICAL_TOL if est.exact is not None
-                   else _vert_tol(lam))
+        # the exact conormal over a 1-D domain, its upper bound above that
+        if tau.m == 1:
+            lam, sub_tol = cones.top(w), STRICT_VERTICAL_TOL
+        else:
+            lam = conormal.slice_top_intersection(w, tau.m)
+            sub_tol = _vert_tol(lam)
         submersive = not _slice_nontrivial(lam, tau.m, sub_tol, "vertical")
         img = cones.apply_relation(_field_value(gamma_m, p, tau.m),
                                    ConicRelation(tau.m, 1, w))

@@ -332,6 +332,20 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _join_list_values(argv: list) -> list:
+    """Write "--at -0.5,0.2" as "--at=-0.5,0.2", and --ladder alike:
+    argparse reads a value that starts with "-" as an option unless it
+    is a plain negative number."""
+    out = []
+    for tok in argv:
+        if (out and out[-1] in ("--at", "--ladder") and tok.startswith("-")
+                and not tok.startswith("--")):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _tolerance(text: str) -> float:
     try:
         tol = float(text)
@@ -565,7 +579,8 @@ _DISPATCH = {"analyze": cmd_analyze, "cones": cmd_cones,
 def main(argv=None) -> int:
     started = time.monotonic()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(
+            _join_list_values(sys.argv[1:] if argv is None else list(argv)))
         cfg = _config_from_args(args)
         _check_output_paths(cfg)
         report = _DISPATCH[cfg.command](cfg)

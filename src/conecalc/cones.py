@@ -36,15 +36,13 @@ from .sampling import TWO_PI
 _EPS = 1e-12
 _FULL = ((0.0, TWO_PI),)
 
-# polar of a sampled cone: grid rows whose nearest-member dot lies this
-# close to the threshold are decided by the dense product; dense
-# grid-by-member products go in blocks of at most DENSE_CELLS dots
-DUAL_MARGIN = 1e-9
+# grid-by-member dot products go in row blocks of at most DENSE_CELLS
+# dots.  The polar first tests each grid row against about DUAL_PROBES
+# strided members: a row whose smallest dot among them lies DUAL_MARGIN
+# below the threshold is out, a margin far above the rounding of a dot
 DENSE_CELLS = 1 << 21
-# before that, a row whose smallest dot with about DUAL_PROBES members lies
-# DUAL_REJECT margins below the threshold is out
 DUAL_PROBES = 256
-DUAL_REJECT = 4
+DUAL_MARGIN = 4e-9
 
 
 # ---------------------------------------------------------------------------
@@ -431,44 +429,15 @@ def polar(cone: FiberCone, slack: float | None = None) -> FiberCone:
 def _dual_mask(grid: np.ndarray, dirs: np.ndarray, thr: float) -> np.ndarray:
     """Rows g of grid with <g, v> >= thr for every row v of dirs.
 
-    For unit members a row is first tested against a strided subset of
-    about DUAL_PROBES members: a subset dot below thr - DUAL_REJECT *
-    DUAL_MARGIN rejects it outright.  The smallest <g, v> over all unit
-    members is taken by the member nearest to -g, so one KD-tree query per
-    open row replaces the dense product.  Rows whose nearest-member dot
-    lies within DUAL_MARGIN of thr are decided again by the dense product,
-    which covers the rounding of the tree's distances; a rejected row is
-    never that close, so the dense re-check sees the same rows in the same
-    blocks as without the subset test.  Members that are not unit vectors
-    skip the subset and the tree.  In fibers of dimension 2 and 3 the
-    blocked dense product rounds the same for any block of rows, so the
-    mask equals the full dense mask bit for bit; above that a row within
-    rounding of thr can flip, as it already does with the BLAS thread
-    count.
+    A minimum over a subset of the members is never below the minimum
+    over all of them, so a row whose smallest dot with the strided probe
+    members lies DUAL_MARGIN below thr is out.  The rows that survive are
+    decided by their smallest dot over all members.
     """
-    from scipy.spatial import cKDTree
-
-    if np.abs(np.einsum("ij,ij->i", dirs, dirs) - 1.0).max() > 1e-12:
-        near = np.arange(len(grid))
-        ok = np.zeros(len(grid), dtype=bool)
-    else:
-        probe = dirs[::max(1, len(dirs) // DUAL_PROBES)]
-        step = max(1, DENSE_CELLS // len(probe))
-        low = np.concatenate([(grid[lo:lo + step] @ probe.T).min(axis=1)
-                              for lo in range(0, len(grid), step)])
-        live = np.flatnonzero(low >= thr - DUAL_REJECT * DUAL_MARGIN)
-        _, idx = cKDTree(dirs).query(-grid[live])
-        dots = np.einsum("ij,ij->i", grid[live], dirs[idx])
-        ok = np.zeros(len(grid), dtype=bool)
-        ok[live] = dots >= thr
-        near = live[np.abs(dots - thr) <= DUAL_MARGIN]
-    step = max(2, DENSE_CELLS // len(dirs))
-    for lo in range(0, len(near), step):
-        rows = near[lo:lo + step]
-        # numpy hands a one-row product to gemv, which rounds differently
-        # from the blocked product, so a lone row is doubled
-        dense = grid[np.resize(rows, max(2, len(rows)))] @ dirs.T
-        ok[rows] = np.all(dense[:len(rows)] >= thr, axis=1)
+    probe = dirs[::max(1, len(dirs) // DUAL_PROBES)]
+    live = np.flatnonzero(min_dots(grid, probe) >= thr - DUAL_MARGIN)
+    ok = np.zeros(len(grid), dtype=bool)
+    ok[live] = min_dots(grid[live], dirs) >= thr
     return ok
 
 
@@ -487,28 +456,32 @@ def top(cone: FiberCone, tol: float | None = None) -> FiberCone:
     grid = sampling.unit_grid(cone.dim)
     if tol is None:
         tol = max(cone.resolution(), sampling.grid_resolution(cone.dim))
-    ok = min_abs_dots(grid, np.arange(len(grid)), members) <= math.sin(tol)
+    ok = min_dots(grid, members, absolute=True) <= math.sin(tol)
     return FiberCone(cone.dim, Sampled(grid[ok], sampling.grid_resolution(cone.dim)))
 
 
-def min_abs_dots(grid: np.ndarray, rows: np.ndarray,
-                 members: np.ndarray) -> np.ndarray:
-    """min |<g, v>| over the members v, for each grid row g = grid[rows].
+def min_dots(points: np.ndarray, members: np.ndarray,
+             absolute: bool = False) -> np.ndarray:
+    """min <p, v> (or min |<p, v>|) over the members v, for each row p.
 
     The dots go in row blocks of at most DENSE_CELLS cells, so memory stays
-    bounded on the 4-D grid and for large member sets.  No block has a
-    single row unless ``rows`` does: numpy hands a one-row product to
-    gemv, which rounds differently from gemm (see ``_dual_mask``).  gemm
-    rounds each dot the same whatever block holds its row, so the result
-    equals the full product.
+    bounded on the 4-D grid and for large member sets; each block is freed
+    before the next product.  No block has a single row: numpy hands a
+    one-row product to gemv, which can round differently from gemm, so a
+    lone row is doubled.  A dot may still round differently in blocks of
+    other sizes, so a value within rounding of a caller's threshold
+    depends on the block that holds its row.
     """
-    out = np.empty(len(rows))
+    out = np.empty(len(points))
     step = max(2, DENSE_CELLS // len(members))
     lo = 0
-    while lo < len(rows):
-        hi = len(rows) if len(rows) - lo <= step + 1 else lo + step
-        dots = grid[rows[lo:hi]] @ members.T
-        out[lo:hi] = np.min(np.abs(dots, out=dots), axis=1)
+    while lo < len(points):
+        hi = len(points) if len(points) - lo <= step + 1 else lo + step
+        dots = (points[lo:hi] if hi - lo > 1 else points[[lo, lo]]) @ members.T
+        if absolute:
+            np.abs(dots, out=dots)
+        out[lo:hi] = dots.min(axis=1)[:hi - lo]
+        del dots
         lo = hi
     return out
 

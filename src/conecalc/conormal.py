@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dini, geometry, sampling
 from .cones import (FiberCone, antipodal, hausdorff_angle, intersect, join,
-                    member_directions, min_abs_dots, polar, top)
+                    member_directions, min_dots, polar, top)
 from .errors import DimensionMismatchError
 
 # domain-direction grids for the slice intersection: one-degree steps on
@@ -113,7 +113,7 @@ def slice_top_intersection(w: FiberCone, m: int) -> FiberCone:
             # an empty slice is a sampling artifact; skipping it only
             # loosens the intersection, which stays a valid upper bound
             continue
-        alive = alive[min_abs_dots(grid, alive, V[sel]) <= thr]
+        alive = alive[min_dots(grid[alive], V[sel], absolute=True) <= thr]
         if len(alive) == 0:
             break
     return FiberCone.from_directions(grid[alive], d,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conecalc import analysis, cones, dini, funcs, geometry
+from conecalc import analysis, cones, conormal, dini, funcs, geometry, sampling
 from conecalc.cones import FiberCone
 from conecalc.errors import (DimensionMismatchError, ImproperConeError)
 
@@ -190,6 +190,74 @@ class TestMeanValue:
         with pytest.raises(DimensionMismatchError):
             analysis.mean_value_witness(funcs.parse_expr("x, x", 1),
                                         [0.0], [1.0])
+
+
+class TestUpperBoundOnly:
+    """mean_value_witness and time_function_check read the exact conormal
+    or its upper bound, so neither builds the epigraph lower bound."""
+
+    @pytest.fixture(autouse=True)
+    def no_lower_bound(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("the epigraph lower bound was built")
+        monkeypatch.setattr(conormal, "_epigraph_polar_lower", built)
+
+    def test_the_lower_bound_is_blocked(self):
+        with pytest.raises(AssertionError):
+            conormal.conormal(funcs.parse_expr("x2", 2), [0.0, 0.0], LAD)
+
+    def test_mean_value_on_a_plane(self):
+        ws = analysis.mean_value_witness(funcs.parse_expr("x1 + x2", 2),
+                                         [-0.5, 0.2], [0.6, -0.1],
+                                         grid=8, depth=1)
+        assert ws[0]["angle"] <= 2.0 * sampling.grid_resolution(3)
+
+    def test_time_function_coordinate(self):
+        out = analysis.time_function_check(funcs.parse_expr("x2", 2), LIGHT,
+                                           [[0.0, 0.0], [0.5, 0.2]], LAD)
+        assert out["time_function"]
+
+
+class TestKnownAnswers:
+    """Verdicts at points with analytic answers, on the default ladder
+    (seed 0): they must hold across any change of report bytes."""
+
+    # expression, point, Lipschitz, strictly differentiable, derivative
+    # (None: no derivative), exact local constant, dual_agrees (None: not
+    # computed for vector maps)
+    ROWS = [
+        ("abs(x1)+abs(x2)", [0.0, 0.0], True, False, None, math.sqrt(2.0), True),
+        ("max(x1,x2)", [0.0, 0.0], True, False, None, 1.0, True),
+        ("abs(x1+x2)+0.5*x2", [0.0, 0.0], True, False, None,
+         math.hypot(1.0, 1.5), True),
+        ("x1*x1*sin(1/x1)", [0.0], True, False, None, 1.0, True),
+        ("sqrt(abs(x1))", [0.0], False, False, None, math.inf, True),
+        ("x1*abs(x1)", [0.0], True, True, [[0.0]], 0.0, True),
+        ("abs(x1)*x2", [0.0, 0.5], True, False, None, 0.5, True),
+        ("x1*x2", [0.0, 0.0], True, True, [[0.0, 0.0]], 0.0, True),
+        ("abs(x1), x2", [0.0, 0.0], True, False, None, 1.0, None),
+        ("sin(x1)+x2*x3", [0.3, -0.2, 0.1], True, True,
+         [[math.cos(0.3), 0.1, -0.2]], math.sqrt(math.cos(0.3) ** 2 + 0.05), True),
+    ]
+
+    @pytest.mark.parametrize("fn,x,lip,strict,deriv,const,dual", [
+        pytest.param(*row, id=f"{row[0]}@{','.join(f'{v:g}' for v in row[1])}")
+        for row in ROWS])
+    def test_verdict_table(self, fn, x, lip, strict, deriv, const, dual):
+        f = funcs.parse_expr(fn, len(x))
+        rep = analysis.classify_point(f, x, dini.ScaleLadder(seed=0))
+        assert (rep.lipschitz, rep.strictly_differentiable) == (lip, strict)
+        if deriv is None:
+            assert rep.derivative is None
+        else:
+            assert np.abs(np.array(rep.derivative) - deriv).max() <= 1e-3
+        # the sampled constant may read up to 1 % low and 0.01 % high; a
+        # zero constant reads as a slope below 1e-4
+        if math.isinf(const):
+            assert math.isinf(rep.lipschitz_constant)
+        else:
+            assert 0.99 * const <= rep.lipschitz_constant <= 1.0001 * const + 1e-4
+        assert rep.checks.get("dual_agrees") == dual
 
 
 class TestChainRule:

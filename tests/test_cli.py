@@ -216,7 +216,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("ladder", ["0.1,1.5,0,6", "0.1,1.5,0,60",
                                         "0.1,0.5,0,60", "0.1,0.5,6,6",
-                                        "nan,0.5,4,16", "inf,0.5,4,16"])
+                                        "nan,0.5,4,16", "inf,0.5,4,16",
+                                        "-1,0.5,4,16", "-inf,0.5,4,16"])
     def test_out_of_range_ladder(self, capsys, ladder):
         code, out, err = run(capsys, "analyze", "--fn", "abs(x1)", "--at", "0",
                              "--ladder", ladder)
@@ -340,6 +341,14 @@ class TestReports:
         cls = json.loads(out)["results"][0]["classification"]
         assert cls["lipschitz"] is False
         assert cls["lipschitz_constant"] == {"inf": True, "sign": 1}
+
+    def test_negative_point_in_the_spaced_form(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--fn", "abs(x1)+x2",
+                           "--at", "-0.5,0.2", "--ladder", "0.1,0.5,4,10")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["config"]["at"] == [[-0.5, 0.2]]
+        assert rep["results"][0]["point"] == [-0.5, 0.2]
 
     def test_angles_round_to_six_decimals(self, capsys):
         _, out, _ = run(capsys, "analyze", "--builtin", "abs", "--at", "0")

@@ -246,7 +246,8 @@ def at_threshold(g, slack, toward):
 
 
 class TestSampledPolar:
-    """The KD-tree polar of a sampled cone keeps the brute-force mask."""
+    """The polar of a sampled cone, decided by blocked dense dots, keeps
+    the brute-force mask and the mask of the former KD-tree decision."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("seed", range(6))
@@ -344,16 +345,96 @@ class TestSampledPolar:
             assert np.array_equal(cones._dual_mask(grid, dirs, thr),
                                   exact_dual_mask(grid, dirs, thr))
 
+    # survivors of the probe pre-check, decided by the dense stage
+
+    @pytest.fixture
+    def dot_rows(self, monkeypatch):
+        """The row count of each ``cones.min_dots`` call, in call order."""
+        rows = []
+        min_dots = cones.min_dots
+
+        def counted(points, members, absolute=False):
+            rows.append(len(points))
+            return min_dots(points, members, absolute)
+        monkeypatch.setattr(cones, "min_dots", counted)
+        return rows
+
+    @staticmethod
+    def two_ray_fan(dim, seed, count=2000, angle=0.3):
+        """The flat sector between two unit rays, ``count`` members."""
+        rng = np.random.default_rng(seed)
+        a, b = np.linalg.qr(rng.standard_normal((dim, 2)))[0].T
+        s = np.linspace(0.0, angle, count)[:, None]
+        return np.cos(s) * a + np.sin(s) * b
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_thin_two_ray_cone(self, dim, dot_rows):
+        dirs = self.two_ray_fan(dim, 400 + dim)
+        grid = sampling.unit_grid(dim)
+        for slack in (0.0, 0.5 * sampling.grid_resolution(dim)):
+            thr = -math.sin(slack)
+            dot_rows.clear()
+            got = cones._dual_mask(grid, dirs, thr)
+            # the polar is close to half the sphere: thousands of rows
+            # survive the probes and span many dense blocks
+            assert dot_rows[1] > 1000
+            assert dot_rows[1] * len(dirs) > 4 * cones.DENSE_CELLS
+            assert np.array_equal(got, exact_dual_mask(grid, dirs, thr))
+            assert np.array_equal(got, dense_polar_mask(grid, dirs, thr))
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_survivors_over_small_blocks(self, dim, monkeypatch, dot_rows):
+        monkeypatch.setattr(cones, "DENSE_CELLS", 1 << 13)
+        dirs = random_sampled_cone(dim, 500 + dim, count=1000, spread=0.3)
+        grid = sampling.unit_grid(dim)
+        for slack in (0.0, 0.1):
+            thr = -math.sin(slack)
+            dot_rows.clear()
+            got = cones._dual_mask(grid, dirs, thr)
+            assert dot_rows[1] > 4 * (cones.DENSE_CELLS // len(dirs))
+            assert np.array_equal(got, exact_dual_mask(grid, dirs, thr))
+            assert np.array_equal(got, dense_polar_mask(grid, dirs, thr))
+
+    @pytest.mark.parametrize("count", [200, 3000])
+    def test_one_survivor(self, count, dot_rows):
+        # thr lies just below the largest smallest dot over the probe
+        # members, so exactly the row that takes it survives; with 200
+        # members every member is a probe and that row is in the polar
+        dirs = random_sampled_cone(3, 600, count=count)
+        grid = sampling.unit_grid(3)
+        probe = dirs[::max(1, len(dirs) // cones.DUAL_PROBES)]
+        low = (grid @ probe.T).min(axis=1)
+        thr = low.max() - 1e-12
+        assert (low >= thr - cones.DUAL_MARGIN).sum() == 1
+        got = cones._dual_mask(grid, dirs, thr)
+        assert dot_rows[1] == 1
+        assert got.sum() == (count <= cones.DUAL_PROBES)
+        assert np.array_equal(got, exact_dual_mask(grid, dirs, thr))
+        assert np.array_equal(got, dense_polar_mask(grid, dirs, thr))
+
+    def test_builds_no_kd_tree(self, monkeypatch):
+        def tree(*args, **kwargs):
+            raise AssertionError("a KD tree was built")
+        monkeypatch.setattr("scipy.spatial.cKDTree", tree)
+        monkeypatch.setattr(sampling, "cKDTree", tree)
+        dirs = random_sampled_cone(3, 7, count=2000, spread=0.3)
+        res = sampling.grid_resolution(3)
+        got = cones.polar(FiberCone(3, cones.Sampled(dirs, res)))
+        grid = sampling.unit_grid(3)
+        want = grid[dense_polar_mask(grid, dirs, -math.sin(0.5 * res))]
+        assert len(want) and np.array_equal(got.rep.directions, want)
+
 
 def exact_dual_mask(grid, dirs, thr):
-    """``cones._dual_mask`` without the subset pre-check: a KD query of every
-    row, then the dense product for rows within DUAL_MARGIN of thr."""
+    """The former KD-tree decision of the sampled polar: the member nearest
+    to -g gives each row's smallest dot, and rows whose dot lies within
+    1e-9 of thr are decided again by the dense product."""
     from scipy.spatial import cKDTree
 
     _, idx = cKDTree(dirs).query(-grid)
     dots = np.einsum("ij,ij->i", grid, dirs[idx])
     ok = dots >= thr
-    near = np.flatnonzero(np.abs(dots - thr) <= cones.DUAL_MARGIN)
+    near = np.flatnonzero(np.abs(dots - thr) <= 1e-9)
     step = max(2, cones.DENSE_CELLS // len(dirs))
     for lo in range(0, len(near), step):
         rows = near[lo:lo + step]

@@ -204,8 +204,9 @@ class TestClosedSetBounds:
 
 
 class TestSliceTopBlocks:
-    """slice_top_intersection and top take their grid-by-member dots in
-    row blocks; the blocks must round exactly as the full product."""
+    """slice_top_intersection, top and polar take their grid-by-member dots
+    in row blocks through ``cones.min_dots``; on grid rows and these member
+    sets the blocks round exactly as the full product."""
 
     @pytest.mark.parametrize("dim", [3, 4])
     @pytest.mark.parametrize("rows,cells", [(1001, 10), (1001, 4000),
@@ -217,9 +218,12 @@ class TestSliceTopBlocks:
         idx = np.sort(rng.choice(len(grid), rows, replace=False))
         members = rng.normal(size=(37, dim))
         members /= np.linalg.norm(members, axis=1)[:, None]
-        want = np.min(np.abs(grid[idx] @ members.T), axis=1)
-        got = cones.min_abs_dots(grid, idx, members)
-        assert got.tobytes() == want.tobytes()
+        # a lone row goes to gemm doubled, never to gemv
+        full = grid[idx if rows > 1 else idx[[0, 0]]] @ members.T
+        for absolute in (False, True):
+            want = np.min(np.abs(full) if absolute else full, axis=1)[:rows]
+            got = cones.min_dots(grid[idx], members, absolute=absolute)
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dim", [3, 4])
     @pytest.mark.parametrize("count", [1, 2, 37, 500])
