@@ -41,27 +41,6 @@ _INC_ARCS = cones.arcs_normalize([(0.0, 0.5 * math.pi), (math.pi, 1.5 * math.pi)
 _DEC_ARCS = cones.arcs_normalize([(0.5 * math.pi, math.pi), (1.5 * math.pi, 2.0 * math.pi)])
 
 
-def _vert_tol(cone: FiberCone) -> float:
-    return 2.0 * max(cone.resolution(), sampling.grid_resolution(cone.dim))
-
-
-def _slice_nontrivial(cone: FiberCone, m: int, tol: float, part: str) -> bool:
-    """Does the cone meet {domain part = 0} ("vertical") or {fiber part = 0}
-    ("horizontal") away from the origin, up to angular slack ``tol``?"""
-    if cone.dim == 2 and m == 1:
-        arcs = cones.as_arcs(cone).rep.arcs
-        if not arcs:
-            return False
-        half = 0.5 * math.pi
-        probes = (half, 3 * half) if part == "vertical" else (0.0, math.pi)
-        return any(cones.arcs_point_distance(arcs, a) <= tol for a in probes)
-    V = cones.member_directions(cone)
-    if len(V) == 0:
-        return False
-    gone = V[:, :m] if part == "vertical" else V[:, m:]
-    return bool((np.linalg.norm(gone, axis=1) <= math.sin(min(tol, 0.5 * math.pi))).any())
-
-
 def _ray_gap(cone: FiberCone, v) -> float:
     """Angle from the ray R+ v to the nearest ray of the cone."""
     v = np.asarray(v, dtype=float)
@@ -116,10 +95,10 @@ class AnalysisReport:
 def _local_constant(w: FiberCone, m: int) -> float:
     """Local Lipschitz constant read off the graph Whitney cone W: the
     largest |fiber| / |domain| over its members.  +inf when W meets the
-    vertical within ``_vert_tol(w)``, the test of the Lipschitz verdict;
-    otherwise every member's domain part exceeds the sine of that slack,
-    so the ratio is finite."""
-    if _slice_nontrivial(w, m, _vert_tol(w), "vertical"):
+    vertical (``conormal.meets_vertical``, the test of the Lipschitz
+    verdict); otherwise every member's domain part exceeds the sine of
+    that slack, so the ratio is finite."""
+    if conormal.meets_vertical(w, m):
         return math.inf
     V = cones.member_directions(w)
     if len(V) == 0:
@@ -141,7 +120,10 @@ def classify_point(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
     the relative singular-value gap of its members, and, as part of the
     verdict, that subspace must be the graph of a linear map: its domain
     block's smallest singular value must exceed the sine of the vertical
-    slack.  That map is the derivative.
+    slack.  That map is the derivative D, and at a strict point the local
+    constant is its operator norm |D| (Rockafellar-Wets 9.13), still
+    floored by the pointwise constant: W's largest slope reads low there
+    by the spacing of its domain directions.
     The conormal-side verdict (no horizontal covector) is cross-checked in
     regimes where the conormal is trusted.
     """
@@ -149,19 +131,20 @@ def classify_point(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
     x = np.asarray(x, dtype=float).reshape(f.m)
     w = geometry.graph_whitney(f, x, lad)
     est = conormal.conormal(f, x, lad, whitney=w)
-    vt = _vert_tol(w)
+    vt = conormal.vertical_tol(w)
     lip_pw = dini.pointwise_lipschitz(f, x, lad)
     lip = max(_local_constant(w, f.m), lip_pw)
     # the verdict reads the floored constant: a sparse W on a coarse ladder
     # can miss the vertical that the fixed-base scan already sees
     lipschitz = math.isfinite(lip)
 
-    checks: dict = {"dini_local_constant": float(lip)}
+    checks: dict = {}
     dual = None
     if est.exact is not None:
-        dual = not _slice_nontrivial(est.exact, f.m, vt, "horizontal")
+        dual = not conormal.slice_nontrivial(est.exact, f.m, vt, "horizontal")
     elif est.regime == "dimN1":
-        dual = not _slice_nontrivial(est.upper, f.m, _vert_tol(est.upper), "horizontal")
+        dual = not conormal.slice_nontrivial(
+            est.upper, f.m, conormal.vertical_tol(est.upper), "horizontal")
         checks["dual_from_upper_bound"] = True
     if dual is not None:
         checks["conormal_lipschitz"] = bool(dual)
@@ -186,6 +169,8 @@ def classify_point(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
             if strict:
                 # each row (a, b) of the span has D a = b, so A D^T = B
                 deriv = np.linalg.solve(A, B).T
+                lip = max(float(np.linalg.norm(deriv, 2)), lip_pw)
+    checks["dini_local_constant"] = float(lip)
 
     fo = None
     if f.n == 1:
@@ -195,9 +180,9 @@ def classify_point(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
 
     immersive = submersive = None
     if f.m == 1 and f.n == 1:
-        immersive = not _slice_nontrivial(w, 1, vt, "horizontal")
-        submersive = not _slice_nontrivial(est.exact, 1, STRICT_VERTICAL_TOL,
-                                           "vertical")
+        immersive = not conormal.slice_nontrivial(w, 1, vt, "horizontal")
+        submersive = not conormal.slice_nontrivial(est.exact, 1, STRICT_VERTICAL_TOL,
+                                                   "vertical")
 
     return AnalysisReport(
         point=x.tolist(),
@@ -247,7 +232,7 @@ def fo_extremum(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
         return out
 
     w = geometry.graph_whitney(f, x, lad) if whitney is None else whitney
-    ft = _vert_tol(w)
+    ft = conormal.vertical_tol(w)
     if f.m == 1:
         dirs = np.array([[1.0, 0.0], [-1.0, 0.0]])
     else:
@@ -391,7 +376,7 @@ def _middle_match(w1: FiberCone, w2: FiberCone, m1: int, m2: int) -> bool:
     V1, V2 = cones.member_directions(w1), cones.member_directions(w2)
     if len(V1) == 0 or len(V2) == 0:
         return False
-    t1, t2 = _vert_tol(w1), _vert_tol(w2)
+    t1, t2 = conormal.vertical_tol(w1), conormal.vertical_tol(w2)
     dom1 = np.linalg.norm(V1[:, :m1], axis=1)
     A = V1[dom1 <= math.sin(t1), m1:]
     fib2 = np.linalg.norm(V2[:, m2:], axis=1)
@@ -500,7 +485,7 @@ def monotone_classify_1d(f: FunctionHandle, interval,
         w = geometry.graph_whitney(f, np.array([c]), lad)
         lam = cones.top(w)
         arcs_w = cones.as_arcs(w).rep.arcs
-        tol = _vert_tol(w)
+        tol = conormal.vertical_tol(w)
         inc, inc_worst = _arcs_within(arcs_w, _INC_ARCS, tol)
         dec, _ = _arcs_within(arcs_w, _DEC_ARCS, tol)
         margin_inc = _arcs_margin(arcs_w, _INC_ARCS)
@@ -511,8 +496,8 @@ def monotone_classify_1d(f: FunctionHandle, interval,
             "non_increasing": bool(dec),
             "strictly_increasing": bool(inc and margin_inc > tol),
             "strictly_decreasing": bool(dec and margin_dec > tol),
-            "whitney_immersive": not _slice_nontrivial(w, 1, tol, "horizontal"),
-            "microlocally_submersive": not _slice_nontrivial(
+            "whitney_immersive": not conormal.slice_nontrivial(w, 1, tol, "horizontal"),
+            "microlocally_submersive": not conormal.slice_nontrivial(
                 lam, 1, STRICT_VERTICAL_TOL, "vertical"),
             "angle_excess": float(inc_worst),
         })
@@ -650,8 +635,8 @@ def time_function_check(tau: FunctionHandle, gamma_m, points,
             lam, sub_tol = cones.top(w), STRICT_VERTICAL_TOL
         else:
             lam = conormal.slice_top_intersection(w, tau.m)
-            sub_tol = _vert_tol(lam)
-        submersive = not _slice_nontrivial(lam, tau.m, sub_tol, "vertical")
+            sub_tol = conormal.vertical_tol(lam)
+        submersive = not conormal.slice_nontrivial(lam, tau.m, sub_tol, "vertical")
         img = cones.apply_relation(_field_value(gamma_m, p, tau.m),
                                    ConicRelation(tau.m, 1, w))
         strict_ok = not cones.contains(img, np.array([-1.0]),

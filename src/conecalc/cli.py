@@ -28,7 +28,7 @@ from .cones import FiberCone
 from .errors import (ConeCalcError, DimensionMismatchError, EvaluationError,
                      ParseError)
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 KNOWN_CHECKS = ("conormal-upper", "epigraph-split")
 

@@ -442,7 +442,13 @@ def _dual_mask(grid: np.ndarray, dirs: np.ndarray, thr: float) -> np.ndarray:
 
 
 def top(cone: FiberCone, tol: float | None = None) -> FiberCone:
-    """Union of the orthogonal hyperplanes of all nonzero members."""
+    """Union of the orthogonal hyperplanes of all nonzero members.
+
+    Plane cones answer in arcs.  Above the plane the zero cone has no
+    member, so its top is zero, and every direction is orthogonal to some
+    other, so the top of the full cone is full; on the line no direction
+    is orthogonal to any.
+    """
     rep = cone.rep
     if isinstance(rep, Arcs2D):
         half = np.pi / 2.0
@@ -450,6 +456,8 @@ def top(cone: FiberCone, tol: float | None = None) -> FiberCone:
         return FiberCone(2, Arcs2D(out))
     if cone.dim == 2:
         return top(as_arcs(cone))
+    if isinstance(rep, Trivial):
+        return FiberCone(cone.dim, Trivial(rep.full and cone.dim > 1))
     members = member_directions(cone)
     if len(members) == 0:
         return FiberCone.zero(cone.dim)

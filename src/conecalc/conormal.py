@@ -22,14 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dini, geometry, sampling
-from .cones import (FiberCone, antipodal, hausdorff_angle, intersect, join,
-                    member_directions, min_dots, polar, top)
+from .cones import (FiberCone, antipodal, arcs_point_distance, as_arcs,
+                    hausdorff_angle, intersect, join, member_directions,
+                    min_dots, polar, top)
 from .errors import DimensionMismatchError
-
-# domain-direction grids for the slice intersection: one-degree steps on
-# a circle, low-discrepancy points on higher spheres
-DOMAIN_DIRS_2D = 360
-DOMAIN_DIRS_HIGH = 1024
 
 # verification subsample caps; estimates themselves are not capped
 CHECK_W_CAP = 512
@@ -60,17 +56,49 @@ def _resolved_ladder(f, ladder):
 # upper bound: intersection of directional slice tops
 
 
-def _domain_grid(m: int) -> np.ndarray:
-    if m == 1:
-        return np.array([[1.0], [-1.0]])
-    if m == 2:
-        th = np.linspace(0.0, 2.0 * math.pi, DOMAIN_DIRS_2D, endpoint=False)
-        return np.column_stack([np.cos(th), np.sin(th)])
-    return sampling.sphere_points(m, DOMAIN_DIRS_HIGH, 5)
+def vertical_tol(cone: FiberCone) -> float:
+    """Angular slack of the Lipschitz verdict: twice the coarser of the
+    cone's resolution and its fiber grid's."""
+    return 2.0 * max(cone.resolution(), sampling.grid_resolution(cone.dim))
+
+
+def slice_nontrivial(cone: FiberCone, m: int, tol: float, part: str) -> bool:
+    """Does the cone meet {domain part = 0} ("vertical") or {fiber part = 0}
+    ("horizontal") away from the origin, up to angular slack ``tol``?"""
+    if cone.dim == 2 and m == 1:
+        arcs = as_arcs(cone).rep.arcs
+        if not arcs:
+            return False
+        half = 0.5 * math.pi
+        probes = (half, 3 * half) if part == "vertical" else (0.0, math.pi)
+        return any(arcs_point_distance(arcs, a) <= tol for a in probes)
+    V = member_directions(cone)
+    if len(V) == 0:
+        return False
+    gone = V[:, :m] if part == "vertical" else V[:, m:]
+    return bool((np.linalg.norm(gone, axis=1) <= math.sin(min(tol, 0.5 * math.pi))).any())
+
+
+def meets_vertical(w: FiberCone, m: int) -> bool:
+    """Whether the graph Whitney cone W of a map on R^m meets the vertical
+    within ``vertical_tol(w)``: the test of the Lipschitz verdict."""
+    return slice_nontrivial(w, m, vertical_tol(w), "vertical")
+
+
+def _thin_slack(dim: int) -> float:
+    """Angular slack for a set with no spread (a line, a ray) to reach the
+    fiber grid: its spacing, or its covering radius where that is wider."""
+    return max(sampling.grid_resolution(dim), sampling.covering_radius(dim))
 
 
 def slice_top_intersection(w: FiberCone, m: int) -> FiberCone:
-    """The upper-bound construction on an already-computed Whitney cone."""
+    """The upper-bound construction on an already-computed Whitney cone.
+
+    Over a domain of two or more dimensions, a W that meets the vertical
+    (``meets_vertical``) has a near-vertical member in every slice, so
+    every slice top holds the horizontal covectors and the map is not
+    Lipschitz there: the bound is answered as the full cone.
+    """
     d = w.dim
     n = d - m
     if n < 1:
@@ -87,10 +115,12 @@ def slice_top_intersection(w: FiberCone, m: int) -> FiberCone:
             t = top(sl)
             out = t if out is None else intersect(out, t)
         return FiberCone.zero(2) if out is None else out
-    U = _domain_grid(m)
     V = member_directions(w)
     if len(V) == 0:
         return FiberCone.zero(d)
+    if meets_vertical(w, m):
+        return FiberCone.full(d)
+    U = dini._direction_grid(m)
     rho = max(w.resolution(), sampling.grid_resolution(d))
     # slice half-width follows the domain grid: twice its covering radius,
     # which for the circle grid matches the one-degree slab spacing
@@ -104,7 +134,7 @@ def slice_top_intersection(w: FiberCone, m: int) -> FiberCone:
     vanishing = pn <= math.sin(hw)
     Pu = np.zeros_like(P)
     Pu[~vanishing] = P[~vanishing] / pn[~vanishing, None]
-    thr = math.sin(max(rho, sampling.grid_resolution(d)))
+    thr = math.sin(max(rho, _thin_slack(d)))
     alive = np.arange(len(grid))
     cos_hw = math.cos(hw)
     for u in U:
@@ -130,7 +160,9 @@ def _epigraph_tangent(f, x, lad) -> FiberCone:
     domains of dimension 2 or more get here: ``conormal`` answers m = 1
     exactly."""
     x = np.asarray(x, dtype=float).reshape(f.m)
-    base = _domain_grid(f.m) if f.m > 2 else _domain_grid(2)[::2]
+    base = dini._direction_grid(f.m)
+    if f.m == 2:
+        base = base[::2]
     # lower Dini derivatives by the antipodal identity, one scan of -base
     lows = -dini.limits(f, x, -base, lad, False)
     step = sampling.grid_resolution(f.m)
@@ -149,7 +181,7 @@ def _epigraph_polar_lower(f, x, lad) -> FiberCone:
     ct = _epigraph_tangent(f, x, lad)
     # low-dimensional polars (rays, lines) have no interior on the sphere,
     # so the membership slack must cover the ambient grid's covering radius
-    pc = polar(ct, slack=sampling.grid_resolution(ct.dim))
+    pc = polar(ct, slack=_thin_slack(ct.dim))
     return join(pc, antipodal(pc))
 
 

@@ -20,7 +20,7 @@ plus radial first-order bounds and the pointwise (fixed-base)
 Lipschitz constant.  The moving-base numbers of a point, its local
 Lipschitz constant and its strict derivative, get no scan of their own:
 ``analysis`` reads them off the graph Whitney cone, which ``slabs``
-builds for scalar maps of one or two variables.
+builds for every scalar map.
 
 All of these share one discretization, the ``ScaleLadder``: at scale k
 the base ball has radius r_k = t0 * ratio**k, steps t run down a
@@ -383,7 +383,23 @@ def radial_bounds(f, x, ladder: ScaleLadder) -> tuple[float, float]:
     return -lo, hi
 
 
-def _direction_grid(m: int, count: int) -> np.ndarray:
+# the domain grid: one-degree steps on the circle, 512 antipodal pairs of
+# low-discrepancy points on higher spheres
+DOMAIN_DIRS_2D = 360
+DOMAIN_DIRS_HIGH = 1024
+
+
+def _direction_grid(m: int, count: int | None = None) -> np.ndarray:
+    """Directions of R^m: ``count`` evenly spaced on the circle, or
+    ``count // 2`` low-discrepancy points and their antipodes above; +1
+    and -1 on the line.  The default count gives the domain grid, which
+    the graph Whitney cone's slab scan, the slice-top upper bound and the
+    epigraph tangent cone all read.  Its first half holds one of each
+    antipodal pair: the other half is its negation, exactly above the
+    circle and up to rounding on it.
+    """
+    if count is None:
+        count = DOMAIN_DIRS_2D if m == 2 else DOMAIN_DIRS_HIGH
     if m == 1:
         return np.array([[1.0], [-1.0]])
     if m == 2:

@@ -12,10 +12,11 @@ rule keys each sampled direction to its voxel once and decides only the
 first direction of each voxel, and a later one only where the first
 fails.
 
-For function graphs the Whitney cone has an exact description through
-moving-base quotient slabs, used here for one and two dimensional
-domains; higher dimensions and vector targets fall back to pair scans
-on adaptively sampled graph clouds.
+For the graph of a scalar function the Whitney cone has an exact
+description through moving-base quotient slabs, used here over every
+domain: one slab scan of a grid of domain directions gives a fan of
+graph directions over each.  Vector targets fall back to pair scans on
+adaptively sampled graph clouds.
 
 All cones returned are closed numerical approximations; strict cones
 are open in exact theory and come back as the sampled complement of a
@@ -341,7 +342,8 @@ def fan(u, p1: float, p2: float, step: float) -> np.ndarray:
     """Rows (cos psi * u, sin psi) for psi from p1 to p2 at most ``step`` apart.
 
     The directions over the domain ray of u whose elevation runs from p1
-    to p2; every slab-built cone over a 2-D domain is a union of fans.
+    to p2; every slab-built cone over a domain of two or more dimensions
+    is a union of fans.
     """
     count = max(2, int(math.ceil((p2 - p1) / step)) + 1)
     psi = np.linspace(p1, p2, count)
@@ -361,27 +363,35 @@ def _slab_arcs(qlo: float, qhi: float, vertical: bool) -> list[tuple[float, floa
 def graph_whitney(f, x, ladder: dini.ScaleLadder) -> FiberCone:
     """Whitney cone of the graph of f at (x, f(x)).
 
-    Scalar targets use the quotient-slab description; otherwise pair
-    scans over sampled graph clouds.
+    A scalar f gets one moving-base slab scan: over the line its two
+    slabs are exact arcs; over a domain of two or more dimensions each
+    direction u of the domain grid carries the fan from atan(low) to
+    atan(high), and the vertical joins when the zero direction's quotient
+    blows up.  ``slabs`` scans every -u as well, so the grid's first half
+    gives every fan: the slab over -u is (-high, -low).  Vector maps get
+    pair scans over a sampled graph cloud.
     """
     x = np.asarray(x, dtype=float).reshape(f.m)
     if f.n == 1 and f.m == 1:
         lo, hi, vertical = dini.slabs(f, x, [[1.0]], ladder)
         return FiberCone.from_arcs(_slab_arcs(lo[0], hi[0], vertical))
-    if f.n == 1 and f.m == 2:
-        # slabs scans every -u as well, so one scan of the half circle
-        # gives every fan: the slab over -u is (-hi, -lo)
-        grid = sampling.unit_grid(2)
-        half = grid[:len(grid) // 2:2]
+    if f.n == 1:
+        grid = dini._direction_grid(f.m)
+        half = grid[:len(grid) // 2]
         lo, hi, vertical = dini.slabs(f, x, half, ladder)
         base = np.vstack([half, -half])
         lo, hi = np.concatenate([lo, -hi]), np.concatenate([hi, -lo])
-        step = sampling.grid_resolution(2)
+        # the circle's fans step at the half-degree of its grid; higher
+        # domains step at the fiber grid's spacing
+        step = sampling.grid_resolution(2 if f.m == 2 else f.m + 1)
         members = [fan(u, math.atan(min(l2, h2)), math.atan(max(l2, h2)), step)
                    for u, l2, h2 in zip(base, lo, hi)]
         if vertical:
-            members.append(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
-        return FiberCone.from_directions(np.vstack(members), 3, resolution=step)
+            up = np.zeros((2, f.m + 1))
+            up[:, -1] = [1.0, -1.0]
+            members.append(up)
+        return FiberCone.from_directions(np.vstack(members), f.m + 1,
+                                         resolution=step)
     cloud = cloud_from_function(f, x, ladder)
     center = np.concatenate([x, f(x[None, :])[0]])
     return whitney_cone(cloud, cloud, center, ladder)

@@ -17,7 +17,9 @@ about half a second, as much as many runs spend computing.
 
 The nominal angular resolution ``grid_resolution(dim)`` is the mean
 nearest-neighbor spacing of the grid; membership tests elsewhere default
-to twice this value.
+to twice this value.  ``covering_radius(dim)`` is the farthest any
+direction lies from the grid, which a test that must hit a grid row near
+a thin set has to allow.
 """
 
 from __future__ import annotations
@@ -92,6 +94,14 @@ def _build_grid(dim: int) -> np.ndarray:
 # 2-core x86 host
 GRID_RESOLUTIONS = {3: 0.026458756514606142, 4: 0.04844742681739875}
 
+# covering radius of each fixed grid: the largest angle from a point of
+# the sphere to its nearest grid row, read off the grid's convex hull as
+# the widest facet circumcap (pinned by the tests).  On the circle it is
+# half a step; on S^2 it is below the mean spacing, but the 4-D Halton
+# grid leaves holes 2.5 times its mean spacing wide.
+COVERING_RADII = {2: math.pi / GRID_SIZES[2], 3: 0.021313567292288765,
+                  4: 0.12212555843554901}
+
 
 @lru_cache(maxsize=8)
 def grid_resolution(dim: int) -> float:
@@ -107,6 +117,22 @@ def grid_resolution(dim: int) -> float:
     d, _ = grid_tree(dim).query(probe, k=2)
     chord = d[:, 1]
     return float(np.mean(2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))))
+
+
+@lru_cache(maxsize=8)
+def covering_radius(dim: int) -> float:
+    """Largest angle from a point of the sphere to its nearest grid row.
+
+    Pinned for the fixed grids (``COVERING_RADII``); any other grid gets
+    the largest nearest-row angle over 2^16 seeded probes, which can only
+    read low.
+    """
+    if dim <= 1:
+        return 0.0
+    if dim in COVERING_RADII:
+        return COVERING_RADII[dim]
+    chord, _ = grid_tree(dim).query(sphere_points(dim, 1 << 16, 0))
+    return float(2.0 * np.arcsin(min(1.0, float(chord.max()) / 2.0)))
 
 
 @lru_cache(maxsize=8)

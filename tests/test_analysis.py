@@ -13,6 +13,14 @@ LAD = dini.ScaleLadder(t0=0.1, ratio=0.5, k_min=0, k_max=12, seed=0)
 LIGHT = FiberCone.from_arcs([(math.pi / 4, 3 * math.pi / 4)])
 
 
+def dual_agrees(r) -> bool:
+    """The dual verdict's agreement, read only off a nonempty upper bound:
+    an empty one has no horizontal covector and agrees with any Lipschitz
+    verdict."""
+    assert not r.conormal.upper.is_zero()
+    return r.checks["dual_agrees"]
+
+
 class TestClassifyPoint:
     def test_kink(self):
         r = analysis.classify_point(funcs.builtin("abs"), [0.0], LAD)
@@ -21,7 +29,7 @@ class TestClassifyPoint:
         assert not r.strictly_differentiable
         assert r.derivative is None
         assert r.fo_extremum == "min"
-        assert r.checks["dual_agrees"]
+        assert dual_agrees(r)
         # the graph map collapses symmetric pairs and has vertical covectors
         assert r.whitney_immersive is False
         assert r.microlocally_submersive is False
@@ -39,13 +47,13 @@ class TestClassifyPoint:
         assert r.lipschitz
         assert not r.strictly_differentiable
         assert r.fo_extremum == "stationary"
-        assert r.checks["dual_agrees"]
+        assert dual_agrees(r)
 
     def test_unbounded_slope(self):
         r = analysis.classify_point(funcs.builtin("sqrt_abs"), [0.0], LAD)
         assert not r.lipschitz
         assert not r.strictly_differentiable
-        assert r.checks["dual_agrees"]
+        assert dual_agrees(r)
 
     def test_report_plumbing(self):
         r = analysis.classify_point(funcs.builtin("abs"), [0.0], LAD)
@@ -218,6 +226,24 @@ class TestUpperBoundOnly:
         assert out["time_function"]
 
 
+class TestScalarSlabRoute:
+    """Every scalar map builds its graph Whitney cone from one slab scan;
+    only vector maps sample a graph cloud."""
+
+    def test_no_scalar_map_samples_a_graph_cloud(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph cloud was sampled")
+
+        monkeypatch.setattr(geometry, "cloud_from_function", refuse)
+        lad = dini.ScaleLadder(t0=0.1, ratio=0.5, k_min=4, k_max=10, seed=0)
+        for fn, x in [("sin(x1)+x2*x2", [0.3, -0.2]),
+                      ("sin(x1)+x2*x3", [0.3, -0.2, 0.1])]:
+            r = analysis.classify_point(funcs.parse_expr(fn, len(x)), x, lad)
+            assert r.lipschitz and r.strictly_differentiable
+        with pytest.raises(AssertionError, match="graph cloud"):
+            analysis.classify_point(funcs.parse_expr("x1, x2", 2), [0.0, 0.0], lad)
+
+
 class TestKnownAnswers:
     """Verdicts at points with analytic answers, on the default ladder
     (seed 0): they must hold across any change of report bytes."""
@@ -238,6 +264,9 @@ class TestKnownAnswers:
         ("abs(x1), x2", [0.0, 0.0], True, False, None, 1.0, None),
         ("sin(x1)+x2*x3", [0.3, -0.2, 0.1], True, True,
          [[math.cos(0.3), 0.1, -0.2]], math.sqrt(math.cos(0.3) ** 2 + 0.05), True),
+        ("abs(x1)+x2+x3", [0.0, 0.0, 0.0], True, False, None, math.sqrt(3.0), True),
+        ("sqrt(abs(x1))+x2+x3", [0.0, 0.0, 0.0], False, False, None, math.inf,
+         True),
     ]
 
     @pytest.mark.parametrize("fn,x,lip,strict,deriv,const,dual", [
@@ -258,6 +287,8 @@ class TestKnownAnswers:
         else:
             assert 0.99 * const <= rep.lipschitz_constant <= 1.0001 * const + 1e-4
         assert rep.checks.get("dual_agrees") == dual
+        if dual is not None:
+            assert not rep.conormal.upper.is_zero()
 
 
 class TestChainRule:

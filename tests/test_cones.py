@@ -192,12 +192,14 @@ class TestTrivialCones:
     @pytest.mark.parametrize("dim", [1, 3, 4])
     def test_top(self, dim):
         assert cli.cone_to_json(cones.top(FiberCone.zero(dim))) == trivial_json(dim, False)
-        top = cones.top(FiberCone.full(dim)).rep
+        top = cones.top(FiberCone.full(dim))
         # every grid row is nearly orthogonal to some other row, so the top
-        # of the full cone is the whole grid; in 1-D no row is
+        # of the full cone is the whole grid, answered as the full cone
+        # without a dot; in 1-D no row is
+        assert cli.cone_to_json(top) == trivial_json(dim, dim > 1)
         want = sampling.unit_grid(dim) if dim > 1 else np.zeros((0, 1))
-        assert top.directions.tobytes() == want.tobytes()
-        assert top.resolution.hex() == GRID_RESOLUTION_HEX[dim]
+        assert cones.member_directions(top).tobytes() == want.tobytes()
+        assert top.resolution().hex() == GRID_RESOLUTION_HEX[dim]
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_sampled_forms(self, dim):
@@ -639,6 +641,25 @@ class TestResolution:
         d, _ = sampling.grid_tree(dim).query(probe, k=2)
         want = float(np.mean(2.0 * np.arcsin(np.clip(d[:, 1] / 2.0, 0.0, 1.0))))
         assert sampling.grid_resolution(dim).hex() == want.hex()
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_pinned_covering_radius_equals_the_hull_computation(self, dim):
+        from scipy.spatial import ConvexHull
+
+        # the grid's convex hull has the origin inside; each facet's
+        # circumcap holds no grid row, and the centre of the widest one is
+        # the direction farthest from the grid
+        offsets = ConvexHull(sampling.unit_grid(dim)).equations[:, -1]
+        want = math.acos(float(-offsets.max()))
+        assert sampling.covering_radius(dim) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_no_probe_lies_beyond_the_covering_radius(self, dim):
+        probes = np.random.default_rng(dim).standard_normal((100_000, dim))
+        probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+        far = sampling.min_angle_to_set(probes, sampling.unit_grid(dim)).max()
+        assert 0.8 * sampling.covering_radius(dim) <= far
+        assert far <= sampling.covering_radius(dim)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_sampled_form_keeps_the_resolution(self, dim):

@@ -86,16 +86,24 @@ def directed_angle(inner, outer):
         cones.member_directions(inner), cones.member_directions(outer)).max())
 
 
+SIN_2D_LADDER = {"t0": 0.1, "ratio": 0.5, "k_min": 0, "k_max": 6}
+MAP_2D_LADDER = {"t0": 0.1, "ratio": 0.5, "k_min": 12, "k_max": 15}
+
+
 class TestGoldenBrackets:
-    """lower is inside upper within 2 rho on the scalar inputs of the golden
-    analyze reports, with their ladders (rho: the fiber's grid resolution)."""
+    """lower is inside upper within 2 rho on the inputs of the golden
+    analyze reports, with their ladders, and on a 3-D domain (rho: the
+    fiber's grid resolution); on C^1 inputs the upper bound holds the
+    exact conormal."""
 
     @pytest.mark.parametrize("fn,at,ladder,lower_zero", [
         ("abs(x1)", [0.0], {}, False),
         ("x1*x1*sin(1/x1)", [0.0], {}, False),
-        ("sin(x1)+x2*x2", [0.3, -0.2],
-         {"t0": 0.1, "ratio": 0.5, "k_min": 0, "k_max": 6}, False),
+        ("sin(x1)+x2*x2", [0.3, -0.2], SIN_2D_LADDER, False),
         ("abs(x1)+x2", [0.0, 0.0], {}, True),
+        ("sin(x1)+x2*x3", [0.3, -0.2, 0.1], {}, False),
+        # a vector map has no lower bracket
+        ("x1+x2*x2, x1*x2", [0.2, -0.1], MAP_2D_LADDER, True),
     ])
     def test_lower_within_upper(self, fn, at, ladder, lower_zero):
         f = funcs.parse_expr(fn, len(at))
@@ -103,6 +111,24 @@ class TestGoldenBrackets:
         assert est.lower.is_zero() == lower_zero
         rho = sampling.grid_resolution(est.lower.dim)
         assert directed_angle(est.lower, est.upper) <= 2.0 * rho
+
+    @pytest.mark.parametrize("fn,at,ladder,jac", [
+        ("sin(x1)+x2*x2", [0.3, -0.2], SIN_2D_LADDER, [[math.cos(0.3), -0.4]]),
+        ("sin(x1)+x2*x3", [0.3, -0.2, 0.1], {}, [[math.cos(0.3), 0.1, -0.2]]),
+        ("x1+x2*x2, x1*x2", [0.2, -0.1], MAP_2D_LADDER,
+         [[1.0, -0.2], [-0.1, 0.2]]),
+    ], ids=["sin-2d", "sin-3d", "map-2d"])
+    def test_exact_conormal_within_upper(self, fn, at, ladder, jac):
+        # the conormal of a C^1 graph is {(-D^T eta, eta)}: a thin set that
+        # the upper bound's grid rows reach within the covering radius
+        f = funcs.parse_expr(fn, len(at))
+        est = conormal.conormal(f, at, dini.ScaleLadder(seed=0, **ladder))
+        D = np.array(jac)
+        eta = sampling.unit_grid(f.n) if f.n > 1 else np.array([[1.0], [-1.0]])
+        exact = FiberCone.from_directions(np.hstack([-eta @ D, eta]), f.m + f.n)
+        assert not est.upper.is_zero()
+        assert (directed_angle(exact, est.upper)
+                <= sampling.covering_radius(f.m + f.n))
 
 
 def split(f, x):

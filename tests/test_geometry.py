@@ -533,14 +533,18 @@ class TestGraphWhitney:
         assert not cones.contains(w, [0.0, 0.0, 1.0], tol=0.05)
 
     @pytest.mark.parametrize("src,x", [("sin(x1) + x2*x2", [0.3, -0.2]),
-                                       ("abs(x1) + x2", [0.0, 0.0])])
+                                       ("abs(x1) + x2", [0.0, 0.0]),
+                                       ("sin(x1) + x2*x3", [0.3, -0.2, 0.1]),
+                                       ("abs(x1) + x2 + x3", [0.0, 0.0, 0.0])])
     def test_half_circle_scan_gives_the_whole_circle(self, src, x):
-        # reference: slabs over every second grid direction of the whole
-        # circle, each -u scanned as a row of its own
-        h = funcs.parse_expr(src, 2)
-        base = sampling.unit_grid(2)[::2]
+        # reference: slabs over the whole domain grid (on the circle, every
+        # second direction of the fiber's 2-D grid), each -u scanned as a
+        # row of its own; a 2-sphere's fans step at the 4-D grid spacing
+        m = len(x)
+        h = funcs.parse_expr(src, m)
+        base = sampling.unit_grid(2)[::2] if m == 2 else dini._direction_grid(m)
         lo, hi, _ = dini.slabs(h, x, base, LAD)
-        step = sampling.grid_resolution(2)
+        step = sampling.grid_resolution(2 if m == 2 else m + 1)
         want = np.vstack([geometry.fan(u, math.atan(min(a, b)),
                                        math.atan(max(a, b)), step)
                           for u, a, b in zip(base, lo, hi)])
