@@ -37,35 +37,8 @@ __all__ = [
 STRICT_VERTICAL_TOL = 1e-4
 
 # monotone template cones: quadrants {uv >= 0} and {uv <= 0}
-_INC_ARCS = cones.arcs_normalize([(0.0, 0.5 * math.pi), (math.pi, 1.5 * math.pi)])
-_DEC_ARCS = cones.arcs_normalize([(0.5 * math.pi, math.pi), (1.5 * math.pi, 2.0 * math.pi)])
-
-
-def _ray_gap(cone: FiberCone, v) -> float:
-    """Angle from the ray R+ v to the nearest ray of the cone."""
-    v = np.asarray(v, dtype=float)
-    v = v / np.linalg.norm(v)
-    if cone.dim == 2:
-        arcs = cones.as_arcs(cone).rep.arcs
-        if not arcs:
-            return math.pi
-        return cones.arcs_point_distance(arcs, math.atan2(v[1], v[0]))
-    V = cones.member_directions(cone)
-    if len(V) == 0:
-        return math.pi
-    return float(math.acos(min(1.0, max(-1.0, float((V @ v).max())))))
-
-
-def _directed_angle(a: FiberCone, b: FiberCone) -> float:
-    """sup over rays of a of the angle to the nearest ray of b."""
-    A = cones.member_directions(a)
-    if len(A) == 0:
-        return 0.0
-    B = cones.member_directions(b)
-    if len(B) == 0:
-        return math.pi
-    G = np.clip(A @ B.T, -1.0, 1.0)
-    return float(np.arccos(G.max(axis=1)).max())
+_INC = FiberCone.from_arcs([(0.0, 0.5 * math.pi), (math.pi, 1.5 * math.pi)])
+_DEC = FiberCone.from_arcs([(0.5 * math.pi, math.pi), (1.5 * math.pi, 2.0 * math.pi)])
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +206,15 @@ def fo_extremum(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
 
     w = geometry.graph_whitney(f, x, lad) if whitney is None else whitney
     ft = conormal.vertical_tol(w)
-    if f.m == 1:
-        dirs = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    else:
-        base = dini._direction_grid(f.m, 64)
-        dirs = np.hstack([base, np.zeros((len(base), 1))])
-    worst = max(_ray_gap(w, v) for v in dirs)
+    base = dini._direction_grid(f.m, 64)
+    worst = cones.directed_angle(FiberCone.from_directions(
+        np.hstack([base, np.zeros((len(base), 1))]), f.m + 1), w)
     fermat = {"whitney_horizontal": bool(worst <= ft),
               "worst_angle": float(worst), "tolerance": ft}
     if f.m == 1:
         lam = cones.top(w)  # the exact conormal over a 1-D domain
-        vgap = max(_ray_gap(lam, [0.0, 1.0]), _ray_gap(lam, [0.0, -1.0]))
+        vgap = cones.directed_angle(
+            FiberCone.from_directions([[0.0, 1.0], [0.0, -1.0]], 2), lam)
         fermat["conormal_vertical"] = bool(vgap <= ft)
         fermat["conormal_angle"] = float(vgap)
     out["fermat"] = fermat
@@ -295,19 +266,18 @@ def mean_value_witness(f: FunctionHandle, a, b, eta0: float = 1.0,
     def probe(s: float, lad) -> tuple[float, np.ndarray]:
         c = a + s * (b - a)
         w = geometry.graph_whitney(f, c, lad.for_handle(f))
+        # the exact conormal over a 1-D domain, its upper bound above that
+        lam = conormal.slice_top_intersection(w, f.m)
+        if lam.is_zero():
+            return math.pi / 2.0, None
         if f.m == 1:
-            # the exact conormal over a 1-D domain
-            arcs = cones.as_arcs(cones.top(w)).rep.arcs
-            if not arcs:
-                return math.pi / 2.0, None
+            arcs = cones.as_arcs(lam).rep.arcs
             perp = math.atan2(chord_hat[0], -chord_hat[1])
-            ang = min(cones.arcs_point_distance(arcs, perp),
-                      cones.arcs_point_distance(arcs, perp + math.pi))
+            ang = float(cones.arcs_point_distance(
+                arcs, np.array([perp, perp + math.pi])).min())
             nu = np.array([fb - fa, a[0] - b[0]])
             return ang, sgn * nu / np.linalg.norm(nu)
-        V = cones.member_directions(conormal.slice_top_intersection(w, f.m))
-        if len(V) == 0:
-            return math.pi / 2.0, None
+        V = cones.member_directions(lam)
         dots = V @ chord_hat
         i = int(np.argmin(np.abs(dots)))
         nu = V[i] if V[i, -1] * eta0 <= 0 else -V[i]
@@ -412,9 +382,9 @@ def chain_rule_check(f1: FunctionHandle, f2: FunctionHandle, x,
     regular = not _middle_match(w1, w2, f1.m, f2.m)
     tol = 2.0 * max(wh.resolution(), comp.cone.resolution(),
                     sampling.grid_resolution(max(2, f1.m + f2.n)))
-    worst = _directed_angle(wh, comp.cone)
+    worst = cones.directed_angle(wh, comp.cone)
     inclusion = worst <= tol
-    overshoot = _directed_angle(comp.cone, wh)
+    overshoot = cones.directed_angle(comp.cone, wh)
     out = {
         "regular": bool(regular),
         "inclusion_holds": bool(inclusion),
@@ -437,31 +407,15 @@ def chain_rule_check(f1: FunctionHandle, f2: FunctionHandle, x,
 # monotonicity in one dimension
 
 
-def _arc_points(arcs, step: float) -> list[float]:
-    pts = []
-    for a0, a1 in arcs:
-        k = max(2, int(math.ceil((a1 - a0) / step)) + 1)
-        pts.extend(np.linspace(a0, a1, k))
-    return pts
-
-
-def _arcs_within(child, parent, tol: float) -> tuple[bool, float]:
-    pts = _arc_points(child, max(tol, 1e-3) / 4.0)
-    if not pts:
-        return True, 0.0
-    worst = max(cones.arcs_point_distance(parent, t) for t in pts)
-    return worst <= tol, worst
-
-
 def _arcs_margin(child, parent) -> float:
-    """Smallest distance from the child to the complement of the parent."""
+    """Smallest distance from the child to the complement of the parent:
+    0 where they meet, otherwise that of the nearest child endpoint."""
     comp = cones.arcs_complement(parent)
-    if not comp:
+    if not comp or not child:
         return math.pi
-    pts = _arc_points(child, 5e-4)
-    if not pts:
-        return math.pi
-    return min(cones.arcs_point_distance(comp, t) for t in pts)
+    if cones.arcs_intersect(child, comp):
+        return 0.0
+    return float(cones.arcs_point_distance(comp, np.ravel(child)).min())
 
 
 def monotone_classify_1d(f: FunctionHandle, interval,
@@ -486,10 +440,11 @@ def monotone_classify_1d(f: FunctionHandle, interval,
         lam = cones.top(w)
         arcs_w = cones.as_arcs(w).rep.arcs
         tol = conormal.vertical_tol(w)
-        inc, inc_worst = _arcs_within(arcs_w, _INC_ARCS, tol)
-        dec, _ = _arcs_within(arcs_w, _DEC_ARCS, tol)
-        margin_inc = _arcs_margin(arcs_w, _INC_ARCS)
-        margin_dec = _arcs_margin(arcs_w, _DEC_ARCS)
+        inc_worst = cones.directed_angle(w, _INC)
+        inc = inc_worst <= tol
+        dec = cones.directed_angle(w, _DEC) <= tol
+        margin_inc = _arcs_margin(arcs_w, _INC.rep.arcs)
+        margin_dec = _arcs_margin(arcs_w, _DEC.rep.arcs)
         per.append({
             "x": float(c),
             "non_decreasing": bool(inc),
@@ -553,9 +508,8 @@ def _dual_causal(lam: FiberCone, gm: FiberCone, gn: FiberCone, m: int,
     flip = -V[ask, m:] / ne[ask, None]
     skip = np.zeros(len(V), dtype=bool)
     skip[ask] = ~cones._contains_rows(gn_polar, flip, cones._row_norms(flip), tol)
-    worst = 0.0
-    for i in np.flatnonzero(~skip & (nx > math.sin(tol))):
-        worst = max(worst, _ray_gap(gm_polar, V[i, :m] / nx[i]))
+    xi = FiberCone.from_directions(V[~skip & (nx > math.sin(tol)), :m], m)
+    worst = cones.directed_angle(xi, gm_polar)
     return {"dual_checked": True, "dual_ok": bool(worst <= tol),
             "dual_worst_angle": float(worst)}
 
@@ -575,7 +529,7 @@ def _causal_entry(f: FunctionHandle, gamma_m, gamma_n, p, lad,
     # image membership filtered at half the verdict tolerance so a
     # boundary direction cannot land exactly on the pass/fail line
     img = cones.apply_relation(gm, ConicRelation(f.m, f.n, w), tol=0.5 * ptol)
-    worst = _directed_angle(img, gn)
+    worst = cones.directed_angle(img, gn)
     lip = _local_constant(w, f.m)
     entry = {
         "point": p.tolist(),
@@ -631,11 +585,9 @@ def time_function_check(tau: FunctionHandle, gamma_m, points,
         entry, w = _causal_entry(tau, gamma_m, gamma_r, p, lad, tol)
         p = p.reshape(tau.m)
         # the exact conormal over a 1-D domain, its upper bound above that
-        if tau.m == 1:
-            lam, sub_tol = cones.top(w), STRICT_VERTICAL_TOL
-        else:
-            lam = conormal.slice_top_intersection(w, tau.m)
-            sub_tol = conormal.vertical_tol(lam)
+        lam = conormal.slice_top_intersection(w, tau.m)
+        sub_tol = (STRICT_VERTICAL_TOL if tau.m == 1
+                   else conormal.vertical_tol(lam))
         submersive = not conormal.slice_nontrivial(lam, tau.m, sub_tol, "vertical")
         img = cones.apply_relation(_field_value(gamma_m, p, tau.m),
                                    ConicRelation(tau.m, 1, w))

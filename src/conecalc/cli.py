@@ -167,13 +167,6 @@ def to_jsonable(obj, key=None, rows: list | None = None):
         return bool(obj)
     if isinstance(obj, FiberCone):
         return cone_to_json(obj, rows)
-    if isinstance(obj, conormal.ConormalEstimate):
-        return {"regime": obj.regime,
-                "lower": cone_to_json(obj.lower, rows),
-                "upper": cone_to_json(obj.upper, rows),
-                "exact": (None if obj.exact is None
-                          else cone_to_json(obj.exact, rows)),
-                "checks": to_jsonable(obj.checks, "checks", rows)}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name), f.name, rows)
                 for f in dataclasses.fields(obj)}
@@ -333,12 +326,12 @@ def _build_parser() -> _Parser:
 
 
 def _join_list_values(argv: list) -> list:
-    """Write "--at -0.5,0.2" as "--at=-0.5,0.2", and --ladder alike:
-    argparse reads a value that starts with "-" as an option unless it
-    is a plain negative number."""
+    """Write "--at -0.5,0.2" as "--at=-0.5,0.2", and --ladder and --fn
+    alike: argparse reads a value that starts with "-" as an option unless
+    it is a plain negative number."""
     out = []
     for tok in argv:
-        if (out and out[-1] in ("--at", "--ladder") and tok.startswith("-")
+        if (out and out[-1] in ("--at", "--ladder", "--fn") and tok.startswith("-")
                 and not tok.startswith("--")):
             out[-1] += "=" + tok
         else:
@@ -446,11 +439,7 @@ def _analyze_point(f, x, lad, cfg: RunConfig) -> dict:
     entry = {"point": x.tolist(), "classification": rep, "checks": {}}
     for name in dict.fromkeys(cfg.checks):
         if name == "conormal-upper":
-            # the conormal over a 1-D domain is exact, so its upper bound
-            # is not the slice construction
-            entry["checks"][name] = (
-                conormal.slice_top_intersection(rep.whitney, 1) if f.m == 1
-                else rep.conormal.upper)
+            entry["checks"][name] = rep.conormal.upper
         elif name == "epigraph-split":
             plus, minus = conormal.epigraph_split(rep.conormal.upper, f.n)
             entry["checks"][name] = {"positive": plus, "negative": minus}

@@ -13,6 +13,10 @@ A ``FiberCone`` is a closed cone of directions sitting in the fiber of a
     an explicit list of unit member directions together with the
     angular resolution at which the list faithfully covers the cone.
 
+Every angle between two cones is ``directed_angle``: the largest angle
+from a ray of one cone to the nearest ray of the other.
+``hausdorff_angle`` is the larger of its two directions.
+
 Duality uses the standard inner product throughout: the polar of A is
 {xi : <xi, v> >= 0 for all v in A}.
 
@@ -53,9 +57,9 @@ def _norm_angle(a: float) -> float:
     return float(np.mod(a, TWO_PI))
 
 
-def _angdist(a: float, b: float) -> float:
+def _angdist(a, b):
     d = abs(a - b) % TWO_PI
-    return min(d, TWO_PI - d)
+    return np.minimum(d, TWO_PI - d)
 
 
 def arcs_normalize(arcs: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
@@ -102,16 +106,23 @@ def arcs_contains(arcs, theta: float, tol: float = 0.0) -> bool:
     return False
 
 
-def arcs_point_distance(arcs, theta: float) -> float:
+def arcs_point_distance(arcs, theta):
+    """The angle from theta, one angle or an array of them, to canonical
+    arcs: 0 inside an arc, +inf without arcs.
+
+    Outside the arcs the nearest point is the end of the last arc that
+    starts at or before theta or the start of the next arc, so two
+    distances per angle decide it.
+    """
+    th = np.mod(theta, TWO_PI)
     if not arcs:
-        return math.inf
-    th = _norm_angle(theta)
-    best = math.inf
-    for lo, hi in arcs:
-        if lo <= th <= hi or lo <= th + TWO_PI <= hi:
-            return 0.0
-        best = min(best, _angdist(th, lo), _angdist(th, hi))
-    return best
+        return np.full(np.shape(th), math.inf)
+    lo, hi = np.array(arcs).T
+    j = np.searchsorted(lo, th, side="right") - 1
+    # only the last arc can reach past 2pi
+    inside = ((j >= 0) & (th <= hi[j])) | (th + TWO_PI <= hi[-1])
+    near = np.minimum(_angdist(th, hi[j]), _angdist(th, lo[(j + 1) % len(lo)]))
+    return np.where(inside, 0.0, near)
 
 
 def arcs_rotate(arcs, delta: float):
@@ -153,6 +164,17 @@ def arcs_intersect(a, b):
     return arcs_normalize(out)
 
 
+def _arcs_gaps(arcs) -> list[tuple[float, float]]:
+    """Gaps between consecutive canonical arcs, as (lo, hi) with hi up to
+    2pi past lo; unlike the closure ``arcs_complement``, not merged."""
+    gaps = []
+    for i, (lo, hi) in enumerate(arcs):
+        nxt = arcs[(i + 1) % len(arcs)][0] + (TWO_PI if i == len(arcs) - 1 else 0.0)
+        if nxt - hi > _EPS:
+            gaps.append((hi, nxt))
+    return gaps
+
+
 def arcs_convex_hull(arcs):
     """Smallest convex cone (as arcs) containing the arc set."""
     arcs = arcs_normalize(arcs)
@@ -160,13 +182,7 @@ def arcs_convex_hull(arcs):
         return ()
     if arcs == _FULL:
         return _FULL
-    # gaps straight from consecutive arcs; arcs_complement would merge
-    # across degenerate point arcs and lose them
-    gaps = []
-    for i, (lo, hi) in enumerate(arcs):
-        nxt = arcs[(i + 1) % len(arcs)][0] + (TWO_PI if i == len(arcs) - 1 else 0.0)
-        if nxt - hi > _EPS:
-            gaps.append((hi, nxt))
+    gaps = _arcs_gaps(arcs)
     if not gaps:
         return _FULL
     glo, ghi = max(gaps, key=lambda g: g[1] - g[0])
@@ -200,25 +216,13 @@ def arcs_polar(arcs):
     return arcs_normalize([(hi - np.pi / 2.0, lo + np.pi / 2.0)])
 
 
-def arcs_hausdorff(a, b) -> float:
-    a = arcs_normalize(a)
-    b = arcs_normalize(b)
-    if not a and not b:
-        return 0.0
-    if not a or not b:
-        return math.inf
-    return max(_arcs_directed(a, b), _arcs_directed(b, a))
-
-
 def _arcs_directed(a, b) -> float:
     # the sup of dist(. , b) over a is attained at an endpoint of a or at
     # a midpoint of a gap of b lying inside a
-    cands = [e for lo, hi in a for e in (lo, hi)]
-    for lo, hi in arcs_complement(b):
-        mid = (lo + hi) / 2.0
-        if arcs_contains(a, mid, tol=1e-12):
-            cands.append(mid)
-    return max(arcs_point_distance(b, t) for t in cands)
+    mids = np.array([(lo + hi) / 2.0 for lo, hi in _arcs_gaps(b)])
+    cands = np.concatenate([np.ravel(a),
+                            mids[arcs_point_distance(a, mids) <= 1e-12]])
+    return float(arcs_point_distance(b, cands).max())
 
 
 # ---------------------------------------------------------------------------
@@ -496,23 +500,12 @@ def min_dots(points: np.ndarray, members: np.ndarray,
 
 def contains(cone: FiberCone, v, tol: float | None = None) -> bool:
     """Angular membership test; ``tol`` defaults to twice the resolution."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.shape[0] != cone.dim:
-        raise DimensionMismatchError(f"vector of length {len(v)} in a {cone.dim}-dim fiber")
-    n = np.linalg.norm(v)
-    if n < 1e-14:
-        return True
-    v = v / n
+    v = np.asarray(v, dtype=float).reshape(1, -1)
+    if v.shape[1] != cone.dim:
+        raise DimensionMismatchError(f"vector of length {v.size} in a {cone.dim}-dim fiber")
     if tol is None:
         tol = 2.0 * max(cone.resolution(), sampling.grid_resolution(cone.dim))
-    rep = cone.rep
-    if isinstance(rep, Arcs2D):
-        return arcs_contains(rep.arcs, math.atan2(v[1], v[0]), tol=tol)
-    if isinstance(rep, Trivial):
-        return rep.full
-    if len(rep.directions) == 0:
-        return False
-    return bool(sampling.near_set(v[None, :], rep.directions, tol)[0])
+    return bool(_contains_rows(cone, v, _row_norms(v), tol)[0])
 
 
 def _row_norms(A: np.ndarray) -> np.ndarray:
@@ -596,24 +589,36 @@ def join(a: FiberCone, b: FiberCone) -> FiberCone:
     return FiberCone(a.dim, Sampled(dirs, max(sa.rep.resolution, sb.rep.resolution)))
 
 
+def directed_angle(a: FiberCone, b: FiberCone) -> float:
+    """The largest angle from a ray of a to the nearest ray of b.
+
+    0.0 when a is the zero cone, pi when only b is.  Plane cones are
+    answered exactly in arcs; above the plane the members of a go to the
+    nearest member of b through ``sampling.min_angle_to_set``, so memory
+    stays linear in the member counts.
+    """
+    _check_dims(a, b)
+    if a.is_zero():
+        return 0.0
+    if b.is_zero():
+        return math.pi
+    if a.dim == 2:
+        return _arcs_directed(as_arcs(a).rep.arcs, as_arcs(b).rep.arcs)
+    return float(np.max(sampling.min_angle_to_set(member_directions(a),
+                                                  member_directions(b))))
+
+
 def hausdorff_angle(a: FiberCone, b: FiberCone) -> float:
-    """Angular Hausdorff distance between the two direction sets.
+    """Angular Hausdorff distance between the two direction sets: the
+    larger of the two directed angles.
 
     Returns +inf when exactly one side is the zero cone, 0.0 when both are.
     """
     _check_dims(a, b)
     az, bz = a.is_zero(), b.is_zero()
-    if az and bz:
-        return 0.0
     if az or bz:
-        return math.inf
-    if a.dim == 2:
-        return arcs_hausdorff(as_arcs(a).rep.arcs, as_arcs(b).rep.arcs)
-    da = member_directions(a)
-    db = member_directions(b)
-    d_ab = float(np.max(sampling.min_angle_to_set(da, db)))
-    d_ba = float(np.max(sampling.min_angle_to_set(db, da)))
-    return max(d_ab, d_ba)
+        return 0.0 if az and bz else math.inf
+    return max(directed_angle(a, b), directed_angle(b, a))
 
 
 def linear_image(cone: FiberCone, M: np.ndarray) -> FiberCone:

@@ -7,8 +7,8 @@ conversely recovered as the top of the conormal, which pins the
 conormal between computable brackets.  Everywhere else the estimate is
 a bracket: an upper bound intersecting the tops of directional Whitney
 slices over a grid of domain directions, and a lower bound from the
-polar of the epigraph tangent cone (scalar targets only; the zero cone
-otherwise).
+polar of the hypograph's tangent cone, read reflected and joined with
+its antipode (scalar targets only; the zero cone otherwise).
 
 Closed point sets get the microsupport bracket [polar of the tangent
 cone, polar of the strict tangent cone].
@@ -71,7 +71,7 @@ def slice_nontrivial(cone: FiberCone, m: int, tol: float, part: str) -> bool:
             return False
         half = 0.5 * math.pi
         probes = (half, 3 * half) if part == "vertical" else (0.0, math.pi)
-        return any(arcs_point_distance(arcs, a) <= tol for a in probes)
+        return bool((arcs_point_distance(arcs, np.array(probes)) <= tol).any())
     V = member_directions(cone)
     if len(V) == 0:
         return False
@@ -94,27 +94,17 @@ def _thin_slack(dim: int) -> float:
 def slice_top_intersection(w: FiberCone, m: int) -> FiberCone:
     """The upper-bound construction on an already-computed Whitney cone.
 
-    Over a domain of two or more dimensions, a W that meets the vertical
-    (``meets_vertical``) has a near-vertical member in every slice, so
-    every slice top holds the horizontal covectors and the map is not
-    Lipschitz there: the bound is answered as the full cone.
+    Over a line it is W's top, the exact conormal.  Over a domain of two
+    or more dimensions, a W that meets the vertical (``meets_vertical``)
+    has a near-vertical member in every slice, so every slice top holds
+    the horizontal covectors and the map is not Lipschitz there: the
+    bound is answered as the full cone.
     """
     d = w.dim
-    n = d - m
-    if n < 1:
+    if d - m < 1:
         raise DimensionMismatchError("product fiber smaller than the domain part")
-    if m == 1 and d == 2:
-        # the slices over u = +1 and -1 are W's closed right and left
-        # half planes
-        out = None
-        for theta in (0.0, math.pi):
-            sl = intersect(w, FiberCone.from_arcs(
-                [(theta - math.pi / 2.0, theta + math.pi / 2.0)]))
-            if sl.is_zero():
-                continue
-            t = top(sl)
-            out = t if out is None else intersect(out, t)
-        return FiberCone.zero(2) if out is None else out
+    if m == 1:
+        return top(w)
     V = member_directions(w)
     if len(V) == 0:
         return FiberCone.zero(d)
@@ -155,29 +145,36 @@ def slice_top_intersection(w: FiberCone, m: int) -> FiberCone:
 
 
 def _epigraph_tangent(f, x, lad) -> FiberCone:
-    """Tangent cone of the region above the graph: t >= lower directional
-    derivative of f at x along u, fiberwise in the direction u.  Only
-    domains of dimension 2 or more get here: ``conormal`` answers m = 1
-    exactly."""
+    """The antipode of the hypograph's tangent cone {(v, s) : s <=
+    D+f(x; v)}, D+ the upper Dini derivative of a fixed-base scan: over
+    each domain direction u, t >= -D+f(x; -u).  Only for a moving base
+    would the antipodal identity make that the lower derivative along u,
+    and this the epigraph's tangent cone.
+
+    Only ``polar`` reads this cone, so each fan is sampled at quarter-turn
+    steps: a row that clears the polar's slack at both ends of such a
+    piece stays within sqrt(2) times it inside.  ``conormal`` answers
+    m = 1 exactly, so m >= 2 here.
+    """
     x = np.asarray(x, dtype=float).reshape(f.m)
     base = dini._direction_grid(f.m)
     if f.m == 2:
         base = base[::2]
-    # lower Dini derivatives by the antipodal identity, one scan of -base
+    # -D+f(x; -u) for every u of base, from one fixed-base scan of -base
     lows = -dini.limits(f, x, -base, lad, False)
-    step = sampling.grid_resolution(f.m)
     members = [np.concatenate([np.zeros(f.m), [1.0]])[None, :]]
     for u, lo in zip(base, lows):
         if lo > dini.DIVERGENCE_CAP:
             continue
         p1 = math.atan(lo) if abs(lo) <= dini.DIVERGENCE_CAP else -math.pi / 2.0
-        members.append(geometry.fan(u, p1, math.pi / 2.0, step))
-    return FiberCone.from_directions(np.vstack(members), f.m + 1, resolution=step)
+        members.append(geometry.fan(u, p1, math.pi / 2.0, math.pi / 2.0))
+    return FiberCone.from_directions(np.vstack(members), f.m + 1)
 
 
 def _epigraph_polar_lower(f, x, lad) -> FiberCone:
-    """Covectors certified inside the conormal: polar of the epigraph
-    tangent cone, symmetrized over the two codomain orientations."""
+    """Covectors of the lower bracket: the polar of the hypograph's
+    tangent cone (``_epigraph_tangent``, reflected) joined with its
+    antipode.  It is zero at a convex kink such as abs(x1)+x2 at 0."""
     ct = _epigraph_tangent(f, x, lad)
     # low-dimensional polars (rays, lines) have no interior on the sphere,
     # so the membership slack must cover the ambient grid's covering radius
@@ -273,14 +270,14 @@ def conormal(f, x, ladder=None, whitney: FiberCone | None = None) -> ConormalEst
     ``whitney`` is the graph Whitney cone of f at x when the caller has
     it already; otherwise it is computed here, once.  The exact conormal
     (its top) and the upper bound (``slice_top_intersection``) are both
-    read off this one cone.
+    read off this one cone; over a line they are the same cone.
     """
     lad = _resolved_ladder(f, ladder)
     w = geometry.graph_whitney(f, x, lad) if whitney is None else whitney
-    if f.m == 1:
-        lam = top(w)
-        return ConormalEstimate(lower=lam, upper=lam, regime="dimM1", exact=lam)
     upper = slice_top_intersection(w, f.m)
+    if f.m == 1:
+        return ConormalEstimate(lower=upper, upper=upper, regime="dimM1",
+                                exact=upper)
     if f.n == 1:
         lower = _epigraph_polar_lower(f, x, lad)
         check = conormal_lower_check(w, upper)

@@ -7,8 +7,9 @@ For a scalar function f, a point x and a direction u, the sup quotient
 is read with a fixed base (y = x: the upper Dini derivative) or a moving
 base (y also roams a shrinking ball around x: Clarke's generalized
 quotient).  The lower counterparts are never estimated on their own:
-the antipodal identity inf Q(u) = -sup Q(-u) reads them off the sup side
-along -u.  All of this runs on one kernel with three entry points:
+the antipodal identity inf Q(u) = -sup Q(-u), which holds for a moving
+base, reads them off the sup side along -u.  All of this runs on one
+kernel with three entry points:
 
     quotient_scan  per-row profiles: the per-scale table and the limit
     limits         the extrapolated sup-side limit along every row of U

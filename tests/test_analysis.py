@@ -391,9 +391,11 @@ class TestCausal:
 
 
 def reference_dual_causal(lam, gm, gn, m, tol):
-    """``_dual_causal`` with one ``contains`` call per member, as it was."""
+    """``_dual_causal`` with one ``contains`` call and one angle per member:
+    the arccos of the largest dot with the members of gm's polar."""
     gm_polar = cones.polar(gm)
     gn_polar = cones.polar(gn)
+    P = cones.member_directions(gm_polar)
     worst = 0.0
     for v in cones.member_directions(lam):
         xi, eta = v[:m], v[m:]
@@ -402,7 +404,9 @@ def reference_dual_causal(lam, gm, gn, m, tol):
             continue
         if nx <= math.sin(tol):
             continue
-        worst = max(worst, analysis._ray_gap(gm_polar, xi / nx))
+        gap = (math.acos(min(1.0, max(-1.0, float((P @ (xi / nx)).max()))))
+               if len(P) else math.pi)
+        worst = max(worst, gap)
     return {"dual_checked": True, "dual_ok": bool(worst <= tol),
             "dual_worst_angle": float(worst)}
 

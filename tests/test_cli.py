@@ -350,6 +350,13 @@ class TestReports:
         assert rep["config"]["at"] == [[-0.5, 0.2]]
         assert rep["results"][0]["point"] == [-0.5, 0.2]
 
+    def test_leading_minus_fn_in_the_spaced_form(self, capsys):
+        spaced = run(capsys, "analyze", "--fn", "-abs(x1)", "--at", "0")
+        joined = run(capsys, "analyze", "--fn=-abs(x1)", "--at", "0")
+        assert spaced[0] == joined[0] == 0
+        assert spaced[1] == joined[1]
+        assert json.loads(spaced[1])["config"]["fn"] == "-abs(x1)"
+
     def test_angles_round_to_six_decimals(self, capsys):
         _, out, _ = run(capsys, "analyze", "--builtin", "abs", "--at", "0")
         arcs = json.loads(out)["results"][0]["classification"]["whitney"]["arcs"]

@@ -1,6 +1,7 @@
 """Core cone algebra against brute-force oracles and algebraic laws."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -125,7 +126,9 @@ class TestArcArithmetic:
         assert set(np.round(hull, 9).flatten()) == {0.0, round(math.pi, 9)}
 
     def test_hausdorff_full_forms_agree(self):
-        assert cones.arcs_hausdorff(((0.0, TWO_PI),), ((0.0, TWO_PI),)) == 0.0
+        full_arcs = FiberCone.from_arcs([(0.0, TWO_PI)])
+        assert cones.hausdorff_angle(full_arcs, full_arcs) == 0.0
+        assert cones.hausdorff_angle(full_arcs, FiberCone.full(2)) == 0.0
 
     @given(arc_sets(), st.floats(0.0, TWO_PI))
     @settings(max_examples=100, deadline=None)
@@ -219,6 +222,57 @@ class TestTrivialCones:
             assert cli.cone_to_json(cones.join(a, b)) == trivial_json(dim, hull)
             want = 0.0 if meet == hull else math.inf
             assert cones.hausdorff_angle(cones.intersect(a, b), cones.join(a, b)) == want
+
+
+def dense_directed_angle(a, b):
+    """The largest over a's members of the arccos of the largest dot with
+    b's members, from the full member-by-member matrix."""
+    G = cones.member_directions(a) @ cones.member_directions(b).T
+    return float(np.arccos(np.clip(G, -1.0, 1.0).max(axis=1)).max())
+
+
+class TestDirectedAngle:
+    def test_plane_cones_are_exact(self):
+        # the farthest ray of the arc is its midpoint, which no sampling
+        # of the arc at a step that misses 0.5 reaches
+        arc = FiberCone.from_arcs([(0.0, 1.0)])
+        ends = FiberCone.from_arcs([(0.0, 0.0), (1.0, 1.0)])
+        assert cones.directed_angle(arc, ends) == 0.5
+        assert cones.directed_angle(ends, arc) == 0.0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_zero_cones(self, dim):
+        zero, full = FiberCone.zero(dim), FiberCone.full(dim)
+        empty = FiberCone.from_directions(np.zeros((0, dim)), dim)
+        for z in (zero, empty):
+            assert cones.directed_angle(z, full) == 0.0
+            assert cones.directed_angle(z, z) == 0.0
+            assert cones.directed_angle(full, z) == math.pi
+            assert cones.hausdorff_angle(z, full) == math.inf
+            assert cones.hausdorff_angle(z, zero) == 0.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_3d_equals_the_dense_matrix(self, seed):
+        a = FiberCone.from_directions(random_sampled_cone(3, seed, count=300), 3)
+        b = FiberCone.from_directions(random_sampled_cone(3, seed + 50, count=500), 3)
+        ab, ba = cones.directed_angle(a, b), cones.directed_angle(b, a)
+        # arccos of a dot near 1 loses about sqrt(eps) of the angle
+        assert abs(ab - dense_directed_angle(a, b)) <= 1e-7
+        assert abs(ba - dense_directed_angle(b, a)) <= 1e-7
+        assert cones.hausdorff_angle(a, b) == max(ab, ba)
+
+    def test_memory_stays_linear_in_the_members(self):
+        # the dense matrix of these two cones would take 12.8 GB
+        a = FiberCone.from_directions(random_sampled_cone(3, 1, count=40_000), 3)
+        b = FiberCone.from_directions(random_sampled_cone(3, 2, count=40_000), 3)
+        tracemalloc.start()
+        try:
+            got = cones.directed_angle(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < got < math.pi
+        assert peak < 64 << 20
 
 
 def dense_polar_mask(grid, dirs, thr):
@@ -747,6 +801,22 @@ def reference_apply_relation(cone, rel, tol=None):
     return FiberCone.from_directions(np.asarray(out, dtype=float), d3, res)
 
 
+def reference_contains(cone, v, tol):
+    """``contains`` on one vector by its own normalization and test."""
+    n = np.linalg.norm(v)
+    if n < 1e-14:
+        return True
+    v = v / n
+    rep = cone.rep
+    if isinstance(rep, cones.Arcs2D):
+        return cones.arcs_contains(rep.arcs, math.atan2(v[1], v[0]), tol=tol)
+    if isinstance(rep, cones.Trivial):
+        return rep.full
+    if len(rep.directions) == 0:
+        return False
+    return bool(sampling.near_set(v[None, :], rep.directions, tol)[0])
+
+
 def membership_cones(dim):
     """One cone of each representation in the given dimension."""
     H = np.random.default_rng(dim).standard_normal((2, dim))
@@ -792,7 +862,8 @@ class TestBatchedMembership:
             V = U.copy()
             if isinstance(cone.rep, cones.Sampled) and len(cone.rep.directions):
                 V[3:13] = 2.0 * cone.rep.directions[:10]
-            want = [cones.contains(cone, v, tol=tol) for v in V]
+            want = [reference_contains(cone, v, tol) for v in V]
+            assert [cones.contains(cone, v, tol=tol) for v in V] == want
             got = cones._contains_rows(cone, V, cones._row_norms(V), tol)
             assert got.dtype == bool and got.tolist() == want
 

@@ -75,17 +75,6 @@ class TestDimN1:
         assert not est.upper.is_zero()
 
 
-def directed_angle(inner, outer):
-    """The largest angle from a member of inner to the nearest one of outer."""
-    if inner.is_zero():
-        return 0.0
-    if inner.dim == 2:
-        return cones._arcs_directed(cones.as_arcs(inner).rep.arcs,
-                                    cones.as_arcs(outer).rep.arcs)
-    return float(sampling.min_angle_to_set(
-        cones.member_directions(inner), cones.member_directions(outer)).max())
-
-
 SIN_2D_LADDER = {"t0": 0.1, "ratio": 0.5, "k_min": 0, "k_max": 6}
 MAP_2D_LADDER = {"t0": 0.1, "ratio": 0.5, "k_min": 12, "k_max": 15}
 
@@ -110,7 +99,7 @@ class TestGoldenBrackets:
         est = conormal.conormal(f, at, dini.ScaleLadder(seed=0, **ladder))
         assert est.lower.is_zero() == lower_zero
         rho = sampling.grid_resolution(est.lower.dim)
-        assert directed_angle(est.lower, est.upper) <= 2.0 * rho
+        assert cones.directed_angle(est.lower, est.upper) <= 2.0 * rho
 
     @pytest.mark.parametrize("fn,at,ladder,jac", [
         ("sin(x1)+x2*x2", [0.3, -0.2], SIN_2D_LADDER, [[math.cos(0.3), -0.4]]),
@@ -127,7 +116,7 @@ class TestGoldenBrackets:
         eta = sampling.unit_grid(f.n) if f.n > 1 else np.array([[1.0], [-1.0]])
         exact = FiberCone.from_directions(np.hstack([-eta @ D, eta]), f.m + f.n)
         assert not est.upper.is_zero()
-        assert (directed_angle(exact, est.upper)
+        assert (cones.directed_angle(exact, est.upper)
                 <= sampling.covering_radius(f.m + f.n))
 
 
