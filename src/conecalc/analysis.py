@@ -85,10 +85,12 @@ def classify_point(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
     """Lipschitz / strict-differentiability report at a single point.
 
     Every moving-base number comes from the graph Whitney cone W, the
-    point's one moving-base scan.  The local constant is the largest
-    slope of W's members (+inf when the vertical slice of W is
-    nontrivial), floored by the pointwise (fixed-base) constant, and
-    Lipschitz holds iff that constant is finite.  Strict differentiability
+    point's one moving-base scan; every fixed-base one (the pointwise
+    constant, the extremum tag, the lower bracket) from its one
+    ``dini.fixed_bounds`` scan.  The local constant is the largest slope
+    of W's members (+inf when the vertical slice of W is nontrivial),
+    floored by the pointwise constant, and Lipschitz holds iff that
+    constant is finite.  Strict differentiability
     additionally needs W inside an m-dimensional subspace, detected by
     the relative singular-value gap of its members, and, as part of the
     verdict, that subspace must be the graph of a linear map: its domain
@@ -103,9 +105,10 @@ def classify_point(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
     lad = conormal._resolved_ladder(f, ladder)
     x = np.asarray(x, dtype=float).reshape(f.m)
     w = geometry.graph_whitney(f, x, lad)
-    est = conormal.conormal(f, x, lad, whitney=w)
+    fixed = dini.fixed_bounds(f, x, lad)
+    est = conormal.conormal(f, x, lad, whitney=w, bounds=fixed)
     vt = conormal.vertical_tol(w)
-    lip_pw = dini.pointwise_lipschitz(f, x, lad)
+    lip_pw = dini.pointwise_lipschitz(fixed)
     lip = max(_local_constant(w, f.m), lip_pw)
     # the verdict reads the floored constant: a sparse W on a coarse ladder
     # can miss the vertical that the fixed-base scan already sees
@@ -147,7 +150,7 @@ def classify_point(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
 
     fo = None
     if f.n == 1:
-        fo = fo_extremum(f, x, lad, tol=fo_tol, whitney=w)["tag"]
+        fo = fo_extremum(f, x, lad, tol=fo_tol, whitney=w, bounds=fixed)["tag"]
         if fo == "stationary" and deriv is not None and np.abs(deriv).max() <= 1e-4:
             deriv = np.zeros_like(deriv)
 
@@ -182,19 +185,23 @@ def classify_point(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
 
 
 def fo_extremum(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
-                tol: float = 1e-4, whitney: FiberCone | None = None) -> dict:
+                tol: float = 1e-4, whitney: FiberCone | None = None,
+                bounds: dini.FixedBounds | None = None) -> dict:
     """Radial first-order extremum tag with Fermat verification.
 
-    The tag comes from the liminf/limsup of (f(x+v)-f(x))/|v|; on a hit the
-    Fermat inclusions (horizontal tangents inside W, vertical covector
-    inside the conormal where exact) are verified within 2 rho.  ``whitney``
-    is the graph Whitney cone W at x when the caller has it already.
+    The tag comes from the liminf/limsup of (f(x+v)-f(x))/|v|, the extreme
+    Dini limits of the fixed-base scan ``bounds``; on a hit the Fermat
+    inclusions (horizontal tangents inside W, vertical covector inside the
+    conormal where exact) are verified within 2 rho.  ``whitney`` (W) and
+    ``bounds`` are computed here unless the caller has them already.
     """
     if f.n != 1:
         raise DimensionMismatchError("extremum classification needs a scalar function")
     lad = conormal._resolved_ladder(f, ladder)
     x = np.asarray(x, dtype=float).reshape(f.m)
-    d_lo, d_hi = dini.radial_bounds(f, x, lad)
+    if bounds is None:
+        bounds = dini.fixed_bounds(f, x, lad)
+    d_lo, d_hi = float(bounds.lows.min()), float(bounds.highs.max())
     is_min = d_lo >= -tol
     is_max = d_hi <= tol
     tag = ("stationary" if is_min and is_max else

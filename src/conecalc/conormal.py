@@ -144,38 +144,33 @@ def slice_top_intersection(w: FiberCone, m: int) -> FiberCone:
 # lower information
 
 
-def _epigraph_tangent(f, x, lad) -> FiberCone:
+def _epigraph_tangent(bounds: dini.FixedBounds) -> FiberCone:
     """The antipode of the hypograph's tangent cone {(v, s) : s <=
-    D+f(x; v)}, D+ the upper Dini derivative of a fixed-base scan: over
-    each domain direction u, t >= -D+f(x; -u).  Only for a moving base
-    would the antipodal identity make that the lower derivative along u,
-    and this the epigraph's tangent cone.
+    D+f(x; v)}, D+ the upper Dini derivative of the fixed-base scan, whose
+    rows are -u: over each domain direction u, t >= -D+f(x; -u).  Only
+    for a moving base would that be the lower derivative along u, and
+    this the epigraph's tangent cone.
 
-    Only ``polar`` reads this cone, so each fan is sampled at quarter-turn
+    Only ``polar`` reads this cone, so each fan is sampled at eighth-turn
     steps: a row that clears the polar's slack at both ends of such a
-    piece stays within sqrt(2) times it inside.  ``conormal`` answers
+    piece stays within 1/cos(pi/8) times it inside.  ``conormal`` answers
     m = 1 exactly, so m >= 2 here.
     """
-    x = np.asarray(x, dtype=float).reshape(f.m)
-    base = dini._direction_grid(f.m)
-    if f.m == 2:
-        base = base[::2]
-    # -D+f(x; -u) for every u of base, from one fixed-base scan of -base
-    lows = -dini.limits(f, x, -base, lad, False)
-    members = [np.concatenate([np.zeros(f.m), [1.0]])[None, :]]
-    for u, lo in zip(base, lows):
+    m = bounds.rows.shape[1]
+    members = [np.concatenate([np.zeros(m), [1.0]])[None, :]]
+    for u, lo in zip(-bounds.rows, -bounds.highs):
         if lo > dini.DIVERGENCE_CAP:
             continue
         p1 = math.atan(lo) if abs(lo) <= dini.DIVERGENCE_CAP else -math.pi / 2.0
-        members.append(geometry.fan(u, p1, math.pi / 2.0, math.pi / 2.0))
-    return FiberCone.from_directions(np.vstack(members), f.m + 1)
+        members.append(geometry.fan(u, p1, math.pi / 2.0, math.pi / 4.0))
+    return FiberCone.from_directions(np.vstack(members), m + 1)
 
 
-def _epigraph_polar_lower(f, x, lad) -> FiberCone:
+def _epigraph_polar_lower(bounds: dini.FixedBounds) -> FiberCone:
     """Covectors of the lower bracket: the polar of the hypograph's
     tangent cone (``_epigraph_tangent``, reflected) joined with its
     antipode.  It is zero at a convex kink such as abs(x1)+x2 at 0."""
-    ct = _epigraph_tangent(f, x, lad)
+    ct = _epigraph_tangent(bounds)
     # low-dimensional polars (rays, lines) have no interior on the sphere,
     # so the membership slack must cover the ambient grid's covering radius
     pc = polar(ct, slack=_thin_slack(ct.dim))
@@ -264,13 +259,15 @@ def epigraph_split(lam: FiberCone, n: int) -> tuple[FiberCone, FiberCone]:
     return plus, antipodal(plus)
 
 
-def conormal(f, x, ladder=None, whitney: FiberCone | None = None) -> ConormalEstimate:
+def conormal(f, x, ladder=None, whitney: FiberCone | None = None,
+             bounds: dini.FixedBounds | None = None) -> ConormalEstimate:
     """Assembled estimate: exact over 1-D domains, bracketed elsewhere.
 
-    ``whitney`` is the graph Whitney cone of f at x when the caller has
-    it already; otherwise it is computed here, once.  The exact conormal
-    (its top) and the upper bound (``slice_top_intersection``) are both
-    read off this one cone; over a line they are the same cone.
+    ``whitney`` (the graph Whitney cone W of f at x) and ``bounds`` (its
+    ``dini.fixed_bounds``) are computed here, where read, unless the
+    caller has them.  The exact conormal (W's top) and the upper bound
+    (``slice_top_intersection``) are read off W, the same cone over a
+    line; the lower bracket of a scalar map, off ``bounds``.
     """
     lad = _resolved_ladder(f, ladder)
     w = geometry.graph_whitney(f, x, lad) if whitney is None else whitney
@@ -279,7 +276,9 @@ def conormal(f, x, ladder=None, whitney: FiberCone | None = None) -> ConormalEst
         return ConormalEstimate(lower=upper, upper=upper, regime="dimM1",
                                 exact=upper)
     if f.n == 1:
-        lower = _epigraph_polar_lower(f, x, lad)
+        if bounds is None:
+            bounds = dini.fixed_bounds(f, x, lad)
+        lower = _epigraph_polar_lower(bounds)
         check = conormal_lower_check(w, upper)
         est = ConormalEstimate(lower=lower, upper=upper, regime="dimN1")
         est.checks["lower_check"] = check

@@ -6,22 +6,22 @@ For a scalar function f, a point x and a direction u, the sup quotient
 
 is read with a fixed base (y = x: the upper Dini derivative) or a moving
 base (y also roams a shrinking ball around x: Clarke's generalized
-quotient).  The lower counterparts are never estimated on their own:
-the antipodal identity inf Q(u) = -sup Q(-u), which holds for a moving
-base, reads them off the sup side along -u.  All of this runs on one
-kernel with three entry points:
+quotient).  A moving base reads the lower counterparts off the sup side
+along -u, by the antipodal identity inf Q(u) = -sup Q(-u); a fixed base
+keeps the per-scale inf, since the identity fails there.  All of this
+runs on one kernel with three entry points:
 
     quotient_scan  per-row profiles: the per-scale table and the limit
-    limits         the extrapolated sup-side limit along every row of U
+    fixed_bounds   the point's one fixed-base scan: lower and upper Dini
+                   limits, read by the pointwise constant, the extremum
+                   tag and the conormal's lower bracket
     slabs          (lows, highs, vertical) from one moving-base scan of
                    U, -U and the zero direction, whose blow-up puts the
                    vertical in the graph Whitney cone
 
-plus radial first-order bounds and the pointwise (fixed-base)
-Lipschitz constant.  The moving-base numbers of a point, its local
-Lipschitz constant and its strict derivative, get no scan of their own:
-``analysis`` reads them off the graph Whitney cone, which ``slabs``
-builds for every scalar map.
+The moving-base numbers of a point, its local Lipschitz constant and its
+strict derivative, get no scan of their own: ``analysis`` reads them off
+the graph Whitney cone, which ``slabs`` builds for every scalar map.
 
 All of these share one discretization, the ``ScaleLadder``: at scale k
 the base ball has radius r_k = t0 * ratio**k, steps t run down a
@@ -45,8 +45,7 @@ increment, |f(y+tv) - f(y)| / t, with either base; a scalar map keeps
 its signed quotient.  The paper's criterion |xi| <= L |eta| on the
 graph's microsupport uses Euclidean norms, so the Lipschitz constant of
 a map is an operator norm, which the norm quotient reads directly.
-``slabs`` needs the signed quotient for its antipodal identity and so
-takes a scalar f only.
+``slabs`` takes a scalar f only: its identity needs a signed quotient.
 
 Estimates are heuristic: any finite ladder can be fooled by structure
 below its deepest scale.  ``quotient_scan`` keeps the full per-scale
@@ -58,6 +57,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -206,15 +206,12 @@ def _base_offsets(m: int, jitter: int, total: int, seed: int) -> np.ndarray:
     return np.vstack([fixed, sampling.ball_points(m, rest, seed)])
 
 
-def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool,
-          want_lows: bool = False):
+def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool):
     """Per-scale quotient extrema along every row of U.
 
     Returns (radii, highs, lows, shallow), the last three of shape
-    (q, scales) for q rows.  ``shallow`` is the sup at t = r alone.
-    ``lows`` (the per-scale inf) is None unless asked for: only the
-    profiles show it.  The quotient of a vector map is the norm of its
-    increment over t.
+    (q, scales) for q rows.  ``shallow`` is the sup at t = r alone.  The
+    quotient of a vector map is the norm of its increment over t.
     """
     x = np.asarray(x, dtype=float).reshape(f.m)
     U = np.atleast_2d(np.asarray(U, dtype=float))
@@ -236,7 +233,7 @@ def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool,
 
     nk = len(radii)
     highs = np.full((q, nk), -np.inf)
-    lows = np.full((q, nk), np.inf) if want_lows else None
+    lows = np.full((q, nk), np.inf)
     # sup at t = r only; the deep sub-ladder hits its noise floor on every
     # shell, so geometric blow-up is only visible on this shallow track
     shallow = np.full((q, nk), -np.inf)
@@ -282,7 +279,7 @@ def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool,
         Vc = np.ascontiguousarray(np.moveaxis(V, 2, 0))
         buf = np.empty((m, min(per_call, nt) * block))
         step_hi = np.empty((nt, q))
-        step_lo = np.empty((nt, q)) if want_lows else None
+        step_lo = np.empty((nt, q))
         for j in range(0, nt, per_call):
             rows = min(per_call, nt - j)
             P = buf[:, :rows * block]
@@ -300,14 +297,12 @@ def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool,
             quot /= ts[j:j + rows, None, None]
             # the per-t extrema of this call's t steps
             quot.max(axis=2, out=step_hi[j:j + rows])
-            if want_lows:
-                quot.min(axis=2, out=step_lo[j:j + rows])
+            quot.min(axis=2, out=step_lo[j:j + rows])
         # then over t in t order: the extremum of signed zeros depends on
         # that order
         highs[:, ki] = step_hi.max(axis=0)
         shallow[:, ki] = step_hi[0]
-        if want_lows:
-            lows[:, ki] = step_lo.min(axis=0)
+        lows[:, ki] = step_lo.min(axis=0)
     return radii, highs, lows, shallow
 
 
@@ -317,20 +312,13 @@ def quotient_scan(f, x, U, ladder: ScaleLadder, moving_base: bool) -> list:
     Rows never interact: a row's profile is the same whether it is
     scanned alone or stacked with others.
     """
-    radii, highs, lows, shallow = _scan(f, x, U, ladder, moving_base,
-                                        want_lows=True)
+    radii, highs, lows, shallow = _scan(f, x, U, ladder, moving_base)
     limit, diverged, stable = _limits(highs, shallow)
     U = np.atleast_2d(np.asarray(U, dtype=float))
     return [QuotientProfile(U[i].copy(), radii.copy(), highs[i].copy(),
                             lows[i].copy(), float(limit[i]),
                             bool(diverged[i]), bool(stable[i]))
             for i in range(len(U))]
-
-
-def limits(f, x, U, ladder: ScaleLadder, moving_base: bool) -> np.ndarray:
-    """The extrapolated sup-side limit along every row of U."""
-    _, highs, _, shallow = _scan(f, x, U, ladder, moving_base)
-    return _limits(highs, shallow)[0]
 
 
 def slabs(f, x, U, ladder: ScaleLadder):
@@ -353,37 +341,6 @@ def slabs(f, x, U, ladder: ScaleLadder):
     return -lim[q:2 * q], lim[:q], vertical
 
 
-def radial_bounds(f, x, ladder: ScaleLadder) -> tuple[float, float]:
-    """liminf / limsup of (f(x+v)-f(x))/|v| over shrinking balls."""
-    if f.n != 1:
-        raise ValueError("radial bounds need a scalar function")
-    x = np.asarray(x, dtype=float).reshape(f.m)
-    lad = ladder.for_handle(f)
-    seed = lad.resolved_seed()
-    radii = lad.radii()
-    m = f.m
-
-    grid = sampling.unit_grid(m)
-    stride = max(1, len(grid) // 360)
-    dirs = grid[::stride]
-    fx = f(x[None, :])[0, 0]
-
-    highs, lows = [], []
-    for ki, r in enumerate(radii):
-        ball = sampling.ball_points(m, 64, sampling.child_seed(seed, 37, lad.k_min + ki))
-        offs = np.vstack([r * dirs, 0.5 * r * dirs, r * ball])
-        nrm = np.linalg.norm(offs, axis=1)
-        keep = nrm > 0
-        vals = f(x[None, :] + offs[keep])[:, 0]
-        ratio = (vals - fx) / nrm[keep]
-        highs.append(ratio.max())
-        lows.append(ratio.min())
-
-    hi = float(_extrapolate(np.array(highs))[0])
-    lo = float(_extrapolate(-np.array(lows))[0])
-    return -lo, hi
-
-
 # the domain grid: one-degree steps on the circle, 512 antipodal pairs of
 # low-discrepancy points on higher spheres
 DOMAIN_DIRS_2D = 360
@@ -395,7 +352,7 @@ def _direction_grid(m: int, count: int | None = None) -> np.ndarray:
     ``count // 2`` low-discrepancy points and their antipodes above; +1
     and -1 on the line.  The default count gives the domain grid, which
     the graph Whitney cone's slab scan, the slice-top upper bound and the
-    epigraph tangent cone all read.  Its first half holds one of each
+    fixed-base scan all read.  Its first half holds one of each
     antipodal pair: the other half is its negation, exactly above the
     circle and up to rounding on it.
     """
@@ -410,14 +367,24 @@ def _direction_grid(m: int, count: int | None = None) -> np.ndarray:
     return np.vstack([pts, -pts])
 
 
-def pointwise_lipschitz(f, x, ladder: ScaleLadder) -> float:
-    """Pointwise Lipschitz constant at x: the sphere maximum of the |limit|
-    of a fixed-base scan over 72 directions.  For a vector map the limits
-    are those of the norm quotient, so the maximum reads the operator norm
-    of the derivative where there is one.
+class FixedBounds(NamedTuple):
+    """Rows of one fixed-base scan with their lower and upper Dini limits."""
+    rows: np.ndarray
+    lows: np.ndarray
+    highs: np.ndarray
 
-    The local constant needs a moving base; ``analysis`` reads it off the
-    graph Whitney cone, which already holds that scan.
+
+def fixed_bounds(f, x, ladder: ScaleLadder) -> FixedBounds:
+    """The point's one fixed-base scan: the extrapolated per-scale inf and
+    sup quotients along the antipodes of the domain grid (every second
+    circle row in 2-D).  Only the sup side gets the shallow track's test.
     """
-    U = _direction_grid(f.m, 72)
-    return float(np.abs(limits(f, x, U, ladder, False)).max())
+    rows = -_direction_grid(f.m)[::2 if f.m == 2 else 1]
+    _, highs, lows, shallow = _scan(f, x, rows, ladder, False)
+    return FixedBounds(rows, _extrapolate(lows)[0], _limits(highs, shallow)[0])
+
+
+def pointwise_lipschitz(bounds: FixedBounds) -> float:
+    """lip f(x): the largest |Dini limit| of the fixed-base scan on either
+    side; for a vector map, the operator norm of a derivative."""
+    return float(max(np.abs(bounds.lows).max(), np.abs(bounds.highs).max()))

@@ -352,6 +352,10 @@ def _osc(envelope):
     return fn
 
 
+# tables grow fourfold a level (0.5 GB at 10); the default ladder stops above 4**-10
+PREISS_MAX_DEPTH = 10
+
+
 def _preiss_tables(depth: int):
     """Breakpoints and sign field of the stratified interval family.
 
@@ -434,7 +438,10 @@ def _make_builtin(tag: str, arg: int | None) -> FunctionHandle:
     if tag == "abs32":
         return _h("abs32", 1, 1, lambda X: np.abs(X[:, :1]) ** 1.5, c1=True)
     if tag == "preiss_lip":
-        return _preiss_handle(6 if arg is None else arg)
+        depth = 6 if arg is None else arg
+        if depth > PREISS_MAX_DEPTH:
+            raise KeyError(f"preiss_lip depth {depth} exceeds {PREISS_MAX_DEPTH}")
+        return _preiss_handle(depth)
     raise KeyError(f"unknown builtin {tag!r}")
 
 

@@ -131,6 +131,17 @@ class TestUsageErrors:
                            "--ladder", "0.5,0.5,0,3")
         assert code == 1 and "plot" in err
 
+    @pytest.mark.parametrize("depth", [11, 99])
+    def test_deep_preiss_builtin(self, capsys, monkeypatch, no_run, depth):
+        # rejected before its tables, which grow fourfold a level, are built
+        def boom(depth):
+            raise AssertionError("the tables were built")
+        monkeypatch.setattr(funcs, "_preiss_tables", boom)
+        code, out, err = run(capsys, "analyze", "--builtin",
+                             f"preiss_lip({depth})", "--at", "0")
+        assert code == 1 and out == ""
+        assert err.startswith("conecalc: error:") and "preiss_lip" in err
+        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("cell,row", [("nan", 3), ("inf", 3), ("-inf", 2)])
     def test_non_finite_csv_cell(self, capsys, tmp_path, cell, row):
@@ -571,22 +582,22 @@ class TestGoldenReports:
 
     @pytest.mark.parametrize("name,digest", [
         pytest.param("abs",
-                     "07fed17d1e459b05ca74d1a85ca5fffaba1edcc2d0531ede425372f8b4903659",
+                     "78eb87b58e7099d6ed78f82fc96c102753c2d82d4a34bee0e0cab34f6e79a8ba",
                      id="abs"),
         pytest.param("x2sin",
-                     "54eebf1d45d2bc57558e380d1503b472ca281cc2f51502a355da4165d4a78120",
+                     "661e356fe11adc682bad8f56d356b55a108639e919861371ba3419ee5d6993f2",
                      id="x2sin"),
         pytest.param("sin-2d",
-                     "3f59125390030edec6ec80d183f07869dd18ebb475abc638e6c40b7cb810f00f",
+                     "85ef5d7d36ac185748fa836435c03711a1626f80e200979327b93a73bbb445ec",
                      id="sin-2d"),
         pytest.param("map-2d",
-                     "b7677b83b3bb8b646aca5b61e6becf3dce4fc3fe9fb277c4953852eabf7b4fde",
+                     "a2402e1cdff1e66d5c0389fbd2616169b33bb5a30aca3ef63d4f5d1bfc333c5f",
                      id="map-2d"),
         pytest.param("abs-checks",
-                     "8395f548f31af000675931c03ebbbde02d7067da9e7a079a7bde8ddec064a49b",
+                     "8033e5c92f40a7b36f18b583758f810efd7b8137210891cb0f4673cc812648d2",
                      id="abs-checks"),
         pytest.param("abs-2d-checks",
-                     "f38fa32781ac368d7b3bf29b9c99539e232e5d0f521449cc81153c1079874572",
+                     "5f5e4316b6d4dc352346251fe6d497ba9ffdff945defb4067219d1a2a6179199",
                      id="abs-2d-checks"),
     ])
     def test_analyze_report_digest(self, name, digest):
@@ -594,7 +605,7 @@ class TestGoldenReports:
 
     def test_3d_domain_report_digest(self):
         assert (hashlib.sha256(golden_stdout("3d").encode()).hexdigest()
-                == "6f88e7fd181b693681c164d1ab8631af02b6d086208142f9f1f54bf3bf43b7fe")
+                == "3ed5b442f0417a3f8fbbb4c78ccd1e957fa30fc445a5fce96aae512b9c1dcd90")
 
     # lipschitz, strictly_differentiable, derivative (within 1e-3),
     # fo_extremum, dual_agrees (None: the report has no dual verdict)
@@ -632,18 +643,18 @@ class TestGoldenReports:
                            "--at", "0,0,0", "--seed", "0")
         assert code == 0
         assert (hashlib.sha256(out.encode()).hexdigest()
-                == "545a176943940cde19cf39194598518f82d4ce94f546d41acc3ac0afe1a810b3")
+                == "b4d2b69705ad5d66b4a37e09c78d530bdaaf27c0c3c940787672a9b79a265d32")
 
     @pytest.mark.parametrize("write,digest", [
         # 8000 wedge points: the voxel stage decides most persistence rows
         pytest.param(
             lambda p: wedge_cloud_csv(p, n=8000),
-            "8e41be86ac25949a3e2cb21c3207b3cbbc6cc30e634882b3cc32191ddedbb640",
+            "73321f2e9a5ddab36fec2c432c2b34e5f872bb08ef4b7230b6efd1de06896a9d",
             id="wedge"),
         # a labeled 3-D ball: the strict cone of the wedge part
         pytest.param(
             labeled_ball_csv,
-            "0ca0b52b2493ae02ca5170d4031fbf51aee5c372f2fd69193dba11a4e846012d",
+            "bd748a9a61dbf346d6c12f088f1a5148f1762ca0c9f5fda1bb9e82e919a9bc01",
             id="labeled-ball"),
     ])
     def test_3d_cones_report_digest(self, capsys, tmp_path, monkeypatch,
@@ -663,7 +674,7 @@ class TestGoldenReports:
                            "--at", "0,0", "--seed", "0")
         assert code == 0
         assert (hashlib.sha256(out.encode()).hexdigest()
-                == "0ccbb1aba4c8f36f23c78ba04c7ea311f4d880428f8955ce3220b7ea0a9f8755")
+                == "ad80f8d85356429ceaf18de29ebaf87f9cc5eb6c58ca55d3258f13963a958421")
 
     def test_time_function_report_digest(self):
         out = cli.render_report(time_function_golden())

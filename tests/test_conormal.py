@@ -93,6 +93,7 @@ class TestGoldenBrackets:
         ("sin(x1)+x2*x3", [0.3, -0.2, 0.1], {}, False),
         # a vector map has no lower bracket
         ("x1+x2*x2, x1*x2", [0.2, -0.1], MAP_2D_LADDER, True),
+        ("cbrt(x1)", [0.0, 0.2], {}, False),
     ])
     def test_lower_within_upper(self, fn, at, ladder, lower_zero):
         f = funcs.parse_expr(fn, len(at))
@@ -100,6 +101,17 @@ class TestGoldenBrackets:
         assert est.lower.is_zero() == lower_zero
         rho = sampling.grid_resolution(est.lower.dim)
         assert cones.directed_angle(est.lower, est.upper) <= 2.0 * rho
+
+    def test_lower_within_the_exact_conormal_line(self):
+        # the graph of cbrt(x1) is the smooth surface x1 = z^3, whose conormal
+        # at (0, 0.2) is the line of +-e1; the lower bracket's rows keep
+        # within the polar's slack of it, eighth-turn fan steps widening
+        # that slack by at most 1/cos(pi/8) inside a piece
+        est = conormal.conormal(funcs.builtin("cbrt_x1"), [0.0, 0.2],
+                                dini.ScaleLadder(seed=0))
+        line = FiberCone.from_directions([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], 3)
+        assert not est.lower.is_zero()
+        assert cones.directed_angle(est.lower, line) <= conormal._thin_slack(3)
 
     @pytest.mark.parametrize("fn,at,ladder,jac", [
         ("sin(x1)+x2*x2", [0.3, -0.2], SIN_2D_LADDER, [[math.cos(0.3), -0.4]]),

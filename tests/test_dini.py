@@ -1,4 +1,5 @@
-"""Directional quotient estimation: slabs, radial bounds, Lipschitz constants."""
+"""Directional quotient estimation: slabs, the fixed-base bounds, Lipschitz
+constants."""
 
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conecalc import analysis, dini, funcs
+from conecalc.errors import DimensionMismatchError
 
 LAD = dini.ScaleLadder(t0=0.1, ratio=0.5, k_min=0, k_max=10, seed=0)
 
@@ -57,12 +59,24 @@ class TestScaleLadder:
 
 def upper(h, x, u, moving_base=True):
     """sup quotient along u (moving base) or upper Dini derivative (fixed)."""
-    return dini.limits(h, x, [u], LAD, moving_base)[0]
+    return dini.quotient_scan(h, x, [u], LAD, moving_base)[0].limit
 
 
 def lower(h, x, u, moving_base=True):
     """The inf side, by the antipodal identity inf Q(u) = -sup Q(-u)."""
-    return -dini.limits(h, x, -np.array([u], dtype=float), LAD, moving_base)[0]
+    return -dini.quotient_scan(h, x, -np.array([u], dtype=float), LAD,
+                               moving_base)[0].limit
+
+
+def pointwise(h, x, lad=LAD):
+    """The pointwise constant of the point's one fixed-base scan."""
+    return dini.pointwise_lipschitz(dini.fixed_bounds(h, x, lad))
+
+
+def radial(h, x):
+    """(radial_low, radial_high) of the extremum tag."""
+    out = analysis.fo_extremum(h, x, LAD)
+    return out["radial_low"], out["radial_high"]
 
 
 class TestQuotients:
@@ -138,29 +152,32 @@ class TestQuotients:
         assert vertical
 
     def test_vector_function_rejected(self):
-        # the radial bounds need a signed quotient
+        # the extremum tag reads a signed quotient
         h = funcs.parse_expr("x, 2*x", 1)
-        with pytest.raises(ValueError):
-            dini.radial_bounds(h, [0.0], LAD)
+        with pytest.raises(DimensionMismatchError):
+            analysis.fo_extremum(h, [0.0], LAD)
 
 
 class TestRadialBounds:
+    """The extremum tag's radial bounds: the least lower and the largest
+    upper Dini limit of the fixed-base scan."""
+
     def test_kink(self):
-        lo, hi = dini.radial_bounds(funcs.builtin("abs"), [0.0], LAD)
+        lo, hi = radial(funcs.builtin("abs"), [0.0])
         assert lo == pytest.approx(1.0, abs=1e-6)
         assert hi == pytest.approx(1.0, abs=1e-6)
 
     def test_smooth_point_symmetric(self):
-        lo, hi = dini.radial_bounds(funcs.builtin("abs"), [1.0], LAD)
+        lo, hi = radial(funcs.builtin("abs"), [1.0])
         assert lo == pytest.approx(-1.0, abs=1e-6)
         assert hi == pytest.approx(1.0, abs=1e-6)
 
     def test_flat(self):
-        lo, hi = dini.radial_bounds(funcs.builtin("cube"), [0.0], LAD)
+        lo, hi = radial(funcs.builtin("cube"), [0.0])
         assert abs(lo) <= 1e-4 and abs(hi) <= 1e-4
 
     def test_blowup(self):
-        lo, hi = dini.radial_bounds(funcs.builtin("sqrt_abs"), [0.0], LAD)
+        lo, hi = radial(funcs.builtin("sqrt_abs"), [0.0])
         assert hi == math.inf
 
 
@@ -170,27 +187,26 @@ class TestLipschitzConstants:
 
     def test_kink(self):
         h = funcs.builtin("abs")
-        assert dini.pointwise_lipschitz(h, [0.0], LAD) == pytest.approx(1.0, abs=1e-4)
+        assert pointwise(h, [0.0]) == pytest.approx(1.0, abs=1e-4)
         rep = analysis.classify_point(h, [0.0], LAD)
         assert rep.lipschitz_constant == pytest.approx(1.0, abs=1e-4)
 
     def test_smooth(self):
         h = funcs.builtin("cube")
-        assert dini.pointwise_lipschitz(h, [1.0], LAD) == pytest.approx(3.0, abs=0.05)
+        assert pointwise(h, [1.0]) == pytest.approx(3.0, abs=0.05)
         rep = analysis.classify_point(h, [1.0], LAD)
         assert rep.lipschitz_constant == pytest.approx(3.0, abs=0.05)
 
     def test_pointwise_strictly_smaller_on_oscillation(self):
         h = funcs.builtin("x2sin")
-        assert dini.pointwise_lipschitz(h, [0.0], LAD) <= 0.1
+        assert pointwise(h, [0.0]) <= 0.1
         rep = analysis.classify_point(h, [0.0], LAD)
         assert rep.lipschitz_constant == pytest.approx(1.0, abs=0.1)
 
     def test_vector_valued_reduces_over_covectors(self):
         h = funcs.parse_expr("x1 + x2, x1 - x2", 2)
         # operator norm of [[1,1],[1,-1]] is sqrt(2)
-        assert dini.pointwise_lipschitz(h, [0.0, 0.0], LAD) == pytest.approx(
-            math.sqrt(2), abs=0.05)
+        assert pointwise(h, [0.0, 0.0]) == pytest.approx(math.sqrt(2), abs=0.05)
         rep = analysis.classify_point(h, [0.0, 0.0], LAD)
         assert rep.lipschitz_constant == pytest.approx(math.sqrt(2), abs=0.05)
 
@@ -266,11 +282,15 @@ class TestStackedScan:
         assert not vertical
 
     def test_inf_derivatives_match_single_queries(self):
-        # the stacked scan of -U that conormal._epigraph_tangent reads
-        U = np.array([[1.0, 0.0], [0.6, -0.8], [-1.0, 0.0]])
-        got = -dini.limits(self.H2, self.X2, -U, LAD, False)
-        want = [lower(self.H2, self.X2, u, moving_base=False) for u in U]
-        assert np.array_equal(got, want)
+        # the fixed-base scan that the pointwise constant, the extremum tag
+        # and conormal._epigraph_tangent read: each row as its own scan
+        got = dini.fixed_bounds(self.H2, self.X2, LAD)
+        assert np.array_equal(got.rows, -dini._direction_grid(2)[::2])
+        for i in (0, 45, 90, 137):
+            single = dini.quotient_scan(self.H2, self.X2, got.rows[i], LAD,
+                                        moving_base=False)[0]
+            assert got.highs[i] == single.limit
+            assert got.lows[i] == dini._extrapolate(single.lows)[0]
 
 
 def reference_extrapolate(values):
@@ -351,7 +371,7 @@ class TestVectorizedExtrapolation:
                     [reference_extrapolate(row)] * 2)
 
     def test_radial_bounds_return_floats(self):
-        lo, hi = dini.radial_bounds(funcs.builtin("abs"), [0.0], LAD)
+        lo, hi = radial(funcs.builtin("abs"), [0.0])
         assert type(lo) is float and type(hi) is float
 
 
@@ -369,7 +389,8 @@ class TestNormQuotient:
         h = funcs.parse_expr("2*x1 - x2, 0.5*x1 + 3*x2, x1 + x2", 2)
         U = np.array([[1.0, 0.0], [0.6, -0.8], [-2.0, 1.0], [0.0, -0.5]])
         # the default ladder's deepest jitter windows are ~1e-9 wide
-        got = dini.limits(h, [0.3, -0.2], U, dini.ScaleLadder(seed=0), moving_base)
+        got = [p.limit for p in dini.quotient_scan(
+            h, [0.3, -0.2], U, dini.ScaleLadder(seed=0), moving_base)]
         want = np.linalg.norm(U @ L.T, axis=1)
         assert got == pytest.approx(want, rel=1e-6)
 
@@ -394,27 +415,41 @@ class TestNormQuotient:
         for src in ("10000 + x1 + x2*x2, x1*x2 + sin(x2), abs(x1) - x2",
                     "x1 + x2*x2, x1*x2 + sin(x2), abs(x1) - x2"):
             h, log = counting(src, 2)
-            dini.limits(h, self.X, self.U, LAD, False)
+            dini.quotient_scan(h, self.X, self.U, LAD, False)
             sums.append(sum(log))
         assert sums[0] < sums[1]
+
+    # the largest angle from a unit vector to the nearest scanned row: the
+    # half-spacing of the 180 rows on the circle; for the 1024 rows of the
+    # 3-D grid, 0.1747 rad (10.0 degrees), the maximum over 4e6 random
+    # probes refined by local search
+    SCAN_COVER = {1: 0.0, 2: math.radians(1.0), 3: 0.1747}
 
     @pytest.mark.parametrize("src,m,x,jac", [
         ("10000 + x1 + x2*x2, x1*x2 + sin(x2), abs(x1) - x2", 2, [0.2, -0.1],
          [[1.0, -0.2], [-0.1, 0.2 + math.cos(-0.1)], [1.0, -1.0]]),
         ("x1, x1*x1", 1, [0.3], [[1.0], [0.6]]),
-    ], ids=["offset-map", "curve"])
+        ("sin(x1)+x2*x3", 3, [0.3, -0.2, 0.1], [[math.cos(0.3), 0.1, -0.2]]),
+        ("x1+x2, x2*x3", 3, [0.1, 0.2, -0.1], [[1.0, 1.0, 0.0], [0.0, -0.1, 0.2]]),
+    ], ids=["offset-map", "curve", "scalar-3d", "map-3d"])
     def test_pointwise_constant_is_the_operator_norm(self, src, m, x, jac):
-        # within the half-spacing of the 72-direction grid below, and
-        # second-order terms of the deepest scales above
-        got = dini.pointwise_lipschitz(funcs.parse_expr(src, m), x,
-                                       dini.ScaleLadder(seed=0))
+        # some row lies within the scanned grid's covering radius of the top
+        # right singular vector, which bounds the reading below; second-order
+        # terms of the deepest scales bound it above
+        got = pointwise(funcs.parse_expr(src, m), x, dini.ScaleLadder(seed=0))
         norm = np.linalg.norm(np.array(jac), 2)
-        assert norm * math.cos(math.radians(2.5)) <= got <= norm * (1 + 1e-4)
+        assert norm * math.cos(self.SCAN_COVER[m]) <= got <= norm * (1 + 1e-4)
+
+    def test_pointwise_constant_reads_both_sides(self):
+        # the Dini derivatives of x sin(1/x) - |x|/2 at 0 fill [-1.5, 0.5]
+        # along either unit direction: lip f(0) = 1.5 comes from the inf side
+        h = funcs.parse_expr("x1*sin(1/x1)-0.5*abs(x1)", 1)
+        assert 1.49 <= pointwise(h, [0.0], dini.ScaleLadder(seed=0)) <= 1.5001
 
     def test_overflowing_norm_reads_inf(self):
         # the squares overflow to +inf; pytest turns any warning into an error
         h = funcs.parse_expr("1" + "0" * 200 + "*x1, x2", 2)
-        assert dini.pointwise_lipschitz(h, [0.0, 0.0], LAD) == math.inf
+        assert pointwise(h, [0.0, 0.0]) == math.inf
 
 
 def counting(src: str, m: int):
@@ -439,18 +474,48 @@ class TestEvaluationCounts:
     def test_scalar_golden_point(self):
         h, log = counting("sin(x1)+x2*x2", 2)
         analysis.classify_point(h, [0.3, -0.2], self.LAD6)
-        assert (len(log), sum(log)) == (62, 5299057)
+        assert (len(log), sum(log)) == (40, 4890144)
 
     def test_map_golden_point(self):
         h, log = counting("x1+x2*x2, x1*x2", 2)
         analysis.classify_point(h, [0.2, -0.1], self.LAD6)
-        # the graph cloud, f(x), then the pointwise scan: two calls a scale
-        assert (len(log), sum(log)) == (16, 473426)
+        # the graph cloud, f(x), then the fixed-base scan: two calls a scale
+        assert (len(log), sum(log)) == (16, 1078226)
 
     def test_vector_pointwise_constant_takes_one_scan(self):
         h, log = counting("x1+x2*x2, x1*x2", 2)
-        dini.pointwise_lipschitz(h, [0.2, -0.1], self.LAD6)
-        # per scale: the base points, then all t steps of the 72 directions
+        dini.pointwise_lipschitz(dini.fixed_bounds(h, [0.2, -0.1], self.LAD6))
+        # per scale: the base points, then all t steps of the 180 directions
         # in one call
         assert len(log) == 2 * len(self.LAD6.radii())
-        assert sum(log) == 403424
+        assert sum(log) == 1008224
+
+
+class TestOneFixedBaseScan:
+    """``classify_point`` runs the fixed-base scan once and hands it to the
+    pointwise constant, the extremum tag and the lower bracket.  A scalar
+    map is evaluated inside the kernel's scans alone."""
+
+    @pytest.mark.parametrize("src,x,ladder", [
+        ("abs(x1)", [0.0], LAD),
+        ("sin(x1)+x2*x2", [0.3, -0.2], TestEvaluationCounts.LAD6),
+        ("x1+x2+x3", [0.0, 0.0, 0.0],
+         dini.ScaleLadder(t0=0.1, ratio=0.5, k_min=4, k_max=10, seed=0)),
+        ("x1+x2*x2, x1*x2", [0.2, -0.1], TestEvaluationCounts.LAD6),
+    ], ids=["m1", "m2", "m3", "map"])
+    def test_one_fixed_base_scan(self, monkeypatch, src, x, ladder):
+        h, log = counting(src, len(x))
+        scan, bases, scanned = dini._scan, [], []
+
+        def spy(f, x, U, ladder, moving_base):
+            bases.append(moving_base)
+            before = sum(log)
+            out = scan(f, x, U, ladder, moving_base)
+            scanned.append(sum(log) - before)
+            return out
+
+        monkeypatch.setattr(dini, "_scan", spy)
+        analysis.classify_point(h, x, ladder)
+        assert bases.count(False) == 1
+        if h.n == 1:
+            assert sum(scanned) == sum(log)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conecalc import funcs
+from conecalc import dini, funcs
 from conecalc.errors import EvaluationError, ParseError
 
 
@@ -361,6 +361,17 @@ class TestStratifiedFamily:
         for n, level in enumerate(preiss_family(3), start=1):
             total = sum(hi - lo for lo, hi in level)
             assert total == pytest.approx(0.25)
+
+    def test_depth_above_the_limit_is_rejected(self, monkeypatch):
+        def boom(depth):
+            raise AssertionError("the tables were built")
+        monkeypatch.setattr(funcs, "_preiss_tables", boom)
+        for depth in (funcs.PREISS_MAX_DEPTH + 1, 99):
+            with pytest.raises(KeyError):
+                funcs.builtin(f"preiss_lip({depth})")
+        # the limit: the default ladder's deepest scale lies above 4**-10
+        lad = dini.ScaleLadder()
+        assert lad.radii().min() > 4.0 ** -funcs.PREISS_MAX_DEPTH
 
     def test_scale_floor_recorded(self):
         h = funcs.builtin("preiss_lip(6)")

@@ -15,9 +15,9 @@ ALLOWED = {
     "cli.load_schema": "tests validate reports against the schema",
     "conormal.constant_cone_check": "ROADMAP item 5 puts it in the analyze "
                                     "report",
-    "dini.quotient_scan": "the per-scale profiles of the kernel that limits "
-                          "and slabs read as arrays; ROADMAP item 3 reports "
-                          "their convergence",
+    "dini.quotient_scan": "the per-scale profiles of the kernel that "
+                          "fixed_bounds and slabs read as arrays; ROADMAP "
+                          "item 3 reports their convergence",
 }
 
 
