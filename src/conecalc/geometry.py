@@ -78,8 +78,6 @@ def cloud_ladder(cloud: PointCloud, x, seed: int = 0,
     (2 rho nearest-neighbour gaps), so thin sets keep small shells while
     solid sets get enough points per shell to survive persistence.
     """
-    from scipy.spatial import cKDTree
-
     x = np.asarray(x, dtype=float).reshape(cloud.dim)
     diffs = cloud.points - x
     dists = np.linalg.norm(diffs, axis=1)
@@ -95,7 +93,7 @@ def cloud_ladder(cloud: PointCloud, x, seed: int = 0,
     while True:
         sel = order[:min(k, len(order))]
         dirs = diffs[sel] / dists[sel][:, None]
-        chord, _ = cKDTree(dirs).query(dirs, k=2)
+        chord, _ = sampling.cKDTree(dirs).query(dirs, k=2)
         gaps = 2.0 * np.arcsin(np.clip(chord[:, 1] / 2.0, 0.0, 1.0))
         if float(np.quantile(gaps, 0.9)) <= 2.0 * rho or k >= cap:
             break
@@ -253,8 +251,6 @@ def tangent_cone(cloud: PointCloud, x, ladder: dini.ScaleLadder) -> FiberCone:
 
 
 def _pair_directions(A: np.ndarray, B: np.ndarray, seed: int) -> np.ndarray:
-    from scipy.spatial import cKDTree
-
     na, nb = len(A), len(B)
     if na * nb <= PAIR_BUDGET:
         d = B[None, :, :] - A[:, None, :]
@@ -267,7 +263,7 @@ def _pair_directions(A: np.ndarray, B: np.ndarray, seed: int) -> np.ndarray:
         # random pairs under-sample small separations, where the limit
         # directions actually live; nearest neighbors fill that in
         k = min(4, nb)
-        _, idx = cKDTree(B).query(A, k=k)
+        _, idx = sampling.cKDTree(B).query(A, k=k)
         nn = (B[np.atleast_2d(idx.T).T.reshape(na, k)]
               - A[:, None, :]).reshape(-1, A.shape[1])
         d = np.vstack([d, nn])

@@ -15,6 +15,18 @@ Sobol' sequence.  Both generators are numpy reproductions of scipy's
 bit for bit by the tests: importing ``scipy.stats`` for them would cost
 about half a second, as much as many runs spend computing.
 
+Of scipy, only two things are used at run time, and neither through its
+package.  The KD tree is scipy's own ``cKDTree``, loaded from the
+``scipy.spatial._ckdtree`` extension by file path: importing
+``scipy.spatial`` would also run its ``__init__``, which loads
+``scipy.linalg``, qhull and ``scipy.special`` and costs a process about a
+third of a second, while the extension alone costs about half of that.
+The load is eager, since ``cones`` builds trees on every run and a load
+inside the run would only move the cost there.  The Gaussian quantile
+``_ndtri`` is a numpy port of the Cephes ``ndtri`` that
+``scipy.special.ndtri`` runs, equal to it bit for bit (the tests pin it),
+so ``scipy.special`` stays unloaded as well.
+
 The nominal angular resolution ``grid_resolution(dim)`` is the mean
 nearest-neighbor spacing of the grid; membership tests elsewhere default
 to twice this value.  ``covering_radius(dim)`` is the farthest any
@@ -24,20 +36,45 @@ a thin set has to allow.
 
 from __future__ import annotations
 
+import importlib.machinery
 import importlib.util
 import math
 import os
+import sys
+import zipfile
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import ndtri
 
 TWO_PI = 2.0 * np.pi
 
 GRID_SIZES = {2: 720, 3: 16384, 4: 32768}
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
+
+
+def _load_ckdtree() -> type:
+    """scipy's ``cKDTree``, from its extension module alone.
+
+    The module is found on the path of the ``scipy.spatial`` directory,
+    so the package's ``__init__`` never runs, and is registered under its
+    own name, so a later ``import scipy.spatial`` reuses it.
+    """
+    name = "scipy.spatial._ckdtree"
+    module = sys.modules.get(name)
+    if module is None:
+        where = importlib.util.find_spec("scipy").submodule_search_locations
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(where[0], "spatial")])
+        if spec is None:
+            raise ImportError(f"no {name} in {where[0]}")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module.cKDTree
+
+
+cKDTree = _load_ckdtree()
 
 
 def child_seed(seed: int, *parts: int) -> int:
@@ -84,7 +121,7 @@ def _build_grid(dim: int) -> np.ndarray:
     # Halton points pushed through the Gaussian quantile map give an
     # even, deterministic spread on higher spheres.
     h = _halton(dim, n + 1)[1:]
-    g = ndtri(np.clip(h, 1e-12, 1.0 - 1e-12))
+    g = _ndtri(np.clip(h, 1e-12, 1.0 - 1e-12))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     return g
 
@@ -274,18 +311,46 @@ def _halton(dim: int, count: int) -> np.ndarray:
 SOBOL_BITS = 30
 
 
-@lru_cache(maxsize=1)
-def _sobol_table() -> tuple:
-    """Primitive polynomials and initial direction numbers (Joe & Kuo 2008).
+def _npy_header(f) -> tuple:
+    """(shape, fortran_order, dtype) of the .npy stream f, left at its data."""
+    version = np.lib.format.read_magic(f)
+    if version == (1, 0):
+        return np.lib.format.read_array_header_1_0(f)
+    return np.lib.format.read_array_header_2_0(f)
+
+
+def _sobol_table(dim: int) -> tuple:
+    """Primitive polynomials and initial direction numbers (Joe & Kuo 2008)
+    of the first ``dim`` dimensions.
 
     They are read from the table that ships with scipy.  ``find_spec``
-    locates ``scipy.stats`` without running its ``__init__``.
+    locates ``scipy.stats`` without running its ``__init__``.  Only what
+    the dimensions use is read: ``poly[:dim]``, and ``vinit[:dim, j]`` for
+    each column j below the largest degree among them.  ``vinit`` is
+    stored column by column, so each column prefix is one forward seek
+    and one short read inside its compressed member.
     """
     where = importlib.util.find_spec("scipy.stats").submodule_search_locations
-    with np.load(os.path.join(where[0], "_sobol_direction_numbers.npz")) as f:
-        poly, vinit = f["poly"], f["vinit"]
-    poly.setflags(write=False)
-    vinit.setflags(write=False)
+    i8 = np.dtype("<i8")
+    with zipfile.ZipFile(os.path.join(where[0], "_sobol_direction_numbers.npz")) as z:
+        with z.open("poly.npy") as f:
+            shape, _, dtype = _npy_header(f)
+            if dtype != i8 or len(shape) != 1 or shape[0] < dim:
+                raise ValueError(f"poly.npy holds {shape} {dtype}, not {dim} int64")
+            poly = np.frombuffer(f.read(dim * i8.itemsize), dtype=i8)
+        degree = max(int(p).bit_length() - 1 for p in poly)
+        with z.open("vinit.npy") as f:
+            shape, fortran, dtype = _npy_header(f)
+            if (dtype != i8 or not fortran or len(shape) != 2
+                    or shape[0] < dim or shape[1] < degree):
+                raise ValueError(f"vinit.npy holds {shape} {dtype} (Fortran "
+                                 f"order {fortran}), not {dim} x {degree} int64 "
+                                 "in Fortran order")
+            start = f.tell()
+            vinit = np.empty((dim, degree), dtype=np.int64)
+            for j in range(degree):
+                f.seek(start + j * shape[0] * i8.itemsize)
+                vinit[:, j] = np.frombuffer(f.read(dim * i8.itemsize), dtype=i8)
     return poly, vinit
 
 
@@ -296,7 +361,7 @@ def _sobol_directions(dim: int) -> np.ndarray:
     Row d follows Bratley & Fox's recurrence on the degree-m polynomial
     of dimension d; column j is then scaled by 2^(SOBOL_BITS - 1 - j).
     """
-    poly, vinit = _sobol_table()
+    poly, vinit = _sobol_table(dim)
     v = np.ones((dim, SOBOL_BITS), dtype=np.int64)
     for d in range(1, dim):
         p = int(poly[d])
@@ -357,6 +422,76 @@ def _sobol(dim: int, count: int, seed: int) -> np.ndarray:
     return out
 
 
+# the Cephes ndtri that scipy.special.ndtri runs: a rational function of
+# (y - 0.5)^2 between exp(-2) and 1 - exp(-2), and in the tails a
+# correction to x = sqrt(-2 log y), a rational function of z = 1 / x from
+# (P1, Q1) for x < 8 and (P2, Q2) above.  Each Q carries its implicit leading 1, so one Horner loop serves
+# both of Cephes' evaluators with the same operations.
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+             -5.66762857469070293439e1, 1.39312609387279679503e1,
+             -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
+             8.63602421390890590575e1, -2.25462687854119370527e2,
+             2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_PQ1 = np.array([
+    (4.05544892305962419923e0, 3.15251094599893866154e1,
+     5.71628192246421288162e1, 4.40805073893200834700e1,
+     1.46849561928858024014e1, 2.18663306850790267539e0,
+     -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+     -8.57456785154685413611e-4),
+    (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
+     4.13172038254672030440e1, 1.50425385692907503408e1,
+     2.50464946208309415979e0, -1.42182922854787788574e-1,
+     -3.80806407691578277194e-2, -9.33259480895457427372e-4)])
+_NDTRI_PQ2 = np.array([
+    (3.23774891776946035970e0, 6.91522889068984211695e0,
+     3.93881025292474443415e0, 1.33303460815807542389e0,
+     2.01485389549179081538e-1, 1.23716634817820021358e-2,
+     3.01581553508235416007e-4, 2.65806974686737550832e-6,
+     6.23974539184983293730e-9),
+    (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
+     1.37702099489081330271e0, 2.16236993594496635890e-1,
+     1.34204006088543189037e-2, 3.28014464682127739104e-4,
+     2.89247864745380683936e-6, 6.79019408009981274425e-9)])
+
+
+def _polevl(x: np.ndarray, coefs) -> np.ndarray:
+    """Horner's rule, highest coefficient first, as Cephes' ``polevl``."""
+    out = coefs[0]
+    for c in coefs[1:]:
+        out = out * x + c
+    return out
+
+
+def _ndtri(y: np.ndarray) -> np.ndarray:
+    """The standard normal quantile of each entry of y, for 0 < y < 1.
+
+    Equal to ``scipy.special.ndtri`` bit for bit (the tests pin it).  The
+    tails take both logarithms from ``math.log``, the C library's, which
+    the compiled Cephes calls; ``np.log`` differs from it in the last bit
+    on some inputs.
+    """
+    y = np.asarray(y, dtype=float)
+    flip = y > 1.0 - _EXP_M2
+    w = np.where(flip, 1.0 - y, y)
+    mid = w > _EXP_M2
+    out = np.empty_like(w)
+    c = w[mid] - 0.5
+    c2 = c * c
+    out[mid] = (c + c * (c2 * _polevl(c2, _NDTRI_P0)
+                         / _polevl(c2, _NDTRI_Q0))) * _S2PI
+    x = np.sqrt(-2.0 * np.array([math.log(v) for v in w[~mid].tolist()]))
+    x0 = x - np.array([math.log(v) for v in x.tolist()]) / x
+    z = 1.0 / x
+    p, q = np.where(x < 8.0, _NDTRI_PQ1[:, :, None], _NDTRI_PQ2[:, :, None])
+    x1 = z * _polevl(z, p) / _polevl(z, q)
+    out[~mid] = np.where(flip[~mid], x0 - x1, x1 - x0)
+    return out
+
+
 # sphere_points and ball_points are memoized: the analysis draws each
 # (dim, count, seed) set several times per point
 @lru_cache(maxsize=64)
@@ -368,7 +503,7 @@ def sphere_points(dim: int, count: int, seed: int) -> np.ndarray:
     if dim == 1:
         out = np.where(np.arange(count) % 2 == 0, 1.0, -1.0).reshape(-1, 1)
     else:
-        g = ndtri(np.clip(_sobol(dim, count, seed), 1e-12, 1.0 - 1e-12))
+        g = _ndtri(np.clip(_sobol(dim, count, seed), 1e-12, 1.0 - 1e-12))
         norm = np.linalg.norm(g, axis=1, keepdims=True)
         norm[norm == 0] = 1.0
         out = g / norm
@@ -386,7 +521,7 @@ def ball_points(dim: int, count: int, seed: int) -> np.ndarray:
     if dim == 1:
         out = 2.0 * u[:, :1] - 1.0
     else:
-        g = ndtri(np.clip(u[:, :dim], 1e-12, 1.0 - 1e-12))
+        g = _ndtri(np.clip(u[:, :dim], 1e-12, 1.0 - 1e-12))
         norm = np.linalg.norm(g, axis=1, keepdims=True)
         norm[norm == 0] = 1.0
         out = g / norm * u[:, dim:] ** (1.0 / dim)

@@ -625,6 +625,89 @@ class TestSharedGrids:
         assert sampling.unit_grid(dim).tobytes() == g.tobytes()
 
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 40])
+    def test_sobol_table_reads_the_rows_np_load_reads(self, dim):
+        import importlib.util
+        import os
+
+        where = importlib.util.find_spec("scipy.stats").submodule_search_locations
+        with np.load(os.path.join(where[0], "_sobol_direction_numbers.npz")) as f:
+            poly, vinit = f["poly"], f["vinit"]
+        got_poly, got_vinit = sampling._sobol_table(dim)
+        degree = max(int(p).bit_length() - 1 for p in poly[:dim])
+        assert got_poly.tobytes() == poly[:dim].tobytes()
+        assert got_vinit.shape == (dim, degree)
+        assert np.array_equal(got_vinit, vinit[:dim, :degree])
+
+
+def ndtri_inputs():
+    """Inputs of every branch of the Cephes ndtri: uniform draws clipped as
+    the samplers clip them, both tails down to the smallest subnormal, and
+    each branch edge with its nextafter neighbours."""
+    u = np.random.default_rng(0).random(200_000)
+    tails = np.concatenate([10.0 ** -np.linspace(12.0, 300.0, 20_000), [5e-324]])
+    edges = [math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0),
+             1.0 - math.exp(-32.0), 0.5]
+    near = list(edges)
+    for e in edges:
+        lo = hi = e
+        for _ in range(4):
+            lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, 1.0)
+            near += [lo, hi]
+    return np.concatenate([np.clip(u, 1e-12, 1.0 - 1e-12), tails,
+                           1.0 - tails[tails > 1e-16], near])
+
+
+def scipy_probe_set(draw, dim, count, seed):
+    """``sphere_points`` or ``ball_points`` with scipy's own ndtri."""
+    u = sampling._sobol(dim + (draw is sampling.ball_points), count, seed)
+    g = ndtri(np.clip(u[:, :dim], 1e-12, 1.0 - 1e-12))
+    norm = np.linalg.norm(g, axis=1, keepdims=True)
+    norm[norm == 0] = 1.0
+    if draw is sampling.sphere_points:
+        return g / norm
+    return g / norm * u[:, dim:] ** (1.0 / dim)
+
+
+class TestNdtri:
+    def test_equals_scipy_bit_for_bit(self):
+        y = ndtri_inputs()
+        assert sampling._ndtri(y).tobytes() == ndtri(y).tobytes()
+
+    def test_keeps_the_shape(self):
+        y = ndtri_inputs()[:120_000].reshape(-1, 4)
+        got = sampling._ndtri(y)
+        assert got.shape == y.shape
+        assert got.tobytes() == ndtri(y).tobytes()
+
+    def test_reaches_every_branch(self):
+        # central, both tails with z < 8, and both tails with z >= 8
+        y = ndtri_inputs()
+        z = np.sqrt(-2.0 * np.log(np.minimum(y, 1.0 - y)))
+        central = (y > math.exp(-2.0)) & (y < 1.0 - math.exp(-2.0))
+        for side in (y < 0.5, y > 0.5):
+            assert (side & central).any()
+            assert (side & ~central & (z < 8.0)).any()
+            assert (side & (z >= 8.0)).any()
+
+    # the probe sets the analyze goldens draw at seed 0, as (draw, dim,
+    # count, seeds): the base offsets and jittered directions of each
+    # ladder scale, the graph sample directions, and the 3-D slab scan
+    @pytest.mark.parametrize("draw,dim,count,seeds", [
+        (sampling.ball_points, 2, 32, [(11, k) for k in range(17)]),
+        (sampling.ball_points, 3, 32, [(11, k) for k in range(17)]),
+        (sampling.sphere_points, 2, 32, [(23, k) for k in range(17)]),
+        (sampling.sphere_points, 3, 32, [(23, k) for k in range(17)]),
+        (sampling.sphere_points, 2, 10_000, [(91, k) for k in range(16)]),
+        (sampling.sphere_points, 3, 512, [5]),
+    ])
+    def test_golden_probe_sets_equal_a_scipy_oracle(self, draw, dim, count, seeds):
+        for tag in seeds:
+            seed = sampling.child_seed(0, *tag) if isinstance(tag, tuple) else tag
+            want = scipy_probe_set(draw, dim, count, seed)
+            assert draw(dim, count, seed).tobytes() == want.tobytes(), seed
+
+
 class TestTopDuality:
     def oracle_top_mask(self, arcs):
         # union of perpendicular lines of nonzero members
