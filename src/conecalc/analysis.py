@@ -110,8 +110,8 @@ def classify_point(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
     vt = conormal.vertical_tol(w)
     lip_pw = dini.pointwise_lipschitz(fixed)
     lip = max(_local_constant(w, f.m), lip_pw)
-    # the verdict reads the floored constant: a sparse W on a coarse ladder
-    # can miss the vertical that the fixed-base scan already sees
+    # the verdict reads the floored constant: a W with no member near the
+    # vertical cannot overrule a blow-up that the fixed-base scan sees
     lipschitz = math.isfinite(lip)
 
     checks: dict = {}

@@ -28,7 +28,7 @@ from .cones import FiberCone
 from .errors import (ConeCalcError, DimensionMismatchError, EvaluationError,
                      ParseError)
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 KNOWN_CHECKS = ("conormal-upper", "epigraph-split")
 

@@ -9,7 +9,7 @@ base (y also roams a shrinking ball around x: Clarke's generalized
 quotient).  A moving base reads the lower counterparts off the sup side
 along -u, by the antipodal identity inf Q(u) = -sup Q(-u); a fixed base
 keeps the per-scale inf, since the identity fails there.  All of this
-runs on one kernel with three entry points:
+runs on one kernel with four entry points:
 
     quotient_scan  per-row profiles: the per-scale table and the limit
     fixed_bounds   the point's one fixed-base scan: lower and upper Dini
@@ -18,10 +18,12 @@ runs on one kernel with three entry points:
     slabs          (lows, highs, vertical) from one moving-base scan of
                    U, -U and the zero direction, whose blow-up puts the
                    vertical in the graph Whitney cone
+    chords         a vector map's unit graph chords at the three deepest
+                   scales of one moving-base scan of U and the zero row
 
 The moving-base numbers of a point, its local Lipschitz constant and its
 strict derivative, get no scan of their own: ``analysis`` reads them off
-the graph Whitney cone, which ``slabs`` builds for every scalar map.
+the graph Whitney cone, which ``slabs`` or ``chords`` builds for any map.
 
 All of these share one discretization, the ``ScaleLadder``: at scale k
 the base ball has radius r_k = t0 * ratio**k, steps t run down a
@@ -206,12 +208,31 @@ def _base_offsets(m: int, jitter: int, total: int, seed: int) -> np.ndarray:
     return np.vstack([fixed, sampling.ball_points(m, rest, seed)])
 
 
-def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool):
+def _first_per_voxel(kept: np.ndarray, steps, rises) -> np.ndarray:
+    """The unit rows kept, then the directions of the chords (steps, rises),
+    thinned in row order to the first of each voxel of side rho/(2 sqrt d)
+    anchored at -1 per coordinate.  A chord whose norm overflows is dropped."""
+    C = np.concatenate([steps, rises], axis=-1).reshape(-1, kept.shape[1])
+    size = np.linalg.norm(C, axis=1)
+    C = np.vstack([kept, C[np.isfinite(size)] / size[np.isfinite(size), None]])
+    d = C.shape[1]
+    side = sampling.grid_resolution(d) / (2.0 * math.sqrt(d))
+    k, cells = np.floor((C + 1.0) / side).astype(np.int64), int(2.0 / side) + 2
+    if cells ** d < 2 ** 62:
+        k = np.ravel_multi_index(k.T, (cells,) * d)
+    return C[np.sort(np.unique(k, axis=0, return_index=True)[1])]
+
+
+def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool, chord_sets=None):
     """Per-scale quotient extrema along every row of U.
 
     Returns (radii, highs, lows, shallow), the last three of shape
     (q, scales) for q rows.  ``shallow`` is the sup at t = r alone.  The
     quotient of a vector map is the norm of its increment over t.
+
+    A list ``chord_sets`` gets the unit graph chords (t v, f(y+tv) - f(y))
+    of a vector map, then their antipodes, per deepest three scales; each
+    call thins its own with the rows kept so far, whatever the split.
     """
     x = np.asarray(x, dtype=float).reshape(f.m)
     U = np.atleast_2d(np.asarray(U, dtype=float))
@@ -240,6 +261,7 @@ def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool):
 
     for ki, r in enumerate(radii):
         k = lad.k_min + ki
+        kept = None if chord_sets is None or ki < nk - 3 else np.empty((0, m + n))
         if moving_base:
             offs = _base_offsets(m, lad.dir_jitter, lad.base_count,
                                  sampling.child_seed(seed, 11, k))
@@ -291,9 +313,12 @@ def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool):
             if n == 1:
                 quot = F[:, 0].reshape(rows, q, B) - FY[:, 0]
             else:
+                dF = F.reshape(rows, q, B, n) - FY
                 # a huge map overflows the squares to +inf, a true reading
                 with np.errstate(over="ignore"):
-                    quot = np.linalg.norm(F.reshape(rows, q, B, n) - FY, axis=3)
+                    quot = np.linalg.norm(dF, axis=3)
+                    if kept is not None:
+                        kept = _first_per_voxel(kept, ts[j:j + rows, None, None, None] * V, dF)
             quot /= ts[j:j + rows, None, None]
             # the per-t extrema of this call's t steps
             quot.max(axis=2, out=step_hi[j:j + rows])
@@ -303,6 +328,8 @@ def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool):
         highs[:, ki] = step_hi.max(axis=0)
         shallow[:, ki] = step_hi[0]
         lows[:, ki] = step_lo.min(axis=0)
+        if kept is not None:
+            chord_sets.append(np.vstack([kept, -kept]))
     return radii, highs, lows, shallow
 
 
@@ -339,6 +366,16 @@ def slabs(f, x, U, ladder: ScaleLadder):
     lim, div, _ = _limits(highs, shallow)
     vertical = bool(div[-1] or abs(lim[-1]) > DIVERGENCE_CAP)
     return -lim[q:2 * q], lim[:q], vertical
+
+
+def chords(f, x, U, ladder: ScaleLadder) -> list:
+    """A vector map's unit graph chords, one set per deepest three scales of
+    one moving-base scan of U and the zero row (vertical where f blows up)."""
+    if f.n == 1:
+        raise ValueError("chords need a vector map")
+    sets: list = []
+    _scan(f, x, np.vstack([U, np.zeros((1, f.m))]), ladder, True, sets)
+    return sets
 
 
 # the domain grid: one-degree steps on the circle, 512 antipodal pairs of

@@ -15,8 +15,8 @@ fails.
 For the graph of a scalar function the Whitney cone has an exact
 description through moving-base quotient slabs, used here over every
 domain: one slab scan of a grid of domain directions gives a fan of
-graph directions over each.  Vector targets fall back to pair scans on
-adaptively sampled graph clouds.
+graph directions over each.  A vector map's Whitney cone keeps the graph
+chords of one moving-base scan of that grid (``dini.chords``) that persist.
 
 All cones returned are closed numerical approximations; strict cones
 are open in exact theory and come back as the sampled complement of a
@@ -26,7 +26,7 @@ dilated Whitney estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,14 +35,12 @@ from .cones import FiberCone, linear_image, member_directions
 from .errors import EmptyShellError
 
 PAIR_BUDGET = 200_000
-GRAPH_SAMPLES_PER_SCALE = 10_000
 
 
 @dataclass
 class PointCloud:
     points: np.ndarray
     labels: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -58,15 +56,14 @@ class PointCloud:
     def subset(self, label: str) -> "PointCloud":
         if self.labels is None:
             raise ValueError("cloud carries no labels")
-        mask = self.labels == label
-        return PointCloud(self.points[mask], meta=dict(self.meta))
+        return PointCloud(self.points[self.labels == label])
 
 
 def cloud_from_csv(path: str) -> PointCloud:
     from .funcs import read_csv_columns
 
     points, labels = read_csv_columns(path)
-    return PointCloud(points, labels, {"source": path})
+    return PointCloud(points, labels)
 
 
 def cloud_ladder(cloud: PointCloud, x, seed: int = 0,
@@ -103,28 +100,6 @@ def cloud_ladder(cloud: PointCloud, x, seed: int = 0,
     k_max = int(math.floor(math.log(max(r_deep, 1e-9) / t0, 0.5)))
     return dini.ScaleLadder(t0=t0, ratio=0.5, k_min=0,
                             k_max=max(2, min(12, k_max)), seed=seed)
-
-
-def cloud_from_function(f, x, ladder: dini.ScaleLadder,
-                        per_scale: int = GRAPH_SAMPLES_PER_SCALE) -> PointCloud:
-    """Graph samples (y, f(y)) concentrated shell by shell around x."""
-    x = np.asarray(x, dtype=float).reshape(f.m)
-    lad = ladder.for_handle(f)
-    seed = lad.resolved_seed()
-    radii = lad.radii()
-    chunks = [x[None, :]]
-    for ki, r in enumerate(radii):
-        inner = r * lad.ratio
-        dirs = sampling.sphere_points(f.m, per_scale,
-                                      sampling.child_seed(seed, 91, lad.k_min + ki))
-        rng = np.random.default_rng(sampling.child_seed(seed, 92, lad.k_min + ki))
-        rad = rng.uniform(inner, r, size=per_scale)
-        chunks.append(x[None, :] + rad[:, None] * dirs)
-    Y = np.vstack(chunks)
-    vals = f(Y)
-    return PointCloud(np.hstack([Y, vals]),
-                      meta={"source": getattr(f, "name", "f"),
-                            "scale": float(radii[-1])})
 
 
 def _persistent_directions(dir_sets: list[np.ndarray], tol: float) -> np.ndarray:
@@ -186,6 +161,15 @@ def _persistent_directions(dir_sets: list[np.ndarray], tol: float) -> np.ndarray
     return _rows(sets, starts, np.flatnonzero(keep))
 
 
+def _persistent_cone(dir_sets: list[np.ndarray], dim: int) -> FiberCone:
+    """The cone of the members that persist within 2 rho; zero if none."""
+    rho = sampling.grid_resolution(dim)
+    kept = _persistent_directions(dir_sets, 2.0 * rho)
+    if len(kept) == 0:
+        return FiberCone.zero(dim)
+    return FiberCone.from_directions(kept, dim, resolution=rho)
+
+
 def _rows(arrays: list, starts: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Rows idx (ascending) of the arrays laid end to end; arrays[j]
     starts at row starts[j]."""
@@ -243,11 +227,7 @@ def tangent_cone(cloud: PointCloud, x, ladder: dini.ScaleLadder) -> FiberCone:
         raise EmptyShellError(
             f"only {len(sets)} populated shells around {x.tolist()}; "
             "cloud too sparse for the requested ladder")
-    rho = sampling.grid_resolution(cloud.dim)
-    kept = _persistent_directions(sets[-3:], 2.0 * rho)
-    if len(kept) == 0:
-        return FiberCone.zero(cloud.dim)
-    return FiberCone.from_directions(kept, cloud.dim, resolution=rho)
+    return _persistent_cone(sets[-3:], cloud.dim)
 
 
 def _pair_directions(A: np.ndarray, B: np.ndarray, seed: int) -> np.ndarray:
@@ -306,11 +286,7 @@ def whitney_cone(cloud_a: PointCloud, cloud_b: PointCloud, x,
         A = cloud_a.points[da <= r]
         B = cloud_b.points[db <= r]
         sets.append(_pair_directions(A, B, sampling.child_seed(seed, 77, ki)))
-    rho = sampling.grid_resolution(cloud_a.dim)
-    kept = _persistent_directions(sets, 2.0 * rho)
-    if len(kept) == 0:
-        return FiberCone.zero(cloud_a.dim)
-    return FiberCone.from_directions(kept, cloud_a.dim, resolution=rho)
+    return _persistent_cone(sets, cloud_a.dim)
 
 
 def strict_cone(cloud: PointCloud, complement: PointCloud | None, x,
@@ -364,33 +340,29 @@ def graph_whitney(f, x, ladder: dini.ScaleLadder) -> FiberCone:
     direction u of the domain grid carries the fan from atan(low) to
     atan(high), and the vertical joins when the zero direction's quotient
     blows up.  ``slabs`` scans every -u as well, so the grid's first half
-    gives every fan: the slab over -u is (-high, -low).  Vector maps get
-    pair scans over a sampled graph cloud.
+    gives every fan: the slab over -u is (-high, -low).  A vector map's
+    cone is the persistent chords of one moving-base scan of the first half.
     """
     x = np.asarray(x, dtype=float).reshape(f.m)
-    if f.n == 1 and f.m == 1:
-        lo, hi, vertical = dini.slabs(f, x, [[1.0]], ladder)
+    half = np.split(dini._direction_grid(f.m), 2)[0]
+    if f.n > 1:
+        return _persistent_cone(dini.chords(f, x, half, ladder), f.m + f.n)
+    lo, hi, vertical = dini.slabs(f, x, half, ladder)
+    if f.m == 1:
         return FiberCone.from_arcs(_slab_arcs(lo[0], hi[0], vertical))
-    if f.n == 1:
-        grid = dini._direction_grid(f.m)
-        half = grid[:len(grid) // 2]
-        lo, hi, vertical = dini.slabs(f, x, half, ladder)
-        base = np.vstack([half, -half])
-        lo, hi = np.concatenate([lo, -hi]), np.concatenate([hi, -lo])
-        # the circle's fans step at the half-degree of its grid; higher
-        # domains step at the fiber grid's spacing
-        step = sampling.grid_resolution(2 if f.m == 2 else f.m + 1)
-        members = [fan(u, math.atan(min(l2, h2)), math.atan(max(l2, h2)), step)
-                   for u, l2, h2 in zip(base, lo, hi)]
-        if vertical:
-            up = np.zeros((2, f.m + 1))
-            up[:, -1] = [1.0, -1.0]
-            members.append(up)
-        return FiberCone.from_directions(np.vstack(members), f.m + 1,
-                                         resolution=step)
-    cloud = cloud_from_function(f, x, ladder)
-    center = np.concatenate([x, f(x[None, :])[0]])
-    return whitney_cone(cloud, cloud, center, ladder)
+    base = np.vstack([half, -half])
+    lo, hi = np.concatenate([lo, -hi]), np.concatenate([hi, -lo])
+    # the circle's fans step at the half-degree of its grid; higher
+    # domains step at the fiber grid's spacing
+    step = sampling.grid_resolution(2 if f.m == 2 else f.m + 1)
+    members = [fan(u, math.atan(min(l2, h2)), math.atan(max(l2, h2)), step)
+               for u, l2, h2 in zip(base, lo, hi)]
+    if vertical:
+        up = np.zeros((2, f.m + 1))
+        up[:, -1] = [1.0, -1.0]
+        members.append(up)
+    return FiberCone.from_directions(np.vstack(members), f.m + 1,
+                                     resolution=step)
 
 
 def epigraph_strict_cone(f, x, ladder: dini.ScaleLadder) -> FiberCone:

@@ -126,10 +126,11 @@ def _build_grid(dim: int) -> np.ndarray:
     return g
 
 
-# grid_resolution of the fixed 3-D and 4-D grids, pinned by the tests
-# against the KD computation in it, which costs a process 10-20 ms on a
+# grid_resolution of the fixed 3-D to 5-D grids, pinned by the tests
+# against the KD computation in it, which costs a process 10-30 ms on a
 # 2-core x86 host
-GRID_RESOLUTIONS = {3: 0.026458756514606142, 4: 0.04844742681739875}
+GRID_RESOLUTIONS = {3: 0.026458756514606142, 4: 0.04844742681739875,
+                    5: 0.10553235410724175}
 
 # covering radius of each fixed grid: the largest angle from a point of
 # the sphere to its nearest grid row, read off the grid's convex hull as
@@ -137,7 +138,7 @@ GRID_RESOLUTIONS = {3: 0.026458756514606142, 4: 0.04844742681739875}
 # half a step; on S^2 it is below the mean spacing, but the 4-D Halton
 # grid leaves holes 2.5 times its mean spacing wide.
 COVERING_RADII = {2: math.pi / GRID_SIZES[2], 3: 0.021313567292288765,
-                  4: 0.12212555843554901}
+                  4: 0.12212555843554901, 5: 0.21615207155367874}
 
 
 @lru_cache(maxsize=8)

@@ -96,7 +96,7 @@ class TestWhitneyReadings:
 
     @pytest.mark.parametrize("src", ["sqrt(abs(x1)), x1", "x1*sin(1/x1), x1"])
     def test_non_lipschitz_vector_map(self, src):
-        # W is built from cloud chords here, none of them exactly vertical:
+        # W is built from graph chords here, none of them exactly vertical:
         # the infinite constant comes from the vertical-slice verdict
         h = funcs.parse_expr(src, 1)
         r = analysis.classify_point(h, [0.0], LAD)
@@ -105,13 +105,26 @@ class TestWhitneyReadings:
         entry = analysis.causal_check(h, ray, LIGHT, [[0.0]], LAD)["per_point"][0]
         assert not entry["lipschitz"] and entry["lipschitz_constant"] == math.inf
 
-    def test_pointwise_constant_decides_a_sparse_cone(self):
-        # on this coarse ladder the cloud-chord W keeps no member near the
-        # vertical, so W alone reads a finite constant; the fixed-base
-        # scan's infinite one floors it, and the verdict follows
+    def test_chord_cone_of_a_vector_cusp_meets_the_vertical(self):
+        # the zero row's chords reach the vertical, so W alone reads the
+        # infinite constant, as the fixed-base scan does
         h = funcs.parse_expr("sqrt(abs(x1)), x2", 2)
         r = analysis.classify_point(h, [0.0, 0.0], LAD)
-        assert math.isfinite(analysis._local_constant(r.whitney, 2))
+        assert analysis._local_constant(r.whitney, 2) == math.inf
+        assert r.pointwise_lipschitz == math.inf
+        assert not r.lipschitz and r.derivative is None
+
+    def test_pointwise_constant_decides_a_sparse_cone(self, monkeypatch):
+        # a W with no member near the vertical reads a finite constant; the
+        # fixed-base scan's infinite one floors it, and the verdict follows
+        u = sampling.unit_grid(2)
+        sparse = FiberCone.from_directions(np.hstack([u, u]), 4,
+                                           resolution=sampling.grid_resolution(4))
+        monkeypatch.setattr(geometry, "graph_whitney", lambda *args: sparse)
+        h = funcs.parse_expr("sqrt(abs(x1)), x2", 2)
+        r = analysis.classify_point(h, [0.0, 0.0], LAD)
+        assert r.whitney is sparse
+        assert analysis._local_constant(sparse, 2) == pytest.approx(1.0)
         assert r.pointwise_lipschitz == math.inf
         assert r.lipschitz_constant == math.inf
         assert not r.lipschitz and not r.strictly_differentiable
@@ -226,22 +239,25 @@ class TestUpperBoundOnly:
         assert out["time_function"]
 
 
-class TestScalarSlabRoute:
-    """Every scalar map builds its graph Whitney cone from one slab scan;
-    only vector maps sample a graph cloud."""
+class TestNoGraphCloud:
+    """Every map builds its graph Whitney cone from the kernel's scans: a
+    scalar map from one slab scan, a vector map from one chord scan.  No
+    map samples a graph cloud for the pair scans of ``whitney_cone``."""
 
-    def test_no_scalar_map_samples_a_graph_cloud(self, monkeypatch):
+    def test_no_map_samples_a_graph_cloud(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a graph cloud was sampled")
+            raise AssertionError("a graph cloud was scanned for pairs")
 
-        monkeypatch.setattr(geometry, "cloud_from_function", refuse)
+        monkeypatch.setattr(geometry, "whitney_cone", refuse)
         lad = dini.ScaleLadder(t0=0.1, ratio=0.5, k_min=4, k_max=10, seed=0)
         for fn, x in [("sin(x1)+x2*x2", [0.3, -0.2]),
-                      ("sin(x1)+x2*x3", [0.3, -0.2, 0.1])]:
+                      ("sin(x1)+x2*x3", [0.3, -0.2, 0.1]),
+                      ("x1, x2", [0.0, 0.0]), ("x1, x1*x1", [0.3])]:
             r = analysis.classify_point(funcs.parse_expr(fn, len(x)), x, lad)
             assert r.lipschitz and r.strictly_differentiable
-        with pytest.raises(AssertionError, match="graph cloud"):
-            analysis.classify_point(funcs.parse_expr("x1, x2", 2), [0.0, 0.0], lad)
+        out = analysis.causal_check(funcs.parse_expr("x1, x2", 2), LIGHT, LIGHT,
+                                    [[0.0, 0.0], [0.3, -0.1]], LAD)
+        assert out["causal"] and out["lipschitz_when_causal"]
 
 
 class TestKnownAnswers:

@@ -613,22 +613,22 @@ class TestGoldenReports:
 
     @pytest.mark.parametrize("name,digest", [
         pytest.param("abs",
-                     "78eb87b58e7099d6ed78f82fc96c102753c2d82d4a34bee0e0cab34f6e79a8ba",
+                     "5a52f0fa51071f4d6f8d0ed34e4415645f9af34fb9824a22abe70271bf87f1b8",
                      id="abs"),
         pytest.param("x2sin",
-                     "661e356fe11adc682bad8f56d356b55a108639e919861371ba3419ee5d6993f2",
+                     "c771c451cd7bf34dfb72463fef8a8a31c82093094de9295acfcd9d769aae97dc",
                      id="x2sin"),
         pytest.param("sin-2d",
-                     "85ef5d7d36ac185748fa836435c03711a1626f80e200979327b93a73bbb445ec",
+                     "4ed204d8b4720890a269ea0b97e880b646abea96d8fb043df0c929b6ee84f082",
                      id="sin-2d"),
         pytest.param("map-2d",
-                     "a2402e1cdff1e66d5c0389fbd2616169b33bb5a30aca3ef63d4f5d1bfc333c5f",
+                     "89d8e0c3d6a0374de1562a8ed4fdc7855022c92f4012ecdfb365c6f23ae427bd",
                      id="map-2d"),
         pytest.param("abs-checks",
-                     "8033e5c92f40a7b36f18b583758f810efd7b8137210891cb0f4673cc812648d2",
+                     "3ba06fc0a7a98de02a03021658be077693113b9c65e7dad2cca4cd124d97d28f",
                      id="abs-checks"),
         pytest.param("abs-2d-checks",
-                     "5f5e4316b6d4dc352346251fe6d497ba9ffdff945defb4067219d1a2a6179199",
+                     "f04c87bd982b488294f8a7307d05f7a2e3baa3519b95db3b7ce310e230038aed",
                      id="abs-2d-checks"),
     ])
     def test_analyze_report_digest(self, name, digest):
@@ -636,7 +636,7 @@ class TestGoldenReports:
 
     def test_3d_domain_report_digest(self):
         assert (hashlib.sha256(golden_stdout("3d").encode()).hexdigest()
-                == "3ed5b442f0417a3f8fbbb4c78ccd1e957fa30fc445a5fce96aae512b9c1dcd90")
+                == "2a7812b63fd47cf81c8a18093800cdee4b33431baaae936e1f3f9f99b509a1a3")
 
     # lipschitz, strictly_differentiable, derivative (within 1e-3),
     # fo_extremum, dual_agrees (None: the report has no dual verdict)
@@ -674,18 +674,18 @@ class TestGoldenReports:
                            "--at", "0,0,0", "--seed", "0")
         assert code == 0
         assert (hashlib.sha256(out.encode()).hexdigest()
-                == "b4d2b69705ad5d66b4a37e09c78d530bdaaf27c0c3c940787672a9b79a265d32")
+                == "464934ce666d404bd49604a2087f0d4c60fae6fbf184594e2bac2fe5192371f9")
 
     @pytest.mark.parametrize("write,digest", [
         # 8000 wedge points: the voxel stage decides most persistence rows
         pytest.param(
             lambda p: wedge_cloud_csv(p, n=8000),
-            "73321f2e9a5ddab36fec2c432c2b34e5f872bb08ef4b7230b6efd1de06896a9d",
+            "74b8b6f6db13bc91baa26755a844d65f93b6e2a62f707d8735109b8cd509ef43",
             id="wedge"),
         # a labeled 3-D ball: the strict cone of the wedge part
         pytest.param(
             labeled_ball_csv,
-            "bd748a9a61dbf346d6c12f088f1a5148f1762ca0c9f5fda1bb9e82e919a9bc01",
+            "9dd9986fa7fdcf187029230d6016a016e19af41ab9a9710dafbf3e5c60ddeb34",
             id="labeled-ball"),
     ])
     def test_3d_cones_report_digest(self, capsys, tmp_path, monkeypatch,
@@ -705,7 +705,7 @@ class TestGoldenReports:
                            "--at", "0,0", "--seed", "0")
         assert code == 0
         assert (hashlib.sha256(out.encode()).hexdigest()
-                == "ad80f8d85356429ceaf18de29ebaf87f9cc5eb6c58ca55d3258f13963a958421")
+                == "58093e9f60fefae6b8544f798bb27032a7616d68ade8f5efc1948fa9b2e55da3")
 
     def test_time_function_report_digest(self):
         out = cli.render_report(time_function_golden())

@@ -770,7 +770,7 @@ class TestMembership:
 
 
 class TestResolution:
-    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("dim", [3, 4, 5])
     def test_pinned_grid_resolution_equals_the_kd_computation(self, dim):
         # the literal stands in for a KD query of the grid's probe rows
         pts = sampling.unit_grid(dim)
@@ -779,7 +779,7 @@ class TestResolution:
         want = float(np.mean(2.0 * np.arcsin(np.clip(d[:, 1] / 2.0, 0.0, 1.0))))
         assert sampling.grid_resolution(dim).hex() == want.hex()
 
-    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_pinned_covering_radius_equals_the_hull_computation(self, dim):
         from scipy.spatial import ConvexHull
 
@@ -790,7 +790,7 @@ class TestResolution:
         want = math.acos(float(-offsets.max()))
         assert sampling.covering_radius(dim) == pytest.approx(want, rel=1e-9)
 
-    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_no_probe_lies_beyond_the_covering_radius(self, dim):
         probes = np.random.default_rng(dim).standard_normal((100_000, dim))
         probes /= np.linalg.norm(probes, axis=1, keepdims=True)

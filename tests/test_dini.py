@@ -479,8 +479,11 @@ class TestEvaluationCounts:
     def test_map_golden_point(self):
         h, log = counting("x1+x2*x2, x1*x2", 2)
         analysis.classify_point(h, [0.2, -0.1], self.LAD6)
-        # the graph cloud, f(x), then the fixed-base scan: two calls a scale
-        assert (len(log), sum(log)) == (16, 1078226)
+        # the chord scan: per scale the base points, then all t steps of the
+        # 181 rows (180 domain directions and the zero row) in one call, or
+        # two where more than 22 steps sit above the noise floor; then the
+        # fixed-base scan, two calls a scale
+        assert (len(log), sum(log)) == (34, 3035872)
 
     def test_vector_pointwise_constant_takes_one_scan(self):
         h, log = counting("x1+x2*x2, x1*x2", 2)
@@ -507,10 +510,10 @@ class TestOneFixedBaseScan:
         h, log = counting(src, len(x))
         scan, bases, scanned = dini._scan, [], []
 
-        def spy(f, x, U, ladder, moving_base):
+        def spy(f, x, U, ladder, moving_base, chord_sets=None):
             bases.append(moving_base)
             before = sum(log)
-            out = scan(f, x, U, ladder, moving_base)
+            out = scan(f, x, U, ladder, moving_base, chord_sets)
             scanned.append(sum(log) - before)
             return out
 
@@ -519,3 +522,33 @@ class TestOneFixedBaseScan:
         assert bases.count(False) == 1
         if h.n == 1:
             assert sum(scanned) == sum(log)
+
+
+class TestChords:
+    """A vector map's graph chords come from its moving-base scan, thinned
+    per voxel as they are formed."""
+
+    H = funcs.parse_expr("x1+x2*x2, x1*x2", 2)
+    X = [0.2, -0.1]
+    U = dini._direction_grid(2)[:180:6]
+
+    def test_three_symmetric_unit_sets(self):
+        sets = dini.chords(self.H, self.X, self.U, TestEvaluationCounts.LAD6)
+        assert len(sets) == 3
+        for s in sets:
+            half = len(s) // 2
+            assert s.shape[1] == 4 and np.array_equal(s[half:], -s[:half])
+            assert np.abs(np.linalg.norm(s, axis=1) - 1.0).max() <= 1e-12
+
+    def test_row_cap_splits_calls_without_changing_the_sets(self, monkeypatch):
+        whole = dini.chords(self.H, self.X, self.U, TestEvaluationCounts.LAD6)
+        h, log = counting("x1+x2*x2, x1*x2", 2)
+        monkeypatch.setattr(dini, "QUOTIENT_ROW_CAP", 4096)
+        split = dini.chords(h, self.X, self.U, TestEvaluationCounts.LAD6)
+        # two t steps of the 31 rows on 64 base points fit in a call
+        assert max(log) == 2 * 31 * 64
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(whole, split))
+
+    def test_scalar_function_rejected(self):
+        with pytest.raises(ValueError):
+            dini.chords(funcs.parse_expr("x1*x2", 2), self.X, self.U, LAD)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from conecalc import cones, dini, funcs, geometry, sampling
+from conecalc import cones, conormal, dini, funcs, geometry, sampling
 from conecalc.cones import FiberCone
 from conecalc.errors import EmptyShellError
 
@@ -532,6 +532,26 @@ class TestGraphWhitney:
         assert cones.contains(w, [0.0, 1.0, 0.0], tol=0.05)
         assert not cones.contains(w, [0.0, 0.0, 1.0], tol=0.05)
 
+    def test_map_chord_cone_is_the_graph_of_the_derivative(self):
+        # the exact W of a C^1 map is the graph {(u, Du)} of its derivative
+        h = funcs.parse_expr("x1+x2*x2, x1*x2", 2)
+        w = geometry.graph_whitney(h, [0.2, -0.1], dini.ScaleLadder(seed=0))
+        u = sampling.unit_grid(2)
+        exact = FiberCone.from_directions(
+            np.hstack([u, u @ np.array([[1.0, -0.2], [-0.1, 0.2]]).T]), 4)
+        tol = 2.0 * sampling.grid_resolution(4)
+        assert cones.directed_angle(w, exact) <= tol
+        assert cones.directed_angle(exact, w) <= tol
+
+    def test_zero_row_puts_the_vertical_in_a_vector_cone(self):
+        # sqrt|x1| blows up at 0: the zero row's chords alone persist near
+        # the vertical, and so W meets it
+        h = funcs.parse_expr("sqrt(abs(x1)), x2", 2)
+        sets = []
+        dini._scan(h, [0.0, 0.0], np.zeros((1, 2)), LAD, True, sets)
+        assert conormal.meets_vertical(geometry._persistent_cone(sets, 4), 2)
+        assert conormal.meets_vertical(geometry.graph_whitney(h, [0.0, 0.0], LAD), 2)
+
     @pytest.mark.parametrize("src,x", [("sin(x1) + x2*x2", [0.3, -0.2]),
                                        ("abs(x1) + x2", [0.0, 0.0]),
                                        ("sin(x1) + x2*x3", [0.3, -0.2, 0.1]),
@@ -594,15 +614,3 @@ class TestEpigraphCones:
         h = funcs.parse_expr("x1 + x2", 2)
         with pytest.raises(ValueError):
             geometry.epigraph_strict_cone(h, [0.0, 0.0], LAD)
-
-
-class TestCloudFromFunction:
-    def test_graph_samples(self):
-        h = funcs.builtin("abs")
-        cloud = geometry.cloud_from_function(h, [0.0], LAD)
-        assert cloud.dim == 2
-        x, y = cloud.points[:, 0], cloud.points[:, 1]
-        assert np.allclose(y, np.abs(x))
-        # shell-by-shell concentration reaches the deepest radius
-        r = np.abs(x[np.abs(x) > 0])
-        assert r.min() <= LAD.radii()[-1]
