@@ -120,23 +120,14 @@ def cone_to_json(cone: FiberCone, rows: list | None = None) -> dict:
     out: dict = {"dim": cone.dim}
     if isinstance(rep, cones.Arcs2D):
         out["kind"] = "arcs"
-        out["arcs"] = [[round(float(lo), 6), round(float(hi), 6)]
-                       for lo, hi in rep.arcs]
     elif isinstance(rep, cones.Trivial):
         out["kind"] = "polyhedral"
         out["halfspaces" if rep.full else "generators"] = []
-        if cone.dim == 2:
-            out["arcs"] = [[round(float(lo), 6), round(float(hi), 6)]
-                           for lo, hi in cones.as_arcs(cone).rep.arcs]
     else:
         out["kind"] = "sampled"
         out["resolution"] = round(float(rep.resolution), 6)
         out["count"] = int(len(rep.directions))
-        if cone.dim == 2:
-            # dense member lists compact to grid-resolution arcs
-            out["arcs"] = [[round(float(lo), 6), round(float(hi), 6)]
-                           for lo, hi in cones.arcs_cover(cone).rep.arcs]
-        else:
+        if cone.dim != 2:
             dirs = np.round(rep.directions, 6)
             if not np.isfinite(dirs).all():
                 raise ValueError("refusing to serialize NaN into a report")
@@ -145,6 +136,11 @@ def cone_to_json(cone: FiberCone, rows: list | None = None) -> dict:
             else:
                 out["directions"] = f"{_ROWS_MARK}{len(rows)}"
                 rows.append(dirs)
+    if cone.dim == 2:
+        # exact arcs as they are; dense member lists compact to
+        # grid-resolution arcs
+        out["arcs"] = [[round(float(lo), 6), round(float(hi), 6)]
+                       for lo, hi in cones.arcs_cover(cone).rep.arcs]
     return out
 
 

@@ -7,8 +7,11 @@ A ``FiberCone`` is a closed cone of directions sitting in the fiber of a
     the zero cone {0} or the whole fiber, which every operation answers
     exactly.
 ``Arcs2D``
-    a union of closed angular intervals on the unit circle, exact
-    algebra for two-dimensional fibers.
+    a union of closed angular intervals on the unit circle, for
+    two-dimensional fibers.  Top, union (``join``), intersection
+    (``arcs_intersect``), rotation (``antipodal``) and the angle
+    distances stay exact on arcs; ``polar`` reads plane cones through
+    their sampled form.
 ``Sampled``
     an explicit list of unit member directions together with the
     angular resolution at which the list faithfully covers the cone.
@@ -133,21 +136,6 @@ def arcs_union(a, b):
     return arcs_normalize(list(a) + list(b))
 
 
-def arcs_complement(arcs):
-    """Closure of the complement (gaps keep their endpoints)."""
-    arcs = arcs_normalize(arcs)
-    if not arcs:
-        return _FULL
-    if arcs == _FULL:
-        return ()
-    out = []
-    for i, (lo, hi) in enumerate(arcs):
-        nxt = arcs[(i + 1) % len(arcs)][0] + (TWO_PI if i == len(arcs) - 1 else 0.0)
-        if nxt - hi > _EPS:
-            out.append((hi, nxt))
-    return arcs_normalize(out)
-
-
 def arcs_intersect(a, b):
     a = arcs_normalize(a)
     b = arcs_normalize(b)
@@ -166,7 +154,7 @@ def arcs_intersect(a, b):
 
 def _arcs_gaps(arcs) -> list[tuple[float, float]]:
     """Gaps between consecutive canonical arcs, as (lo, hi) with hi up to
-    2pi past lo; unlike the closure ``arcs_complement``, not merged."""
+    2pi past lo, not merged."""
     gaps = []
     for i, (lo, hi) in enumerate(arcs):
         nxt = arcs[(i + 1) % len(arcs)][0] + (TWO_PI if i == len(arcs) - 1 else 0.0)
@@ -175,45 +163,10 @@ def _arcs_gaps(arcs) -> list[tuple[float, float]]:
     return gaps
 
 
-def arcs_convex_hull(arcs):
-    """Smallest convex cone (as arcs) containing the arc set."""
-    arcs = arcs_normalize(arcs)
-    if not arcs:
-        return ()
-    if arcs == _FULL:
-        return _FULL
-    gaps = _arcs_gaps(arcs)
-    if not gaps:
-        return _FULL
-    glo, ghi = max(gaps, key=lambda g: g[1] - g[0])
-    span = TWO_PI - (ghi - glo)
-    if span > np.pi + 1e-12:
-        return _FULL
-    if span >= np.pi - 1e-12:
-        # exactly a half turn: a closed halfplane only if something sits
-        # strictly between the antipodal extremes, otherwise just a line
-        interior = False
-        for lo, hi in arcs:
-            if hi - lo > _EPS:
-                interior = True
-            elif _angdist(lo, ghi) > 1e-9 and _angdist(lo, glo) > 1e-9:
-                interior = True
-        if not interior:
-            return arcs_normalize([(ghi, ghi), (glo, glo)])
-    return arcs_normalize([(ghi, glo + TWO_PI)])
-
-
-def arcs_polar(arcs):
-    hull = arcs_convex_hull(arcs)
-    if not hull:
-        return _FULL
-    if hull == _FULL:
-        return ()
-    if len(hull) == 2 and all(hi - lo <= _EPS for lo, hi in hull):
-        p = hull[0][0] + np.pi / 2.0
-        return arcs_normalize([(p, p), (p + np.pi, p + np.pi)])
-    lo, hi = hull[0]
-    return arcs_normalize([(hi - np.pi / 2.0, lo + np.pi / 2.0)])
+def arcs_complement(arcs):
+    """Closure of the complement of nonempty canonical arcs: their gaps,
+    which keep their endpoints, merged."""
+    return arcs_normalize(_arcs_gaps(arcs))
 
 
 def _arcs_directed(a, b) -> float:
@@ -354,8 +307,10 @@ def as_arcs(cone: FiberCone) -> FiberCone:
     return FiberCone(2, Arcs2D(arcs_normalize([(t, t) for t in th])))
 
 
-def arcs_cover(cone: FiberCone, slack: float | None = None) -> FiberCone:
-    """Compact 2-D cover: membership runs on the angular grid merged to arcs.
+def arcs_cover(cone: FiberCone) -> FiberCone:
+    """Compact 2-D cover: the angular grid rows near a member, merged to
+    arcs.  Near is within 0.51 times the coarser of the cone's resolution
+    and the grid's.
 
     Unlike ``as_arcs`` on a sampled cone (one degenerate arc per member)
     this snaps to the grid and merges neighbours, so dense member sets
@@ -365,10 +320,11 @@ def arcs_cover(cone: FiberCone, slack: float | None = None) -> FiberCone:
         raise DimensionMismatchError("arc cover needs a 2-dimensional fiber")
     if isinstance(cone.rep, (Arcs2D, Trivial)):
         return as_arcs(cone)
-    mask = grid_membership(cone, slack)
+    grid = sampling.unit_grid(2)
+    slack = 0.51 * max(cone.rep.resolution, sampling.grid_resolution(2))
+    mask = sampling.near_set(grid, cone.rep.directions, slack)
     if not mask.any():
         return FiberCone(2, Arcs2D(()))
-    grid = sampling.unit_grid(2)
     th = np.sort(np.mod(np.arctan2(grid[mask, 1], grid[mask, 0]), TWO_PI))
     step = TWO_PI / len(grid)
     arcs = []
@@ -380,23 +336,6 @@ def arcs_cover(cone: FiberCone, slack: float | None = None) -> FiberCone:
         prev = t
     arcs.append((lo, prev))
     return FiberCone(2, Arcs2D(arcs_normalize(arcs)))
-
-
-def grid_membership(cone: FiberCone, slack: float | None = None) -> np.ndarray:
-    """Boolean mask over the standard grid: within ``slack`` of the cone."""
-    dim = cone.dim
-    grid = sampling.unit_grid(dim)
-    rep = cone.rep
-    if isinstance(rep, Trivial):
-        return np.full(len(grid), rep.full)
-    if slack is None:
-        slack = 0.51 * max(cone.resolution(), sampling.grid_resolution(dim))
-    if isinstance(rep, Arcs2D):
-        th = np.mod(np.arctan2(grid[:, 1], grid[:, 0]), TWO_PI)
-        return np.array([arcs_contains(rep.arcs, t, tol=slack) for t in th])
-    if len(rep.directions) == 0:
-        return np.zeros(len(grid), dtype=bool)
-    return sampling.near_set(grid, rep.directions, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +352,16 @@ def antipodal(cone: FiberCone) -> FiberCone:
 
 
 def polar(cone: FiberCone, slack: float | None = None) -> FiberCone:
-    """{xi : <xi, v> >= 0 for all v in the cone}; closed and convex."""
+    """{xi : <xi, v> >= 0 for all v in the cone}; closed and convex.
+
+    Arcs are read through their sampled form (``as_sampled``), so the
+    polar of a plane cone is a set of grid rows, like every other.
+    """
     rep = cone.rep
-    if isinstance(rep, Arcs2D):
-        return FiberCone(2, Arcs2D(arcs_polar(rep.arcs)))
     if isinstance(rep, Trivial):
         return FiberCone(cone.dim, Trivial(not rep.full))
+    if isinstance(rep, Arcs2D):
+        rep = as_sampled(cone).rep
     dirs = rep.directions
     if len(dirs) == 0:
         return FiberCone.full(cone.dim)
@@ -445,13 +388,15 @@ def _dual_mask(grid: np.ndarray, dirs: np.ndarray, thr: float) -> np.ndarray:
     return ok
 
 
-def top(cone: FiberCone, tol: float | None = None) -> FiberCone:
+def top(cone: FiberCone) -> FiberCone:
     """Union of the orthogonal hyperplanes of all nonzero members.
 
     Plane cones answer in arcs.  Above the plane the zero cone has no
     member, so its top is zero, and every direction is orthogonal to some
     other, so the top of the full cone is full; on the line no direction
-    is orthogonal to any.
+    is orthogonal to any.  A sampled cone above the plane keeps the grid
+    rows g with min |<g, v>| over its members at most the sine of the
+    coarser of its resolution and the grid's.
     """
     rep = cone.rep
     if isinstance(rep, Arcs2D):
@@ -466,8 +411,7 @@ def top(cone: FiberCone, tol: float | None = None) -> FiberCone:
     if len(members) == 0:
         return FiberCone.zero(cone.dim)
     grid = sampling.unit_grid(cone.dim)
-    if tol is None:
-        tol = max(cone.resolution(), sampling.grid_resolution(cone.dim))
+    tol = max(cone.resolution(), sampling.grid_resolution(cone.dim))
     ok = min_dots(grid, members, absolute=True) <= math.sin(tol)
     return FiberCone(cone.dim, Sampled(grid[ok], sampling.grid_resolution(cone.dim)))
 
@@ -539,8 +483,9 @@ def _contains_rows(cone: FiberCone, U: np.ndarray, norms: np.ndarray,
     return out
 
 
-def contains_line(cone: FiberCone, tol: float = 1e-9) -> bool:
-    """True when some nonzero v has both v and -v in the cone."""
+def contains_line(cone: FiberCone) -> bool:
+    """True when some nonzero v has both v and -v in the cone; a sampled
+    cone reads -v within its resolution (1e-9 at least) of a member."""
     rep = cone.rep
     if isinstance(rep, Arcs2D):
         return bool(arcs_intersect(rep.arcs, arcs_rotate(rep.arcs, np.pi)))
@@ -549,7 +494,7 @@ def contains_line(cone: FiberCone, tol: float = 1e-9) -> bool:
     d = rep.directions
     if len(d) == 0:
         return False
-    return bool(sampling.near_set(-d, d, max(tol, rep.resolution)).any())
+    return bool(sampling.near_set(-d, d, max(1e-9, rep.resolution)).any())
 
 
 # ---------------------------------------------------------------------------
@@ -559,21 +504,6 @@ def contains_line(cone: FiberCone, tol: float = 1e-9) -> bool:
 def _check_dims(a: FiberCone, b: FiberCone):
     if a.dim != b.dim:
         raise DimensionMismatchError(f"fiber dims {a.dim} and {b.dim} differ")
-
-
-def intersect(a: FiberCone, b: FiberCone) -> FiberCone:
-    _check_dims(a, b)
-    ra, rb = a.rep, b.rep
-    if isinstance(ra, Arcs2D) and isinstance(rb, Arcs2D):
-        return FiberCone(2, Arcs2D(arcs_intersect(ra.arcs, rb.arcs)))
-    if isinstance(ra, Trivial) and isinstance(rb, Trivial):
-        return FiberCone(a.dim, Trivial(ra.full and rb.full))
-    if a.dim == 2:
-        return intersect(as_arcs(a), as_arcs(b))
-    mask = grid_membership(a) & grid_membership(b)
-    grid = sampling.unit_grid(a.dim)
-    res = max(a.resolution(), b.resolution(), sampling.grid_resolution(a.dim))
-    return FiberCone(a.dim, Sampled(grid[mask], res))
 
 
 def join(a: FiberCone, b: FiberCone) -> FiberCone:

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dini, geometry, sampling
-from .cones import (FiberCone, antipodal, arcs_point_distance, as_arcs,
-                    hausdorff_angle, intersect, join, member_directions,
-                    min_dots, polar, top)
+from .cones import (Arcs2D, FiberCone, antipodal, arcs_intersect,
+                    arcs_point_distance, as_arcs, hausdorff_angle, join,
+                    member_directions, min_dots, polar, top)
 from .errors import DimensionMismatchError
 
 # verification subsample caps; estimates themselves are not capped
@@ -249,7 +249,8 @@ def epigraph_split(lam: FiberCone, n: int) -> tuple[FiberCone, FiberCone]:
     if n != 1:
         raise DimensionMismatchError("epigraph split needs a scalar target")
     if lam.dim == 2:
-        plus = intersect(lam, FiberCone.from_arcs([(0.0, math.pi)]))
+        plus = FiberCone(2, Arcs2D(arcs_intersect(as_arcs(lam).rep.arcs,
+                                                  [(0.0, math.pi)])))
         return plus, antipodal(plus)
     V = member_directions(lam)
     keep = V[V[:, -1] >= -1e-12] if len(V) else V

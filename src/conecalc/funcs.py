@@ -502,6 +502,14 @@ def read_csv_columns(path: str):
     return points, labels
 
 
+def _lattice_cell(g: np.ndarray, x: np.ndarray):
+    """The index i of the cell [g[i], g[i+1]] of the sorted axis g that
+    holds each x, the end cells taking the values outside, and x's offset
+    in it as a fraction of the cell."""
+    i = np.clip(np.searchsorted(g, x, "left") - 1, 0, len(g) - 2)
+    return i, (x - g[i]) / (g[i + 1] - g[i])
+
+
 def grid_handle_from_csv(path: str) -> FunctionHandle:
     """Function-table CSV -> piecewise-linear handle, exact at the nodes.
 
@@ -524,20 +532,23 @@ def grid_handle_from_csv(path: str) -> FunctionHandle:
 
         return FunctionHandle(1, 1, path, fn, "grid", {"scale_floor": spacing})
     if d == 3:
-        from scipy.interpolate import RegularGridInterpolator
-
         xs = np.unique(points[:, 0])
         ys = np.unique(points[:, 1])
         if len(xs) * len(ys) != len(points):
             raise ValueError(f"{path}: samples do not fill a complete lattice")
         idx = np.lexsort((points[:, 1], points[:, 0]))
-        grid_vals = points[idx, 2].reshape(len(xs), len(ys))
-        interp = RegularGridInterpolator((xs, ys), grid_vals, method="linear",
-                                         bounds_error=False, fill_value=None)
+        v = points[idx, 2].reshape(len(xs), len(ys))
         spacing = float(min(np.min(np.diff(xs)), np.min(np.diff(ys))))
 
-        def fn(X, interp=interp):
-            return np.asarray(interp(X))[:, None]
+        def fn(X, xs=xs, ys=ys, v=v):
+            # bilinear in the cell, summed in the order of scipy's
+            # RegularGridInterpolator, whose values the tests pin; the sum
+            # starts at 0.0, so a corner of -0.0 reads +0.0 as there
+            i, a = _lattice_cell(xs, X[:, 0])
+            j, b = _lattice_cell(ys, X[:, 1])
+            out = (0.0 + v[i, j] * (1 - a) * (1 - b) + v[i, j + 1] * (1 - a) * b
+                   + v[i + 1, j] * a * (1 - b) + v[i + 1, j + 1] * a * b)
+            return out[:, None]
 
         return FunctionHandle(2, 1, path, fn, "grid", {"scale_floor": spacing})
     raise ValueError(f"{path}: grid handles support 1 or 2 input dimensions")

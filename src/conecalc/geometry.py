@@ -35,6 +35,7 @@ from .cones import FiberCone, linear_image, member_directions
 from .errors import EmptyShellError
 
 PAIR_BUDGET = 200_000
+SHELL_COUNT = 40
 
 
 @dataclass
@@ -66,11 +67,10 @@ def cloud_from_csv(path: str) -> PointCloud:
     return PointCloud(points, labels)
 
 
-def cloud_ladder(cloud: PointCloud, x, seed: int = 0,
-                 shell_count: int = 40) -> dini.ScaleLadder:
+def cloud_ladder(cloud: PointCloud, x, seed: int = 0) -> dini.ScaleLadder:
     """Scale ladder adapted to the sampling density of the cloud at x.
 
-    The deepest scale grows from the shell_count-th nearest sample until
+    The deepest scale grows from the SHELL_COUNT-th nearest sample until
     the directions seen there are dense at the persistence tolerance
     (2 rho nearest-neighbour gaps), so thin sets keep small shells while
     solid sets get enough points per shell to survive persistence.
@@ -80,13 +80,13 @@ def cloud_ladder(cloud: PointCloud, x, seed: int = 0,
     dists = np.linalg.norm(diffs, axis=1)
     order = np.argsort(dists)
     order = order[dists[order] > 1e-12]
-    if len(order) < 2 * shell_count:
+    if len(order) < 2 * SHELL_COUNT:
         t0 = float(dists[order[-1]]) if len(order) else 0.5
         return dini.ScaleLadder(t0=max(t0, 1e-6), ratio=0.5,
                                 k_min=0, k_max=2, seed=seed)
     rho = sampling.grid_resolution(cloud.dim)
-    k = shell_count
-    cap = max(shell_count, len(order) // 3)
+    k = SHELL_COUNT
+    cap = max(SHELL_COUNT, len(order) // 3)
     while True:
         sel = order[:min(k, len(order))]
         dirs = diffs[sel] / dists[sel][:, None]
@@ -108,7 +108,7 @@ def _persistent_directions(dir_sets: list[np.ndarray], tol: float) -> np.ndarray
     The result is the first passing member, in member order, of each voxel
     of side tol / (4 sqrt d), rows in member order.  With tol = 2 rho every
     passing member lies within rho/2 of a kept row, below the 0.51 rho
-    slack at which ``cones.grid_membership`` reads a cone.
+    slack at which ``cones.arcs_cover`` reads a plane cone.
 
     Each member is keyed once.  Grouping the keys gives each voxel's first
     member, and only those candidates are decided; the voxels whose first

@@ -484,8 +484,9 @@ def _ndtri(y: np.ndarray) -> np.ndarray:
     c2 = c * c
     out[mid] = (c + c * (c2 * _polevl(c2, _NDTRI_P0)
                          / _polevl(c2, _NDTRI_Q0))) * _S2PI
-    x = np.sqrt(-2.0 * np.array([math.log(v) for v in w[~mid].tolist()]))
-    x0 = x - np.array([math.log(v) for v in x.tolist()]) / x
+    tail = w[~mid]
+    x = np.sqrt(-2.0 * np.fromiter(map(math.log, tail.tolist()), float, len(tail)))
+    x0 = x - np.fromiter(map(math.log, x.tolist()), float, len(x)) / x
     z = 1.0 / x
     p, q = np.where(x < 8.0, _NDTRI_PQ1[:, :, None], _NDTRI_PQ2[:, :, None])
     x1 = z * _polevl(z, p) / _polevl(z, q)

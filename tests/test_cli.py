@@ -86,9 +86,14 @@ def test_verify_and_cones_runs_do_not_import_scipy_optimize(tmp_path):
 def test_runs_load_no_scipy_package_beyond_the_kd_tree_extension(tmp_path):
     # importing scipy.spatial runs its __init__, which loads scipy.linalg
     # and scipy.special for a third of a second a run; sampling loads the
-    # KD-tree extension alone and ports ndtri, so the 2-D and 3-D analyze,
-    # cones and verify leave every one of these packages unloaded
+    # KD-tree extension alone and ports ndtri, and a 2-D function table is
+    # read without scipy.interpolate, so the 2-D and 3-D analyze (of an
+    # expression and of a table), cones and verify leave every one of
+    # these packages unloaded
     wedge_cloud_csv(tmp_path / "cloud.csv", n=300)
+    axis = np.linspace(-1.0, 1.0, 21).tolist()
+    (tmp_path / "table.csv").write_text("x1,x2,x3\n" + "".join(
+        f"{x!r},{y!r},{x + y * y!r}\n" for x in axis for y in axis))
     script = (
         "import sys\n"
         "import conecalc.cli as cli\n"
@@ -98,12 +103,14 @@ def test_runs_load_no_scipy_package_beyond_the_kd_tree_extension(tmp_path):
         "'0.3,-0.2', '--report', out + '/a.json']),\n"
         "         cli.main(['analyze', '--fn', 'x1+x2+x3', '--at', '0,0,0', "
         "'--ladder', '0.1,0.5,4,10', '--report', out + '/b.json']),\n"
+        "         cli.main(['analyze', '--csv', out + '/table.csv', '--at', "
+        "'0.1,0.2', '--report', out + '/t.json']),\n"
         "         cli.main(['cones', '--csv', out + '/cloud.csv', '--at', "
         "'0,0,0', '--seed', '0', '--report', out + '/c.json']),\n"
         "         cli.main(['verify', '--only', 'bipolarity', '--seed', '0', "
         "'--report', out + '/v.json'])]\n"
         "heavy = ['scipy.spatial', 'scipy.special', 'scipy.linalg', "
-        "'scipy.stats', 'scipy.optimize']\n"
+        "'scipy.stats', 'scipy.optimize', 'scipy.interpolate']\n"
         "print(codes, [name for name in heavy if name in sys.modules])\n"
         "import scipy.spatial\n"
         "print(scipy.spatial.cKDTree is sampling.cKDTree)\n"
@@ -111,7 +118,7 @@ def test_runs_load_no_scipy_package_beyond_the_kd_tree_extension(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           env=env, capture_output=True, text=True, check=True)
-    assert done.stdout == "[0, 0, 0, 0] []\nTrue\n"
+    assert done.stdout == "[0, 0, 0, 0, 0] []\nTrue\n"
 
 
 class TestUsageErrors:

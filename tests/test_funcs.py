@@ -457,6 +457,33 @@ class TestCsv:
         assert h.scalar(0.4, 1.0) == pytest.approx(2.4)
         assert h.scalar(0.37, 0.93) == pytest.approx(0.37 + 1.86)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_grid_handle_2d_equals_scipy_bilinear(self, tmp_path, seed):
+        # the lookup sums scipy's terms in scipy's order: equal bit for bit
+        # between nodes, at nodes, on signed zeros and outside the lattice
+        from scipy.interpolate import RegularGridInterpolator
+
+        rng = np.random.default_rng(seed)
+        nx, ny = rng.integers(2, 12, size=2)
+        xs = np.sort(rng.choice(np.linspace(-2.0, 2.0, 81), nx, replace=False))
+        ys = np.sort(rng.choice(np.linspace(-1.0, 3.0, 81), ny, replace=False))
+        vals = rng.standard_normal((nx, ny)) * 10.0 ** rng.uniform(-3, 3, (nx, ny))
+        # scipy reads +0.0 at a node of value -0.0 whose cell is negative
+        vals[:2, :2] = -np.abs(vals[:2, :2])
+        vals[0, 0] = -0.0
+        rows = [f"{float(x)!r},{float(y)!r},{float(vals[i, j])!r}"
+                for i, x in enumerate(xs) for j, y in enumerate(ys)]
+        rows = [rows[k] for k in rng.permutation(len(rows))]
+        h = funcs.grid_handle_from_csv(
+            self._write(tmp_path, "g.csv", "x1,x2,x3\n" + "\n".join(rows) + "\n"))
+        X = rng.uniform([-3.0, -2.0], [3.0, 4.0], size=(20_000, 2))
+        X[:500, 0] = rng.choice(xs, 500)
+        X[250:750, 1] = rng.choice(ys, 500)
+        X[0] = xs[0], ys[0]
+        want = RegularGridInterpolator((xs, ys), vals, method="linear",
+                                       bounds_error=False, fill_value=None)(X)
+        assert h(X)[:, 0].tobytes() == want.tobytes()
+
     def test_grid_handle_2d_incomplete_lattice(self, tmp_path):
         p = self._write(tmp_path, "g.csv",
                         "x1,x2,x3\n0,0,0\n0,1,1\n1,0,2\n")

@@ -494,7 +494,9 @@ class TestThinSets:
         # the Whitney cone of a solid half-plane is every direction, and
         # its grid cover is one unbroken circle
         whitney = geometry.whitney_cone(body, body, x, lad)
-        assert cones.grid_membership(whitney).all()
+        slack = 0.51 * max(whitney.resolution(), RHO)
+        assert sampling.near_set(sampling.unit_grid(2), whitney.rep.directions,
+                                 slack).all()
         strict = geometry.strict_cone(body, comp, x, lad)
         assert cones.hausdorff_angle(strict, lower) <= 0.05
 
