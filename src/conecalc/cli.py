@@ -572,7 +572,9 @@ def main(argv=None) -> int:
         text = render_report(report)
         if cfg.report:
             with open(cfg.report, "w") as fh:
-                fh.write(text)
+                # in slices, so the encoder never holds a copy of the whole
+                for at in range(0, len(text), 1 << 20):
+                    fh.write(text[at:at + (1 << 20)])
         else:
             sys.stdout.write(text)
     except (UsageError, ParseError, DimensionMismatchError, OSError) as exc:

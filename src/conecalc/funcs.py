@@ -520,10 +520,14 @@ def grid_handle_from_csv(path: str) -> FunctionHandle:
     if labels is not None:
         raise ValueError(f"{path}: a function table cannot carry labels")
     d = points.shape[1]
+    axes = [np.unique(points[:, c]) for c in range(d - 1)]
+    if d in (2, 3) and min(len(a) for a in axes) < 2:
+        raise ValueError(f"{path}: every axis of a function table needs at "
+                         "least two nodes")
     if d == 2:
         order = np.argsort(points[:, 0])
         xs, vals = points[order, 0], points[order, 1]
-        if len(np.unique(xs)) != len(xs):
+        if len(axes[0]) != len(xs):
             raise ValueError(f"{path}: repeated sample abscissae")
         spacing = float(np.min(np.diff(xs)))
 
@@ -532,8 +536,7 @@ def grid_handle_from_csv(path: str) -> FunctionHandle:
 
         return FunctionHandle(1, 1, path, fn, "grid", {"scale_floor": spacing})
     if d == 3:
-        xs = np.unique(points[:, 0])
-        ys = np.unique(points[:, 1])
+        xs, ys = axes
         if len(xs) * len(ys) != len(points):
             raise ValueError(f"{path}: samples do not fill a complete lattice")
         idx = np.lexsort((points[:, 1], points[:, 0]))

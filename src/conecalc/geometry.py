@@ -90,7 +90,7 @@ def cloud_ladder(cloud: PointCloud, x, seed: int = 0) -> dini.ScaleLadder:
     while True:
         sel = order[:min(k, len(order))]
         dirs = diffs[sel] / dists[sel][:, None]
-        chord, _ = sampling.cKDTree(dirs).query(dirs, k=2)
+        chord, _ = sampling.CellIndex(dirs).nearest(dirs, 2)
         gaps = 2.0 * np.arcsin(np.clip(chord[:, 1] / 2.0, 0.0, 1.0))
         if float(np.quantile(gaps, 0.9)) <= 2.0 * rho or k >= cap:
             break
@@ -144,8 +144,8 @@ def _persistent_directions(dir_sets: list[np.ndarray], tol: float) -> np.ndarray
     first = np.zeros(len(order), dtype=bool)
     first[np.minimum.reduceat(order, np.flatnonzero(head))] = True
     cand = np.flatnonzero(first)
-    trees: dict = {}
-    passed = _near_every_other(sets, starts, cubes, cand, tol, trees)
+    indexes: dict = {}
+    passed = _near_every_other(sets, starts, cubes, cand, tol, indexes)
     keep = np.zeros(len(order), dtype=bool)
     keep[cand[passed]] = True
     if not passed.all():
@@ -155,7 +155,7 @@ def _persistent_directions(dir_sets: list[np.ndarray], tol: float) -> np.ndarray
         failed = np.zeros(count[-1], dtype=bool)
         failed[voxel[cand[~passed]]] = True
         later = np.flatnonzero(failed[voxel] & ~first)
-        later = later[_near_every_other(sets, starts, cubes, later, tol, trees)]
+        later = later[_near_every_other(sets, starts, cubes, later, tol, indexes)]
         _, at = np.unique(voxel[later], return_index=True)
         keep[later[at]] = True
     return _rows(sets, starts, np.flatnonzero(keep))
@@ -179,15 +179,15 @@ def _rows(arrays: list, starts: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _near_every_other(sets: list, starts: np.ndarray, cubes: list | None,
-                      idx: np.ndarray, tol: float, trees: dict) -> np.ndarray:
+                      idx: np.ndarray, tol: float, indexes: dict) -> np.ndarray:
     """Whether each member idx (ascending, rows of the sets laid end to end)
     lies within tol of every set but its own, bit for bit as
     ``sampling.near_set`` decides it.
 
     A member passes its own set.  A member whose cube (``cubes[j]`` holds
     the cube keys of set j's rows) holds a row of another set is near that
-    set.  Each row left open gets ``sampling.near_query`` against the
-    set's tree, built once per set into ``trees`` and only when a row is
+    set.  Each row left open gets ``sampling.CellIndex.near`` against the
+    set's index, built once per set into ``indexes`` and only when a row is
     open.
     """
     rows = _rows(sets, starts, idx)
@@ -202,9 +202,9 @@ def _near_every_other(sets: list, starts: np.ndarray, cubes: list | None,
                 else np.isin(cube[ask], cubes[j]))
         rest = np.flatnonzero(~near)
         if len(rest):
-            if j not in trees:
-                trees[j] = sampling.near_tree(s)
-            near[rest] = sampling.near_query(trees[j], rows[ask[rest]], tol)
+            if j not in indexes:
+                indexes[j] = sampling.CellIndex(s)
+            near[rest] = indexes[j].near(rows[ask[rest]], tol)
         alive[ask] = near
         if not alive.any():
             break
@@ -242,10 +242,8 @@ def _pair_directions(A: np.ndarray, B: np.ndarray, seed: int) -> np.ndarray:
         d = B[ib] - A[ia]
         # random pairs under-sample small separations, where the limit
         # directions actually live; nearest neighbors fill that in
-        k = min(4, nb)
-        _, idx = sampling.cKDTree(B).query(A, k=k)
-        nn = (B[np.atleast_2d(idx.T).T.reshape(na, k)]
-              - A[:, None, :]).reshape(-1, A.shape[1])
+        _, idx = sampling.CellIndex(B).nearest(A, min(4, nb))
+        nn = (B[idx] - A[:, None, :]).reshape(-1, A.shape[1])
         d = np.vstack([d, nn])
     nrm = np.linalg.norm(d, axis=1)
     d = d[nrm > 0] / nrm[nrm > 0][:, None]

@@ -15,17 +15,13 @@ Sobol' sequence.  Both generators are numpy reproductions of scipy's
 bit for bit by the tests: importing ``scipy.stats`` for them would cost
 about half a second, as much as many runs spend computing.
 
-Of scipy, only two things are used at run time, and neither through its
-package.  The KD tree is scipy's own ``cKDTree``, loaded from the
-``scipy.spatial._ckdtree`` extension by file path: importing
-``scipy.spatial`` would also run its ``__init__``, which loads
-``scipy.linalg``, qhull and ``scipy.special`` and costs a process about a
-third of a second, while the extension alone costs about half of that.
-The load is eager, since ``cones`` builds trees on every run and a load
-inside the run would only move the cost there.  The Gaussian quantile
-``_ndtri`` is a numpy port of the Cephes ``ndtri`` that
-``scipy.special.ndtri`` runs, equal to it bit for bit (the tests pin it),
-so ``scipy.special`` stays unloaded as well.
+No scipy module is loaded at run time.  Neighbour queries go to
+``CellIndex``, a numpy grid of cubes whose chords equal those of scipy's
+KD tree bit for bit, and the Gaussian quantile ``_ndtri`` is a numpy port
+of the Cephes ``ndtri`` that ``scipy.special.ndtri`` runs, equal to it
+bit for bit (the tests pin both).  The one scipy artifact still read is
+the Sobol' direction-number table, a data file found by path in scipy's
+install, so scipy stays a dependency.
 
 The nominal angular resolution ``grid_resolution(dim)`` is the mean
 nearest-neighbor spacing of the grid; membership tests elsewhere default
@@ -36,45 +32,21 @@ a thin set has to allow.
 
 from __future__ import annotations
 
-import importlib.machinery
 import importlib.util
 import math
 import os
-import sys
 import zipfile
 from functools import lru_cache
 
 import numpy as np
+# every seeded stream comes from numpy.random, which numpy loads lazily
+import numpy.random
 
 TWO_PI = 2.0 * np.pi
 
 GRID_SIZES = {2: 720, 3: 16384, 4: 32768}
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
-
-
-def _load_ckdtree() -> type:
-    """scipy's ``cKDTree``, from its extension module alone.
-
-    The module is found on the path of the ``scipy.spatial`` directory,
-    so the package's ``__init__`` never runs, and is registered under its
-    own name, so a later ``import scipy.spatial`` reuses it.
-    """
-    name = "scipy.spatial._ckdtree"
-    module = sys.modules.get(name)
-    if module is None:
-        where = importlib.util.find_spec("scipy").submodule_search_locations
-        spec = importlib.machinery.PathFinder.find_spec(
-            name, [os.path.join(where[0], "spatial")])
-        if spec is None:
-            raise ImportError(f"no {name} in {where[0]}")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    return module.cKDTree
-
-
-cKDTree = _load_ckdtree()
 
 
 def child_seed(seed: int, *parts: int) -> int:
@@ -126,19 +98,25 @@ def _build_grid(dim: int) -> np.ndarray:
     return g
 
 
-# grid_resolution of the fixed 3-D to 5-D grids, pinned by the tests
-# against the KD computation in it, which costs a process 10-30 ms on a
-# 2-core x86 host
+# grid_resolution of the fixed 3-D to 9-D grids, pinned by the tests
+# against the computation in it, which costs a process from 10-30 ms
+# (3-D) to seconds (9-D) on a 2-core x86 host
 GRID_RESOLUTIONS = {3: 0.026458756514606142, 4: 0.04844742681739875,
-                    5: 0.10553235410724175}
+                    5: 0.10553235410724175, 6: 0.1716608664681616,
+                    7: 0.2343263530355433, 8: 0.28405967897660944,
+                    9: 0.3388343111349011}
 
 # covering radius of each fixed grid: the largest angle from a point of
-# the sphere to its nearest grid row, read off the grid's convex hull as
-# the widest facet circumcap (pinned by the tests).  On the circle it is
-# half a step; on S^2 it is below the mean spacing, but the 4-D Halton
-# grid leaves holes 2.5 times its mean spacing wide.
+# the sphere to its nearest grid row.  Up to 5-D it is read off the
+# grid's convex hull as the widest facet circumcap (pinned by the tests).
+# On the circle it is half a step; on S^2 it is below the mean spacing,
+# but the 4-D Halton grid leaves holes 2.5 times its mean spacing wide.
+# From 6-D on the hull is out of reach, and the values are the estimate
+# of covering_radius over 2^16 probes, which can only read low.
 COVERING_RADII = {2: math.pi / GRID_SIZES[2], 3: 0.021313567292288765,
-                  4: 0.12212555843554901, 5: 0.21615207155367874}
+                  4: 0.12212555843554901, 5: 0.21615207155367874,
+                  6: 0.2719213798578661, 7: 0.3516031367576242,
+                  8: 0.4214244780388775, 9: 0.4899594922334894}
 
 
 @lru_cache(maxsize=8)
@@ -152,9 +130,8 @@ def grid_resolution(dim: int) -> float:
         return GRID_RESOLUTIONS[dim]
     pts = unit_grid(dim)
     probe = pts if len(pts) <= 4096 else pts[:: len(pts) // 4096]
-    d, _ = grid_tree(dim).query(probe, k=2)
-    chord = d[:, 1]
-    return float(np.mean(2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))))
+    chord, _ = CellIndex(pts).nearest(probe, 2)
+    return float(np.mean(2.0 * np.arcsin(np.clip(chord[:, 1] / 2.0, 0.0, 1.0))))
 
 
 @lru_cache(maxsize=8)
@@ -169,13 +146,8 @@ def covering_radius(dim: int) -> float:
         return 0.0
     if dim in COVERING_RADII:
         return COVERING_RADII[dim]
-    chord, _ = grid_tree(dim).query(sphere_points(dim, 1 << 16, 0))
+    chord, _ = CellIndex(unit_grid(dim)).nearest(sphere_points(dim, 1 << 16, 0), 1)
     return float(2.0 * np.arcsin(min(1.0, float(chord.max()) / 2.0)))
-
-
-@lru_cache(maxsize=8)
-def grid_tree(dim: int) -> cKDTree:
-    return cKDTree(unit_grid(dim))
 
 
 def min_angle_to_set(dirs: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -183,13 +155,12 @@ def min_angle_to_set(dirs: np.ndarray, members: np.ndarray) -> np.ndarray:
     dirs = np.atleast_2d(dirs)
     if len(members) == 0:
         return np.full(len(dirs), np.inf)
-    tree = cKDTree(members)
-    chord, _ = tree.query(dirs)
-    return 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
+    chord, _ = CellIndex(members).nearest(dirs, 1)
+    return 2.0 * np.arcsin(np.clip(chord[:, 0] / 2.0, 0.0, 1.0))
 
 
 # near_set: voxels are this much (relative) smaller than the chord of tol
-# allows, and near_query reaches this much beyond that chord
+# allows, and CellIndex.near's cubes this much larger
 NEAR_MARGIN = 1e-6
 VOXEL_BLOCK = 1 << 15
 
@@ -201,44 +172,35 @@ def near_set(dirs: np.ndarray, members: np.ndarray, tol: float) -> np.ndarray:
     c = 2 sin(tol/2), not which member is nearest, so it runs in two
     stages.  Voxels of side c (1 - NEAR_MARGIN) / sqrt(d) have diagonals
     shorter than c by far more than rounding, so a row sharing a voxel
-    with a member is near.  Every other row goes to ``near_query``.  The
-    voxel stage is skipped where its packed keys would overflow int64 or
-    rounding could reach the margin.
+    with a member is near.  Every other row goes to ``CellIndex.near``.
+    The voxel stage is skipped where its packed keys would overflow int64
+    or rounding could reach the margin.
     """
     dirs = np.atleast_2d(dirs)
     if len(members) == 0 or len(dirs) == 0:
         return np.full(len(dirs), np.inf) <= tol
     # outside [0, pi] this chord is too short, which sends more rows to the
-    # query, and a miss still reads pi
+    # index, and a row it leaves alone reads pi
     chord = 2.0 * math.sin(0.5 * tol)
     keys = voxel_keys([dirs, members], chord * (1.0 - NEAR_MARGIN)
                       / math.sqrt(members.shape[1]))
     near = np.zeros(len(dirs), dtype=bool) if keys is None else np.isin(*keys)
     rest = np.flatnonzero(~near)
     if len(rest):
-        near[rest] = near_query(near_tree(members), dirs[rest], tol)
+        near[rest] = CellIndex(members).near(dirs[rest], tol)
     return near
 
 
-def near_tree(members: np.ndarray) -> cKDTree:
-    """The KD tree ``near_query`` asks.  The tree's shape does not change
-    the nearest distance, so it takes the faster unbalanced build."""
-    return cKDTree(members, balanced_tree=False, compact_nodes=False)
-
-
-def near_query(tree: cKDTree, dirs: np.ndarray, tol: float) -> np.ndarray:
-    """The KD stage of ``near_set``: whether each row of dirs lies within
-    tol of the tree's members, bit for bit as ``min_angle_to_set``.
-
-    One query per row, bounded a margin above the chord 2 sin(tol/2); a
-    miss reads as the angle pi.  A row the query finds gets the same chord
-    bits as in ``min_angle_to_set``, and goes through the same formula.
-    """
-    # the tree compares squared distances, so the bound keeps a floor
-    # whose square is a normal float
-    bound = max(2.0 * math.sin(0.5 * tol) * (1.0 + NEAR_MARGIN), 1e-150)
-    found, _ = tree.query(dirs, distance_upper_bound=bound)
-    return 2.0 * np.arcsin(np.clip(found / 2.0, 0.0, 1.0)) <= tol
+def _cell_count(lo: np.ndarray, hi: np.ndarray, side: float) -> int:
+    """Cubes per axis of the grid of the given side anchored at lo that
+    holds every point up to hi, plus one empty layer above; 0 when the
+    side is not positive or the packed index of a cube would not fit in
+    int64."""
+    span = float((hi - lo).max())
+    # floor((x - lo) / side) is off by at most span / side * 2^-52 cells,
+    # far below NEAR_MARGIN while span / side <= 2^26
+    cells = int(span / side) + 2 if side > 0.0 and span / side <= 2.0 ** 26 else 0
+    return cells if 0 < cells ** len(lo) < 2 ** 62 else 0
 
 
 def voxel_keys(arrays: list, side: float, merge: int = 1) -> list | None:
@@ -255,11 +217,8 @@ def voxel_keys(arrays: list, side: float, merge: int = 1) -> list | None:
     # faster than min(axis=0) over narrow rows, with the same result
     lo = np.min([[a[:, c].min() for c in range(a.shape[1])] for a in arrays], axis=0)
     hi = np.max([[a[:, c].max() for c in range(a.shape[1])] for a in arrays], axis=0)
-    span = float((hi - lo).max())
-    # floor((x - lo) / side) is off by at most span / side * 2^-52 cells,
-    # far below near_set's NEAR_MARGIN while span / side <= 2^26
-    cells = int(span / side) + 2 if side > 0.0 and span / side <= 2.0 ** 26 else 0
-    if not 0 < cells ** len(lo) < 2 ** 62:
+    cells = _cell_count(lo, hi, side)
+    if not cells:
         return None
     shape = (cells,) * len(lo)
     merged = ((cells - 1) // merge + 1,) * len(lo)
@@ -276,6 +235,377 @@ def voxel_keys(arrays: list, side: float, merge: int = 1) -> list | None:
         return (out, big) if merge > 1 else out
 
     return [keys(a) for a in arrays]
+
+
+def _squared_chords(diffs: list) -> np.ndarray:
+    """The sum of the squares of diffs (one array per coordinate, which it
+    overwrites), added in the order of scipy's KD tree, so chords equal its
+    distances bit for bit.
+
+    The tree sums four lanes, lane j holding coordinates j, j + 4, ... of
+    each full group of four; it adds the lanes 0 + 1 + 2 + 3, then the
+    coordinates past the last full group one by one.  Below 8 coordinates
+    that is the plain sum from left to right.
+    """
+    for d in diffs:
+        d *= d
+    full = len(diffs) // 4 * 4
+    if full >= 8:
+        lanes = diffs[:4]
+        for j in range(4, full):
+            lanes[j % 4] += diffs[j]
+        out, rest = lanes[0], full
+        for lane in lanes[1:]:
+            out += lane
+    else:
+        out, rest = diffs[0], 1
+    for d in diffs[rest:]:
+        out += d
+    return out
+
+
+# CellIndex buckets rows by at most this many leading coordinates, keeps
+# a grid to at most max(CELL_CAP, 4 n) cubes, and works through candidate
+# pairs in blocks of CELL_BLOCK
+CELL_AXES = 6
+CELL_CAP = 1 << 16
+CELL_BLOCK = 1 << 16
+# nearest screens candidate lists at least this long by dot products
+CELL_SCREEN = 2048
+# nearest starts on cubes that hold this many members each, on average
+# over the cubes that hold any
+CELL_FILL = 0.5
+
+
+@lru_cache(maxsize=8)
+def _offsets(axes: int) -> tuple:
+    """The offsets of the 3^axes cubes around a cube, nearest first: one
+    array for each number of axes they move along."""
+    grid = np.indices((3,) * axes).reshape(axes, -1).T - 1
+    moved = np.count_nonzero(grid, axis=1)
+    out = tuple(grid[moved == m] for m in range(axes + 1))
+    for o in out:
+        o.setflags(write=False)
+    return out
+
+
+class _CubeGrid:
+    """The members of an index in cubes of one side.
+
+    The cubes are anchored at the members' minimum, and their packed index
+    is shifted up by ``pad``, the packed index of the offset (1, ..., 1):
+    the rows of the cube with shifted index c are
+    ``order[first[c]:first[c + 1]]``.  Query rows are clamped to the grid
+    and read the 3^a cubes around their own.  An offset that steps below
+    cube 0 along an axis lands, after the borrow, in the top layer of that
+    axis or below the grid, and both are empty.
+    """
+
+    def __init__(self, index: "CellIndex", side: float):
+        axes = index.axes
+        # most cubes per axis: the grid holds at most max(CELL_CAP, 4 n) cubes
+        most = min(int(max(CELL_CAP, 4 * index.n) ** (1.0 / axes)), 1 << 26)
+        span = float((index.hi - index.lo).max())
+        side = max(side, span / (most - 2.5))
+        if not side > 0.0:
+            side = 1.0
+        cells = _cell_count(index.lo, index.hi, side)
+        if not cells:
+            raise ValueError("members must be finite")
+        self.side, self.cells, self.lo = side, cells, index.lo
+        self.top = np.floor((index.hi - index.lo) / side)
+        self.strides = cells ** np.arange(axes - 1, -1, -1, dtype=np.int64)
+        self.pad = int(self.strides.sum())
+        key = self.keys(index.cols, clamp=False)
+        self.order = np.argsort(key)
+        self.first = np.zeros(self.pad + cells ** axes + 1, dtype=np.int64)
+        count = np.bincount(key, minlength=cells ** axes)
+        self.filled = np.count_nonzero(count)
+        np.cumsum(count, out=self.first[self.pad + 1:])
+        # packed offsets, nearest first, whole and by the axes they move along
+        self.stages = [o @ self.strides for o in _offsets(axes)]
+        self.offsets = np.concatenate(self.stages)
+
+    def coord(self, col: np.ndarray, axis: int, clamp: bool = True) -> np.ndarray:
+        """The cube coordinate along one axis of each row, as floats."""
+        c = col - self.lo[axis]
+        c /= self.side
+        np.floor(c, out=c)
+        if clamp:
+            np.clip(c, 0.0, self.cells - 2.0, out=c)
+        return c
+
+    def keys(self, cols: list, clamp: bool = True) -> np.ndarray:
+        """The shifted packed cube index of each row."""
+        key = np.full(len(cols[0]), self.pad if clamp else 0, dtype=np.int64)
+        for j, stride in enumerate(self.strides):
+            c = self.coord(cols[j], j, clamp)
+            # whole floats below 2^53 times the stride add exactly
+            c *= stride
+            np.add(key, c, out=key, casting="unsafe")
+        return key
+
+    def walls(self, cols: list) -> np.ndarray:
+        """How far each row lies inside the 3^a cubes around its own: no
+        member outside them is nearer.  A wall beyond which no member lies
+        does not count, so a row that sees every member reads inf."""
+        out = np.full(len(cols[0]), np.inf)
+        for j, x in enumerate(cols[:len(self.lo)]):
+            c = self.coord(x, j)
+            low = np.where(c >= 2.0, x - (self.lo[j] + (c - 1.0) * self.side), np.inf)
+            high = np.where(c + 2.0 <= self.top[j],
+                            (self.lo[j] + (c + 2.0) * self.side) - x, np.inf)
+            np.minimum(out, np.minimum(low, high), out=out)
+        # rounding in the floors and in the walls stays far below this
+        slack = NEAR_MARGIN * self.side + 2.0 ** -40 * (
+            float(np.abs(self.lo).max()) + self.cells * self.side)
+        return out - slack
+
+
+class CellIndex:
+    """Exact neighbour queries on the rows of members, by grids of cubes.
+
+    Members are bucketed by their first min(d, CELL_AXES) coordinates into
+    cubes of one side, sorted by cube, with the start of each cube's run
+    kept per cube.  A query row reads the 3^a cubes around its own, which
+    hold every member that lies within one side of it: in those
+    coordinates, and so in full.  Both queries compute chords as
+    ``_squared_chords`` does, the bits of scipy's KD tree.
+
+    ``near(dirs, tol)`` decides whether a member lies within the angle tol
+    of each row; ``nearest(q, k)`` finds each row's k nearest members.
+    """
+
+    def __init__(self, members: np.ndarray):
+        members = np.asarray(members, dtype=float)
+        self.n, self.dim = members.shape
+        self.axes = min(self.dim, CELL_AXES)
+        self.cols = [members[:, j] for j in range(self.dim)]
+        if self.n:
+            self.lo = np.array([c.min() for c in self.cols[:self.axes]])
+            self.hi = np.array([c.max() for c in self.cols[:self.axes]])
+        self._grids: dict = {}
+        self._fill_side = None
+        self._padded = None
+
+    def grid(self, side: float) -> _CubeGrid:
+        """The members in cubes of at least this side, built once."""
+        g = self._grids.get(side)
+        if g is None:
+            g = self._grids[side] = _CubeGrid(self, side)
+        return g
+
+    def _chords2(self, cols: list, qcols: list, rows: np.ndarray,
+                 ids: np.ndarray) -> np.ndarray:
+        """Squared chords from query rows to members ids (columns cols);
+        rows broadcasts against ids."""
+        diffs = [c[ids] for c in cols]
+        for d, q in zip(diffs, qcols):
+            d -= q[rows]
+        return _squared_chords(diffs)
+
+    def near(self, dirs: np.ndarray, tol: float) -> np.ndarray:
+        """Whether each row of dirs lies within tol of a member: the angle
+        to its nearest member, 2 arcsin(chord / 2), is at most tol, bit for
+        bit as ``min_angle_to_set`` reads it.
+
+        The cubes have at least the side 2 sin(tol/2) (1 + NEAR_MARGIN),
+        so a member within tol lies in the 3^a cubes around a row's own,
+        and rounding in the floors cannot move it out.  They are read
+        nearest first, and a row is done at the first cube that holds a
+        member within tol.  An angle is at most pi, so for tol >= pi every
+        row is near.
+        """
+        dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+        out = np.full(len(dirs), self.n > 0 and tol >= math.pi)
+        if not (self.n and 0.0 <= tol < math.pi and len(dirs)):
+            return out
+        # the floor keeps the cubes' side a normal float for tol = 0
+        g = self.grid(max(2.0 * math.sin(0.5 * tol) * (1.0 + NEAR_MARGIN), 1e-150))
+        qcols = [np.ascontiguousarray(dirs[:, j]) for j in range(self.dim)]
+        key = g.keys(qcols)
+        step = max(1, CELL_BLOCK // len(g.offsets))
+        for at in range(0, len(dirs), step):
+            live = np.arange(at, min(at + step, len(dirs)))
+            for offsets in g.stages:
+                cube = key[live, None] + offsets
+                start = g.first[cube].ravel()
+                count = g.first[cube + 1].ravel() - start
+                full = np.flatnonzero(count)
+                hit = self._near_runs(qcols, live[full // len(offsets)],
+                                      start[full], count[full], g, tol)
+                out[hit] = True
+                live = live[~out[live]]
+                if not len(live):
+                    break
+        return out
+
+    def _near_runs(self, qcols, rows, start, count, g, tol) -> np.ndarray:
+        """The rows of which some member in its run (the members
+        order[start:start + count] of one cube) lies within tol."""
+        hit = np.zeros(len(rows), dtype=bool)
+        ends = np.cumsum(count)
+        a = 0
+        while a < len(rows):
+            base = ends[a] - count[a]
+            b = max(a + 1, int(np.searchsorted(ends, base + CELL_BLOCK, side="right")))
+            c = count[a:b]
+            heads = np.cumsum(c) - c
+            pos = np.repeat(start[a:b] - heads, c) + np.arange(int(ends[b - 1] - base))
+            d2 = self._chords2(self.cols, qcols, np.repeat(rows[a:b], c), g.order[pos])
+            # the nearest member of a run decides it
+            chord = np.sqrt(np.minimum.reduceat(d2, heads))
+            hit[a:b] = 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0)) <= tol
+            a = b
+        return rows[hit]
+
+    def nearest(self, q: np.ndarray, k: int) -> tuple:
+        """The chords (len(q), k) from each row of q to its k nearest
+        members, ascending, and their member indices; of members at one
+        squared chord the lower index comes first.  Where fewer than k
+        members exist the rest read inf and n.
+
+        A row reads the members of the 3^a cubes around its own and is done
+        when its k-th chord lies below its distance to the wall of that
+        block.  Rows that are not done read again on a grid of twice the
+        side.  The first grid has cubes that hold at least CELL_FILL
+        members on average, over the cubes that hold any.
+        """
+        q = np.atleast_2d(np.asarray(q, dtype=float))
+        chords = np.full((len(q), k), np.inf)
+        ids = np.full((len(q), k), self.n, dtype=np.int64)
+        if not (self.n and len(q)):
+            return chords, ids
+        qcols = [np.ascontiguousarray(q[:, j]) for j in range(self.dim)]
+        if self._padded is None:
+            # a member at infinity after the last pads candidate lists
+            self._padded = [np.append(c, np.inf) for c in self.cols]
+        side = self._fill()
+        rows = np.arange(len(q))
+        while len(rows):
+            g = self.grid(side)
+            self._nearest_pass(g, qcols, rows, k, chords, ids)
+            walls = g.walls([c[rows] for c in qcols])
+            rows = rows[(walls < np.inf) & ~(chords[rows, -1] < walls)]
+            side = 2.0 * g.side
+        ids[chords == np.inf] = self.n
+        return chords, ids
+
+    def _fill(self) -> float:
+        """The side of the first grid ``nearest`` reads."""
+        if self._fill_side is None:
+            span = float((self.hi - self.lo).max())
+            side = span * (CELL_FILL / self.n) ** (1.0 / self.axes)
+            while True:
+                g = self.grid(side)
+                if self.n >= CELL_FILL * g.filled or g.cells <= 3:
+                    break
+                side = 2.0 * g.side
+            self._fill_side = side
+        return self._fill_side
+
+    def _nearest_pass(self, g, qcols, rows, k, chords, ids) -> None:
+        """Each row's k nearest members among the 3^a cubes around its own
+        on grid g, into chords and ids.
+
+        Rows in one cube share its candidate list, sorted by member index
+        so that the first of equal chords is the lowest index.  Cubes go by
+        descending list length, in blocks of rows that pad little.
+        """
+        key = g.keys([c[rows] for c in qcols])
+        order = np.argsort(key)
+        key = key[order]
+        head = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        cubes = key[head]
+        per = np.diff(np.r_[head, len(key)])
+        length = np.empty(len(cubes), dtype=np.int64)
+        step = max(1, CELL_BLOCK // len(g.offsets))
+        for at in range(0, len(cubes), step):
+            around = cubes[at:at + step, None] + g.offsets
+            length[at:at + step] = (g.first[around + 1] - g.first[around]).sum(axis=1)
+        by = np.argsort(-length, kind="stable")
+        # the rows cube by cube in that order, and the rank of each one's cube
+        seq = order[np.repeat(head[by] - (np.cumsum(per[by]) - per[by]), per[by])
+                    + np.arange(len(rows))]
+        rank = np.repeat(np.arange(len(by)), per[by])
+        a = 0
+        while a < len(seq):
+            width = max(int(length[by[rank[a]]]), k)
+            if width >= CELL_SCREEN:
+                # a long list: its cube's rows one block at a time
+                u = by[rank[a]]
+                members = self._cube_lists(g, cubes[[u]], length[[u]], width)[0]
+                self._screened(qcols, rows[seq[a:a + per[u]]], members, k, chords, ids)
+                a += per[u]
+                continue
+            b = min(len(seq), a + max(1, CELL_BLOCK // width))
+            ranks = np.arange(rank[a], rank[b - 1] + 1)
+            lists = self._cube_lists(g, cubes[by[ranks]], length[by[ranks]], width)
+            out = rows[seq[a:b]]
+            at_list = rank[a:b] - rank[a]
+            # the members' coordinates are gathered once per cube
+            diffs = [c[lists][at_list] for c in self._padded]
+            for d, q in zip(diffs, qcols):
+                d -= q[out, None]
+            d2 = _squared_chords(diffs)
+            line = np.arange(b - a)
+            for t in range(k):
+                pick = d2.argmin(axis=1)
+                chords[out, t] = np.sqrt(d2[line, pick])
+                ids[out, t] = lists[at_list, pick]
+                d2[line, pick] = np.inf
+            a = b
+
+    def _screened(self, qcols, rows, members, k, chords, ids) -> None:
+        """The k nearest of the members (ascending indices) to each row,
+        into chords and ids, screened by dot products.
+
+        One matrix product gives every squared chord as |q|^2 + |m|^2 -
+        2 q.m, off by at most e = 4 (d + 4) eps (|q| + max |m|)^2.  A
+        member among the k nearest lies within 2 e of the k-th smallest of
+        those values, so only the members within that reach get their
+        chords computed exactly.
+        """
+        X = np.column_stack([c[members] for c in self.cols])
+        xx = np.einsum("ij,ij->i", X, X)
+        reach = math.sqrt(float(xx.max()))
+        step = max(16, CELL_BLOCK // len(members))
+        for at in range(0, len(rows), step):
+            part = rows[at:at + step]
+            Q = np.column_stack([c[part] for c in qcols])
+            qq = np.einsum("ij,ij->i", Q, Q)
+            rough = Q @ X.T
+            rough *= -2.0
+            rough += xx
+            rough += qq[:, None]
+            kth = (rough.min(axis=1) if k == 1
+                   else np.partition(rough, k - 1, axis=1)[:, k - 1])
+            err = 4.0 * (self.dim + 4) * np.finfo(float).eps * (np.sqrt(qq) + reach) ** 2
+            hit = np.flatnonzero(rough <= (kth + 2.0 * err)[:, None])
+            del rough
+            line, col = np.divmod(hit, len(members))
+            d2 = self._chords2(self.cols, qcols, part[line], members[col])
+            order = np.lexsort((members[col], d2, line))
+            line, col, d2 = line[order], col[order], d2[order]
+            place = np.arange(len(line)) - np.searchsorted(line, line)
+            take = place < k
+            out = part[line[take]]
+            chords[out, place[take]] = np.sqrt(d2[take])
+            ids[out, place[take]] = members[col[take]]
+
+    def _cube_lists(self, g, cubes, length, width) -> np.ndarray:
+        """The members of the 3^a cubes around each cube, one row per cube
+        sorted by member index and padded with n to the width."""
+        around = cubes[:, None] + g.offsets
+        start = g.first[around].ravel()
+        count = g.first[around + 1].ravel() - start
+        total = int(count.sum())
+        pos = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(total)
+        col = np.arange(total) - np.repeat(np.cumsum(length) - length, length)
+        out = np.full((len(cubes), width), self.n, dtype=np.int64)
+        out[np.repeat(np.arange(len(cubes)), length), col] = g.order[pos]
+        out.sort(axis=1)
+        return out
 
 
 def _primes(count: int) -> list:
@@ -324,16 +654,18 @@ def _sobol_table(dim: int) -> tuple:
     """Primitive polynomials and initial direction numbers (Joe & Kuo 2008)
     of the first ``dim`` dimensions.
 
-    They are read from the table that ships with scipy.  ``find_spec``
-    locates ``scipy.stats`` without running its ``__init__``.  Only what
+    They are read from the table that ships with scipy, in the directory
+    of ``scipy.stats``.  ``find_spec("scipy")`` locates the package without
+    importing anything.  Only what
     the dimensions use is read: ``poly[:dim]``, and ``vinit[:dim, j]`` for
     each column j below the largest degree among them.  ``vinit`` is
     stored column by column, so each column prefix is one forward seek
     and one short read inside its compressed member.
     """
-    where = importlib.util.find_spec("scipy.stats").submodule_search_locations
+    where = importlib.util.find_spec("scipy").submodule_search_locations
     i8 = np.dtype("<i8")
-    with zipfile.ZipFile(os.path.join(where[0], "_sobol_direction_numbers.npz")) as z:
+    path = os.path.join(where[0], "stats", "_sobol_direction_numbers.npz")
+    with zipfile.ZipFile(path) as z:
         with z.open("poly.npy") as f:
             shape, _, dtype = _npy_header(f)
             if dtype != i8 or len(shape) != 1 or shape[0] < dim:

@@ -83,13 +83,11 @@ def test_verify_and_cones_runs_do_not_import_scipy_optimize(tmp_path):
     assert '"kind": "polyhedral"' in (tmp_path / "c.json").read_text()
 
 
-def test_runs_load_no_scipy_package_beyond_the_kd_tree_extension(tmp_path):
-    # importing scipy.spatial runs its __init__, which loads scipy.linalg
-    # and scipy.special for a third of a second a run; sampling loads the
-    # KD-tree extension alone and ports ndtri, and a 2-D function table is
-    # read without scipy.interpolate, so the 2-D and 3-D analyze (of an
-    # expression and of a table), cones and verify leave every one of
-    # these packages unloaded
+def test_runs_load_no_scipy_module(tmp_path):
+    # sampling answers neighbour queries with numpy, ports ndtri and reads
+    # the Sobol' table by path, and a 2-D function table is read without
+    # scipy.interpolate, so the 2-D and 3-D analyze (of an expression and
+    # of a table), cones and verify load no scipy module at all
     wedge_cloud_csv(tmp_path / "cloud.csv", n=300)
     axis = np.linspace(-1.0, 1.0, 21).tolist()
     (tmp_path / "table.csv").write_text("x1,x2,x3\n" + "".join(
@@ -97,7 +95,6 @@ def test_runs_load_no_scipy_package_beyond_the_kd_tree_extension(tmp_path):
     script = (
         "import sys\n"
         "import conecalc.cli as cli\n"
-        "from conecalc import sampling\n"
         "out = sys.argv[1]\n"
         "codes = [cli.main(['analyze', '--fn', 'sin(x1)+x2*x2', '--at', "
         "'0.3,-0.2', '--report', out + '/a.json']),\n"
@@ -109,16 +106,13 @@ def test_runs_load_no_scipy_package_beyond_the_kd_tree_extension(tmp_path):
         "'0,0,0', '--seed', '0', '--report', out + '/c.json']),\n"
         "         cli.main(['verify', '--only', 'bipolarity', '--seed', '0', "
         "'--report', out + '/v.json'])]\n"
-        "heavy = ['scipy.spatial', 'scipy.special', 'scipy.linalg', "
-        "'scipy.stats', 'scipy.optimize', 'scipy.interpolate']\n"
-        "print(codes, [name for name in heavy if name in sys.modules])\n"
-        "import scipy.spatial\n"
-        "print(scipy.spatial.cKDTree is sampling.cKDTree)\n"
+        "print(codes, sorted(name for name in sys.modules\n"
+        "                    if name == 'scipy' or name.startswith('scipy.')))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           env=env, capture_output=True, text=True, check=True)
-    assert done.stdout == "[0, 0, 0, 0, 0] []\nTrue\n"
+    assert done.stdout == "[0, 0, 0, 0, 0] []\n"
 
 
 class TestUsageErrors:
@@ -194,6 +188,21 @@ class TestUsageErrors:
             assert out == ""
             assert err.startswith(f"conecalc: error: {p}:{row}: non-finite")
             assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("header,body", [
+        ("x1,x2,x3", "0,0,0\n0,1,1\n0,2,3\n"),
+        ("x1,x2", "0,1\n"),
+    ])
+    def test_function_table_with_one_node_on_an_axis(self, capsys, tmp_path,
+                                                     header, body):
+        p = tmp_path / "t.csv"
+        p.write_text(f"{header}\n{body}")
+        at = "0,1" if header.count(",") == 2 else "0"
+        code, out, err = run(capsys, "analyze", "--csv", str(p), "--at", at)
+        assert code == 1
+        assert out == ""
+        assert err == (f"conecalc: error: {p}: every axis of a function table "
+                       "needs at least two nodes\n")
 
     @pytest.mark.parametrize("header,body,row,want,got", [
         ("x1,x2", "0,0\n1,1,1\n", 3, 2, 3),

@@ -453,10 +453,10 @@ class TestSampledPolar:
         assert np.array_equal(got, dense_polar_mask(grid, dirs, thr))
 
     def test_builds_no_kd_tree(self, monkeypatch):
-        def tree(*args, **kwargs):
-            raise AssertionError("a KD tree was built")
-        monkeypatch.setattr("scipy.spatial.cKDTree", tree)
-        monkeypatch.setattr(sampling, "cKDTree", tree)
+        # the polar decides by dense dots alone, with no neighbour index
+        def index(*args, **kwargs):
+            raise AssertionError("a neighbour index was built")
+        monkeypatch.setattr(sampling, "CellIndex", index)
         dirs = random_sampled_cone(3, 7, count=2000, spread=0.3)
         res = sampling.grid_resolution(3)
         got = cones.polar(FiberCone(3, cones.Sampled(dirs, res)))
@@ -555,6 +555,103 @@ class TestNearSet:
         side = 2.0 * math.sin(0.5 * tol) / math.sqrt(dim)
         assert sampling.voxel_keys([pts, pts], side) is None
         assert sampling.near_set(pts, pts, tol).all()
+
+
+def kd_nearest(members, q, k):
+    """Chords and indices of scipy's KD tree, shape (len(q), k)."""
+    from scipy.spatial import cKDTree
+
+    d, i = cKDTree(members).query(q, k=k)
+    return d.reshape(len(q), k), i.reshape(len(q), k)
+
+
+def kd_near(members, dirs, tol):
+    """The test ``near_set`` made with scipy's KD tree."""
+    chord, _ = kd_nearest(members, dirs, 1)
+    return 2.0 * np.arcsin(np.clip(chord[:, 0] / 2.0, 0.0, 1.0)) <= tol
+
+
+def index_cases(dim, seed, count=300):
+    """Members and queries: Gaussian clouds with rows far outside the
+    members' bounding box, and above 1-D (where they are only +1 and -1)
+    unit directions."""
+    rng = np.random.default_rng(seed)
+    members = rng.standard_normal((count, dim))
+    q = rng.standard_normal((200, dim)) * 1.5
+    q[:20] *= 10.0
+    if dim == 1:
+        return [(members, q)]
+    unit = lambda a: a / np.linalg.norm(a, axis=1, keepdims=True)
+    return [(members, q), (unit(members), unit(q))]
+
+
+class TestCellIndex:
+    """CellIndex answers both queries with the chords of scipy's KD tree,
+    bit for bit; among equal chords the lower member index comes first."""
+
+    @pytest.mark.parametrize("dim", range(1, 10))
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_nearest_equals_the_kd_tree(self, dim, k):
+        for members, q in index_cases(dim, 10 * dim + k):
+            got_chord, got_idx = sampling.CellIndex(members).nearest(q, k)
+            chord, idx = kd_nearest(members, q, k)
+            assert got_chord.tobytes() == chord.tobytes()
+            # no two members lie at exactly one chord from a row here, so
+            # the indices are the tree's too
+            far, _ = kd_nearest(members, q, k + 1)
+            assert np.all(np.diff(far, axis=1) > 0.0)
+            assert np.array_equal(got_idx, idx)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_duplicated_members_come_in_index_order(self, dim, k):
+        rng = np.random.default_rng(dim + 100 * k)
+        base = rng.standard_normal((40, dim))
+        members = base[rng.integers(0, len(base), 200)]
+        q = np.vstack([base[:10], rng.standard_normal((50, dim))])
+        got_chord, got_idx = sampling.CellIndex(members).nearest(q, k)
+        chord, _ = kd_nearest(members, q, k)
+        assert got_chord.tobytes() == chord.tobytes()
+        # every chord of the tree, sorted by chord and then by index
+        every, idx = kd_nearest(members, q, len(members))
+        for row in range(len(q)):
+            first = np.lexsort((idx[row], every[row]))[:k]
+            assert np.array_equal(got_idx[row], idx[row, first])
+
+    @pytest.mark.parametrize("dim", range(1, 10))
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, 1e-9, 0.05, 0.3, 1.0, 3.0,
+                                     math.pi, 4.0])
+    def test_near_equals_the_kd_tree(self, dim, tol):
+        for members, q in index_cases(dim, dim):
+            # some rows on members, some a chord of tol away from one
+            q = np.vstack([q, members[:30], members[30:60] + 2.0 * math.sin(
+                0.5 * min(max(tol, 0.0), math.pi)) / math.sqrt(dim)])
+            got = sampling.CellIndex(members).near(q, tol)
+            assert np.array_equal(got, kd_near(members, q, tol))
+
+    @pytest.mark.parametrize("dim", [1, 3, 7])
+    def test_empty_members(self, dim):
+        index = sampling.CellIndex(np.zeros((0, dim)))
+        q = np.ones((3, dim))
+        chord, idx = index.nearest(q, 2)
+        assert np.all(chord == np.inf) and np.all(idx == 0)
+        assert not index.near(q, 1.0).any()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_sets_of_one_to_three_rows(self, dim, count):
+        rng = np.random.default_rng(count * dim)
+        members = rng.standard_normal((count, dim))
+        q = np.vstack([members, rng.standard_normal((count, dim))])
+        for k in (1, count, 4):
+            got_chord, got_idx = sampling.CellIndex(members).nearest(q, k)
+            chord, idx = kd_nearest(members, q, k)
+            assert got_chord.tobytes() == chord.tobytes()
+            # past the members the tree reads inf at the index len(members)
+            assert np.array_equal(got_idx, idx)
+        for tol in (0.0, 0.5):
+            got = sampling.CellIndex(members).near(q, tol)
+            assert np.array_equal(got, kd_near(members, q, tol))
 
 
 class TestSharedGrids:
@@ -754,14 +851,42 @@ class TestMembership:
 
 
 class TestResolution:
-    @pytest.mark.parametrize("dim", [3, 4, 5])
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8, 9])
     def test_pinned_grid_resolution_equals_the_kd_computation(self, dim):
-        # the literal stands in for a KD query of the grid's probe rows
+        # the literal stands in for a query of the grid's probe rows, here
+        # asked of scipy's KD tree
+        from scipy.spatial import cKDTree
+
         pts = sampling.unit_grid(dim)
         probe = pts if len(pts) <= 4096 else pts[:: len(pts) // 4096]
-        d, _ = sampling.grid_tree(dim).query(probe, k=2)
+        d, _ = cKDTree(pts).query(probe, k=2)
         want = float(np.mean(2.0 * np.arcsin(np.clip(d[:, 1] / 2.0, 0.0, 1.0))))
         assert sampling.grid_resolution(dim).hex() == want.hex()
+
+    @pytest.mark.parametrize("dim", [6, 7, 8, 9])
+    def test_pinned_covering_radius_equals_the_probe_estimate(self, dim):
+        # above 5-D the literal is the largest nearest-row angle over 2^16
+        # seeded probes, here asked of scipy's KD tree
+        from scipy.spatial import cKDTree
+
+        probes = sampling.sphere_points(dim, 1 << 16, 0)
+        chord, _ = cKDTree(sampling.unit_grid(dim)).query(probes)
+        want = float(2.0 * np.arcsin(min(1.0, float(chord.max()) / 2.0)))
+        assert sampling.covering_radius(dim).hex() == want.hex()
+
+    def test_an_unpinned_grid_computes_the_pinned_bits(self, monkeypatch):
+        # without the literals, the 6-D constants come from CellIndex
+        want = sampling.GRID_RESOLUTIONS[6], sampling.COVERING_RADII[6]
+        monkeypatch.setattr(sampling, "GRID_RESOLUTIONS", {})
+        monkeypatch.setattr(sampling, "COVERING_RADII", {})
+        sampling.grid_resolution.cache_clear()
+        sampling.covering_radius.cache_clear()
+        try:
+            got = sampling.grid_resolution(6), sampling.covering_radius(6)
+        finally:
+            sampling.grid_resolution.cache_clear()
+            sampling.covering_radius.cache_clear()
+        assert got == want
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_pinned_covering_radius_equals_the_hull_computation(self, dim):

@@ -404,30 +404,31 @@ class TestPersistentDirections:
 
 
 class TestPersistenceCounts:
-    """Candidates decided and KD trees built are counted, not timed: a
-    regression in how much persistence asks shows on any host."""
+    """Candidates decided and neighbour indexes built are counted, not
+    timed: a regression in how much persistence asks shows on any host."""
 
     def counting(self, monkeypatch):
         log = {"rows": [], "trees": 0}
-        decide, tree = geometry._near_every_other, sampling.near_tree
+        decide = geometry._near_every_other
 
-        def counted_decide(sets, starts, cubes, idx, tol, trees):
+        def counted_decide(sets, starts, cubes, idx, tol, indexes):
             log["rows"].append(len(idx))
-            return decide(sets, starts, cubes, idx, tol, trees)
+            return decide(sets, starts, cubes, idx, tol, indexes)
 
-        def counted_tree(members):
-            log["trees"] += 1
-            return tree(members)
+        class CountedIndex(sampling.CellIndex):
+            def __init__(self, members):
+                log["trees"] += 1
+                super().__init__(members)
 
         monkeypatch.setattr(geometry, "_near_every_other", counted_decide)
-        monkeypatch.setattr(sampling, "near_tree", counted_tree)
+        monkeypatch.setattr(sampling, "CellIndex", CountedIndex)
         return log
 
     @pytest.mark.parametrize("dim,rows", [(2, [857, 16]), (3, [4233, 48]),
                                           (4, [4491, 71])])
     def test_overlapping_sets(self, monkeypatch, dim, rows):
         # of the 4950 members, the candidates, then the later members of
-        # the voxels whose candidate failed; one tree per set for both
+        # the voxels whose candidate failed; one index per set for both
         log = self.counting(monkeypatch)
         geometry._persistent_directions(overlapping_sets(dim, 0),
                                         2.0 * sampling.grid_resolution(dim))
