@@ -322,7 +322,7 @@ def arcs_cover(cone: FiberCone) -> FiberCone:
         return as_arcs(cone)
     grid = sampling.unit_grid(2)
     slack = 0.51 * max(cone.rep.resolution, sampling.grid_resolution(2))
-    mask = sampling.near_set(grid, cone.rep.directions, slack)
+    mask = sampling.CellIndex(cone.rep.directions).near(grid, slack)
     if not mask.any():
         return FiberCone(2, Arcs2D(()))
     th = np.sort(np.mod(np.arctan2(grid[mask, 1], grid[mask, 0]), TWO_PI))
@@ -466,8 +466,8 @@ def _contains_rows(cone: FiberCone, U: np.ndarray, norms: np.ndarray,
                    tol: float) -> np.ndarray:
     """``contains(cone, u, tol)`` for every row u of U, given its norm.
 
-    A sampled cone answers all rows with one ``near_set`` call, which
-    decides each row as it would alone; arcs take one angle per row.
+    A sampled cone answers all rows with one ``CellIndex.near`` call,
+    which decides each row as it would alone; arcs take one angle per row.
     """
     rep = cone.rep
     out = norms < 1e-14
@@ -479,7 +479,7 @@ def _contains_rows(cone: FiberCone, U: np.ndarray, norms: np.ndarray,
         out[ask] = [arcs_contains(rep.arcs, math.atan2(b, a), tol=tol)
                     for a, b in V.tolist()]
     elif len(rep.directions) and len(V):
-        out[ask] = sampling.near_set(V, rep.directions, tol)
+        out[ask] = sampling.CellIndex(rep.directions).near(V, tol)
     return out
 
 
@@ -494,7 +494,7 @@ def contains_line(cone: FiberCone) -> bool:
     d = rep.directions
     if len(d) == 0:
         return False
-    return bool(sampling.near_set(-d, d, max(1e-9, rep.resolution)).any())
+    return bool(sampling.CellIndex(d).near(-d, max(1e-9, rep.resolution)).any())
 
 
 # ---------------------------------------------------------------------------

@@ -177,23 +177,22 @@ def _epigraph_polar_lower(bounds: dini.FixedBounds) -> FiberCone:
     return join(pc, antipodal(pc))
 
 
-def conormal_lower_check(w: FiberCone, lam: FiberCone,
-                         tol: float | None = None) -> dict:
+def conormal_lower_check(w: FiberCone, lam: FiberCone) -> dict:
     """Verify that every Whitney direction of a graph with a scalar target
     admits a perpendicular covector in the conormal estimate.
 
     With one codomain dimension either fiber sign realizes some multiple
     of a perpendicular covector, so the angle from perpendicularity alone
     decides.  Pure verification; reports the worst violation angle
-    instead of modifying either cone.
+    instead of modifying either cone, and passes when it is at most twice
+    the coarsest of the two cones' resolutions and the fiber grid's.
     """
     if w.dim != lam.dim:
         raise DimensionMismatchError("cones do not share the product fiber")
     WD = member_directions(w)
     LD = member_directions(lam)
-    if tol is None:
-        tol = 2.0 * max(w.resolution(), lam.resolution(),
-                        sampling.grid_resolution(w.dim))
+    tol = 2.0 * max(w.resolution(), lam.resolution(),
+                    sampling.grid_resolution(w.dim))
     report = {"passed": True, "worst_angle": 0.0, "worst_direction": None,
               "tolerance": float(tol), "w_count": int(len(WD)),
               "lambda_count": int(len(LD))}

@@ -129,8 +129,8 @@ def _persistent_directions(dir_sets: list[np.ndarray], tol: float) -> np.ndarray
         cubes = None
     else:
         keys = np.concatenate([k for k, _ in keyed])
-        # a cube of 3^d voxels has the diagonal 0.75 tol, below near_set's
-        # voxel diagonal 2 sin(tol/2) (1 - NEAR_MARGIN) for tol up to 2.5,
+        # a cube of 3^d voxels has the diagonal 0.75 tol, below the chord of
+        # tol less NEAR_MARGIN, 2 sin(tol/2) (1 - NEAR_MARGIN), up to tol 2.5,
         # so a row in a cube that a set occupies lies within tol of it
         fits = 0.75 * tol <= 2.0 * math.sin(0.5 * tol) * (1.0 - sampling.NEAR_MARGIN)
         cubes = [c for _, c in keyed] if fits else None
@@ -182,7 +182,7 @@ def _near_every_other(sets: list, starts: np.ndarray, cubes: list | None,
                       idx: np.ndarray, tol: float, indexes: dict) -> np.ndarray:
     """Whether each member idx (ascending, rows of the sets laid end to end)
     lies within tol of every set but its own, bit for bit as
-    ``sampling.near_set`` decides it.
+    ``sampling.min_angle_to_set`` reads it.
 
     A member passes its own set.  A member whose cube (``cubes[j]`` holds
     the cube keys of set j's rows) holds a row of another set is near that
@@ -302,7 +302,7 @@ def strict_cone(cloud: PointCloud, complement: PointCloud | None, x,
     W = whitney_cone(cloud, complement, x, ladder)
     grid = sampling.unit_grid(cloud.dim)
     rho = sampling.grid_resolution(cloud.dim)
-    keep = grid[~sampling.near_set(grid, member_directions(W), 2.0 * rho)]
+    keep = grid[~sampling.CellIndex(member_directions(W)).near(grid, 2.0 * rho)]
     if len(keep) == 0:
         return FiberCone.zero(cloud.dim)
     return FiberCone.from_directions(keep, cloud.dim, resolution=rho)

@@ -17,11 +17,14 @@ about half a second, as much as many runs spend computing.
 
 No scipy module is loaded at run time.  Neighbour queries go to
 ``CellIndex``, a numpy grid of cubes whose chords equal those of scipy's
-KD tree bit for bit, and the Gaussian quantile ``_ndtri`` is a numpy port
-of the Cephes ``ndtri`` that ``scipy.special.ndtri`` runs, equal to it
-bit for bit (the tests pin both).  The one scipy artifact still read is
-the Sobol' direction-number table, a data file found by path in scipy's
-install, so scipy stays a dependency.
+KD tree bit for bit.  Its ``near(dirs, tol)`` is the package's one test
+of whether a direction lies within tol of a set, equal bit for bit to
+``min_angle_to_set(dirs, members) <= tol``.  The Gaussian quantile
+``_ndtri`` is a numpy port of the Cephes ``ndtri`` that
+``scipy.special.ndtri`` runs, equal to it bit for bit (the tests pin
+both).  The one scipy artifact still read is the Sobol' direction-number
+table, a data file found by path in scipy's install, so scipy stays a
+dependency.
 
 The nominal angular resolution ``grid_resolution(dim)`` is the mean
 nearest-neighbor spacing of the grid; membership tests elsewhere default
@@ -159,36 +162,11 @@ def min_angle_to_set(dirs: np.ndarray, members: np.ndarray) -> np.ndarray:
     return 2.0 * np.arcsin(np.clip(chord[:, 0] / 2.0, 0.0, 1.0))
 
 
-# near_set: voxels are this much (relative) smaller than the chord of tol
-# allows, and CellIndex.near's cubes this much larger
+# persistence's merged voxels (geometry._persistent_directions) are this
+# much (relative) smaller than the chord of tol allows, and the cubes of
+# CellIndex.near this much larger
 NEAR_MARGIN = 1e-6
 VOXEL_BLOCK = 1 << 15
-
-
-def near_set(dirs: np.ndarray, members: np.ndarray, tol: float) -> np.ndarray:
-    """``min_angle_to_set(dirs, members) <= tol``, bit for bit, for each row.
-
-    The test needs to know only whether some member lies within the chord
-    c = 2 sin(tol/2), not which member is nearest, so it runs in two
-    stages.  Voxels of side c (1 - NEAR_MARGIN) / sqrt(d) have diagonals
-    shorter than c by far more than rounding, so a row sharing a voxel
-    with a member is near.  Every other row goes to ``CellIndex.near``.
-    The voxel stage is skipped where its packed keys would overflow int64
-    or rounding could reach the margin.
-    """
-    dirs = np.atleast_2d(dirs)
-    if len(members) == 0 or len(dirs) == 0:
-        return np.full(len(dirs), np.inf) <= tol
-    # outside [0, pi] this chord is too short, which sends more rows to the
-    # index, and a row it leaves alone reads pi
-    chord = 2.0 * math.sin(0.5 * tol)
-    keys = voxel_keys([dirs, members], chord * (1.0 - NEAR_MARGIN)
-                      / math.sqrt(members.shape[1]))
-    near = np.zeros(len(dirs), dtype=bool) if keys is None else np.isin(*keys)
-    rest = np.flatnonzero(~near)
-    if len(rest):
-        near[rest] = CellIndex(members).near(dirs[rest], tol)
-    return near
 
 
 def _cell_count(lo: np.ndarray, hi: np.ndarray, side: float) -> int:
@@ -414,10 +392,11 @@ class CellIndex:
         and rounding in the floors cannot move it out.  They are read
         nearest first, and a row is done at the first cube that holds a
         member within tol.  An angle is at most pi, so for tol >= pi every
-        row is near.
+        row is near, and with no members only tol = inf holds.
         """
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        out = np.full(len(dirs), self.n > 0 and tol >= math.pi)
+        out = np.full(len(dirs), tol == math.inf
+                      or (self.n > 0 and tol >= math.pi))
         if not (self.n and 0.0 <= tol < math.pi and len(dirs)):
             return out
         # the floor keeps the cubes' side a normal float for tol = 0

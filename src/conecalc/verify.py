@@ -143,7 +143,7 @@ def _duality_roundtrip(seed: int) -> dict:
     for tag in _ROUNDTRIP_TAGS:
         f = funcs.builtin(tag)
         w = geometry.graph_whitney(f, np.zeros(1), lad.for_handle(f))
-        lam = conormal.conormal(f, np.zeros(1), lad).exact
+        lam = conormal.conormal(f, np.zeros(1), lad, whitney=w).exact
         worst = max(worst,
                     cones.hausdorff_angle(cones.top(cones.top(w)), w),
                     cones.hausdorff_angle(lam, cones.top(w)),

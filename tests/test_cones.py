@@ -486,11 +486,12 @@ def exact_dual_mask(grid, dirs, thr):
 @st.composite
 def near_set_cases(draw):
     """Rows and members in dims 2-5: random, at the chord of tol, or on the
-    faces of the voxels that ``near_set`` uses."""
+    faces of voxels of side chord (1 - NEAR_MARGIN) / sqrt(d), whose
+    diagonals fall just short of the chord."""
     dim = draw(st.integers(2, 5))
     tol = draw(st.one_of(
         st.sampled_from((1e-9, 1e-6, 0.0, -1.0, 0.01, 0.05, 0.3, 1.0,
-                         math.pi / 2, 2.0, 3.0, math.pi, 4.0)),
+                         math.pi / 2, 2.0, 3.0, math.pi, 4.0, math.inf)),
         st.floats(1e-9, 3.5)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     counts = st.sampled_from((0, 1, 7, 150))
@@ -515,25 +516,21 @@ def near_set_cases(draw):
 
 
 class TestNearSet:
-    """near_set equals the full nearest-neighbour angle test bit for bit."""
+    """``CellIndex(members).near(dirs, tol)``, the near test of every cone
+    membership, equals the full nearest-neighbour angle test bit for bit."""
 
     @given(near_set_cases())
     @settings(max_examples=300, deadline=None)
     def test_equals_min_angle_test(self, case):
         dirs, members, tol = case
         want = sampling.min_angle_to_set(dirs, members) <= tol
-        assert np.array_equal(sampling.near_set(dirs, members, tol), want)
+        assert np.array_equal(sampling.CellIndex(members).near(dirs, tol), want)
 
     def test_voxel_stage_decides_dense_sets_soundly(self):
         members = sampling.sphere_points(3, 20000, 1)
         dirs = sampling.sphere_points(3, 4000, 2)
         tol = 2.0 * sampling.grid_resolution(3)
-        side = 2.0 * math.sin(0.5 * tol) * (1.0 - sampling.NEAR_MARGIN) / math.sqrt(3)
-        hits = np.isin(*sampling.voxel_keys([dirs, members], side))
-        assert hits.mean() > 0.5
-        assert np.all(sampling.min_angle_to_set(dirs[hits], members)
-                      < tol * (1.0 - 0.5 * sampling.NEAR_MARGIN))
-        assert np.array_equal(sampling.near_set(dirs, members, tol),
+        assert np.array_equal(sampling.CellIndex(members).near(dirs, tol),
                               sampling.min_angle_to_set(dirs, members) <= tol)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
@@ -547,14 +544,16 @@ class TestNearSet:
         members = np.zeros((1, dim))
         want = sampling.min_angle_to_set(dirs, members) <= tol
         assert want.any() and not want.all()
-        assert np.array_equal(sampling.near_set(dirs, members, tol), want)
+        assert np.array_equal(sampling.CellIndex(members).near(dirs, tol), want)
 
     @pytest.mark.parametrize("dim,tol", [(3, 1e-9), (5, 1e-4), (2, 0.0)])
     def test_voxel_stage_skipped_for_tiny_voxels(self, dim, tol):
+        # voxels this small have no int64 key, and every row still finds
+        # itself
         pts = sampling.sphere_points(dim, 64, 3)
         side = 2.0 * math.sin(0.5 * tol) / math.sqrt(dim)
         assert sampling.voxel_keys([pts, pts], side) is None
-        assert sampling.near_set(pts, pts, tol).all()
+        assert sampling.CellIndex(pts).near(pts, tol).all()
 
 
 def kd_nearest(members, q, k):
@@ -566,7 +565,7 @@ def kd_nearest(members, q, k):
 
 
 def kd_near(members, dirs, tol):
-    """The test ``near_set`` made with scipy's KD tree."""
+    """The near test made with scipy's KD tree."""
     chord, _ = kd_nearest(members, dirs, 1)
     return 2.0 * np.arcsin(np.clip(chord[:, 0] / 2.0, 0.0, 1.0)) <= tol
 
@@ -1006,7 +1005,7 @@ def reference_contains(cone, v, tol):
         return rep.full
     if len(rep.directions) == 0:
         return False
-    return bool(sampling.near_set(v[None, :], rep.directions, tol)[0])
+    return bool(sampling.min_angle_to_set(v[None, :], rep.directions)[0] <= tol)
 
 
 def membership_cones(dim):

@@ -155,8 +155,8 @@ def reference_persistent_directions(dir_sets, tol):
 
 def reference_eager_persistence(dir_sets, tol):
     """The persistence filter before candidates: every member is asked of
-    every other set with ``sampling.near_set``, then the first passing
-    member of each voxel stays."""
+    every other set through ``sampling.min_angle_to_set``, then the first
+    passing member of each voxel stays."""
     members = np.vstack(dir_sets, dtype=float)
     if not all(len(s) for s in dir_sets):
         return members[:0]
@@ -170,7 +170,7 @@ def reference_eager_persistence(dir_sets, tol):
     for j, s in enumerate(dir_sets):
         ask = keep & (own != j)
         if ask.any():
-            keep[ask] = sampling.near_set(members[ask], s, tol)
+            keep[ask] = sampling.min_angle_to_set(members[ask], s) <= tol
         if not keep.any():
             return members[:0]
     _, first = np.unique(keys[0][keep], return_index=True)
@@ -496,8 +496,8 @@ class TestThinSets:
         # its grid cover is one unbroken circle
         whitney = geometry.whitney_cone(body, body, x, lad)
         slack = 0.51 * max(whitney.resolution(), RHO)
-        assert sampling.near_set(sampling.unit_grid(2), whitney.rep.directions,
-                                 slack).all()
+        assert np.all(sampling.min_angle_to_set(
+            sampling.unit_grid(2), whitney.rep.directions) <= slack)
         strict = geometry.strict_cone(body, comp, x, lad)
         assert cones.hausdorff_angle(strict, lower) <= 0.05
 
