@@ -403,7 +403,9 @@ def chain_rule_check(f1: FunctionHandle, f2: FunctionHandle, x,
         "equality_checked": False,
     }
     if regular and f2.meta.get("c1"):
-        eq = cones.hausdorff_angle(wh, comp.cone)
+        # hausdorff_angle(wh, comp.cone) from the two directed angles
+        eq = (math.inf if wh.is_zero() != comp.cone.is_zero()
+              else max(worst, overshoot))
         out["equality_checked"] = True
         out["equality_angle"] = float(eq)
         out["equality_holds"] = bool(eq <= tol)
@@ -522,9 +524,9 @@ def _dual_causal(lam: FiberCone, gm: FiberCone, gn: FiberCone, m: int,
 
 
 def _causal_entry(f: FunctionHandle, gamma_m, gamma_n, p, lad,
-                  tol: float | None) -> tuple[dict, FiberCone]:
-    """The per-point verdict of ``causal_check`` and the graph Whitney
-    cone of f at p that it was read from."""
+                  tol: float | None) -> tuple[dict, FiberCone, FiberCone]:
+    """The per-point verdict of ``causal_check``, the graph Whitney cone
+    of f at p that it was read from, and gamma_M at p."""
     p = p.reshape(f.m)
     gm = _field_value(gamma_m, p, f.m)
     y = f(p[None, :])[0]
@@ -550,7 +552,7 @@ def _causal_entry(f: FunctionHandle, gamma_m, gamma_n, p, lad,
     if f.m == 1 and f.n == 1:
         # the exact conormal over a 1-D domain
         entry.update(_dual_causal(cones.top(w), gm, gn, f.m, ptol))
-    return entry, w
+    return entry, w, gm
 
 
 def causal_check(f: FunctionHandle, gamma_m, gamma_n, points,
@@ -589,15 +591,13 @@ def time_function_check(tau: FunctionHandle, gamma_m, points,
     lad = conormal._resolved_ladder(tau, ladder)
     per = []
     for p in np.atleast_2d(np.asarray(points, dtype=float)):
-        entry, w = _causal_entry(tau, gamma_m, gamma_r, p, lad, tol)
-        p = p.reshape(tau.m)
+        entry, w, gm = _causal_entry(tau, gamma_m, gamma_r, p, lad, tol)
         # the exact conormal over a 1-D domain, its upper bound above that
         lam = conormal.slice_top_intersection(w, tau.m)
         sub_tol = (STRICT_VERTICAL_TOL if tau.m == 1
                    else conormal.vertical_tol(lam))
         submersive = not conormal.slice_nontrivial(lam, tau.m, sub_tol, "vertical")
-        img = cones.apply_relation(_field_value(gamma_m, p, tau.m),
-                                   ConicRelation(tau.m, 1, w))
+        img = cones.apply_relation(gm, ConicRelation(tau.m, 1, w))
         strict_ok = not cones.contains(img, np.array([-1.0]),
                                        tol=entry["tolerance"])
         per.append({**entry,

@@ -379,6 +379,10 @@ def _parse_ladder(text: str | None):
 
 def _config_from_args(args) -> RunConfig:
     get = lambda name, default=None: getattr(args, name, default)
+    try:
+        seed = dini.resolve_seed(get("seed"))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return RunConfig(
         command=args.command,
         fn=get("fn"),
@@ -388,7 +392,7 @@ def _config_from_args(args) -> RunConfig:
         checks=tuple(get("check", [])),
         ladder=_parse_ladder(get("ladder")),
         tol=get("tol"),
-        seed=dini.resolve_seed(get("seed")),
+        seed=seed,
         jobs=get("jobs", 1),
         only=tuple(get("only", [])),
         report=get("report"),

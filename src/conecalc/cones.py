@@ -605,70 +605,47 @@ class ConicRelation:
 def compose(r1: ConicRelation, r2: ConicRelation) -> ConicRelation:
     """Composite relation {(u, w) : (u, v) in r1 and (v, w) in r2 for some v}.
 
-    It works on the sampled members of both cones.  Two members whose
-    middle parts agree within twice the resolution give a member of the
-    composite.
+    It works on the sampled members of both cones, in four blocks of
+    rows: members of r1, then of r2, whose middle part vanishes; pairs
+    whose middle parts agree within twice the resolution; and the
+    quarter arcs of vertical x vertical pairs.
     """
     if r1.right_dim != r2.left_dim:
         raise DimensionMismatchError("middle dimensions differ")
     d1, d2, d3 = r1.left_dim, r1.right_dim, r2.right_dim
-    A = member_directions(r1.cone)
-    B = member_directions(r2.cone)
+    A, B = member_directions(r1.cone), member_directions(r2.cone)
     res = max(r1.cone.resolution(), r2.cone.resolution())
-    out_dim = d1 + d3
-    out: list[np.ndarray] = []
     thr = math.sin(max(res, 1e-9))
-    if len(A):
-        a1, a2 = A[:, :d1], A[:, d1:]
-        na2 = np.linalg.norm(a2, axis=1)
-        avert = na2 <= thr
-        # members with vanishing middle pair with the zero of the other side
-        for v in a1[avert]:
-            if np.linalg.norm(v) > thr:
-                out.append(np.concatenate([v / np.linalg.norm(v), np.zeros(d3)]))
-    if len(B):
-        b2, b3 = B[:, :d2], B[:, d2:]
-        nb2 = np.linalg.norm(b2, axis=1)
-        bvert = nb2 <= thr
-        for v in b3[bvert]:
-            if np.linalg.norm(v) > thr:
-                out.append(np.concatenate([np.zeros(d1), v / np.linalg.norm(v)]))
-    if len(A) and len(B):
-        ai = np.where(~avert)[0]
-        bi = np.where(~bvert)[0]
-        if len(ai) and len(bi):
-            ma = a2[ai] / na2[ai, None]
-            mb = b2[bi] / nb2[bi, None]
-            match = ma @ mb.T >= math.cos(max(2.0 * res, 1e-9))
-            ii, jj = np.where(match)
-            if len(ii):
-                left = a1[ai[ii]] / na2[ai[ii], None]
-                right = b3[bi[jj]] / nb2[bi[jj], None]
-                cand = np.hstack([left, right])
-                out.extend(cand)
-        # vertical x vertical pairs span a quarter arc between the factors
-        av = np.where(avert)[0]
-        bv = np.where(bvert)[0]
-        if len(av) * len(bv) > 4096:
-            av = av[:: max(1, len(av) // 64)]
-            bv = bv[:: max(1, len(bv) // 64)]
-        if len(av) and len(bv):
-            steps = np.linspace(0.0, np.pi / 2.0, max(2, int(np.pi / 2.0 / max(res, 1e-3))))
-            for i in av:
-                u = a1[i]
-                nu = np.linalg.norm(u)
-                if nu <= thr:
-                    continue
-                for j in bv:
-                    w = b3[j]
-                    nw = np.linalg.norm(w)
-                    if nw <= thr:
-                        continue
-                    for s in steps:
-                        out.append(np.concatenate([math.cos(s) * u / nu,
-                                                   math.sin(s) * w / nw]))
-    dirs = _dedupe_rays(np.asarray(out, dtype=float).reshape(-1, out_dim))
-    return ConicRelation(d1, d3, FiberCone(out_dim, Sampled(dirs, res)))
+    a1, a2, b2, b3 = A[:, :d1], A[:, d1:], B[:, :d2], B[:, d2:]
+    na2, nb2 = np.linalg.norm(a2, axis=1), np.linalg.norm(b2, axis=1)
+    avert, bvert = na2 <= thr, nb2 <= thr
+    # members with vanishing middle pair with the zero of the other side
+    u, w = a1[avert], b3[bvert]
+    nu, nw = _row_norms(u), _row_norms(w)
+    ku, kw = nu > thr, nw > thr
+    ai, bi = np.flatnonzero(~avert), np.flatnonzero(~bvert)
+    ii, jj = np.nonzero((a2[ai] / na2[ai, None]) @ (b2[bi] / nb2[bi, None]).T
+                        >= math.cos(max(2.0 * res, 1e-9)))
+    ai, bi = ai[ii], bi[jj]
+    # vertical x vertical pairs span a quarter arc between the factors
+    ia, ib = np.arange(len(u)), np.arange(len(w))
+    if len(u) * len(w) > 4096:
+        ia, ib = ia[:: max(1, len(u) // 64)], ib[:: max(1, len(w) // 64)]
+    ia, ib = ia[ku[ia]], ib[kw[ib]]
+    steps = np.linspace(0.0, np.pi / 2.0, max(2, int(np.pi / 2.0 / max(res, 1e-3))))
+    # math's cos and sin, which np.cos and np.sin can miss by a bit
+    cos = np.fromiter(map(math.cos, steps), float, len(steps))[:, None]
+    sin = np.fromiter(map(math.sin, steps), float, len(steps))[:, None]
+    n1, n2, n3 = np.cumsum([np.count_nonzero(ku), np.count_nonzero(kw), len(ai)])
+    out = np.zeros((n3 + len(ia) * len(ib) * len(steps), d1 + d3))
+    out[:n1, :d1] = u[ku] / nu[ku, None]
+    out[n1:n2, d1:] = w[kw] / nw[kw, None]
+    out[n2:n3, :d1] = a1[ai] / na2[ai, None]
+    out[n2:n3, d1:] = b3[bi] / nb2[bi, None]
+    arcs = out[n3:].reshape(len(ia), len(ib), len(steps), d1 + d3)
+    arcs[..., :d1] = ((cos * u[ia, None]) / nu[ia, None, None])[:, None]
+    arcs[..., d1:] = (sin * w[ib, None]) / nw[ib, None, None]
+    return ConicRelation(d1, d3, FiberCone(d1 + d3, Sampled(_dedupe_rays(out), res)))
 
 
 def apply_relation(cone: FiberCone, rel: ConicRelation, tol: float | None = None) -> FiberCone:

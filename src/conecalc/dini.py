@@ -76,7 +76,10 @@ def resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return int(seed)
     env = os.environ.get("CONECALC_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ValueError(f"CONECALC_SEED must be an integer, not {env!r}") from None
 
 
 @dataclass(frozen=True)

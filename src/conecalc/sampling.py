@@ -250,8 +250,8 @@ CELL_CAP = 1 << 16
 CELL_BLOCK = 1 << 16
 # nearest screens candidate lists at least this long by dot products
 CELL_SCREEN = 2048
-# nearest starts on cubes that hold this many members each, on average
-# over the cubes that hold any
+# nearest starts on cubes of the side at which the members' bounding cube,
+# cut evenly, gives each cube this many of them
 CELL_FILL = 0.5
 
 
@@ -298,7 +298,6 @@ class _CubeGrid:
         self.order = np.argsort(key)
         self.first = np.zeros(self.pad + cells ** axes + 1, dtype=np.int64)
         count = np.bincount(key, minlength=cells ** axes)
-        self.filled = np.count_nonzero(count)
         np.cumsum(count, out=self.first[self.pad + 1:])
         # packed offsets, nearest first, whole and by the axes they move along
         self.stages = [o @ self.strides for o in _offsets(axes)]
@@ -363,7 +362,6 @@ class CellIndex:
             self.lo = np.array([c.min() for c in self.cols[:self.axes]])
             self.hi = np.array([c.max() for c in self.cols[:self.axes]])
         self._grids: dict = {}
-        self._fill_side = None
         self._padded = None
 
     def grid(self, side: float) -> _CubeGrid:
@@ -447,8 +445,8 @@ class CellIndex:
         A row reads the members of the 3^a cubes around its own and is done
         when its k-th chord lies below its distance to the wall of that
         block.  Rows that are not done read again on a grid of twice the
-        side.  The first grid has cubes that hold at least CELL_FILL
-        members on average, over the cubes that hold any.
+        side.  The first grid cuts the members' bounding cube into cubes of
+        CELL_FILL members each, were they spread evenly through it.
         """
         q = np.atleast_2d(np.asarray(q, dtype=float))
         chords = np.full((len(q), k), np.inf)
@@ -459,7 +457,8 @@ class CellIndex:
         if self._padded is None:
             # a member at infinity after the last pads candidate lists
             self._padded = [np.append(c, np.inf) for c in self.cols]
-        side = self._fill()
+        span = float((self.hi - self.lo).max())
+        side = span * (CELL_FILL / self.n) ** (1.0 / self.axes)
         rows = np.arange(len(q))
         while len(rows):
             g = self.grid(side)
@@ -469,19 +468,6 @@ class CellIndex:
             side = 2.0 * g.side
         ids[chords == np.inf] = self.n
         return chords, ids
-
-    def _fill(self) -> float:
-        """The side of the first grid ``nearest`` reads."""
-        if self._fill_side is None:
-            span = float((self.hi - self.lo).max())
-            side = span * (CELL_FILL / self.n) ** (1.0 / self.axes)
-            while True:
-                g = self.grid(side)
-                if self.n >= CELL_FILL * g.filled or g.cells <= 3:
-                    break
-                side = 2.0 * g.side
-            self._fill_side = side
-        return self._fill_side
 
     def _nearest_pass(self, g, qcols, rows, k, chords, ids) -> None:
         """Each row's k nearest members among the 3^a cubes around its own

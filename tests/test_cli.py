@@ -175,6 +175,18 @@ class TestUsageErrors:
         assert err.startswith("conecalc: error:") and "preiss_lip" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [["analyze", "--fn", "x1", "--at", "0"],
+                                      ["builtins"]])
+    def test_non_integer_seed_variable(self, argv):
+        # in a fresh interpreter, as a shell runs it
+        env = dict(os.environ, PYTHONPATH=str(SRC), CONECALC_SEED="abc")
+        done = subprocess.run([sys.executable, "-m", "conecalc.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.startswith("conecalc: error:")
+        assert "CONECALC_SEED" in done.stderr and "'abc'" in done.stderr
+        assert len(done.stderr.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("cell,row", [("nan", 3), ("inf", 3), ("-inf", 2)])
     def test_non_finite_csv_cell(self, capsys, tmp_path, cell, row):
         p = tmp_path / "c.csv"

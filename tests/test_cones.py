@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from conecalc import cli, cones, geometry, sampling
+from conecalc import (cli, cones, conormal, dini, funcs, geometry, sampling,
+                      verify)
 from conecalc.cones import FiberCone
 from conecalc.errors import DimensionMismatchError
 
@@ -948,6 +949,18 @@ def sampled_graph(L):
     return cones.ConicRelation(2, 2, cone)
 
 
+def zero_middle_relations(res, width=0.3):
+    """A relation into the zero middle fiber, then one out of it, from
+    2-D arcs of this width."""
+    left = cones.member_directions(FiberCone.from_arcs([(0.0, width)]))
+    right = cones.member_directions(FiberCone.from_arcs([(1.0, 1.0 + width)]))
+    r1 = cones.ConicRelation(2, 2, FiberCone.from_directions(
+        np.hstack([left, np.zeros_like(left)]), 4, res))
+    r2 = cones.ConicRelation(2, 2, FiberCone.from_directions(
+        np.hstack([np.zeros_like(right), right]), 4, res))
+    return r1, r2
+
+
 class TestRelations:
     def test_compose_applies_first_relation_first(self):
         L1 = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -961,13 +974,7 @@ class TestRelations:
     def test_compose_through_zero_middle(self):
         # first relation sends everything to the zero fiber, so the
         # composite relates every left direction to every right one
-        res = sampling.grid_resolution(2)
-        left = cones.member_directions(FiberCone.from_arcs([(0.0, 0.3)]))
-        right = cones.member_directions(FiberCone.from_arcs([(1.0, 1.3)]))
-        r1 = cones.ConicRelation(2, 2, FiberCone.from_directions(
-            np.hstack([left, np.zeros_like(left)]), 4, res))
-        r2 = cones.ConicRelation(2, 2, FiberCone.from_directions(
-            np.hstack([np.zeros_like(right), right]), 4, res))
+        r1, r2 = zero_middle_relations(sampling.grid_resolution(2))
         md = cones.member_directions(cones.compose(r1, r2).cone)
         both = (np.linalg.norm(md[:, :2], axis=1) > 0.5) & (
             np.linalg.norm(md[:, 2:], axis=1) > 0.5)
@@ -990,6 +997,133 @@ def reference_apply_relation(cone, rel, tol=None):
             out.append(v / nv)
     res = max(cone.resolution(), rel.cone.resolution())
     return FiberCone.from_directions(np.asarray(out, dtype=float), d3, res)
+
+
+def reference_compose(r1, r2):
+    """``compose`` with one row appended per member, pair and step, as it was."""
+    d1, d2, d3 = r1.left_dim, r1.right_dim, r2.right_dim
+    A = cones.member_directions(r1.cone)
+    B = cones.member_directions(r2.cone)
+    res = max(r1.cone.resolution(), r2.cone.resolution())
+    out_dim = d1 + d3
+    out = []
+    thr = math.sin(max(res, 1e-9))
+    if len(A):
+        a1, a2 = A[:, :d1], A[:, d1:]
+        na2 = np.linalg.norm(a2, axis=1)
+        avert = na2 <= thr
+        for v in a1[avert]:
+            if np.linalg.norm(v) > thr:
+                out.append(np.concatenate([v / np.linalg.norm(v), np.zeros(d3)]))
+    if len(B):
+        b2, b3 = B[:, :d2], B[:, d2:]
+        nb2 = np.linalg.norm(b2, axis=1)
+        bvert = nb2 <= thr
+        for v in b3[bvert]:
+            if np.linalg.norm(v) > thr:
+                out.append(np.concatenate([np.zeros(d1), v / np.linalg.norm(v)]))
+    if len(A) and len(B):
+        ai = np.where(~avert)[0]
+        bi = np.where(~bvert)[0]
+        if len(ai) and len(bi):
+            ma = a2[ai] / na2[ai, None]
+            mb = b2[bi] / nb2[bi, None]
+            ii, jj = np.where(ma @ mb.T >= math.cos(max(2.0 * res, 1e-9)))
+            if len(ii):
+                left = a1[ai[ii]] / na2[ai[ii], None]
+                right = b3[bi[jj]] / nb2[bi[jj], None]
+                out.extend(np.hstack([left, right]))
+        av = np.where(avert)[0]
+        bv = np.where(bvert)[0]
+        if len(av) * len(bv) > 4096:
+            av = av[:: max(1, len(av) // 64)]
+            bv = bv[:: max(1, len(bv) // 64)]
+        if len(av) and len(bv):
+            steps = np.linspace(0.0, np.pi / 2.0, max(2, int(np.pi / 2.0 / max(res, 1e-3))))
+            for i in av:
+                u = a1[i]
+                nu = np.linalg.norm(u)
+                if nu <= thr:
+                    continue
+                for j in bv:
+                    w = b3[j]
+                    nw = np.linalg.norm(w)
+                    if nw <= thr:
+                        continue
+                    for s in steps:
+                        out.append(np.concatenate([math.cos(s) * u / nu,
+                                                   math.sin(s) * w / nw]))
+    dirs = cones._dedupe_rays(np.asarray(out, dtype=float).reshape(-1, out_dim))
+    return cones.ConicRelation(d1, d3, FiberCone(out_dim, cones.Sampled(dirs, res)))
+
+
+def verify_triples(seed):
+    """The relation triples of verify's compose-associativity property."""
+    rng = np.random.default_rng(sampling.child_seed(seed, 107))
+    for _ in range(20):
+        maps = [verify._random_linear_map(rng) for _ in range(3)]
+        yield [verify._sampled_graph_relation(L) for L in maps]
+
+
+class TestComposeEqualsMemberLoop:
+    """``compose`` gives the rows of ``reference_compose``, bit for bit."""
+
+    @staticmethod
+    def same(r1, r2):
+        got, want = cones.compose(r1, r2), reference_compose(r1, r2)
+        assert got.cone.rep.directions.shape == want.cone.rep.directions.shape
+        assert got.cone.rep.directions.tobytes() == want.cone.rep.directions.tobytes()
+        assert got.cone.rep.resolution == want.cone.rep.resolution
+        return got
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_verify_triples_in_both_orders(self, seed):
+        for r1, r2, r3 in verify_triples(seed):
+            self.same(self.same(r1, r2), r3)
+            self.same(r1, self.same(r2, r3))
+
+    def test_zero_middle_and_zero_cones(self):
+        r1, r2 = zero_middle_relations(sampling.grid_resolution(2))
+        zero = cones.ConicRelation(2, 2, FiberCone.zero(4))
+        for a, b in [(r1, r2), (r2, r1), (zero, r2), (r1, zero), (zero, zero)]:
+            self.same(a, b)
+
+    @pytest.mark.parametrize("inner, outer, x", [
+        ("cbrt", "cube", 0.0), ("cube", "cbrt", 0.0), ("cube", "cube", 1.0),
+        ("abs", "abs", 0.0)])
+    def test_builtin_graph_pairs(self, inner, outer, x):
+        f1, f2 = funcs.builtin(inner), funcs.builtin(outer)
+        # the graph Whitney cones that chain_rule_check composes
+        lad = dini.ScaleLadder(seed=0)
+        y = f1(np.array([[x]]))[0]
+        w1 = geometry.graph_whitney(f1, np.array([x]), conormal._resolved_ladder(f1, lad))
+        w2 = geometry.graph_whitney(f2, y, conormal._resolved_ladder(f2, lad))
+        self.same(cones.ConicRelation(1, 1, w1), cones.ConicRelation(1, 1, w2))
+
+    def test_thinned_quarter_arcs_and_mixed_members(self):
+        # over 4096 vertical x vertical pairs, so every other one is kept
+        rng = np.random.default_rng(5)
+        r1 = cones.ConicRelation(2, 1, FiberCone.from_directions(
+            np.vstack([np.column_stack([rng.standard_normal((150, 2)), np.zeros(150)]),
+                       rng.standard_normal((60, 3))]), 3, 0.05))
+        r2 = cones.ConicRelation(1, 2, FiberCone.from_directions(
+            np.vstack([np.column_stack([np.zeros(140), rng.standard_normal((140, 2))]),
+                       rng.standard_normal((60, 3))]), 3, 0.05))
+        assert len(self.same(r1, r2).cone.rep.directions) > 4096
+
+    def test_quarter_arcs_at_fine_resolution(self):
+        # vanishing middles on both sides: 8 x 9 quarter arcs of 1570 steps
+        r1, r2 = zero_middle_relations(1e-9, width=0.05)
+        self.same(r1, r2)
+        tracemalloc.start()
+        try:
+            got = cones.compose(r1, r2).cone.rep.directions
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) > 100_000
+        # one array object per row took 10.7 times the composite
+        assert peak < 8 * got.nbytes
 
 
 def reference_contains(cone, v, tol):

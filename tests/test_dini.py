@@ -55,6 +55,9 @@ class TestScaleLadder:
         assert dini.resolve_seed(None) == 77
         assert dini.resolve_seed(5) == 5
         assert dini.ScaleLadder(seed=None).resolved_seed() == 77
+        monkeypatch.setenv("CONECALC_SEED", "abc")
+        with pytest.raises(ValueError, match="CONECALC_SEED must be an integer"):
+            dini.resolve_seed(None)
 
 
 def upper(h, x, u, moving_base=True):
