@@ -28,7 +28,7 @@ from .cones import FiberCone
 from .errors import (ConeCalcError, DimensionMismatchError, EvaluationError,
                      ParseError)
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 KNOWN_CHECKS = ("conormal-upper", "epigraph-split")
 
@@ -446,16 +446,20 @@ def _analyze_point(f, x, lad, cfg: RunConfig) -> dict:
     return entry
 
 
+def _map_points(fn, pts, jobs: int) -> list:
+    """fn at each query point, in order; on a pool of jobs threads when
+    jobs > 1."""
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, pts))
+    return [fn(x) for x in pts]
+
+
 def cmd_analyze(cfg: RunConfig) -> dict:
     f = _resolve_handle(cfg)
     pts = _check_points(cfg, f.m)
     lad = _scale_ladder(cfg)
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(
-                lambda x: _analyze_point(f, x, lad, cfg), pts))
-    else:
-        results = [_analyze_point(f, x, lad, cfg) for x in pts]
+    results = _map_points(lambda x: _analyze_point(f, x, lad, cfg), pts, cfg.jobs)
     return {
         "schema_version": SCHEMA_VERSION,
         "config": cfg,
@@ -493,9 +497,7 @@ def cmd_cones(cfg: RunConfig) -> dict:
         raise UsageError("--plot draws plane cones; the cloud is "
                          f"{cloud.dim}-dimensional")
 
-    results = []
-    plot_rows = []
-    for i, x in enumerate(pts):
+    def cones_at(x):
         # shells must stay populated, so without an override the ladder
         # adapts to the sample density at each query point
         lad = (geometry.cloud_ladder(cloud, x, seed=cfg.seed)
@@ -504,20 +506,20 @@ def cmd_cones(cfg: RunConfig) -> dict:
         whitney = geometry.whitney_cone(body, body, x, lad)
         strict = geometry.strict_cone(body, complement, x, lad)
         lower, upper = conormal.closed_set_bounds(tangent, strict)
-        results.append({"point": x.tolist(), "tangent": tangent,
-                        "whitney": whitney, "strict": strict,
-                        "conormal_lower": lower, "conormal_upper": upper,
-                        "ladder": dataclasses.asdict(lad)})
-        if cfg.plot:
-            for name, cone in (("tangent", tangent), ("whitney", whitney),
-                               ("strict", strict)):
-                plot_rows.extend(_plot_rows(i, name, cone))
+        return {"point": x.tolist(), "tangent": tangent,
+                "whitney": whitney, "strict": strict,
+                "conormal_lower": lower, "conormal_upper": upper,
+                "ladder": dataclasses.asdict(lad)}
+
+    results = _map_points(cones_at, pts, cfg.jobs)
 
     if cfg.plot:
         with open(cfg.plot, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["point_index", "cone", "arc", "theta", "ux", "uy"])
-            w.writerows(plot_rows)
+            for i, entry in enumerate(results):
+                for name in ("tangent", "whitney", "strict"):
+                    w.writerows(_plot_rows(i, name, entry[name]))
 
     return {
         "schema_version": SCHEMA_VERSION,

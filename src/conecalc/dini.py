@@ -389,8 +389,8 @@ DOMAIN_DIRS_HIGH = 1024
 
 def _direction_grid(m: int, count: int | None = None) -> np.ndarray:
     """Directions of R^m: ``count`` evenly spaced on the circle, or
-    ``count // 2`` low-discrepancy points and their antipodes above; +1
-    and -1 on the line.  The default count gives the domain grid, which
+    ``count // 2`` seeded Kronecker points (``sampling.sphere_points``)
+    and their antipodes above; +1 and -1 on the line.  The default count gives the domain grid, which
     the graph Whitney cone's slab scan, the slice-top upper bound and the
     fixed-base scan all read.  Its first half holds one of each
     antipodal pair: the other half is its negation, exactly above the

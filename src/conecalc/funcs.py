@@ -89,7 +89,8 @@ def compose_handles(inner: FunctionHandle, outer: FunctionHandle) -> FunctionHan
 # ---------------------------------------------------------------------------
 # expression parsing
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
+_TOKEN_RE = re.compile(
+    r"\s*(?:((?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
 
 _FUNCS_1 = {"abs": np.abs, "sin": np.sin, "cos": np.cos,
             "sqrt": np.sqrt, "cbrt": np.cbrt, "sign": np.sign}

@@ -9,22 +9,20 @@ Direction grids:
     dim 3   Fibonacci sphere, 16384 points
     dim >3  Halton points through the Gaussian quantile map, 32768 on S^3
 
-Probe sets (``sphere_points``, ``ball_points``) come from a scrambled
-Sobol' sequence.  Both generators are numpy reproductions of scipy's
-``qmc.Sobol(scramble=True)`` and ``qmc.Halton(scramble=False)``, pinned
-bit for bit by the tests: importing ``scipy.stats`` for them would cost
-about half a second, as much as many runs spend computing.
+Probe sets (``sphere_points``, ``ball_points``) come from a seeded
+Kronecker sequence (``_kronecker``): the R_d step of Roberts (2018) plus a
+random shift, which needs no table of constants.  The Halton
+points of the high grids are a numpy reproduction of scipy's
+``qmc.Halton(scramble=False)``, pinned bit for bit by the tests.
 
-No scipy module is loaded at run time.  Neighbour queries go to
+The package needs numpy alone at run time.  Neighbour queries go to
 ``CellIndex``, a numpy grid of cubes whose chords equal those of scipy's
 KD tree bit for bit.  Its ``near(dirs, tol)`` is the package's one test
 of whether a direction lies within tol of a set, equal bit for bit to
 ``min_angle_to_set(dirs, members) <= tol``.  The Gaussian quantile
 ``_ndtri`` is a numpy port of the Cephes ``ndtri`` that
 ``scipy.special.ndtri`` runs, equal to it bit for bit (the tests pin
-both).  The one scipy artifact still read is the Sobol' direction-number
-table, a data file found by path in scipy's install, so scipy stays a
-dependency.
+both).
 
 The nominal angular resolution ``grid_resolution(dim)`` is the mean
 nearest-neighbor spacing of the grid; membership tests elsewhere default
@@ -35,10 +33,7 @@ a thin set has to allow.
 
 from __future__ import annotations
 
-import importlib.util
 import math
-import os
-import zipfile
 from functools import lru_cache
 
 import numpy as np
@@ -603,121 +598,25 @@ def _halton(dim: int, count: int) -> np.ndarray:
     return out
 
 
-# Sobol' points carry this many bits, as in scipy's default engine
-SOBOL_BITS = 30
+def _kronecker_step(dim: int) -> np.ndarray:
+    """The step of the R_d sequence (Roberts 2018): phi^-1, ..., phi^-dim,
+    phi being the real root above 1 of x^(dim+1) = x + 1."""
+    phi = 2.0
+    # the iteration contracts by at most a third per step
+    for _ in range(64):
+        phi = (1.0 + phi) ** (1.0 / (dim + 1))
+    return phi ** -np.arange(1.0, dim + 1)
 
 
-def _npy_header(f) -> tuple:
-    """(shape, fortran_order, dtype) of the .npy stream f, left at its data."""
-    version = np.lib.format.read_magic(f)
-    if version == (1, 0):
-        return np.lib.format.read_array_header_1_0(f)
-    return np.lib.format.read_array_header_2_0(f)
+def _kronecker(dim: int, count: int, seed: int) -> np.ndarray:
+    """Points 1..count of a seeded Kronecker sequence in [0, 1)^dim.
 
-
-def _sobol_table(dim: int) -> tuple:
-    """Primitive polynomials and initial direction numbers (Joe & Kuo 2008)
-    of the first ``dim`` dimensions.
-
-    They are read from the table that ships with scipy, in the directory
-    of ``scipy.stats``.  ``find_spec("scipy")`` locates the package without
-    importing anything.  Only what
-    the dimensions use is read: ``poly[:dim]``, and ``vinit[:dim, j]`` for
-    each column j below the largest degree among them.  ``vinit`` is
-    stored column by column, so each column prefix is one forward seek
-    and one short read inside its compressed member.
+    Point i is (shift + i alpha) mod 1: the R_d step alpha with a
+    Cranley-Patterson random shift (1976) drawn from the seed.  A draw of
+    n points is the first n of any longer draw.
     """
-    where = importlib.util.find_spec("scipy").submodule_search_locations
-    i8 = np.dtype("<i8")
-    path = os.path.join(where[0], "stats", "_sobol_direction_numbers.npz")
-    with zipfile.ZipFile(path) as z:
-        with z.open("poly.npy") as f:
-            shape, _, dtype = _npy_header(f)
-            if dtype != i8 or len(shape) != 1 or shape[0] < dim:
-                raise ValueError(f"poly.npy holds {shape} {dtype}, not {dim} int64")
-            poly = np.frombuffer(f.read(dim * i8.itemsize), dtype=i8)
-        degree = max(int(p).bit_length() - 1 for p in poly)
-        with z.open("vinit.npy") as f:
-            shape, fortran, dtype = _npy_header(f)
-            if (dtype != i8 or not fortran or len(shape) != 2
-                    or shape[0] < dim or shape[1] < degree):
-                raise ValueError(f"vinit.npy holds {shape} {dtype} (Fortran "
-                                 f"order {fortran}), not {dim} x {degree} int64 "
-                                 "in Fortran order")
-            start = f.tell()
-            vinit = np.empty((dim, degree), dtype=np.int64)
-            for j in range(degree):
-                f.seek(start + j * shape[0] * i8.itemsize)
-                vinit[:, j] = np.frombuffer(f.read(dim * i8.itemsize), dtype=i8)
-    return poly, vinit
-
-
-@lru_cache(maxsize=16)
-def _sobol_directions(dim: int) -> np.ndarray:
-    """Direction numbers, shape (dim, SOBOL_BITS), as scipy's _initialize_v.
-
-    Row d follows Bratley & Fox's recurrence on the degree-m polynomial
-    of dimension d; column j is then scaled by 2^(SOBOL_BITS - 1 - j).
-    """
-    poly, vinit = _sobol_table(dim)
-    v = np.ones((dim, SOBOL_BITS), dtype=np.int64)
-    for d in range(1, dim):
-        p = int(poly[d])
-        m = p.bit_length() - 1
-        row = [int(c) for c in vinit[d, :m]]
-        for j in range(m, SOBOL_BITS):
-            new = row[j - m]
-            for k in range(m):
-                if (p >> (m - 1 - k)) & 1:
-                    new ^= row[j - k - 1] << (k + 1)
-            row.append(new)
-        v[d] = row
-    v <<= np.arange(SOBOL_BITS - 1, -1, -1)
-    v.setflags(write=False)
-    return v
-
-
-def _sobol(dim: int, count: int, seed: int) -> np.ndarray:
-    """The first ``count`` points of a seeded scrambled Sobol' sequence.
-
-    A numpy reproduction of ``qmc.Sobol(dim, scramble=True, seed=seed)``,
-    equal to its points bit for bit (the tests pin it), kept here because
-    importing ``scipy.stats`` costs about half a second.  The seed's
-    generator draws a random digital shift, then one lower triangular
-    binary matrix per dimension (Matousek's linear matrix scrambling, unit
-    diagonal); each matrix multiplies the bits of its dimension's
-    direction numbers, most significant first.  Points are drawn as the
-    next power of two in gray-code order, then cut, which gives the same
-    points as scipy's ``random(count)``.
-    """
-    bits = SOBOL_BITS
-    rng = np.random.default_rng(seed)
-    shift = rng.integers(2, size=(dim, bits), dtype=np.uint32)
-    ltm = np.tril(rng.integers(2, size=(dim, bits, bits), dtype=np.uint32))
-    ltm[:, np.arange(bits), np.arange(bits)] = 1
-    # msb[d, i, j] is bit bits-1-i of direction number j of dimension d;
-    # row p of the product mod 2 holds bit bits-1-p of the scrambled
-    # numbers (its entries count at most 30 ones, so floats are exact)
-    top = np.arange(bits - 1, -1, -1)
-    msb = (_sobol_directions(dim)[:, None, :] >> top[:, None]) & 1
-    parity = (ltm.astype(float) @ msb).astype(np.int64) & 1
-    sv = (parity << top[:, None]).sum(axis=1).astype(np.uint32)
-    # point i is the shift xor the columns of sv at the set bits of the
-    # gray code of i; each doubling appends the mirror image xor one
-    # column.  Dimensions run along rows here, which keeps the mirrored
-    # copies long and fast, and are written to columns at the end.
-    size = 1 << max(count - 1, 0).bit_length()
-    quasi = np.empty((dim, size), dtype=np.uint32)
-    quasi[:, 0] = shift @ (np.uint32(1) << np.arange(bits, dtype=np.uint32))
-    half = 1
-    while half < size:
-        np.bitwise_xor(quasi[:, half - 1::-1], sv[:, half.bit_length() - 1, None],
-                       out=quasi[:, half:2 * half])
-        half *= 2
-    out = np.empty((count, dim))
-    for j in range(dim):
-        np.multiply(quasi[j, :count], 1.0 / 2 ** bits, out=out[:, j])
-    return out
+    shift = np.random.default_rng(seed).random(dim)
+    return (shift + np.arange(1.0, count + 1)[:, None] * _kronecker_step(dim)) % 1.0
 
 
 # the Cephes ndtri that scipy.special.ndtri runs: a rational function of
@@ -802,7 +701,7 @@ def sphere_points(dim: int, count: int, seed: int) -> np.ndarray:
     if dim == 1:
         out = np.where(np.arange(count) % 2 == 0, 1.0, -1.0).reshape(-1, 1)
     else:
-        g = _ndtri(np.clip(_sobol(dim, count, seed), 1e-12, 1.0 - 1e-12))
+        g = _ndtri(np.clip(_kronecker(dim, count, seed), 1e-12, 1.0 - 1e-12))
         norm = np.linalg.norm(g, axis=1, keepdims=True)
         norm[norm == 0] = 1.0
         out = g / norm
@@ -816,7 +715,7 @@ def ball_points(dim: int, count: int, seed: int) -> np.ndarray:
 
     The array is shared by every caller, so it is read-only.
     """
-    u = _sobol(dim + 1, count, seed)
+    u = _kronecker(dim + 1, count, seed)
     if dim == 1:
         out = 2.0 * u[:, :1] - 1.0
     else:

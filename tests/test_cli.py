@@ -84,16 +84,19 @@ def test_verify_and_cones_runs_do_not_import_scipy_optimize(tmp_path):
 
 
 def test_runs_load_no_scipy_module(tmp_path):
-    # sampling answers neighbour queries with numpy, ports ndtri and reads
-    # the Sobol' table by path, and a 2-D function table is read without
+    # sampling answers neighbour queries with numpy, ports ndtri and draws
+    # its own probes, and a 2-D function table is read without
     # scipy.interpolate, so the 2-D and 3-D analyze (of an expression and
-    # of a table), cones and verify load no scipy module at all
+    # of a table), cones and verify load no scipy module at all, and run
+    # the same where scipy cannot be imported
     wedge_cloud_csv(tmp_path / "cloud.csv", n=300)
     axis = np.linspace(-1.0, 1.0, 21).tolist()
     (tmp_path / "table.csv").write_text("x1,x2,x3\n" + "".join(
         f"{x!r},{y!r},{x + y * y!r}\n" for x in axis for y in axis))
     script = (
         "import sys\n"
+        "if sys.argv[2] == 'blocked':\n"
+        "    sys.modules['scipy'] = None\n"
         "import conecalc.cli as cli\n"
         "out = sys.argv[1]\n"
         "codes = [cli.main(['analyze', '--fn', 'sin(x1)+x2*x2', '--at', "
@@ -106,13 +109,16 @@ def test_runs_load_no_scipy_module(tmp_path):
         "'0,0,0', '--seed', '0', '--report', out + '/c.json']),\n"
         "         cli.main(['verify', '--only', 'bipolarity', '--seed', '0', "
         "'--report', out + '/v.json'])]\n"
-        "print(codes, sorted(name for name in sys.modules\n"
-        "                    if name == 'scipy' or name.startswith('scipy.')))\n"
+        "print(codes, sorted(name for name, mod in sys.modules.items()\n"
+        "                    if mod is not None\n"
+        "                    and (name == 'scipy' or name.startswith('scipy.'))))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
-                          env=env, capture_output=True, text=True, check=True)
-    assert done.stdout == "[0, 0, 0, 0, 0] []\n"
+    for scipy in ("installed", "blocked"):
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path), scipy],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, (scipy, done.stderr)
+        assert done.stdout == "[0, 0, 0, 0, 0] []\n", scipy
 
 
 class TestUsageErrors:
@@ -142,6 +148,13 @@ class TestUsageErrors:
         assert code == 1
         assert out == ""
         assert "error" in err
+
+    @pytest.mark.parametrize("fn", ["1e", "1e+", "x1*2E-"])
+    def test_exponent_without_digits(self, capsys, fn):
+        code, out, err = run(capsys, "analyze", "--fn", fn, "--at", "0")
+        assert code == 1 and out == ""
+        assert err.startswith("conecalc: error:")
+        assert len(err.strip().splitlines()) == 1
 
     def test_parse_error_carries_position(self, capsys):
         code, _, err = run(capsys, "analyze", "--fn", "x ~ 2", "--at", "0")
@@ -449,6 +462,20 @@ class TestDeterminism:
         _, two, _ = run(capsys, *base, "--jobs", "4")
         assert json.loads(one)["results"] == json.loads(two)["results"]
 
+    def test_cones_jobs_do_not_change_results(self, capsys, tmp_path):
+        base = ("cones", "--csv", write_cloud(tmp_path, n=2000), "--at", "0,0",
+                "--at", "0.3,-0.2", "--seed", "3")
+        _, one, _ = run(capsys, *base, "--jobs", "1")
+        _, two, _ = run(capsys, *base, "--jobs", "2")
+        assert json.loads(one)["results"] == json.loads(two)["results"]
+
+    @pytest.mark.parametrize("written,plain", [("x1*1e-3", "x1*0.001"),
+                                               ("2.5E+2*x1", "250*x1")])
+    def test_exponent_notation_reads_as_the_plain_number(self, capsys, written, plain):
+        got = [json.loads(run(capsys, "analyze", "--fn", fn, "--at", "0.1")[1])
+               ["results"][0]["classification"] for fn in (written, plain)]
+        assert got[0] == got[1]
+
     def test_seed_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("CONECALC_SEED", "11")
         _, out, _ = run(capsys, "verify", "--only", "bipolarity")
@@ -641,22 +668,22 @@ class TestGoldenReports:
 
     @pytest.mark.parametrize("name,digest", [
         pytest.param("abs",
-                     "5a52f0fa51071f4d6f8d0ed34e4415645f9af34fb9824a22abe70271bf87f1b8",
+                     "78645c116646ffc109dcd15d8973e470dfcd08481ed7a79d73b567677118a125",
                      id="abs"),
         pytest.param("x2sin",
-                     "c771c451cd7bf34dfb72463fef8a8a31c82093094de9295acfcd9d769aae97dc",
+                     "767d04fde3df3c4f70fcfe06a8726333c3dfc7c6115c76a3ae13f4fc48eaf834",
                      id="x2sin"),
         pytest.param("sin-2d",
-                     "4ed204d8b4720890a269ea0b97e880b646abea96d8fb043df0c929b6ee84f082",
+                     "fdae28aabad6ec8817e079f447d09c67af02f2a972c7c7db4d41548617e66e99",
                      id="sin-2d"),
         pytest.param("map-2d",
-                     "89d8e0c3d6a0374de1562a8ed4fdc7855022c92f4012ecdfb365c6f23ae427bd",
+                     "c49827f25e7b333ffe95c018dc5f75a85a4841fd8bfcac6f19bcc234258e08eb",
                      id="map-2d"),
         pytest.param("abs-checks",
-                     "3ba06fc0a7a98de02a03021658be077693113b9c65e7dad2cca4cd124d97d28f",
+                     "a63229eac3e8636c5bb55b76f0a4fee7d865aadbb4f1444afc5cb78396ed6711",
                      id="abs-checks"),
         pytest.param("abs-2d-checks",
-                     "f04c87bd982b488294f8a7307d05f7a2e3baa3519b95db3b7ce310e230038aed",
+                     "948825e97c5f99399c96fd8f723ac87a09339f3e7312cc41966905f82820e0ea",
                      id="abs-2d-checks"),
     ])
     def test_analyze_report_digest(self, name, digest):
@@ -664,7 +691,7 @@ class TestGoldenReports:
 
     def test_3d_domain_report_digest(self):
         assert (hashlib.sha256(golden_stdout("3d").encode()).hexdigest()
-                == "2a7812b63fd47cf81c8a18093800cdee4b33431baaae936e1f3f9f99b509a1a3")
+                == "71637a94375037406744987c8b93f9517a826d3f02eb2a202397c1587abaee82")
 
     # lipschitz, strictly_differentiable, derivative (within 1e-3),
     # fo_extremum, dual_agrees (None: the report has no dual verdict)
@@ -702,18 +729,18 @@ class TestGoldenReports:
                            "--at", "0,0,0", "--seed", "0")
         assert code == 0
         assert (hashlib.sha256(out.encode()).hexdigest()
-                == "464934ce666d404bd49604a2087f0d4c60fae6fbf184594e2bac2fe5192371f9")
+                == "64a2d9bf9bba41c29d0a5db06b61218a9e14b87c02d00ac5f0084cb1f0016406")
 
     @pytest.mark.parametrize("write,digest", [
         # 8000 wedge points: the voxel stage decides most persistence rows
         pytest.param(
             lambda p: wedge_cloud_csv(p, n=8000),
-            "74b8b6f6db13bc91baa26755a844d65f93b6e2a62f707d8735109b8cd509ef43",
+            "dc1b6723a23dfbe9cb21ea4e14e46386df864b8408b680abcc142cd4d31aaa2d",
             id="wedge"),
         # a labeled 3-D ball: the strict cone of the wedge part
         pytest.param(
             labeled_ball_csv,
-            "9dd9986fa7fdcf187029230d6016a016e19af41ab9a9710dafbf3e5c60ddeb34",
+            "137defc14b134bcf2dd8026ec1a2e3f8f3f59758876be1e961e7deeb0ed56dcd",
             id="labeled-ball"),
     ])
     def test_3d_cones_report_digest(self, capsys, tmp_path, monkeypatch,
@@ -733,7 +760,7 @@ class TestGoldenReports:
                            "--at", "0,0", "--seed", "0")
         assert code == 0
         assert (hashlib.sha256(out.encode()).hexdigest()
-                == "58093e9f60fefae6b8544f798bb27032a7616d68ade8f5efc1948fa9b2e55da3")
+                == "648ee16a5850b12500fb49c716723e354cd206f3c5856506aea6ebb6159c550f")
 
     def test_time_function_report_digest(self):
         out = cli.render_report(time_function_golden())

@@ -678,24 +678,26 @@ class TestSharedGrids:
             warnings.simplefilter("error")
             sphere = sampling.sphere_points(3, count, 7)
             sampling.ball_points(3, count, 7)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            u = qmc.Sobol(d=3, scramble=True, seed=7).random(count)
-        assert sampling._sobol(3, count, 7).tobytes() == u.tobytes()
-        g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+        g = ndtri(np.clip(sampling._kronecker(3, count, 7), 1e-12, 1.0 - 1e-12))
         want = g / np.linalg.norm(g, axis=1, keepdims=True)
         assert sphere.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("dim", range(1, 9))
-    def test_sobol_equals_scipy_bit_for_bit(self, dim):
-        seeds = [0, 7, 2 ** 32 - 1, sampling.child_seed(0, 1),
-                 sampling.child_seed(7, 3, 2), sampling.child_seed(123, 4)]
-        for seed in seeds:
-            for m in range(15):
-                want = qmc.Sobol(d=dim, scramble=True, seed=seed).random_base2(m)
-                got = sampling._sobol(dim, 2 ** m, seed)
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes(), (seed, m)
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_kronecker_steps_by_the_r_d_root_from_a_seeded_shift(self, dim):
+        # np.roots' root is a few ulp off, and the j-th power of alpha
+        # carries j times its relative error
+        roots = np.roots([1.0] + [0.0] * (dim - 1) + [-1.0, -1.0])
+        phi = max(r.real for r in roots if abs(r.imag) <= 1e-9)
+        j = np.arange(1, dim + 1)
+        alpha = sampling._kronecker_step(dim)
+        assert np.all(np.abs(alpha * phi ** j - 1.0) <= 8.0 * j * np.finfo(float).eps)
+        for seed in (0, 7, 2 ** 32 - 1, sampling.child_seed(123, 4)):
+            pts = sampling._kronecker(dim, 2000, seed)
+            assert pts.shape == (2000, dim)
+            assert np.all((pts >= 0.0) & (pts < 1.0))
+            assert sampling._kronecker(dim, 2000, seed).tobytes() == pts.tobytes()
+            assert sampling._kronecker(dim, 1000, seed).tobytes() == pts[:1000].tobytes()
+            assert sampling._kronecker(dim, 1, seed).tobytes() == pts[:1].tobytes()
 
     @pytest.mark.parametrize("dim", [4, 5])
     def test_high_grids_equal_the_scipy_halton_construction(self, dim):
@@ -704,21 +706,6 @@ class TestSharedGrids:
         g = ndtri(np.clip(h, 1e-12, 1.0 - 1e-12))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         assert sampling.unit_grid(dim).tobytes() == g.tobytes()
-
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 40])
-    def test_sobol_table_reads_the_rows_np_load_reads(self, dim):
-        import importlib.util
-        import os
-
-        where = importlib.util.find_spec("scipy.stats").submodule_search_locations
-        with np.load(os.path.join(where[0], "_sobol_direction_numbers.npz")) as f:
-            poly, vinit = f["poly"], f["vinit"]
-        got_poly, got_vinit = sampling._sobol_table(dim)
-        degree = max(int(p).bit_length() - 1 for p in poly[:dim])
-        assert got_poly.tobytes() == poly[:dim].tobytes()
-        assert got_vinit.shape == (dim, degree)
-        assert np.array_equal(got_vinit, vinit[:dim, :degree])
 
 
 def ndtri_inputs():
@@ -741,7 +728,7 @@ def ndtri_inputs():
 
 def scipy_probe_set(draw, dim, count, seed):
     """``sphere_points`` or ``ball_points`` with scipy's own ndtri."""
-    u = sampling._sobol(dim + (draw is sampling.ball_points), count, seed)
+    u = sampling._kronecker(dim + (draw is sampling.ball_points), count, seed)
     g = ndtri(np.clip(u[:, :dim], 1e-12, 1.0 - 1e-12))
     norm = np.linalg.norm(g, axis=1, keepdims=True)
     norm[norm == 0] = 1.0
@@ -866,17 +853,28 @@ class TestResolution:
     @pytest.mark.parametrize("dim", [6, 7, 8, 9])
     def test_pinned_covering_radius_equals_the_probe_estimate(self, dim):
         # above 5-D the literal is the largest nearest-row angle over 2^16
-        # seeded probes, here asked of scipy's KD tree
+        # scrambled Sobol' probes of seed 0, here drawn by scipy and asked
+        # of scipy's KD tree
         from scipy.spatial import cKDTree
 
-        probes = sampling.sphere_points(dim, 1 << 16, 0)
-        chord, _ = cKDTree(sampling.unit_grid(dim)).query(probes)
+        u = qmc.Sobol(d=dim, scramble=True, seed=0).random_base2(16)
+        g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+        norm = np.linalg.norm(g, axis=1, keepdims=True)
+        norm[norm == 0] = 1.0
+        chord, _ = cKDTree(sampling.unit_grid(dim)).query(g / norm)
         want = float(2.0 * np.arcsin(min(1.0, float(chord.max()) / 2.0)))
         assert sampling.covering_radius(dim).hex() == want.hex()
 
     def test_an_unpinned_grid_computes_the_pinned_bits(self, monkeypatch):
-        # without the literals, the 6-D constants come from CellIndex
-        want = sampling.GRID_RESOLUTIONS[6], sampling.COVERING_RADII[6]
+        # without the literals, the 6-D constants come from CellIndex: the
+        # pinned resolution, and the covering radius that scipy's KD tree
+        # reads off the package's own 2^16 probes
+        from scipy.spatial import cKDTree
+
+        chord, _ = cKDTree(sampling.unit_grid(6)).query(
+            sampling.sphere_points(6, 1 << 16, 0))
+        want = (sampling.GRID_RESOLUTIONS[6],
+                float(2.0 * np.arcsin(min(1.0, float(chord.max()) / 2.0))))
         monkeypatch.setattr(sampling, "GRID_RESOLUTIONS", {})
         monkeypatch.setattr(sampling, "COVERING_RADII", {})
         sampling.grid_resolution.cache_clear()
