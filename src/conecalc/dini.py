@@ -34,13 +34,16 @@ once; a monotone geometric blow-up past the cap is reported as an
 infinite sentinel.
 
 The kernel takes a stack of direction rows.  Per scale it calls ``f``
-once on the base points and once on the whole t sub-ladder of every
-row, in t-major order.  A call holds at most ``QUOTIENT_ROW_CAP`` probe
-points (but always one full t step), so a larger stack splits its scale
-over several calls.  Each call's values go straight to per-t extrema
-over the base points, then to extrema over t in t order; the full array
-of quotients is never built.  Rows never interact, so callers stack all
-their directions, the zero direction included, into one scan.
+once on the base points, then on the t sub-ladder of every row, in
+t-major order.  A call holds as many whole t steps as fit in
+``QUOTIENT_ROW_CAP`` probe points (but always one full t step), a size
+that keeps the call's arrays in cache, so a scale spans several calls
+unless the stack is small.  Each call's values go straight to per-t
+extrema over the base points, then to extrema over t in t order; the
+full array of quotients is never built.  The per-t minima are taken only
+where lows are read, by ``quotient_scan`` and ``fixed_bounds``; ``slabs``
+and ``chords`` keep the sup side alone.  Rows never interact, so callers
+stack all their directions, the zero direction included, into one scan.
 
 A vector map (n >= 2) is scanned through the Euclidean norm of its
 increment, |f(y+tv) - f(y)| / t, with either base; a scalar map keeps
@@ -68,7 +71,11 @@ from . import sampling
 DIVERGENCE_CAP = 1e3
 HARD_CAP = 1e9
 T_SUBSTEPS = 30          # t sub-ladder: r_k * 2**-(0..29)
-QUOTIENT_ROW_CAP = 1 << 18  # probe points per f call in the quotient scan
+# probe points per f call in the quotient scan, sized so that a call's
+# probes, values and quotients stay in a core's L2 cache: on the scalar 2-D
+# domain-grid scans 2**14 to 2**16 time alike, and 2**18 spills, 15-20 %
+# slower
+QUOTIENT_ROW_CAP = 1 << 15
 NOISE_BUDGET = 1e-7      # cancellation noise allowed in a single quotient
 
 
@@ -226,12 +233,15 @@ def _first_per_voxel(kept: np.ndarray, steps, rises) -> np.ndarray:
     return C[np.sort(np.unique(k, axis=0, return_index=True)[1])]
 
 
-def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool, chord_sets=None):
+def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool, chord_sets=None,
+          keep_lows: bool = True):
     """Per-scale quotient extrema along every row of U.
 
     Returns (radii, highs, lows, shallow), the last three of shape
     (q, scales) for q rows.  ``shallow`` is the sup at t = r alone.  The
     quotient of a vector map is the norm of its increment over t.
+    ``lows`` is None unless ``keep_lows``: the moving-base scans read the
+    inf side off the sup side, so only their callers skip the minima.
 
     A list ``chord_sets`` gets the unit graph chords (t v, f(y+tv) - f(y))
     of a vector map, then their antipodes, per deepest three scales; each
@@ -257,7 +267,7 @@ def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool, chord_sets=None):
 
     nk = len(radii)
     highs = np.full((q, nk), -np.inf)
-    lows = np.full((q, nk), np.inf)
+    lows = np.full((q, nk), np.inf) if keep_lows else None
     # sup at t = r only; the deep sub-ladder hits its noise floor on every
     # shell, so geometric blow-up is only visible on this shallow track
     shallow = np.full((q, nk), -np.inf)
@@ -298,13 +308,18 @@ def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool, chord_sets=None):
 
         # each f call takes as many whole t steps of every row as fit in
         # QUOTIENT_ROW_CAP probe points, never less than one; the probes
-        # y + t v go one coordinate per contiguous row of a reused buffer
+        # y + t v go one coordinate per contiguous row of a reused buffer,
+        # the increments f(y + t v) - f(y) to buffers the scan owns, never
+        # into the array f returned
         block = q * B
         per_call = max(1, QUOTIENT_ROW_CAP // max(block, 1))
         Vc = np.ascontiguousarray(np.moveaxis(V, 2, 0))
-        buf = np.empty((m, min(per_call, nt) * block))
+        cap = min(per_call, nt) * block
+        buf = np.empty((m, cap))
+        qbuf = np.empty(cap)
+        dbuf = np.empty(cap * n) if n > 1 else None
         step_hi = np.empty((nt, q))
-        step_lo = np.empty((nt, q))
+        step_lo = np.empty((nt, q)) if keep_lows else None
         for j in range(0, nt, per_call):
             rows = min(per_call, nt - j)
             P = buf[:, :rows * block]
@@ -313,24 +328,31 @@ def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool, chord_sets=None):
                 np.multiply(ts[j:j + rows, None, None], Vc[d], out=Pd)
                 Pd += Y[:, d]
             F = f(P.T)
+            quot = qbuf[:rows * block].reshape(rows, q, B)
             if n == 1:
-                quot = F[:, 0].reshape(rows, q, B) - FY[:, 0]
+                np.subtract(F[:, 0].reshape(rows, q, B), FY[:, 0], out=quot)
             else:
-                dF = F.reshape(rows, q, B, n) - FY
+                dF = dbuf[:rows * block * n].reshape(rows, q, B, n)
+                np.subtract(F.reshape(rows, q, B, n), FY, out=dF)
                 # a huge map overflows the squares to +inf, a true reading
                 with np.errstate(over="ignore"):
-                    quot = np.linalg.norm(dF, axis=3)
                     if kept is not None:
                         kept = _first_per_voxel(kept, ts[j:j + rows, None, None, None] * V, dF)
+                    # the Euclidean norm as np.linalg.norm takes it, in place
+                    np.multiply(dF, dF, out=dF)
+                    np.add.reduce(dF, axis=3, out=quot)
+                np.sqrt(quot, out=quot)
             quot /= ts[j:j + rows, None, None]
             # the per-t extrema of this call's t steps
             quot.max(axis=2, out=step_hi[j:j + rows])
-            quot.min(axis=2, out=step_lo[j:j + rows])
+            if keep_lows:
+                quot.min(axis=2, out=step_lo[j:j + rows])
         # then over t in t order: the extremum of signed zeros depends on
         # that order
         highs[:, ki] = step_hi.max(axis=0)
         shallow[:, ki] = step_hi[0]
-        lows[:, ki] = step_lo.min(axis=0)
+        if keep_lows:
+            lows[:, ki] = step_lo.min(axis=0)
         if kept is not None:
             chord_sets.append(np.vstack([kept, -kept]))
     return radii, highs, lows, shallow
@@ -365,7 +387,7 @@ def slabs(f, x, U, ladder: ScaleLadder):
     U = np.asarray(U, dtype=float).reshape(-1, f.m)
     q = len(U)
     _, highs, _, shallow = _scan(f, x, np.vstack([U, -U, np.zeros((1, f.m))]),
-                                 ladder, True)
+                                 ladder, True, keep_lows=False)
     lim, div, _ = _limits(highs, shallow)
     vertical = bool(div[-1] or abs(lim[-1]) > DIVERGENCE_CAP)
     return -lim[q:2 * q], lim[:q], vertical
@@ -377,7 +399,8 @@ def chords(f, x, U, ladder: ScaleLadder) -> list:
     if f.n == 1:
         raise ValueError("chords need a vector map")
     sets: list = []
-    _scan(f, x, np.vstack([U, np.zeros((1, f.m))]), ladder, True, sets)
+    _scan(f, x, np.vstack([U, np.zeros((1, f.m))]), ladder, True, sets,
+          keep_lows=False)
     return sets
 
 

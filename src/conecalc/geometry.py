@@ -320,6 +320,25 @@ def fan(u, p1: float, p2: float, step: float) -> np.ndarray:
     return np.column_stack([np.outer(np.cos(psi), u), np.sin(psi)])
 
 
+def _fans(base: np.ndarray, p1: np.ndarray, p2: np.ndarray, step: float) -> np.ndarray:
+    """``fan(u, a, b, step)`` for every row u of base with its a and b,
+    stacked in row order from one numpy pass.  The elevations are
+    ``np.linspace``'s to the bit: k * ((b - a) / div) + a, then b last.
+    linspace's branch for a step that underflows never differs here: a
+    span below ``step`` has div = 1, so only an empty span steps by zero.
+    """
+    counts = np.maximum(2, np.ceil((p2 - p1) / step).astype(np.int64) + 1)
+    ends = np.cumsum(counts)
+    k = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+    psi = k * np.repeat((p2 - p1) / (counts - 1), counts)
+    psi += np.repeat(p1, counts)
+    psi[ends - 1] = p2
+    out = np.empty((len(psi), base.shape[1] + 1))
+    np.multiply(np.cos(psi)[:, None], np.repeat(base, counts, axis=0), out=out[:, :-1])
+    out[:, -1] = np.sin(psi)
+    return out
+
+
 def _slab_arcs(qlo: float, qhi: float, vertical: bool) -> list[tuple[float, float]]:
     lo, hi = min(qlo, qhi), max(qlo, qhi)
     a1, a2 = math.atan(lo), math.atan(hi)
@@ -353,8 +372,10 @@ def graph_whitney(f, x, ladder: dini.ScaleLadder) -> FiberCone:
     # the circle's fans step at the half-degree of its grid; higher
     # domains step at the fiber grid's spacing
     step = sampling.grid_resolution(2 if f.m == 2 else f.m + 1)
-    members = [fan(u, math.atan(min(l2, h2)), math.atan(max(l2, h2)), step)
-               for u, l2, h2 in zip(base, lo, hi)]
+    # python's min, max and math.atan, the elevations fan() was given
+    p1, p2 = np.array([(math.atan(min(a, b)), math.atan(max(a, b)))
+                       for a, b in zip(lo.tolist(), hi.tolist())]).T
+    members = [_fans(base, p1, p2, step)]
     if vertical:
         up = np.zeros((2, f.m + 1))
         up[:, -1] = [1.0, -1.0]

@@ -2,6 +2,7 @@
 constants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -477,24 +478,28 @@ class TestEvaluationCounts:
     def test_scalar_golden_point(self):
         h, log = counting("sin(x1)+x2*x2", 2)
         analysis.classify_point(h, [0.3, -0.2], self.LAD6)
-        assert (len(log), sum(log)) == (40, 4890144)
+        # the slab scan: per scale the base points, then one call per t step
+        # of the 361 rows (180 domain directions, their antipodes and the
+        # zero row) on 64 base points; then the fixed-base scan: per scale
+        # the base points, then the t steps of the 180 directions on 32
+        # base points, five a call
+        assert (len(log), sum(log)) == (220, 4890144)
 
     def test_map_golden_point(self):
         h, log = counting("x1+x2*x2, x1*x2", 2)
         analysis.classify_point(h, [0.2, -0.1], self.LAD6)
-        # the chord scan: per scale the base points, then all t steps of the
-        # 181 rows (180 domain directions and the zero row) in one call, or
-        # two where more than 22 steps sit above the noise floor; then the
-        # fixed-base scan, two calls a scale
-        assert (len(log), sum(log)) == (34, 3035872)
+        # the chord scan: per scale the base points, then two t steps of the
+        # 181 rows (180 domain directions and the zero row) on 64 base
+        # points a call, the last alone where the count of steps above the
+        # noise floor is odd; then the fixed-base scan as below
+        assert (len(log), sum(log)) == (141, 3035872)
 
     def test_vector_pointwise_constant_takes_one_scan(self):
         h, log = counting("x1+x2*x2, x1*x2", 2)
         dini.pointwise_lipschitz(dini.fixed_bounds(h, [0.2, -0.1], self.LAD6))
-        # per scale: the base points, then all t steps of the 180 directions
-        # in one call
-        assert len(log) == 2 * len(self.LAD6.radii())
-        assert sum(log) == 1008224
+        # per scale: the base points, then the t steps of the 180
+        # directions on 32 base points, five a call
+        assert (len(log), sum(log)) == (45, 1008224)
 
 
 class TestOneFixedBaseScan:
@@ -513,10 +518,10 @@ class TestOneFixedBaseScan:
         h, log = counting(src, len(x))
         scan, bases, scanned = dini._scan, [], []
 
-        def spy(f, x, U, ladder, moving_base, chord_sets=None):
+        def spy(f, x, U, ladder, moving_base, chord_sets=None, **kw):
             bases.append(moving_base)
             before = sum(log)
-            out = scan(f, x, U, ladder, moving_base, chord_sets)
+            out = scan(f, x, U, ladder, moving_base, chord_sets, **kw)
             scanned.append(sum(log) - before)
             return out
 
@@ -555,3 +560,61 @@ class TestChords:
     def test_scalar_function_rejected(self):
         with pytest.raises(ValueError):
             dini.chords(funcs.parse_expr("x1*x2", 2), self.X, self.U, LAD)
+
+    def test_overflowing_chords_drop_without_a_warning(self):
+        # the increments' squares and the chords' norms overflow to +inf;
+        # pytest turns any warning into an error
+        h = funcs.parse_expr("1" + "0" * 200 + "*x1, x2", 2)
+        sets = dini.chords(h, [0.0, 0.0], self.U, TestEvaluationCounts.LAD6)
+        assert len(sets) == 3
+        for s in sets:
+            assert np.abs(np.linalg.norm(s, axis=1) - 1.0).max(initial=0.0) <= 1e-12
+
+
+class TestCallSizing:
+    """How the scan sizes its f calls, and whether it takes the per-t
+    minima, changes no bit of what it returns."""
+
+    H = funcs.parse_expr("sin(x1)+x2*x2", 2)
+    MAP = funcs.parse_expr("x1+x2*x2, x1*x2", 2)
+    X = [0.3, -0.2]
+    LAD6 = TestEvaluationCounts.LAD6
+
+    def scans(self):
+        half = dini._direction_grid(2)[:180]
+        lows, highs, vertical = dini.slabs(self.H, self.X, half, self.LAD6)
+        fixed = dini.fixed_bounds(self.H, self.X, self.LAD6)
+        sets = dini.chords(self.MAP, self.X, half[::4], self.LAD6)
+        return ([lows.tobytes(), highs.tobytes(), vertical]
+                + [a.tobytes() for a in fixed] + [s.tobytes() for s in sets])
+
+    @pytest.mark.parametrize("cap", [1000, 1 << 18])
+    def test_caps_give_the_default_bytes(self, monkeypatch, cap):
+        want = self.scans()
+        monkeypatch.setattr(dini, "QUOTIENT_ROW_CAP", cap)
+        assert self.scans() == want
+
+    @pytest.mark.parametrize("moving_base", [False, True])
+    @pytest.mark.parametrize("src", ["sin(x1)+x2*x2", "x1+x2*x2, x1*x2"])
+    def test_skipping_the_minima_keeps_the_sup_side(self, src, moving_base):
+        h = funcs.parse_expr(src, 2)
+        U = np.vstack([dini._direction_grid(2)[::9], np.zeros((1, 2))])
+        full = dini._scan(h, self.X, U, self.LAD6, moving_base)
+        sup = dini._scan(h, self.X, U, self.LAD6, moving_base, keep_lows=False)
+        assert sup[2] is None and full[2] is not None
+        for i in (0, 1, 3):
+            assert sup[i].tobytes() == full[i].tobytes()
+
+    def test_slab_scan_memory_is_bounded(self):
+        # a call's probes, values and quotients hold at most
+        # QUOTIENT_ROW_CAP points: about 2.3 MiB here, and 12.8 MiB when a
+        # call held every t step of a scale
+        half = dini._direction_grid(2)[:180]
+        dini.slabs(self.H, self.X, half, self.LAD6)
+        tracemalloc.start()
+        try:
+            dini.slabs(self.H, self.X, half, self.LAD6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20

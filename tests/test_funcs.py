@@ -67,6 +67,38 @@ class TestParser:
         with pytest.raises(EvaluationError, match="non-finite"):
             h.scalar(0.0)
 
+    def test_zero_factor_rule_entry_by_entry(self):
+        # an exact zero factor beats an inf or NaN partner, and a product
+        # with a zero factor reads +0.0; a product that underflows without
+        # one keeps its sign, and one that overflows stays +-inf
+        a = np.array([0.0, -0.0, math.inf, math.nan, -1.0, 0.0, -1e-200, 1e200, 1e150, 2.0])
+        b = np.array([math.inf, math.nan, 0.0, -0.0, 0.0, -math.inf, 1e-200, -1e200, 1e150, 3.0])
+        want = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.0, -math.inf, 1e150 * 1e150, 6.0])
+        big = np.array([1e100, 1e150, -3.0])
+        # the compiled closures run it with floating-point warnings off
+        with np.errstate(all="ignore"):
+            assert funcs._times(a, b).tobytes() == want.tobytes()
+            assert funcs._times(np.float64(0.0), a).tobytes() == np.zeros(len(a)).tobytes()
+            # no zero and nothing non-finite: the plain product, past 1e154 too
+            assert funcs._times(big, big).tobytes() == (big * big).tobytes()
+
+    @pytest.mark.parametrize("src,pts,row", [
+        ("1/x1, x2", [[1.0, 1.0], [2.0, 2.0], [0.0, 3.0], [0.0, 4.0]], "[0.0, 3.0]"),
+        ("x2, sqrt(x1)", [[1.0, 5.0], [-1.0, 6.0]], "[-1.0, 6.0]"),
+        ("1e300*x1*x2", [[1.0, 1.0], [1e9, -1e300]], "[1000000000.0, -1e+300]"),
+    ])
+    def test_nonfinite_message_names_the_first_row(self, src, pts, row):
+        h = funcs.parse_expr(src, 2)
+        for X in (np.array(pts), np.asfortranarray(pts)):
+            with pytest.raises(EvaluationError) as got:
+                h(X)
+            assert str(got.value) == f"{src} is non-finite at {row}"
+
+    def test_huge_finite_values_pass(self):
+        # the finite test's dot product overflows; the entries are finite
+        h = funcs.parse_expr("1e300*x1", 1)
+        assert h(np.array([[1.0], [-2.0]])).tolist() == [[1e300], [-2e300]]
+
     def test_nonfinite_constant_deferred(self):
         h = funcs.parse_expr("1/0", 1)  # parses fine
         with pytest.raises(EvaluationError):

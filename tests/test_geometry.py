@@ -575,6 +575,19 @@ class TestGraphWhitney:
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-9
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_stacked_fans_are_the_fans_bit_for_bit(self, m):
+        # equal ends, signed zeros, a subnormal span, the vertical's +-pi/2
+        # and ordinary spans, on grid rows as graph_whitney takes them
+        rng = np.random.default_rng(m)
+        base = dini._direction_grid(m)[:90]
+        a = np.concatenate([[0.0, 0.3, -PI / 2, 0.0, -0.0], rng.uniform(-1.5, 1.5, 85)])
+        b = np.concatenate([[0.0, 0.3, PI / 2, 5e-324, 0.0],
+                            a[5:] + rng.exponential(0.5, 85)])
+        step = sampling.grid_resolution(m if m == 2 else m + 1)
+        want = np.vstack([geometry.fan(u, p1, p2, step) for u, p1, p2 in zip(base, a, b)])
+        assert geometry._fans(base, a, b, step).tobytes() == want.tobytes()
+
 
 class TestStrictCone:
     def test_halfplane_open_lower(self):
