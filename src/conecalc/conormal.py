@@ -157,13 +157,13 @@ def _epigraph_tangent(bounds: dini.FixedBounds) -> FiberCone:
     m = 1 exactly, so m >= 2 here.
     """
     m = bounds.rows.shape[1]
-    members = [np.concatenate([np.zeros(m), [1.0]])[None, :]]
-    for u, lo in zip(-bounds.rows, -bounds.highs):
-        if lo > dini.DIVERGENCE_CAP:
-            continue
-        p1 = math.atan(lo) if abs(lo) <= dini.DIVERGENCE_CAP else -math.pi / 2.0
-        members.append(geometry.fan(u, p1, math.pi / 2.0, math.pi / 4.0))
-    return FiberCone.from_directions(np.vstack(members), m + 1)
+    up = np.concatenate([np.zeros(m), [1.0]])[None, :]
+    lows = -bounds.highs
+    keep = ~(lows > dini.DIVERGENCE_CAP)
+    p1 = [math.atan(lo) if abs(lo) <= dini.DIVERGENCE_CAP else -math.pi / 2.0
+          for lo in lows[keep].tolist()]
+    fans = geometry.fan(-bounds.rows[keep], p1, math.pi / 2.0, math.pi / 4.0)
+    return FiberCone.from_directions(np.vstack([up, fans]), m + 1)
 
 
 def _epigraph_polar_lower(bounds: dini.FixedBounds) -> FiberCone:

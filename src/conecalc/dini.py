@@ -37,8 +37,8 @@ The kernel takes a stack of direction rows.  Per scale it calls ``f``
 once on the base points, then on the t sub-ladder of every row, in
 t-major order.  A call holds as many whole t steps as fit in
 ``QUOTIENT_ROW_CAP`` probe points (but always one full t step), a size
-that keeps the call's arrays in cache, so a scale spans several calls
-unless the stack is small.  Each call's values go straight to per-t
+chosen so that a call's arrays stay small (see the cap's comment), so a
+scale spans several calls unless the stack is small.  Each call's values go straight to per-t
 extrema over the base points, then to extrema over t in t order; the
 full array of quotients is never built.  The per-t minima are taken only
 where lows are read, by ``quotient_scan`` and ``fixed_bounds``; ``slabs``
@@ -71,10 +71,10 @@ from . import sampling
 DIVERGENCE_CAP = 1e3
 HARD_CAP = 1e9
 T_SUBSTEPS = 30          # t sub-ladder: r_k * 2**-(0..29)
-# probe points per f call in the quotient scan, sized so that a call's
-# probes, values and quotients stay in a core's L2 cache: on the scalar 2-D
-# domain-grid scans 2**14 to 2**16 time alike, and 2**18 spills, 15-20 %
-# slower
+# probe points per f call in the quotient scan.  Measured on one 2-core
+# host, on the scalar 2-D slab and fixed-base scans of sin(x1) + x2*x2:
+# caps of 2**14 to 2**16 time alike and 2**18 is 15-20 % slower.  A vector
+# map or a wider domain holds more bytes per point; no cap was timed there
 QUOTIENT_ROW_CAP = 1 << 15
 NOISE_BUDGET = 1e-7      # cancellation noise allowed in a single quotient
 

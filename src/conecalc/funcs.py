@@ -60,7 +60,7 @@ class FunctionHandle:
         single = X.ndim == 1
         pts = X.reshape(-1, self.m)
         out = np.asarray(self._fn(pts), dtype=float).reshape(len(pts), self.n)
-        if not _all_finite(out):
+        if not np.isfinite(out).all():
             i = int(np.argwhere(~np.isfinite(out).all(axis=1))[0][0])
             raise EvaluationError(
                 f"{self.name} is non-finite at {pts[i].tolist()}")
@@ -253,25 +253,13 @@ def _column(v, X):
     return v if np.ndim(v) else np.full(len(X), v)
 
 
-def _all_finite(v) -> bool:
-    """Whether every entry of v is finite, read off the dot product v.v
-    rather than a boolean temporary: a non-finite entry makes it
-    non-finite.  Only then, or when it overflows (entries past 1e154), is
-    each entry tested."""
-    v = np.ravel(v)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(np.dot(v, v)):
-            return True
-    return bool(np.isfinite(v).all())
-
-
 def _times(a, b):
     out = a * b
     # an exact zero factor wins over a non-finite partner, so oscillatory
     # singularities declared through a vanishing envelope evaluate
     # cleanly; such a product is zero or non-finite, so only then is the
     # rule checked
-    if out.all() and _all_finite(out):
+    if out.all() and np.isfinite(out).all():
         return out
     zero = (a == 0.0) | (b == 0.0)
     if zero.any():

@@ -308,28 +308,24 @@ def strict_cone(cloud: PointCloud, complement: PointCloud | None, x,
     return FiberCone.from_directions(keep, cloud.dim, resolution=rho)
 
 
-def fan(u, p1: float, p2: float, step: float) -> np.ndarray:
-    """Rows (cos psi * u, sin psi) for psi from p1 to p2 at most ``step`` apart.
+def fan(base, p1, p2, step: float) -> np.ndarray:
+    """Rows (cos psi * u, sin psi) for each row u of base, psi from its p1
+    to its p2 at most ``step`` apart, stacked in row order.
 
     The directions over the domain ray of u whose elevation runs from p1
     to p2; every slab-built cone over a domain of two or more dimensions
-    is a union of fans.
+    is a union of fans.  p1 and p2 are arrays over the rows or scalars.
+    Each fan's elevations are ``np.linspace(p1, p2, count)``'s to the bit:
+    k * ((p2 - p1) / (count - 1)) + p1, then p2 last.  linspace's branch
+    for a step that underflows never differs here: a span below ``step``
+    has count 2, so only an empty span steps by zero.
     """
-    count = max(2, int(math.ceil((p2 - p1) / step)) + 1)
-    psi = np.linspace(p1, p2, count)
-    return np.column_stack([np.outer(np.cos(psi), u), np.sin(psi)])
-
-
-def _fans(base: np.ndarray, p1: np.ndarray, p2: np.ndarray, step: float) -> np.ndarray:
-    """``fan(u, a, b, step)`` for every row u of base with its a and b,
-    stacked in row order from one numpy pass.  The elevations are
-    ``np.linspace``'s to the bit: k * ((b - a) / div) + a, then b last.
-    linspace's branch for a step that underflows never differs here: a
-    span below ``step`` has div = 1, so only an empty span steps by zero.
-    """
+    base = np.atleast_2d(np.asarray(base, dtype=float))
+    p1 = np.broadcast_to(np.asarray(p1, dtype=float), len(base))
+    p2 = np.broadcast_to(np.asarray(p2, dtype=float), len(base))
     counts = np.maximum(2, np.ceil((p2 - p1) / step).astype(np.int64) + 1)
     ends = np.cumsum(counts)
-    k = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+    k = np.arange(counts.sum()) - np.repeat(ends - counts, counts)
     psi = k * np.repeat((p2 - p1) / (counts - 1), counts)
     psi += np.repeat(p1, counts)
     psi[ends - 1] = p2
@@ -372,10 +368,11 @@ def graph_whitney(f, x, ladder: dini.ScaleLadder) -> FiberCone:
     # the circle's fans step at the half-degree of its grid; higher
     # domains step at the fiber grid's spacing
     step = sampling.grid_resolution(2 if f.m == 2 else f.m + 1)
-    # python's min, max and math.atan, the elevations fan() was given
+    # math.atan row by row keeps the elevations' bits; np.arctan may
+    # round otherwise
     p1, p2 = np.array([(math.atan(min(a, b)), math.atan(max(a, b)))
                        for a, b in zip(lo.tolist(), hi.tolist())]).T
-    members = [_fans(base, p1, p2, step)]
+    members = [fan(base, p1, p2, step)]
     if vertical:
         up = np.zeros((2, f.m + 1))
         up[:, -1] = [1.0, -1.0]

@@ -576,7 +576,7 @@ class TestGraphWhitney:
         assert np.abs(got - want).max() <= 1e-9
 
     @pytest.mark.parametrize("m", [2, 3])
-    def test_stacked_fans_are_the_fans_bit_for_bit(self, m):
+    def test_fans_are_linspace_bit_for_bit(self, m):
         # equal ends, signed zeros, a subnormal span, the vertical's +-pi/2
         # and ordinary spans, on grid rows as graph_whitney takes them
         rng = np.random.default_rng(m)
@@ -585,8 +585,14 @@ class TestGraphWhitney:
         b = np.concatenate([[0.0, 0.3, PI / 2, 5e-324, 0.0],
                             a[5:] + rng.exponential(0.5, 85)])
         step = sampling.grid_resolution(m if m == 2 else m + 1)
-        want = np.vstack([geometry.fan(u, p1, p2, step) for u, p1, p2 in zip(base, a, b)])
-        assert geometry._fans(base, a, b, step).tobytes() == want.tobytes()
+        want = []
+        for u, p1, p2 in zip(base, a, b):
+            psi = np.linspace(p1, p2, max(2, math.ceil((p2 - p1) / step) + 1))
+            want.append(np.column_stack([np.outer(np.cos(psi), u), np.sin(psi)]))
+        assert geometry.fan(base, a, b, step).tobytes() == np.vstack(want).tobytes()
+        # one row, scalar ends, and no rows at all
+        assert geometry.fan(base[7], a[7], b[7], step).tobytes() == want[7].tobytes()
+        assert geometry.fan(base[:0], a[:0], PI / 2, step).shape == (0, m + 1)
 
 
 class TestStrictCone:
