@@ -54,10 +54,8 @@ class AnalysisReport:
     strictly_differentiable: bool
     derivative: list | None
     fo_extremum: str | None
-    monotone_1d: str | None
     whitney_immersive: bool | None
     microlocally_submersive: bool | None
-    witnesses: list
     whitney: FiberCone
     conormal: conormal.ConormalEstimate
     tolerances: dict
@@ -168,10 +166,8 @@ def classify_point(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
         strictly_differentiable=bool(strict),
         derivative=None if deriv is None else deriv.tolist(),
         fo_extremum=fo,
-        monotone_1d=None,
         whitney_immersive=immersive,
         microlocally_submersive=submersive,
-        witnesses=[],
         whitney=w,
         conormal=est,
         tolerances={"vertical": vt, "strict_vertical": STRICT_VERTICAL_TOL},
@@ -235,8 +231,7 @@ def fo_extremum(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
 def _mv_ladder(template: dini.ScaleLadder, width: float, k_max: int):
     t0 = max(2.0 * width, 1e-6)
     return dini.ScaleLadder(t0=t0, ratio=template.ratio, k_min=0, k_max=k_max,
-                            dir_jitter=template.dir_jitter,
-                            base_count=template.base_count, seed=template.seed)
+                            seed=template.seed)
 
 
 def mean_value_witness(f: FunctionHandle, a, b, eta0: float = 1.0,

@@ -2,8 +2,10 @@
 
 Reports are deterministic: identical configuration (including the seed)
 produces byte-identical output.  Timing goes to stderr, never into the
-report.  Exit codes: 0 success, 1 usage error, 2 estimation failure or
-property violation.
+report.  A report is one ``json.dumps`` of its structured form; a sampled
+cone in it gives its member count, its resolution and at most
+``REPORT_ROWS`` members, so the size stays bounded.  Exit codes: 0
+success, 1 usage error, 2 estimation failure or property violation.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import dataclasses
 import json
 import math
 import os
-import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -28,7 +29,7 @@ from .cones import FiberCone
 from .errors import (ConeCalcError, DimensionMismatchError, EvaluationError,
                      ParseError)
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 KNOWN_CHECKS = ("conormal-upper", "epigraph-split")
 
@@ -90,31 +91,31 @@ def _float_json(v: float, rounded: bool):
     return round(float(v), 6) if rounded else float(v)
 
 
-# render_report: a direction matrix rides through json.dumps as the string
-# _ROWS_MARK + index and is written in blocks of at most _ROW_BLOCK rows
-_ROWS_MARK = "\x00rows"
-_ROWS_RE = re.compile(r'"\\u0000rows(\d+)"')
-_ROW_BLOCK = 1 << 14
-# _matrix_text looks up the six decimals of rint(|v| 1e6) as two groups of
-# three ASCII digits: _LOW[n] turns the trailing zeros of n into NULs, and
-# _HIGH[n] keeps them, except that _HIGH[n + 1000], taken when the low
-# group is zero, turns all of them but the first digit into NULs
-_FULL = np.array([b"%03d" % n for n in range(1000)]).view(np.uint8).reshape(1000, 3)
-_LOW = np.where(np.arange(1000)[:, None] % [1000, 100, 10] != 0, _FULL,
-                0).astype(np.uint8)
-_HIGH = np.vstack([_FULL, np.column_stack([_FULL[:, 0], _LOW[:, 1:]])])
+# the most direction rows a sampled cone writes into a report
+REPORT_ROWS = 256
 
 
-def cone_to_json(cone: FiberCone, rows: list | None = None) -> dict:
+def _report_rows(directions: np.ndarray) -> list:
+    """Every member when there are at most ``REPORT_ROWS``, otherwise
+    every ceil(count / REPORT_ROWS)-th in member order, rounded to six
+    decimals."""
+    if not np.isfinite(directions).all():
+        raise ValueError("refusing to serialize NaN into a report")
+    step = max(1, -(-len(directions) // REPORT_ROWS))
+    return np.round(directions[::step], 6).tolist()
+
+
+def cone_to_json(cone: FiberCone) -> dict:
     """Structured form of a cone.
 
     The kind ``"polyhedral"`` marks the zero cone, written with an empty
     ``"generators"`` list, or the full cone, written with an empty
     ``"halfspaces"`` list; in 2-D both carry their ``"arcs"`` as well.
 
-    A sampled cone's direction matrix goes into the dict as nested lists,
-    or, when ``rows`` is given, is appended to ``rows`` and replaced by a
-    placeholder string that ``render_report`` swaps for the matrix text.
+    A sampled cone writes its true member ``"count"``, its
+    ``"resolution"`` and, off the plane, at most ``REPORT_ROWS`` of its
+    members under ``"directions"`` (``_report_rows``); the Python API
+    keeps every member.
     """
     rep = cone.rep
     out: dict = {"dim": cone.dim}
@@ -128,14 +129,7 @@ def cone_to_json(cone: FiberCone, rows: list | None = None) -> dict:
         out["resolution"] = round(float(rep.resolution), 6)
         out["count"] = int(len(rep.directions))
         if cone.dim != 2:
-            dirs = np.round(rep.directions, 6)
-            if not np.isfinite(dirs).all():
-                raise ValueError("refusing to serialize NaN into a report")
-            if rows is None:
-                out["directions"] = dirs.tolist()
-            else:
-                out["directions"] = f"{_ROWS_MARK}{len(rows)}"
-                rows.append(dirs)
+            out["directions"] = _report_rows(rep.directions)
     if cone.dim == 2:
         # exact arcs as they are; dense member lists compact to
         # grid-resolution arcs
@@ -144,12 +138,12 @@ def cone_to_json(cone: FiberCone, rows: list | None = None) -> dict:
     return out
 
 
-def to_jsonable(obj, key=None, rows: list | None = None):
+def to_jsonable(obj, key=None):
     """Recursive report serializer.
 
     Angles (keys mentioning angle/worst/tolerance/resolution) round to six
     decimals; infinities become {"inf": true, "sign": +-1}; cones get their
-    structured form.  ``rows`` is passed on to ``cone_to_json``.
+    structured form.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -162,104 +156,23 @@ def to_jsonable(obj, key=None, rows: list | None = None):
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, FiberCone):
-        return cone_to_json(obj, rows)
+        return cone_to_json(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name), f.name, rows)
+        return {f.name: to_jsonable(getattr(obj, f.name), f.name)
                 for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
-        return {str(k): to_jsonable(v, k, rows) for k, v in obj.items()}
+        return {str(k): to_jsonable(v, k) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        return to_jsonable(obj.tolist(), key, rows)
+        return to_jsonable(obj.tolist(), key)
     if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v, key, rows) for v in obj]
+        return [to_jsonable(v, key) for v in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
 def render_report(report: dict) -> str:
-    """The report as indented JSON with sorted keys, newline-terminated.
-
-    The text equals ``json.dumps(to_jsonable(report), sort_keys=True,
-    indent=2, allow_nan=False) + "\n"``.  ``json`` indents through its
-    pure-Python encoder, one step per number, which is too slow for the
-    hundreds of thousands of directions of a sampled cone.  So ``json``
-    renders the report with a placeholder in place of each direction
-    matrix, and ``_matrix_text`` writes the digits of the matrices with
-    numpy.  A placeholder starts with NUL, which no other report string
-    holds.  The pieces are joined once, at the end.
-    """
-    rows: list = []
-    text = json.dumps(to_jsonable(report, rows=rows), sort_keys=True,
-                      indent=2, allow_nan=False)
-    parts, pos = [], 0
-    for mark in _ROWS_RE.finditer(text):
-        line = text[text.rfind("\n", 0, mark.start()) + 1:mark.start()]
-        parts.append(text[pos:mark.start()])
-        parts += _matrix_text(rows[int(mark.group(1))],
-                              len(line) - len(line.lstrip(" ")))
-        pos = mark.end()
-    parts += [text[pos:], "\n"]
-    return "".join(parts)
-
-
-def _matrix_text(a: np.ndarray, indent: int) -> list[str]:
-    """``json.dumps(a.tolist(), indent=2)`` in pieces, for a 2-D array of
-    finite floats whose opening bracket sits on a line indented by
-    ``indent`` spaces.
-
-    ``json`` writes a float as ``float.__repr__``.  For a value v rounded
-    to six decimals that string follows from k = rint(v 1e6) alone: when
-    k / 1e6 == v and 100 <= |k| <= 10**6, it is the sign, one integer
-    digit, ".", and the six decimals of k without their trailing zeros
-    but at least one; k = 0 gives "0.0" or "-0.0".  Every other value,
-    i.e. the exponent forms (0 < |k| < 100), |v| > 1 and values with more
-    decimals, gets its ``repr``.  Each block of at most ``_ROW_BLOCK``
-    rows is one byte matrix that holds the brackets, commas and
-    indentation, and one NUL-padded slot per value, as wide as the
-    longest value of the block; the NULs are then deleted.
-    """
-    if len(a) == 0:
-        return ["[]"]
-    outer = "\n" + " " * (indent + 2)
-    inner = "\n" + " " * (indent + 4)
-    pieces = [_block_text(a[lo:lo + _ROW_BLOCK], outer, inner)
-              for lo in range(0, len(a), _ROW_BLOCK)]
-    # every row is written after its separator "," + outer; the first
-    # row's separator becomes the opening "[" + outer
-    pieces[0] = "[" + pieces[0][1:]
-    pieces.append("\n" + " " * indent + "]")
-    return pieces
-
-
-def _block_text(v: np.ndarray, outer: str, inner: str) -> str:
-    """The rows of v, each after its separator "," + outer."""
-    scaled = np.rint(v * 1e6)
-    mag = np.abs(scaled)
-    fixed = (scaled / 1e6 == v) & (((mag >= 100) & (mag <= 1e6)) | (mag == 0))
-    other = np.flatnonzero(~fixed)
-    text = np.array([repr(x).encode() for x in v.ravel()[other].tolist()],
-                    dtype=bytes)
-    width = max(9, text.itemsize)
-    cells = np.zeros(v.shape + (width,), dtype=np.uint8)
-    k = np.where(fixed, mag, 0.0).astype(np.int32)
-    cells[..., 0] = np.where(np.signbit(v), ord("-"), 0)
-    cells[..., 1] = ord("0") + k // 10 ** 6
-    cells[..., 2] = ord(".")
-    high, low = k // 1000 % 1000, k % 1000
-    cells[..., 3:6] = _HIGH[high + 1000 * (low == 0)]
-    cells[..., 6:9] = _LOW[low]
-    cells.reshape(-1, width)[other] = (
-        text.astype(f"S{width}").view(np.uint8).reshape(-1, width))
-
-    slot = "\0" * width
-    template = ("," + outer + "[" + inner + slot
-                + ("," + inner + slot) * (v.shape[1] - 1) + outer + "]")
-    start = len("," + outer + "[" + inner)
-    step = len("," + inner) + width
-    buf = np.empty((len(v), len(template)), dtype=np.uint8)
-    buf[:] = np.frombuffer(template.encode(), dtype=np.uint8)
-    for j in range(v.shape[1]):
-        buf[:, start + j * step:start + j * step + width] = cells[:, j]
-    return buf.tobytes().translate(None, b"\0").decode("ascii")
+    """The report as indented JSON with sorted keys, newline-terminated."""
+    return json.dumps(to_jsonable(report), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def load_schema() -> dict:
@@ -578,9 +491,7 @@ def main(argv=None) -> int:
         text = render_report(report)
         if cfg.report:
             with open(cfg.report, "w") as fh:
-                # in slices, so the encoder never holds a copy of the whole
-                for at in range(0, len(text), 1 << 20):
-                    fh.write(text[at:at + (1 << 20)])
+                fh.write(text)
         else:
             sys.stdout.write(text)
     except (UsageError, ParseError, DimensionMismatchError, OSError) as exc:

@@ -77,6 +77,8 @@ T_SUBSTEPS = 30          # t sub-ladder: r_k * 2**-(0..29)
 # map or a wider domain holds more bytes per point; no cap was timed there
 QUOTIENT_ROW_CAP = 1 << 15
 NOISE_BUDGET = 1e-7      # cancellation noise allowed in a single quotient
+DIR_JITTER = 32          # jittered copies of each direction per scale
+BASE_COUNT = 64          # moving-base window points per scale, x among them
 
 
 def resolve_seed(seed: int | None) -> int:
@@ -95,8 +97,6 @@ class ScaleLadder:
     ratio: float = 0.5
     k_min: int = 4
     k_max: int = 16
-    dir_jitter: int = 32
-    base_count: int = 64
     seed: int | None = None
 
     def __post_init__(self):
@@ -207,10 +207,10 @@ def _limits(highs: np.ndarray, shallow: np.ndarray):
     return limit, diverged, stable
 
 
-def _base_offsets(m: int, jitter: int, total: int, seed: int) -> np.ndarray:
+def _base_offsets(m: int, seed: int) -> np.ndarray:
     """Window offsets: x repeated for each jitter, then a space-filling rest."""
-    fixed = np.zeros((jitter, m))
-    rest = total - jitter
+    fixed = np.zeros((DIR_JITTER, m))
+    rest = BASE_COUNT - DIR_JITTER
     if m == 1:
         # deterministic line coverage beats Monte Carlo in one dimension
         line = np.linspace(-1.0, 1.0, max(rest, 2))[:, None]
@@ -276,13 +276,12 @@ def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool, chord_sets=None,
         k = lad.k_min + ki
         kept = None if chord_sets is None or ki < nk - 3 else np.empty((0, m + n))
         if moving_base:
-            offs = _base_offsets(m, lad.dir_jitter, lad.base_count,
-                                 sampling.child_seed(seed, 11, k))
+            offs = _base_offsets(m, sampling.child_seed(seed, 11, k))
         else:
-            offs = np.zeros((lad.dir_jitter, m))
+            offs = np.zeros((DIR_JITTER, m))
         Y = x[None, :] + r * offs
         B = len(Y)
-        G = sampling.sphere_points(m, lad.dir_jitter, sampling.child_seed(seed, 23, k))
+        G = sampling.sphere_points(m, DIR_JITTER, sampling.child_seed(seed, 23, k))
         Gc = G[np.arange(B) % len(G)]
         # capped so the jitter can never cancel the unit direction (k = 0)
         delta = min(0.5, lad.ratio ** (2 * k))
