@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -363,6 +362,8 @@ def _map_points(fn, pts, jobs: int) -> list:
     """fn at each query point, in order; on a pool of jobs threads when
     jobs > 1."""
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, pts))
     return [fn(x) for x in pts]
@@ -402,7 +403,7 @@ def cmd_cones(cfg: RunConfig) -> dict:
 
     complement = None
     body = cloud
-    if cloud.labels is not None and {"A", "B"} <= set(np.unique(cloud.labels)):
+    if cloud.labels is not None and {"A", "B"} <= set(cloud.labels.tolist()):
         body = cloud.subset("A")
         complement = cloud.subset("B")
 

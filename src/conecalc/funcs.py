@@ -37,6 +37,7 @@ contiguous row.
 from __future__ import annotations
 
 import csv
+import io
 import re
 from dataclasses import dataclass, field
 from typing import Callable
@@ -463,26 +464,54 @@ def builtin_names() -> list[tuple[str, str]]:
 # CSV ingestion
 
 def read_csv_columns(path: str):
-    """Read an x1..xd[,label] table; returns (points, labels_or_None)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+    """Read an x1..xd[,label] table; returns (points, labels_or_None).
+
+    One ``np.loadtxt`` call parses the rows below the header.  It reads a
+    number as float() does, or fails on it, and fails on a row of the
+    wrong width.  Where it fails, or the rows hold a quote (which only
+    ``csv`` unquotes), no row at all or a non-finite number, ``_scan_rows``
+    reads the rows through ``csv`` instead: it names the first faulty row
+    or returns what loadtxt could not read, such as a blank row of cells.
+    """
+    # utf-8-sig drops the byte order mark some editors write
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header = next(csv.reader(fh), None)
+        body = fh.read()
+    if header is None:
         raise ValueError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
-    has_label = header and header[-1] == "label"
+    header = [c.strip() for c in header]
+    has_label = bool(header) and header[-1] == "label"
     coord_names = header[:-1] if has_label else header
     expected = [f"x{i+1}" for i in range(len(coord_names))]
     if coord_names != expected:
         raise ValueError(f"{path}: header must be x1,...,xd[,label], got {header}")
-    width = len(header)
-    data = [(r, row) for r, row in enumerate(rows[1:], start=2)
+    ncoord = len(coord_names)
+    if ncoord and body.strip() and '"' not in body:
+        fields = [("x", float, (ncoord,))] + ([("label", object)] if has_label else [])
+        try:
+            table = np.loadtxt(io.StringIO(body), dtype=fields, delimiter=",",
+                               comments=None, ndmin=1)
+        except ValueError:
+            table = None
+        if table is not None and np.isfinite(table["x"]).all():
+            labels = (np.asarray([c.strip() for c in table["label"].tolist()])
+                      if has_label else None)
+            return np.ascontiguousarray(table["x"]), labels
+    return _scan_rows(path, body, len(header), ncoord, has_label)
+
+
+def _scan_rows(path: str, body: str, width: int, ncoord: int, has_label: bool):
+    """The table below the header row by row, through ``csv``: rows of
+    blank cells are skipped, and the first row of the wrong width, with a
+    bad number or with a non-finite one raises with its row number."""
+    rows = csv.reader(io.StringIO(body, newline=""))
+    data = [(r, row) for r, row in enumerate(rows, start=2)
             if any(map(str.strip, row))]
     for r, row in data:
         if len(row) != width:
             raise ValueError(f"{path}:{r}: expected {width} cells, got {len(row)}")
     if not data:
         raise ValueError(f"{path}: no data rows")
-    ncoord = len(coord_names)
     cells = [row[:ncoord] for _, row in data]
     # numpy parses each cell as float() does
     try:

@@ -92,7 +92,7 @@ def cloud_ladder(cloud: PointCloud, x, seed: int = 0) -> dini.ScaleLadder:
         dirs = diffs[sel] / dists[sel][:, None]
         chord, _ = sampling.CellIndex(dirs).nearest(dirs, 2)
         gaps = 2.0 * np.arcsin(np.clip(chord[:, 1] / 2.0, 0.0, 1.0))
-        if float(np.quantile(gaps, 0.9)) <= 2.0 * rho or k >= cap:
+        if float(_quantile(gaps, 0.9)) <= 2.0 * rho or k >= cap:
             break
         k *= 2
     t0 = float(dists[order[-1]])
@@ -100,6 +100,21 @@ def cloud_ladder(cloud: PointCloud, x, seed: int = 0) -> dini.ScaleLadder:
     k_max = int(math.floor(math.log(max(r_deep, 1e-9) / t0, 0.5)))
     return dini.ScaleLadder(t0=t0, ratio=0.5, k_min=0,
                             k_max=max(2, min(12, k_max)), seed=seed)
+
+
+def _quantile(a: np.ndarray, q: float) -> float:
+    """``np.quantile(a, q)`` of a non-empty 1-D array of finite values, bit
+    for bit: its linear interpolation between the two order statistics
+    around (n - 1) q, without the ``np.unique`` that loads numpy.ma."""
+    n = len(a)
+    if n == 1:
+        return a[0]
+    at = (n - 1) * q
+    i = math.floor(at)
+    lo, hi = np.partition(a, [i, i + 1])[[i, i + 1]]
+    t = at - i
+    diff = hi - lo
+    return hi - diff * (1 - t) if t >= 0.5 else lo + diff * t
 
 
 def _persistent_directions(dir_sets: list[np.ndarray], tol: float) -> np.ndarray:
@@ -133,16 +148,15 @@ def _persistent_directions(dir_sets: list[np.ndarray], tol: float) -> np.ndarray
         # tol less NEAR_MARGIN, 2 sin(tol/2) (1 - NEAR_MARGIN), up to tol 2.5,
         # so a row in a cube that a set occupies lies within tol of it
         fits = 0.75 * tol <= 2.0 * math.sin(0.5 * tol) * (1.0 - sampling.NEAR_MARGIN)
-        cubes = [c for _, c in keyed] if fits else None
+        cubes = _cube_tables([c for _, c in keyed]) if fits else None
     del keyed
-    # no sort order reaches the result: a voxel's first member is the
-    # smallest index in its run of equal keys
-    order = np.argsort(keys)
-    keys = keys[order]
+    # the key order lists equal keys in member order, so a voxel's first
+    # member heads its run
+    order, keys = sampling._key_order(keys)
     head = np.r_[True, keys[1:] != keys[:-1]]
     del keys
     first = np.zeros(len(order), dtype=bool)
-    first[np.minimum.reduceat(order, np.flatnonzero(head))] = True
+    first[order[head]] = True
     cand = np.flatnonzero(first)
     indexes: dict = {}
     passed = _near_every_other(sets, starts, cubes, cand, tol, indexes)
@@ -159,6 +173,27 @@ def _persistent_directions(dir_sets: list[np.ndarray], tol: float) -> np.ndarray
         _, at = np.unique(voxel[later], return_index=True)
         keep[later[at]] = True
     return _rows(sets, starts, np.flatnonzero(keep))
+
+
+def _cube_tables(cube_keys: list) -> tuple:
+    """Each member's cube as a small index, the sets laid end to end, and
+    for each set a table over those indexes of the cubes it occupies.
+
+    The indexes are the keys less their minimum where that range is short,
+    else the ranks of the distinct keys.
+    """
+    keys = np.concatenate(cube_keys)
+    low = int(keys.min())
+    if int(keys.max()) - low < 8 * len(keys):
+        ids = keys - low
+    else:
+        ids = np.unique(keys, return_inverse=True)[1].reshape(-1)
+    size = int(ids.max()) + 1
+    tables = []
+    for part in np.split(ids, np.cumsum([len(c) for c in cube_keys])[:-1]):
+        tables.append(np.zeros(size, dtype=bool))
+        tables[-1][part] = True
+    return ids, tables
 
 
 def _persistent_cone(dir_sets: list[np.ndarray], dim: int) -> FiberCone:
@@ -178,20 +213,19 @@ def _rows(arrays: list, starts: np.ndarray, idx: np.ndarray) -> np.ndarray:
                            for j, a in enumerate(arrays)])
 
 
-def _near_every_other(sets: list, starts: np.ndarray, cubes: list | None,
+def _near_every_other(sets: list, starts: np.ndarray, cubes: tuple | None,
                       idx: np.ndarray, tol: float, indexes: dict) -> np.ndarray:
     """Whether each member idx (ascending, rows of the sets laid end to end)
     lies within tol of every set but its own, bit for bit as
     ``sampling.min_angle_to_set`` reads it.
 
-    A member passes its own set.  A member whose cube (``cubes[j]`` holds
-    the cube keys of set j's rows) holds a row of another set is near that
-    set.  Each row left open gets ``sampling.CellIndex.near`` against the
-    set's index, built once per set into ``indexes`` and only when a row is
-    open.
+    A member passes its own set.  A member whose cube holds a row of
+    another set is near that set (``cubes`` is ``_cube_tables``' pair).
+    Each row left open gets ``sampling.CellIndex.near`` against the set's
+    index, built once per set into ``indexes`` and only when a row is open.
     """
     rows = _rows(sets, starts, idx)
-    cube = None if cubes is None else _rows(cubes, starts, idx)
+    cube = None if cubes is None else cubes[0][idx]
     cut = np.searchsorted(idx, starts)
     alive = np.ones(len(idx), dtype=bool)
     for j, s in enumerate(sets):
@@ -199,7 +233,7 @@ def _near_every_other(sets: list, starts: np.ndarray, cubes: list | None,
         ask[cut[j]:cut[j + 1]] = False
         ask = np.flatnonzero(ask)
         near = (np.zeros(len(ask), dtype=bool) if cube is None
-                else np.isin(cube[ask], cubes[j]))
+                else cubes[1][j][cube[ask]])
         rest = np.flatnonzero(~near)
         if len(rest):
             if j not in indexes:
@@ -231,23 +265,44 @@ def tangent_cone(cloud: PointCloud, x, ladder: dini.ScaleLadder) -> FiberCone:
 
 
 def _pair_directions(A: np.ndarray, B: np.ndarray, seed: int) -> np.ndarray:
+    """Unit chords b - a of pairs of rows of A and B, in pair order, zero
+    chords dropped.
+
+    Every pair, a by a, when there are at most PAIR_BUDGET; else
+    PAIR_BUDGET seeded random pairs, then each a with its min(4, nb)
+    nearest b.  The chords are formed and scaled one coordinate at a time;
+    below 8 coordinates ``np.linalg.norm`` adds the squares from left to
+    right, as here, so every row keeps the bits of the row-major chords.
+    """
     na, nb = len(A), len(B)
     if na * nb <= PAIR_BUDGET:
-        d = B[None, :, :] - A[:, None, :]
-        d = d.reshape(-1, A.shape[1])
+        ia = np.repeat(np.arange(na), nb)
+        ib = np.tile(np.arange(nb), na)
     else:
         rng = np.random.default_rng(seed)
         ia = rng.integers(0, na, PAIR_BUDGET)
         ib = rng.integers(0, nb, PAIR_BUDGET)
-        d = B[ib] - A[ia]
         # random pairs under-sample small separations, where the limit
         # directions actually live; nearest neighbors fill that in
         _, idx = sampling.CellIndex(B).nearest(A, min(4, nb))
-        nn = (B[idx] - A[:, None, :]).reshape(-1, A.shape[1])
-        d = np.vstack([d, nn])
-    nrm = np.linalg.norm(d, axis=1)
-    d = d[nrm > 0] / nrm[nrm > 0][:, None]
-    return d
+        ia = np.concatenate([ia, np.repeat(np.arange(na), idx.shape[1])])
+        ib = np.concatenate([ib, idx.ravel()])
+    cols = [B[:, j][ib] - A[:, j][ia] for j in range(A.shape[1])]
+    if len(cols) < 8:
+        nrm = cols[0] * cols[0]
+        for c in cols[1:]:
+            nrm += c * c
+        nrm = np.sqrt(nrm, out=nrm)
+    else:
+        nrm = np.linalg.norm(np.column_stack(cols), axis=1)
+    keep = nrm > 0
+    if not keep.all():
+        nrm, cols = nrm[keep], [c[keep] for c in cols]
+    # column-major, so each chord column is contiguous
+    out = np.empty((len(cols), len(nrm))).T
+    for j, c in enumerate(cols):
+        np.divide(c, nrm, out=out[:, j])
+    return out
 
 
 def whitney_cone(cloud_a: PointCloud, cloud_b: PointCloud, x,

@@ -161,7 +161,6 @@ def min_angle_to_set(dirs: np.ndarray, members: np.ndarray) -> np.ndarray:
 # much (relative) smaller than the chord of tol allows, and the cubes of
 # CellIndex.near this much larger
 NEAR_MARGIN = 1e-6
-VOXEL_BLOCK = 1 << 15
 
 
 def _cell_count(lo: np.ndarray, hi: np.ndarray, side: float) -> int:
@@ -193,21 +192,44 @@ def voxel_keys(arrays: list, side: float, merge: int = 1) -> list | None:
     cells = _cell_count(lo, hi, side)
     if not cells:
         return None
-    shape = (cells,) * len(lo)
-    merged = ((cells - 1) // merge + 1,) * len(lo)
+    wide = (cells - 1) // merge + 1
 
     def keys(x):
-        # packed voxel index per row, in row blocks to bound the temporaries
-        out = np.empty(len(x), dtype=np.int64)
-        big = np.empty(len(x) if merge > 1 else 0, dtype=np.int64)
-        for at in range(0, len(x), VOXEL_BLOCK):
-            k = np.floor((x[at:at + VOXEL_BLOCK] - lo) / side).astype(np.int64)
-            out[at:at + VOXEL_BLOCK] = np.ravel_multi_index(k.T, shape)
+        # the packed index (x1 cells + x2) cells + ..., column by column:
+        # ravel_multi_index's integer, exact below 2^62
+        out = np.zeros(len(x), dtype=np.int64)
+        big = np.zeros(len(x) if merge > 1 else 0, dtype=np.int64)
+        for c in range(x.shape[1]):
+            k = x[:, c] - lo[c]
+            k /= side
+            k = np.floor(k, out=k).astype(np.int64)
+            out *= cells
+            out += k
             if merge > 1:
-                big[at:at + VOXEL_BLOCK] = np.ravel_multi_index((k // merge).T, merged)
+                k //= merge
+                big *= wide
+                big += k
         return (out, big) if merge > 1 else out
 
     return [keys(a) for a in arrays]
+
+
+def _key_order(keys: np.ndarray) -> tuple:
+    """The permutation that sorts non-negative int64 keys, equal keys in
+    index order, and the sorted keys.
+
+    One ``np.sort`` of the words (key << b) | index, b the bit length of the
+    largest index, gives both; where a word would not fit in int64 a stable
+    argsort does.
+    """
+    bits = max(1, (len(keys) - 1).bit_length())
+    if not len(keys) or int(keys.max()) < 1 << (63 - bits):
+        words = keys << bits
+        words |= np.arange(len(keys))
+        words.sort()
+        return words & ((1 << bits) - 1), words >> bits
+    order = np.argsort(keys, kind="stable")
+    return order, keys[order]
 
 
 def _squared_chords(diffs: list) -> np.ndarray:
@@ -290,7 +312,7 @@ class _CubeGrid:
         self.strides = cells ** np.arange(axes - 1, -1, -1, dtype=np.int64)
         self.pad = int(self.strides.sum())
         key = self.keys(index.cols, clamp=False)
-        self.order = np.argsort(key)
+        self.order, _ = _key_order(key)
         self.first = np.zeros(self.pad + cells ** axes + 1, dtype=np.int64)
         count = np.bincount(key, minlength=cells ** axes)
         np.cumsum(count, out=self.first[self.pad + 1:])
@@ -472,9 +494,7 @@ class CellIndex:
         so that the first of equal chords is the lowest index.  Cubes go by
         descending list length, in blocks of rows that pad little.
         """
-        key = g.keys([c[rows] for c in qcols])
-        order = np.argsort(key)
-        key = key[order]
+        order, key = _key_order(g.keys([c[rows] for c in qcols]))
         head = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
         cubes = key[head]
         per = np.diff(np.r_[head, len(key)])

@@ -481,6 +481,35 @@ class TestDeterminism:
         assert json.loads(out)["config"]["seed"] == 11
 
 
+def test_runs_load_only_modules_they_use(tmp_path):
+    # the thread pool loads only for --jobs > 1, and numpy.ma, which a bare
+    # 1-D np.unique, np.isin or np.quantile loads, is never needed
+    wedge_cloud_csv(tmp_path / "cloud.csv", n=1500)
+    labeled_ball_csv(tmp_path / "ball.csv", n=1500)
+    script = (
+        "import sys\n"
+        "import conecalc.cli as cli\n"
+        "watch = {'concurrent.futures', 'numpy.ma'}\n"
+        "on_import = sorted(watch & set(sys.modules))\n"
+        "out = sys.argv[1]\n"
+        "codes = [cli.main(['analyze', '--fn', 'sin(x1)+x2*x2', '--at', "
+        "'0.3,-0.2', '--report', out + '/a.json']),\n"
+        "         cli.main(['cones', '--csv', out + '/cloud.csv', '--at', "
+        "'0,0,0', '--seed', '0', '--report', out + '/c.json']),\n"
+        "         cli.main(['cones', '--csv', out + '/ball.csv', '--at', "
+        "'0,0,0', '--seed', '0', '--report', out + '/b.json'])]\n"
+        "print(on_import, codes, sorted(watch & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[] [0, 0, 0] []\n"
+    # the labeled run found both labels, so its strict cone is not full
+    strict = json.loads((tmp_path / "b.json").read_text())["results"][0]["strict"]
+    assert strict["kind"] != "full"
+
+
 def wedge_cloud_csv(path, n=3000, seed=5):
     """n seeded points of {x3 >= |x1|} in the unit ball, apex first."""
     rng = np.random.default_rng(seed)

@@ -1,6 +1,10 @@
 """Expression parsing, builtin handles, and CSV ingestion."""
 
+import csv
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -410,6 +414,161 @@ class TestStratifiedFamily:
         assert h.meta["scale_floor"] == pytest.approx(4.0 ** -6)
 
 
+def reference_read_csv_columns(path: str):
+    """The CSV reader as first written: every row through ``csv``, then one
+    ``np.array`` of the cells, and a row by row scan for the first faulty
+    row."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    header = [c.strip() for c in rows[0]]
+    has_label = header and header[-1] == "label"
+    coord_names = header[:-1] if has_label else header
+    expected = [f"x{i+1}" for i in range(len(coord_names))]
+    if coord_names != expected:
+        raise ValueError(f"{path}: header must be x1,...,xd[,label], got {header}")
+    width = len(header)
+    data = [(r, row) for r, row in enumerate(rows[1:], start=2)
+            if any(map(str.strip, row))]
+    for r, row in data:
+        if len(row) != width:
+            raise ValueError(f"{path}:{r}: expected {width} cells, got {len(row)}")
+    if not data:
+        raise ValueError(f"{path}: no data rows")
+    ncoord = len(coord_names)
+    cells = [row[:ncoord] for _, row in data]
+    try:
+        points = np.array(cells, dtype=float)
+        ok = bool(np.isfinite(points).all())
+    except ValueError:
+        ok = False
+    if not ok:
+        for r, row in data:
+            try:
+                vals = [float(c) for c in row[:ncoord]]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{r}: bad number ({exc})") from None
+            if not np.isfinite(vals).all():
+                raise ValueError(f"{path}:{r}: non-finite number in {','.join(row)!r}")
+    labels = np.asarray([row[-1].strip() for _, row in data]) if has_label else None
+    return points, labels
+
+
+def read_outcome(reader, path):
+    """What a reader makes of a file: the bytes, shape and labels it
+    returns, or its error message."""
+    try:
+        points, labels = reader(path)
+    except ValueError as exc:
+        return str(exc)
+    return (points.dtype.str, points.shape, points.tobytes(),
+            None if labels is None else (labels.dtype.str, labels.tolist()))
+
+
+def assert_readers_agree(path):
+    got = read_outcome(funcs.read_csv_columns, path)
+    assert got == read_outcome(reference_read_csv_columns, path)
+    return got
+
+
+FLOAT_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-2.0, 2.0).map(lambda v: f"{v:.3f}"),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+)
+ODD_CELLS = st.sampled_from(["1_000", '"1.5"', '" 2"', " 1.5 ", "+.5", "-0", "1e-400",
+                             "4.9e-324", "1.", "inf", "-Infinity", "nan", "zz", "",
+                             " ", "0x10", "1d5", "#1", "1 2"])
+LABEL_CELLS = st.sampled_from(["A", "B", " A ", "b c", "", '"A"', '"B,C"', "label", "1"])
+
+
+@st.composite
+def csv_texts(draw):
+    """Tables of 1-3 coordinates, labeled or not, with CRLF or LF line
+    ends, blank and \" , \" rows, odd cells, trailing commas and rows of
+    the wrong width."""
+    dim = draw(st.integers(1, 3))
+    labeled = draw(st.booleans())
+    header = [f"x{i + 1}" for i in range(dim)] + (["label"] if labeled else [])
+    head = draw(st.sampled_from([",".join(header)] * 6 + [
+        ", ".join(header), ",".join(header) + ",", "x,y"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [head]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "spaces", "short", "long"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " , ", " ", ","])))
+            continue
+        cells = [draw(ODD_CELLS if draw(st.integers(0, 9)) == 0 else FLOAT_CELLS)
+                 for _ in range(dim)]
+        cells += [draw(LABEL_CELLS)] if labeled else []
+        if kind == "short":
+            cells = cells[:-1]
+        elif kind == "long":
+            cells.append("")
+        lines.append(",".join(cells))
+    last = draw(st.sampled_from([end, ""]))
+    return end.join(lines) + last
+
+
+def wedge_cloud_csv_of_the_benchmark(path, seed):
+    """The ``cones-cloud-3d`` benchmark's cloud file for the seed."""
+    spec = importlib.util.spec_from_file_location(
+        "conebench_workloads", Path(__file__).resolve().parents[1] / "conebench" / "workloads.py")
+    wl = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = wl
+    spec.loader.exec_module(wl)
+    wl.write_cloud_csv(wl.wedge_cloud(seed), path)
+
+
+class TestCsvParity:
+    """The one-call parse against the reader as first written: the same
+    array bytes, labels and error messages."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_texts())
+    def test_generated_tables(self, tmp_path_factory, text):
+        p = tmp_path_factory.mktemp("csv") / "c.csv"
+        p.write_bytes(text.encode())
+        assert_readers_agree(str(p))
+
+    def test_benchmark_wedge_cloud(self, tmp_path):
+        p = tmp_path / "cloud.csv"
+        wedge_cloud_csv_of_the_benchmark(p, 101)
+        points, labels = funcs.read_csv_columns(str(p))
+        assert points.shape == (20_000, 3) and labels is None
+        assert points.flags.c_contiguous
+        assert_readers_agree(str(p))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_labeled_clouds(self, tmp_path, dim, end):
+        rng = np.random.default_rng(dim)
+        pts = rng.uniform(-1.0, 1.0, (2000, dim))
+        labels = np.where(pts[:, -1] >= np.abs(pts[:, 0]), "A", "B")
+        head = ",".join(f"x{i + 1}" for i in range(dim)) + ",label"
+        p = tmp_path / "c.csv"
+        p.write_bytes((head + end + "".join(
+            ",".join(repr(float(v)) for v in row) + f",{lab}" + end
+            for row, lab in zip(pts, labels))).encode())
+        got = assert_readers_agree(str(p))
+        assert got[2] == pts.tobytes() and got[3][1] == labels.tolist()
+
+    @pytest.mark.parametrize("text", [
+        "x1,x2\n1,2\n", "x1,x2\r\n1,2\r\n\r\n , \r\n3,4\r\n", "x1,x2\r1,2\r3,4\r",
+        "x1\n1_000\n", 'x1,label\n"1.5","A"\n2,B\n', "x1,x2\n1,2,\n",
+        "x1,x2,label\n1,2,\n", "x1,x2\n1,2\n3\n", "x1,x2\n", "x1,x2\n\n\n",
+        "x1,x2\n , \n", "x1\ninf\n", "x1\nnan\n", "x1\nzz\n", "\n", "\n1\n",
+        "label\nA\n", "x1,x2\n1,2\n3,4,5\n", "x1\n\x0c\n2\n",
+    ])
+    def test_edge_tables(self, tmp_path, text):
+        p = tmp_path / "c.csv"
+        p.write_bytes(text.encode())
+        assert_readers_agree(str(p))
+
+
 class TestCsv:
     def _write(self, tmp_path, name, text):
         p = tmp_path / name
@@ -454,6 +613,21 @@ class TestCsv:
         p = self._write(tmp_path, "c.csv", "x1,x2\n" + body)
         with pytest.raises(ValueError, match=message):
             funcs.read_csv_columns(p)
+
+    def test_byte_order_mark(self, tmp_path):
+        # editors that save "UTF-8 with BOM" put U+FEFF before the header
+        p = tmp_path / "c.csv"
+        p.write_bytes(b"\xef\xbb\xbfx1,x2\n0,0\n1,0\n0,1\n")
+        pts, labels = funcs.read_csv_columns(str(p))
+        assert pts.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]] and labels is None
+        p.write_bytes(b"\xef\xbb\xbfx1,x2\n0,0\n1,zz\n")
+        with pytest.raises(ValueError, match=r"c\.csv:3: bad number"):
+            funcs.read_csv_columns(str(p))
+
+    def test_digits_loadtxt_does_not_read(self, tmp_path):
+        # float() reads other scripts' digits; the row scan takes them
+        p = self._write(tmp_path, "c.csv", "x1\n\u0661\n2\n")
+        assert funcs.read_csv_columns(p)[0].tolist() == [[1.0], [2.0]]
 
     def test_empty_and_headers_only(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):

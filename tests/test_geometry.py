@@ -74,6 +74,17 @@ class TestCloudLadder:
         # enough points in the deepest shell for 2*rho persistence
         assert (d <= lad.radii()[-1]).sum() >= 200
 
+    def test_quantile_equals_numpy(self):
+        # cloud_ladder's 0.9 quantile of the gaps, bit for bit, with and
+        # without ties
+        rng = np.random.default_rng(13)
+        for n in [*range(1, 201), 6666]:
+            for a in (rng.uniform(0.0, 0.1, n),
+                      rng.choice(rng.uniform(0.0, 0.1, max(1, n // 4)), n)):
+                want = np.quantile(a, 0.9)
+                got = geometry._quantile(a.copy(), 0.9)
+                assert np.float64(got).tobytes() == want.tobytes(), n
+
 
 class TestTangentCone:
     def test_halfplane_boundary(self):
@@ -132,6 +143,88 @@ class TestWhitneyCone:
         lad = dini.ScaleLadder(t0=0.5, ratio=0.5, k_min=0, k_max=4)
         w = geometry.whitney_cone(c, c, [0.0, 0.0], lad)
         assert w.is_zero()
+
+
+def reference_pair_directions(A, B, seed):
+    """The pair directions as first written: row-major chords, scaled by
+    ``np.linalg.norm``."""
+    na, nb = len(A), len(B)
+    if na * nb <= geometry.PAIR_BUDGET:
+        d = B[None, :, :] - A[:, None, :]
+        d = d.reshape(-1, A.shape[1])
+    else:
+        rng = np.random.default_rng(seed)
+        ia = rng.integers(0, na, geometry.PAIR_BUDGET)
+        ib = rng.integers(0, nb, geometry.PAIR_BUDGET)
+        d = B[ib] - A[ia]
+        _, idx = sampling.CellIndex(B).nearest(A, min(4, nb))
+        nn = (B[idx] - A[:, None, :]).reshape(-1, A.shape[1])
+        d = np.vstack([d, nn])
+    nrm = np.linalg.norm(d, axis=1)
+    return d[nrm > 0] / nrm[nrm > 0][:, None]
+
+
+class TestPairDirections:
+    """Column by column, the chords keep the row-major code's bits."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 9])
+    @pytest.mark.parametrize("na,nb", [(300, 600), (40, 7), (1, 1), (800, 400),
+                                       (70_000, 3)])
+    def test_equals_the_row_major_chords(self, dim, na, nb):
+        # points on a coarse lattice repeat, so some chords are zero; B
+        # shares rows with A, as a cloud paired with itself does
+        rng = np.random.default_rng(dim * na + nb)
+        A = rng.integers(-6, 7, (na, dim)) * 0.125 + rng.uniform(-1e-3, 1e-3, (na, dim)) * (
+            rng.random((na, 1)) < 0.5)
+        B = np.vstack([A[: nb // 2], rng.integers(-6, 7, (nb - nb // 2, dim)) * 0.125])
+        got = geometry._pair_directions(A, B, 77)
+        want = reference_pair_directions(A, B, 77)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if nb >= 2 and na * nb <= geometry.PAIR_BUDGET:
+            assert len(got) < na * nb
+
+    def test_a_cloud_with_itself(self):
+        # the whitney_cone call: every a - a chord is zero and dropped
+        pts = np.random.default_rng(3).uniform(-1.0, 1.0, (420, 3))
+        for A in (pts, pts[:100]):
+            got = geometry._pair_directions(A, A, 5)
+            assert got.tobytes() == reference_pair_directions(A, A, 5).tobytes()
+
+
+class TestKeyOrder:
+    """Packed-word sorts group keys as a stable argsort does."""
+
+    @pytest.mark.parametrize("high", [False, True])
+    def test_equals_stable_argsort(self, high):
+        # keys near 2^62 leave room for the index of at most two keys, so
+        # longer ones go to the stable argsort fallback
+        rng = np.random.default_rng(14)
+        for n in (1, 2, 7, 1000, 70_000):
+            keys = rng.integers(0, max(1, n // 5), n)
+            if high:
+                keys += (1 << 62) - n
+            order, ordered = sampling._key_order(keys)
+            want = np.argsort(keys, kind="stable")
+            assert np.array_equal(order, want) and np.array_equal(ordered, keys[want])
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_fallback_grouping_keeps_the_rows(self, monkeypatch, dim):
+        # persistence grouped through the fallback, forced by keys lifted
+        # just below 2^62, keeps the same rows as through packed words
+        sets = overlapping_sets(dim, 0)
+        tol = 2.0 * sampling.grid_resolution(dim)
+        want = geometry._persistent_directions(sets, tol)
+        key_order = sampling._key_order
+        lifted = []
+
+        def high(keys):
+            order, _ = key_order(keys + ((1 << 62) - 1 - int(keys.max())))
+            lifted.append(len(keys))
+            return order, keys[order]
+
+        monkeypatch.setattr(sampling, "_key_order", high)
+        assert geometry._persistent_directions(sets, tol).tobytes() == want.tobytes()
+        assert sum(len(s) for s in sets) in lifted
 
 
 def reference_persistent_directions(dir_sets, tol):
