@@ -322,10 +322,13 @@ def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool, chord_sets=None,
         for j in range(0, nt, per_call):
             rows = min(per_call, nt - j)
             P = buf[:, :rows * block]
-            for d in range(m):
-                Pd = P[d].reshape(rows, q, B)
-                np.multiply(ts[j:j + rows, None, None], Vc[d], out=Pd)
-                Pd += Y[:, d]
+            # a probe past the float range reads inf, and the handle's own
+            # finite check reports it
+            with np.errstate(over="ignore"):
+                for d in range(m):
+                    Pd = P[d].reshape(rows, q, B)
+                    np.multiply(ts[j:j + rows, None, None], Vc[d], out=Pd)
+                    Pd += Y[:, d]
             F = f(P.T)
             quot = qbuf[:rows * block].reshape(rows, q, B)
             if n == 1:

@@ -152,21 +152,19 @@ def _persistent_directions(dir_sets: list[np.ndarray], tol: float) -> np.ndarray
     del keyed
     # the key order lists equal keys in member order, so a voxel's first
     # member heads its run
-    order, keys = sampling._key_order(keys)
-    head = np.r_[True, keys[1:] != keys[:-1]]
+    order, _, runs = sampling._key_runs(keys)
     del keys
     first = np.zeros(len(order), dtype=bool)
-    first[order[head]] = True
+    first[order[runs[:-1]]] = True
     cand = np.flatnonzero(first)
     indexes: dict = {}
     passed = _near_every_other(sets, starts, cubes, cand, tol, indexes)
     keep = np.zeros(len(order), dtype=bool)
     keep[cand[passed]] = True
     if not passed.all():
-        count = np.cumsum(head)
         voxel = np.empty(len(order), dtype=np.int64)
-        voxel[order] = count - 1
-        failed = np.zeros(count[-1], dtype=bool)
+        voxel[order] = np.repeat(np.arange(len(runs) - 1), np.diff(runs))
+        failed = np.zeros(len(runs) - 1, dtype=bool)
         failed[voxel[cand[~passed]]] = True
         later = np.flatnonzero(failed[voxel] & ~first)
         later = later[_near_every_other(sets, starts, cubes, later, tol, indexes)]

@@ -232,6 +232,17 @@ def _key_order(keys: np.ndarray) -> tuple:
     return order, keys[order]
 
 
+def _key_runs(keys: np.ndarray) -> tuple:
+    """The permutation that sorts non-negative int64 keys (``_key_order``),
+    the distinct keys, ascending, and the start of each one's run in that
+    order, with len(keys) appended."""
+    order, keys = _key_order(keys)
+    head = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    return order, keys[starts], np.append(starts, len(keys))
+
+
 def _squared_chords(diffs: list) -> np.ndarray:
     """The sum of the squares of diffs (one array per coordinate, which it
     overwrites), added in the order of scipy's KD tree, so chords equal its
@@ -259,85 +270,109 @@ def _squared_chords(diffs: list) -> np.ndarray:
     return out
 
 
-# CellIndex buckets rows by at most this many leading coordinates, keeps
-# a grid to at most max(CELL_CAP, 4 n) cubes, and works through candidate
-# pairs in blocks of CELL_BLOCK
+# CellIndex buckets rows by at most this many leading coordinates and
+# works through candidate pairs in blocks of CELL_BLOCK
 CELL_AXES = 6
-CELL_CAP = 1 << 16
 CELL_BLOCK = 1 << 16
 # nearest screens candidate lists at least this long by dot products
 CELL_SCREEN = 2048
 # nearest starts on cubes of the side at which the members' bounding cube,
-# cut evenly, gives each cube this many of them
+# cut evenly, gives each cube CELL_FILL of them, and halves that side while
+# the cubes the members occupy hold more than CELL_CROWD each on average
 CELL_FILL = 0.5
+CELL_CROWD = 8
 
 
 @lru_cache(maxsize=8)
 def _offsets(axes: int) -> tuple:
-    """The offsets of the 3^axes cubes around a cube, nearest first: one
-    array for each number of axes they move along."""
+    """The 3^axes cubes around a cube as runs of cubes next to each other
+    along the last axis, nearest first: the cube itself; the two beside it
+    and the rows of three one step away along one other axis; then the
+    rows one step away along 2, 3, ... other axes.  One pair of arrays per
+    stage: the first cube of each run, as an offset, and the run's length."""
     grid = np.indices((3,) * axes).reshape(axes, -1).T - 1
-    moved = np.count_nonzero(grid, axis=1)
-    out = tuple(grid[moved == m] for m in range(axes + 1))
-    for o in out:
-        o.setflags(write=False)
+    rows = grid[grid[:, -1] == -1]
+    moved = np.count_nonzero(rows[:, :-1], axis=1)
+    own = np.zeros((3, axes), dtype=np.int64)
+    own[:, -1] = (0, -1, 1)
+    first = np.vstack([own, rows[moved > 0]])
+    size = np.r_[1, 1, 1, np.full(np.count_nonzero(moved), 3)]
+    stage = np.r_[0, 1, 1, moved[moved > 0]]
+    out = tuple((first[stage == m], size[stage == m]) for m in range(stage.max() + 1))
+    for a in (a for pair in out for a in pair):
+        a.setflags(write=False)
     return out
 
 
 class _CubeGrid:
-    """The members of an index in cubes of one side.
+    """The members of an index in the cubes of one side that they occupy.
 
-    The cubes are anchored at the members' minimum, and their packed index
-    is shifted up by ``pad``, the packed index of the offset (1, ..., 1):
-    the rows of the cube with shifted index c are
-    ``order[first[c]:first[c + 1]]``.  Query rows are clamped to the grid
-    and read the 3^a cubes around their own.  An offset that steps below
-    cube 0 along an axis lands, after the borrow, in the top layer of that
-    axis or below the grid, and both are empty.
+    The cubes are anchored at the members' minimum.  ``cubes`` holds the
+    packed index of each occupied cube, ascending, and the members of
+    ``cubes[i]`` are ``order[starts[i]:starts[i + 1]]``, so no array
+    outgrows the members whatever the side.  Query rows are clamped to the
+    grid and read the 3^a cubes around their own as runs of cubes next to
+    each other along the last axis (``_offsets``, ``runs``).  An offset
+    that steps below cube 0 along an axis lands, after the borrow, in the
+    empty top layer of that axis or at a negative index, and neither is
+    occupied.
     """
 
     def __init__(self, index: "CellIndex", side: float):
         axes = index.axes
-        # most cubes per axis: the grid holds at most max(CELL_CAP, 4 n) cubes
-        most = min(int(max(CELL_CAP, 4 * index.n) ** (1.0 / axes)), 1 << 26)
+        # at most this many cubes per axis: the floors stay exact
+        # (_cell_count) and a packed index below 2^53, where whole floats
+        # times the strides add exactly; equal members take a side of at
+        # least 1, so that halving it stops
+        most = min(1 << 26, int(2.0 ** (53.0 / axes)))
         span = float((index.hi - index.lo).max())
-        side = max(side, span / (most - 2.5))
-        if not side > 0.0:
-            side = 1.0
+        side = max(side, span / (most - 2.5) if span > 0.0 else 1.0)
         cells = _cell_count(index.lo, index.hi, side)
         if not cells:
             raise ValueError("members must be finite")
         self.side, self.cells, self.lo = side, cells, index.lo
         self.top = np.floor((index.hi - index.lo) / side)
         self.strides = cells ** np.arange(axes - 1, -1, -1, dtype=np.int64)
-        self.pad = int(self.strides.sum())
-        key = self.keys(index.cols, clamp=False)
-        self.order, _ = _key_order(key)
-        self.first = np.zeros(self.pad + cells ** axes + 1, dtype=np.int64)
-        count = np.bincount(key, minlength=cells ** axes)
-        np.cumsum(count, out=self.first[self.pad + 1:])
-        # packed offsets, nearest first, whole and by the axes they move along
-        self.stages = [o @ self.strides for o in _offsets(axes)]
-        self.offsets = np.concatenate(self.stages)
+        self.order, self.cubes, self.starts = _key_runs(self.keys(index.cols))
+        # the packed bounds of the runs around a cube, by stage and whole
+        self.stages = [(f @ self.strides, f @ self.strides + n) for f, n in _offsets(axes)]
+        self.low, self.high = (np.concatenate(b) for b in zip(*self.stages))
 
-    def coord(self, col: np.ndarray, axis: int, clamp: bool = True) -> np.ndarray:
-        """The cube coordinate along one axis of each row, as floats."""
+    def coord(self, col: np.ndarray, axis: int) -> np.ndarray:
+        """The cube coordinate along one axis of each row, clamped to the
+        grid, as floats."""
         c = col - self.lo[axis]
         c /= self.side
         np.floor(c, out=c)
-        if clamp:
-            np.clip(c, 0.0, self.cells - 2.0, out=c)
+        np.clip(c, 0.0, self.cells - 2.0, out=c)
         return c
 
-    def keys(self, cols: list, clamp: bool = True) -> np.ndarray:
-        """The shifted packed cube index of each row."""
-        key = np.full(len(cols[0]), self.pad if clamp else 0, dtype=np.int64)
+    def keys(self, cols: list) -> np.ndarray:
+        """The packed cube index of each row."""
+        key = np.zeros(len(cols[0]), dtype=np.int64)
         for j, stride in enumerate(self.strides):
-            c = self.coord(cols[j], j, clamp)
+            c = self.coord(cols[j], j)
             # whole floats below 2^53 times the stride add exactly
             c *= stride
             np.add(key, c, out=key, casting="unsafe")
         return key
+
+    def runs(self, cubes: np.ndarray, low: np.ndarray, high: np.ndarray) -> tuple:
+        """Where the members of the cubes cubes[i] + low[j] up to cubes[i] +
+        high[j] (excluded) start in order, and their count, both of shape
+        (len(low), len(cubes)).
+
+        The cubes of one run lie next to each other along the last axis, so
+        their packed indices are consecutive and their members one run of
+        order, found by two binary searches.  A cube past either end of a
+        row of the grid is empty: below cube 0 lies the top layer of the
+        row before, or a negative index.  Ascending cubes search several
+        times faster.
+        """
+        at = np.searchsorted(self.cubes, np.stack([low[:, None] + cubes,
+                                                   high[:, None] + cubes]))
+        start = self.starts[at[0]]
+        return start, self.starts[at[1]] - start
 
     def walls(self, cols: list) -> np.ndarray:
         """How far each row lies inside the 3^a cubes around its own: no
@@ -360,8 +395,9 @@ class CellIndex:
     """Exact neighbour queries on the rows of members, by grids of cubes.
 
     Members are bucketed by their first min(d, CELL_AXES) coordinates into
-    cubes of one side, sorted by cube, with the start of each cube's run
-    kept per cube.  A query row reads the 3^a cubes around its own, which
+    cubes of one side and sorted by cube; a grid keeps only the cubes they
+    occupy, so none of its arrays is longer than n + 1 whatever the side
+    (``_CubeGrid``).  A query row reads the 3^a cubes around its own, which
     hold every member that lies within one side of it: in those
     coordinates, and so in full.  Both queries compute chords as
     ``_squared_chords`` does, the bits of scipy's KD tree.
@@ -405,8 +441,8 @@ class CellIndex:
         The cubes have at least the side 2 sin(tol/2) (1 + NEAR_MARGIN),
         so a member within tol lies in the 3^a cubes around a row's own,
         and rounding in the floors cannot move it out.  They are read
-        nearest first, and a row is done at the first cube that holds a
-        member within tol.  An angle is at most pi, so for tol >= pi every
+        nearest first, the row's own cube alone first, and a row is done at
+        the first stage that holds a member within tol.  An angle is at most pi, so for tol >= pi every
         row is near, and with no members only tol = inf holds.
         """
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
@@ -418,16 +454,15 @@ class CellIndex:
         g = self.grid(max(2.0 * math.sin(0.5 * tol) * (1.0 + NEAR_MARGIN), 1e-150))
         qcols = [np.ascontiguousarray(dirs[:, j]) for j in range(self.dim)]
         key = g.keys(qcols)
-        step = max(1, CELL_BLOCK // len(g.offsets))
+        by_key, _ = _key_order(key)
+        step = max(1, CELL_BLOCK // len(g.low))
         for at in range(0, len(dirs), step):
-            live = np.arange(at, min(at + step, len(dirs)))
-            for offsets in g.stages:
-                cube = key[live, None] + offsets
-                start = g.first[cube].ravel()
-                count = g.first[cube + 1].ravel() - start
+            live = by_key[at:at + step]
+            for low, high in g.stages:
+                start, count = g.runs(key[live], low, high)
                 full = np.flatnonzero(count)
-                hit = self._near_runs(qcols, live[full // len(offsets)],
-                                      start[full], count[full], g, tol)
+                hit = self._near_runs(qcols, live[full % len(live)],
+                                      start.flat[full], count.flat[full], g, tol)
                 out[hit] = True
                 live = live[~out[live]]
                 if not len(live):
@@ -436,7 +471,7 @@ class CellIndex:
 
     def _near_runs(self, qcols, rows, start, count, g, tol) -> np.ndarray:
         """The rows of which some member in its run (the members
-        order[start:start + count] of one cube) lies within tol."""
+        order[start:start + count] of one run of cubes) lies within tol."""
         hit = np.zeros(len(rows), dtype=bool)
         ends = np.cumsum(count)
         a = 0
@@ -463,7 +498,10 @@ class CellIndex:
         when its k-th chord lies below its distance to the wall of that
         block.  Rows that are not done read again on a grid of twice the
         side.  The first grid cuts the members' bounding cube into cubes of
-        CELL_FILL members each, were they spread evenly through it.
+        CELL_FILL members each, were they spread evenly through it, and
+        then halves its side while the cubes the members occupy hold more
+        than CELL_CROWD of them on average, as a thin set's do, until the
+        side stops shrinking.
         """
         q = np.atleast_2d(np.asarray(q, dtype=float))
         chords = np.full((len(q), k), np.inf)
@@ -475,14 +513,19 @@ class CellIndex:
             # a member at infinity after the last pads candidate lists
             self._padded = [np.append(c, np.inf) for c in self.cols]
         span = float((self.hi - self.lo).max())
-        side = span * (CELL_FILL / self.n) ** (1.0 / self.axes)
+        g = self.grid(span * (CELL_FILL / self.n) ** (1.0 / self.axes))
+        while len(g.cubes) * CELL_CROWD < self.n:
+            finer = self.grid(0.5 * g.side)
+            if not finer.side < g.side:
+                break
+            g = finer
         rows = np.arange(len(q))
         while len(rows):
-            g = self.grid(side)
             self._nearest_pass(g, qcols, rows, k, chords, ids)
             walls = g.walls([c[rows] for c in qcols])
             rows = rows[(walls < np.inf) & ~(chords[rows, -1] < walls)]
-            side = 2.0 * g.side
+            if len(rows):
+                g = self.grid(2.0 * g.side)
         ids[chords == np.inf] = self.n
         return chords, ids
 
@@ -491,50 +534,47 @@ class CellIndex:
         on grid g, into chords and ids.
 
         Rows in one cube share its candidate list, sorted by member index
-        so that the first of equal chords is the lowest index.  Cubes go by
-        descending list length, in blocks of rows that pad little.
+        so that the first of equal chords is the lowest index.  The cubes
+        go in blocks in key order, and within a block by descending list
+        length, in blocks of rows that pad little.
         """
-        order, key = _key_order(g.keys([c[rows] for c in qcols]))
-        head = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        cubes = key[head]
-        per = np.diff(np.r_[head, len(key)])
-        length = np.empty(len(cubes), dtype=np.int64)
-        step = max(1, CELL_BLOCK // len(g.offsets))
+        order, cubes, starts = _key_runs(g.keys([c[rows] for c in qcols]))
+        step = max(1, CELL_BLOCK // len(g.low))
         for at in range(0, len(cubes), step):
-            around = cubes[at:at + step, None] + g.offsets
-            length[at:at + step] = (g.first[around + 1] - g.first[around]).sum(axis=1)
-        by = np.argsort(-length, kind="stable")
-        # the rows cube by cube in that order, and the rank of each one's cube
-        seq = order[np.repeat(head[by] - (np.cumsum(per[by]) - per[by]), per[by])
-                    + np.arange(len(rows))]
-        rank = np.repeat(np.arange(len(by)), per[by])
-        a = 0
-        while a < len(seq):
-            width = max(int(length[by[rank[a]]]), k)
-            if width >= CELL_SCREEN:
-                # a long list: its cube's rows one block at a time
-                u = by[rank[a]]
-                members = self._cube_lists(g, cubes[[u]], length[[u]], width)[0]
-                self._screened(qcols, rows[seq[a:a + per[u]]], members, k, chords, ids)
-                a += per[u]
-                continue
-            b = min(len(seq), a + max(1, CELL_BLOCK // width))
-            ranks = np.arange(rank[a], rank[b - 1] + 1)
-            lists = self._cube_lists(g, cubes[by[ranks]], length[by[ranks]], width)
-            out = rows[seq[a:b]]
-            at_list = rank[a:b] - rank[a]
-            # the members' coordinates are gathered once per cube
-            diffs = [c[lists][at_list] for c in self._padded]
-            for d, q in zip(diffs, qcols):
-                d -= q[out, None]
-            d2 = _squared_chords(diffs)
-            line = np.arange(b - a)
-            for t in range(k):
-                pick = d2.argmin(axis=1)
-                chords[out, t] = np.sqrt(d2[line, pick])
-                ids[out, t] = lists[at_list, pick]
-                d2[line, pick] = np.inf
-            a = b
+            start, count = g.runs(cubes[at:at + step], g.low, g.high)
+            length = count.sum(axis=0)
+            by = np.argsort(-length, kind="stable")
+            head, per = starts[at:at + step][by], np.diff(starts[at:at + step + 1])[by]
+            # the rows cube by cube in that order, and the rank of each one's cube
+            seq = order[np.repeat(head - (np.cumsum(per) - per), per) + np.arange(per.sum())]
+            rank = np.repeat(np.arange(len(by)), per)
+            a = 0
+            while a < len(seq):
+                width = max(int(length[by[rank[a]]]), k)
+                if width >= CELL_SCREEN:
+                    # a long list: its cube's rows one block at a time
+                    u, end = by[rank[a]], a + per[rank[a]]
+                    members = self._cube_lists(g, start[:, [u]], count[:, [u]], width)[0]
+                    self._screened(qcols, rows[seq[a:end]], members, k, chords, ids)
+                    a = end
+                    continue
+                b = min(len(seq), a + max(1, CELL_BLOCK // width))
+                take = by[rank[a]:rank[b - 1] + 1]
+                lists = self._cube_lists(g, start[:, take], count[:, take], width)
+                out = rows[seq[a:b]]
+                at_list = rank[a:b] - rank[a]
+                # the members' coordinates are gathered once per cube
+                diffs = [c[lists][at_list] for c in self._padded]
+                for d, q in zip(diffs, qcols):
+                    d -= q[out, None]
+                d2 = _squared_chords(diffs)
+                line = np.arange(b - a)
+                for t in range(k):
+                    pick = d2.argmin(axis=1)
+                    chords[out, t] = np.sqrt(d2[line, pick])
+                    ids[out, t] = lists[at_list, pick]
+                    d2[line, pick] = np.inf
+                a = b
 
     def _screened(self, qcols, rows, members, k, chords, ids) -> None:
         """The k nearest of the members (ascending indices) to each row,
@@ -573,17 +613,17 @@ class CellIndex:
             chords[out, place[take]] = np.sqrt(d2[take])
             ids[out, place[take]] = members[col[take]]
 
-    def _cube_lists(self, g, cubes, length, width) -> np.ndarray:
-        """The members of the 3^a cubes around each cube, one row per cube
-        sorted by member index and padded with n to the width."""
-        around = cubes[:, None] + g.offsets
-        start = g.first[around].ravel()
-        count = g.first[around + 1].ravel() - start
-        total = int(count.sum())
+    def _cube_lists(self, g, start, count, width) -> np.ndarray:
+        """The members of the runs of each column of start and count (as
+        ``_CubeGrid.runs`` gives them), one row per column sorted by member
+        index and padded with n to the width."""
+        length = count.sum(axis=0)
+        start, count = start.T.ravel(), count.T.ravel()
+        total = int(length.sum())
         pos = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(total)
         col = np.arange(total) - np.repeat(np.cumsum(length) - length, length)
-        out = np.full((len(cubes), width), self.n, dtype=np.int64)
-        out[np.repeat(np.arange(len(cubes)), length), col] = g.order[pos]
+        out = np.full((len(length), width), self.n, dtype=np.int64)
+        out[np.repeat(np.arange(len(length)), length), col] = g.order[pos]
         out.sort(axis=1)
         return out
 

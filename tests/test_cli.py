@@ -334,6 +334,17 @@ class TestEstimationErrors:
         assert out == ""
         assert "evaluation failed" in err
 
+    @pytest.mark.parametrize("fn,at", [("x1", "0"), ("x1+x2", "0,0")])
+    def test_probes_past_the_float_range_exit_2_in_one_line(self, capsys, fn, at):
+        # the probes overflow to inf: no numpy warning, only the handle's
+        # own message
+        code, out, err = run(capsys, "analyze", "--fn", fn, "--at", at,
+                             "--ladder", "1e308,0.5,0,3")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"conecalc: evaluation failed: {fn} is non-finite at")
+
     def test_verify_failure_exits_2(self, capsys, monkeypatch):
         monkeypatch.setitem(
             verify.PROPERTIES, "always-fails",
@@ -688,6 +699,13 @@ class TestGoldenReports:
     def test_analyze_report_digest(self, name, digest):
         assert_bounded(golden_stdout(name))
         assert hashlib.sha256(golden_stdout(name).encode()).hexdigest() == digest
+
+    def test_verify_stdout_digest(self, capsys):
+        # the whole suite at seed 0, compose-associativity included
+        code, out, _ = run(capsys, "verify", "--seed", "0")
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "c219ef9c17ee7ac7544e99150a6b52e8af409457de1898c834ae44381f010ad1")
 
     def test_3d_domain_report_digest(self):
         assert_bounded(golden_stdout("3d"))

@@ -574,15 +574,23 @@ def kd_near(members, dirs, tol):
 def index_cases(dim, seed, count=300):
     """Members and queries: Gaussian clouds with rows far outside the
     members' bounding box, and above 1-D (where they are only +1 and -1)
-    unit directions."""
+    unit directions; 2 000 equal rows; and above 1-D a thin set, 3 000
+    points about 1e-4 apart on a smooth closed curve, as the members of
+    composed relations lie, with queries on it, near it and far off."""
     rng = np.random.default_rng(seed)
     members = rng.standard_normal((count, dim))
     q = rng.standard_normal((200, dim)) * 1.5
     q[:20] *= 10.0
+    equal = (np.repeat(rng.standard_normal((1, dim)), 2000, axis=0), q)
     if dim == 1:
-        return [(members, q)]
+        return [(members, q), equal]
     unit = lambda a: a / np.linalg.norm(a, axis=1, keepdims=True)
-    return [(members, q), (unit(members), unit(q))]
+    t = np.linspace(0.0, 2.0 * np.pi, 3000, endpoint=False)
+    curve = np.column_stack([np.cos((j // 2 + 1) * t + j) for j in range(dim)])
+    curve *= 3000e-4 / np.linalg.norm(np.diff(curve, axis=0), axis=1).sum()
+    near = curve[rng.integers(0, 3000, 150)] + 1e-5 * rng.standard_normal((150, dim))
+    thin = (curve, np.vstack([curve[:50], near, 0.1 * q[:50]]))
+    return [(members, q), (unit(members), unit(q)), equal, thin]
 
 
 class TestCellIndex:
@@ -596,6 +604,10 @@ class TestCellIndex:
             got_chord, got_idx = sampling.CellIndex(members).nearest(q, k)
             chord, idx = kd_nearest(members, q, k)
             assert got_chord.tobytes() == chord.tobytes()
+            if np.all(members == members[0]):
+                # equal members tie at every chord: the lowest come first
+                assert np.array_equal(got_idx, np.tile(np.arange(k), (len(q), 1)))
+                continue
             # no two members lie at exactly one chord from a row here, so
             # the indices are the tree's too
             far, _ = kd_nearest(members, q, k + 1)
@@ -652,6 +664,27 @@ class TestCellIndex:
         for tol in (0.0, 0.5):
             got = sampling.CellIndex(members).near(q, tol)
             assert np.array_equal(got, kd_near(members, q, tol))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 9])
+    def test_grids_hold_at_most_n_plus_one_entries(self, dim):
+        # a grid keeps only the cubes its members occupy, so at any side
+        # no array it holds outgrows the members; only the per-axis arrays
+        # and the 3^(a-1) + 2 runs around a cube have a length set by the
+        # axes
+        rng = np.random.default_rng(dim)
+        q = rng.standard_normal((50, dim))
+        q[:10] *= 1e3
+        for n in (1, 3, 2000):
+            index = sampling.CellIndex(rng.standard_normal((n, dim)))
+            index.nearest(q, 2)
+            for tol in (0.0, 1e-9, 0.5):
+                index.near(q, tol)
+            assert len(index._grids) >= 3
+            bound = max(n + 1, 3 ** (index.axes - 1) + 2)
+            for g in index._grids.values():
+                for name, a in vars(g).items():
+                    if isinstance(a, np.ndarray):
+                        assert len(a) <= bound, (n, name, len(a))
 
 
 class TestSharedGrids:

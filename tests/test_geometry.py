@@ -207,6 +207,16 @@ class TestKeyOrder:
             want = np.argsort(keys, kind="stable")
             assert np.array_equal(order, want) and np.array_equal(ordered, keys[want])
 
+    def test_runs_of_equal_keys(self):
+        rng = np.random.default_rng(15)
+        for n in (0, 1, 2, 1000):
+            keys = rng.integers(0, max(1, n // 5), n)
+            order, distinct, starts = sampling._key_runs(keys)
+            assert np.array_equal(order, np.argsort(keys, kind="stable"))
+            assert np.array_equal(distinct, np.unique(keys))
+            assert starts[0] == 0 and starts[-1] == n
+            assert np.array_equal(np.diff(starts), np.bincount(keys)[distinct])
+
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_fallback_grouping_keeps_the_rows(self, monkeypatch, dim):
         # persistence grouped through the fallback, forced by keys lifted
