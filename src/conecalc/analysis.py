@@ -84,11 +84,13 @@ def classify_point(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
 
     Every moving-base number comes from the graph Whitney cone W, the
     point's one moving-base scan; every fixed-base one (the pointwise
-    constant, the extremum tag, the lower bracket) from its one
-    ``dini.fixed_bounds`` scan.  The local constant is the largest slope
-    of W's members (+inf when the vertical slice of W is nontrivial),
-    floored by the pointwise constant, and Lipschitz holds iff that
-    constant is finite.  Strict differentiability
+    constant, the extremum tag, the lower bracket) from its Dini limits
+    (``dini.fixed_bounds``).  A scalar map reads both off one slab scan
+    (``geometry.whitney_and_bounds``), so f is sampled in one pass; a
+    vector map adds a fixed-base scan.  The local constant is the largest
+    slope of W's members (+inf when the vertical slice of W is
+    nontrivial), floored by the pointwise constant, and Lipschitz holds
+    iff that constant is finite.  Strict differentiability
     additionally needs W inside an m-dimensional subspace, detected by
     the relative singular-value gap of its members, and, as part of the
     verdict, that subspace must be the graph of a linear map: its domain
@@ -102,14 +104,13 @@ def classify_point(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
     """
     lad = conormal._resolved_ladder(f, ladder)
     x = np.asarray(x, dtype=float).reshape(f.m)
-    w = geometry.graph_whitney(f, x, lad)
-    fixed = dini.fixed_bounds(f, x, lad)
+    w, fixed = geometry.whitney_and_bounds(f, x, lad)
     est = conormal.conormal(f, x, lad, whitney=w, bounds=fixed)
     vt = conormal.vertical_tol(w)
     lip_pw = dini.pointwise_lipschitz(fixed)
     lip = max(_local_constant(w, f.m), lip_pw)
     # the verdict reads the floored constant: a W with no member near the
-    # vertical cannot overrule a blow-up that the fixed-base scan sees
+    # vertical cannot overrule a blow-up that the fixed-base limits see
     lipschitz = math.isfinite(lip)
 
     checks: dict = {}
@@ -186,16 +187,19 @@ def fo_extremum(f: FunctionHandle, x, ladder: dini.ScaleLadder | None = None,
     """Radial first-order extremum tag with Fermat verification.
 
     The tag comes from the liminf/limsup of (f(x+v)-f(x))/|v|, the extreme
-    Dini limits of the fixed-base scan ``bounds``; on a hit the Fermat
+    fixed-base Dini limits ``bounds``; on a hit the Fermat
     inclusions (horizontal tangents inside W, vertical covector inside the
     conormal where exact) are verified within 2 rho.  ``whitney`` (W) and
-    ``bounds`` are computed here unless the caller has them already.
+    ``bounds`` are computed here unless the caller has them already; both
+    at once where neither is given, from the one slab scan of a scalar map.
     """
     if f.n != 1:
         raise DimensionMismatchError("extremum classification needs a scalar function")
     lad = conormal._resolved_ladder(f, ladder)
     x = np.asarray(x, dtype=float).reshape(f.m)
-    if bounds is None:
+    if bounds is None and whitney is None:
+        whitney, bounds = geometry.whitney_and_bounds(f, x, lad)
+    elif bounds is None:
         bounds = dini.fixed_bounds(f, x, lad)
     d_lo, d_hi = float(bounds.lows.min()), float(bounds.highs.max())
     is_min = d_lo >= -tol

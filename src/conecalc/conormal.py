@@ -146,8 +146,8 @@ def slice_top_intersection(w: FiberCone, m: int) -> FiberCone:
 
 def _epigraph_tangent(bounds: dini.FixedBounds) -> FiberCone:
     """The antipode of the hypograph's tangent cone {(v, s) : s <=
-    D+f(x; v)}, D+ the upper Dini derivative of the fixed-base scan, whose
-    rows are -u: over each domain direction u, t >= -D+f(x; -u).  Only
+    D+f(x; v)}, D+ the upper Dini derivative of the fixed-base limits,
+    whose rows are -u: over each domain direction u, t >= -D+f(x; -u).  Only
     for a moving base would that be the lower derivative along u, and
     this the epigraph's tangent cone.
 
@@ -265,11 +265,14 @@ def conormal(f, x, ladder=None, whitney: FiberCone | None = None,
 
     ``whitney`` (the graph Whitney cone W of f at x) and ``bounds`` (its
     ``dini.fixed_bounds``) are computed here, where read, unless the
-    caller has them.  The exact conormal (W's top) and the upper bound
+    caller has them; both at once for a scalar map given neither
+    (``geometry.whitney_and_bounds``).  The exact conormal (W's top) and the upper bound
     (``slice_top_intersection``) are read off W, the same cone over a
     line; the lower bracket of a scalar map, off ``bounds``.
     """
     lad = _resolved_ladder(f, ladder)
+    if whitney is None and bounds is None and f.n == 1:
+        whitney, bounds = geometry.whitney_and_bounds(f, x, lad)
     w = geometry.graph_whitney(f, x, lad) if whitney is None else whitney
     upper = slice_top_intersection(w, f.m)
     if f.m == 1:

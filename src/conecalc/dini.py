@@ -8,16 +8,21 @@ is read with a fixed base (y = x: the upper Dini derivative) or a moving
 base (y also roams a shrinking ball around x: Clarke's generalized
 quotient).  A moving base reads the lower counterparts off the sup side
 along -u, by the antipodal identity inf Q(u) = -sup Q(-u); a fixed base
-keeps the per-scale inf, since the identity fails there.  All of this
-runs on one kernel with four entry points:
+keeps the per-scale inf, since the identity fails there.  A moving
+base's window holds x itself, with a fixed base's jitter, so one
+moving-base scan of a scalar map reads both.  All of this runs on one
+kernel with four entry points:
 
     quotient_scan  per-row profiles: the per-scale table and the limit
-    fixed_bounds   the point's one fixed-base scan: lower and upper Dini
-                   limits, read by the pointwise constant, the extremum
-                   tag and the conormal's lower bracket
     slabs          (lows, highs, vertical) from one moving-base scan of
-                   U, -U and the zero direction, whose blow-up puts the
-                   vertical in the graph Whitney cone
+                   -U, U and the zero direction, whose blow-up puts the
+                   vertical in the graph Whitney cone; on request also a
+                   scalar map's fixed-base limits, read in the same pass
+    fixed_bounds   the point's lower and upper Dini limits, read by the
+                   pointwise constant, the extremum tag and the
+                   conormal's lower bracket: off the slab scan of a
+                   scalar map, from a fixed-base scan of a vector map's
+                   own
     chords         a vector map's unit graph chords at the three deepest
                    scales of one moving-base scan of U and the zero row
 
@@ -41,9 +46,11 @@ chosen so that a call's arrays stay small (see the cap's comment), so a
 scale spans several calls unless the stack is small.  Each call's values go straight to per-t
 extrema over the base points, then to extrema over t in t order; the
 full array of quotients is never built.  The per-t minima are taken only
-where lows are read, by ``quotient_scan`` and ``fixed_bounds``; ``slabs``
-and ``chords`` keep the sup side alone.  Rows never interact, so callers
-stack all their directions, the zero direction included, into one scan.
+where lows are read: by ``quotient_scan``, by a vector map's
+``fixed_bounds`` and, over the base points at x alone, by ``slabs`` for
+the fixed-base limits; the moving-base rows of ``slabs`` and ``chords``
+keep the sup side alone.  Rows never interact, so callers stack all
+their directions, the zero direction included, into one scan.
 
 A vector map (n >= 2) is scanned through the Euclidean norm of its
 increment, |f(y+tv) - f(y)| / t, with either base; a scalar map keeps
@@ -233,15 +240,35 @@ def _first_per_voxel(kept: np.ndarray, steps, rises) -> np.ndarray:
     return C[np.sort(np.unique(k, axis=0, return_index=True)[1])]
 
 
+def _t_count(ts, t_floor: float, Y, FY) -> int:
+    """How many steps of the sub-ladder ts to take from the base points Y
+    with values FY.  Quotients difference nearly equal numbers; keep t
+    above the level where argument and value roundoff would pollute
+    them: a prefix of the sub-ladder, never an empty one."""
+    noise_floor = (np.finfo(float).eps * max(float(np.max(np.abs(Y))),
+                                             float(np.max(np.abs(FY))))
+                   / NOISE_BUDGET)
+    return max(1, int(np.count_nonzero(ts >= max(t_floor, noise_floor, 1e-300))))
+
+
 def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool, chord_sets=None,
-          keep_lows: bool = True):
+          keep_lows: bool = True, fixed_rows: slice | None = None):
     """Per-scale quotient extrema along every row of U.
 
-    Returns (radii, highs, lows, shallow), the last three of shape
-    (q, scales) for q rows.  ``shallow`` is the sup at t = r alone.  The
-    quotient of a vector map is the norm of its increment over t.
+    Returns (radii, highs, lows, shallow, fixed), the middle three of
+    shape (q, scales) for q rows.  ``shallow`` is the sup at t = r alone.
+    The quotient of a vector map is the norm of its increment over t.
     ``lows`` is None unless ``keep_lows``: the moving-base scans read the
     inf side off the sup side, so only their callers skip the minima.
+
+    ``fixed_rows``, a slice of the rows of a moving-base scan of a scalar
+    map, also reads the fixed-base (highs, lows, shallow) of those rows as
+    ``fixed``; it is None without them.  A moving base's first
+    ``DIR_JITTER`` points are x itself, with the jitter of a fixed base,
+    so those columns' quotients are a fixed-base scan's.  But their noise
+    floor reads x and f(x) alone, never higher than the whole window's:
+    they take their own t prefix, and the steps past the window's run for
+    those columns of those rows alone.
 
     A list ``chord_sets`` gets the unit graph chords (t v, f(y+tv) - f(y))
     of a vector map, then their antipodes, per deepest three scales; each
@@ -271,6 +298,10 @@ def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool, chord_sets=None,
     # sup at t = r only; the deep sub-ladder hits its noise floor on every
     # shell, so geometric blow-up is only visible on this shallow track
     shallow = np.full((q, nk), -np.inf)
+    fixed = None
+    if fixed_rows is not None:
+        nf = len(range(q)[fixed_rows])
+        fixed = (np.empty((nf, nk)), np.empty((nf, nk)), np.empty((nf, nk)))
 
     for ki, r in enumerate(radii):
         k = lad.k_min + ki
@@ -296,68 +327,81 @@ def _scan(f, x, U, ladder: ScaleLadder, moving_base: bool, chord_sets=None,
             V[zero_dir] = math.sqrt(r / lad.t0) * Gc[None, :, :]
 
         FY = f(Y)
-        # quotients difference nearly equal numbers; keep t above the
-        # level where argument and value roundoff would pollute them: a
-        # prefix of the sub-ladder, never an empty one
-        y_mag = float(np.max(np.abs(Y))) if Y.size else 0.0
-        f_mag = float(np.max(np.abs(FY))) if FY.size else 0.0
-        noise_floor = np.finfo(float).eps * max(y_mag, f_mag) / NOISE_BUDGET
         ts = r * 2.0 ** (-np.arange(T_SUBSTEPS))
-        nt = max(1, int(np.count_nonzero(ts >= max(t_floor, noise_floor, 1e-300))))
-
-        # each f call takes as many whole t steps of every row as fit in
-        # QUOTIENT_ROW_CAP probe points, never less than one; the probes
-        # y + t v go one coordinate per contiguous row of a reused buffer,
-        # the increments f(y + t v) - f(y) to buffers the scan owns, never
-        # into the array f returned
-        block = q * B
-        per_call = max(1, QUOTIENT_ROW_CAP // max(block, 1))
+        nt = _t_count(ts, t_floor, Y, FY)
         Vc = np.ascontiguousarray(np.moveaxis(V, 2, 0))
-        cap = min(per_call, nt) * block
-        buf = np.empty((m, cap))
-        qbuf = np.empty(cap)
-        dbuf = np.empty(cap * n) if n > 1 else None
+        # the t steps of every row on every base point; then, where the
+        # fixed rows' x columns have a deeper prefix, its rest on those alone
+        passes = [(0, nt, Vc, Y, FY)]
+        if fixed is not None:
+            nx = _t_count(ts, t_floor, Y[:DIR_JITTER], FY[:DIR_JITTER])
+            x_hi, x_lo = np.empty((nx, nf)), np.empty((nx, nf))
+            if nx > nt:
+                Vx = np.ascontiguousarray(Vc[:, fixed_rows, :DIR_JITTER])
+                passes.append((nt, nx, Vx, Y[:DIR_JITTER], FY[:DIR_JITTER]))
         step_hi = np.empty((nt, q))
         step_lo = np.empty((nt, q)) if keep_lows else None
-        for j in range(0, nt, per_call):
-            rows = min(per_call, nt - j)
-            P = buf[:, :rows * block]
-            # a probe past the float range reads inf, and the handle's own
-            # finite check reports it
-            with np.errstate(over="ignore"):
-                for d in range(m):
-                    Pd = P[d].reshape(rows, q, B)
-                    np.multiply(ts[j:j + rows, None, None], Vc[d], out=Pd)
-                    Pd += Y[:, d]
-            F = f(P.T)
-            quot = qbuf[:rows * block].reshape(rows, q, B)
-            if n == 1:
-                np.subtract(F[:, 0].reshape(rows, q, B), FY[:, 0], out=quot)
-            else:
-                dF = dbuf[:rows * block * n].reshape(rows, q, B, n)
-                np.subtract(F.reshape(rows, q, B, n), FY, out=dF)
-                # a huge map overflows the squares to +inf, a true reading
+        for t_lo, t_hi, Vp, Yp, FYp in passes:
+            # each f call takes as many whole t steps of every row as fit
+            # in QUOTIENT_ROW_CAP probe points, never less than one; the
+            # probes y + t v go one coordinate per contiguous row of a
+            # reused buffer, the increments f(y + t v) - f(y) to buffers
+            # the scan owns, never into the array f returned
+            block = Vp.shape[1] * Vp.shape[2]
+            per_call = max(1, QUOTIENT_ROW_CAP // max(block, 1))
+            cap = min(per_call, t_hi - t_lo) * block
+            buf = np.empty((m, cap))
+            qbuf = np.empty(cap)
+            dbuf = np.empty(cap * n) if n > 1 else None
+            for j in range(t_lo, t_hi, per_call):
+                rows = min(per_call, t_hi - j)
+                P = buf[:, :rows * block]
+                # a probe past the float range reads inf, and the handle's
+                # own finite check reports it
                 with np.errstate(over="ignore"):
-                    if kept is not None:
-                        kept = _first_per_voxel(kept, ts[j:j + rows, None, None, None] * V, dF)
-                    # the Euclidean norm as np.linalg.norm takes it, in place
-                    np.multiply(dF, dF, out=dF)
-                    np.add.reduce(dF, axis=3, out=quot)
-                np.sqrt(quot, out=quot)
-            quot /= ts[j:j + rows, None, None]
-            # the per-t extrema of this call's t steps
-            quot.max(axis=2, out=step_hi[j:j + rows])
-            if keep_lows:
-                quot.min(axis=2, out=step_lo[j:j + rows])
+                    for d in range(m):
+                        Pd = P[d].reshape(rows, *Vp.shape[1:])
+                        np.multiply(ts[j:j + rows, None, None], Vp[d], out=Pd)
+                        Pd += Yp[:, d]
+                F = f(P.T)
+                quot = qbuf[:rows * block].reshape(rows, *Vp.shape[1:])
+                if n == 1:
+                    np.subtract(F[:, 0].reshape(quot.shape), FYp[:, 0], out=quot)
+                else:
+                    dF = dbuf[:rows * block * n].reshape(*quot.shape, n)
+                    np.subtract(F.reshape(dF.shape), FYp, out=dF)
+                    # a huge map overflows the squares to +inf, a true reading
+                    with np.errstate(over="ignore"):
+                        if kept is not None:
+                            kept = _first_per_voxel(kept, ts[j:j + rows, None, None, None] * V, dF)
+                        # the Euclidean norm as np.linalg.norm takes it, in place
+                        np.multiply(dF, dF, out=dF)
+                        np.add.reduce(dF, axis=3, out=quot)
+                    np.sqrt(quot, out=quot)
+                quot /= ts[j:j + rows, None, None]
+                # the per-t extrema of this call's t steps
+                if Vp is Vc:
+                    quot.max(axis=2, out=step_hi[j:j + rows])
+                    if keep_lows:
+                        quot.min(axis=2, out=step_lo[j:j + rows])
+                    if fixed is None:
+                        continue
+                    quot = quot[:, fixed_rows, :DIR_JITTER]
+                quot.max(axis=2, out=x_hi[j:j + rows])
+                quot.min(axis=2, out=x_lo[j:j + rows])
         # then over t in t order: the extremum of signed zeros depends on
         # that order
         highs[:, ki] = step_hi.max(axis=0)
         shallow[:, ki] = step_hi[0]
         if keep_lows:
             lows[:, ki] = step_lo.min(axis=0)
+        if fixed is not None:
+            fixed[0][:, ki] = x_hi.max(axis=0)
+            fixed[1][:, ki] = x_lo.min(axis=0)
+            fixed[2][:, ki] = x_hi[0]
         if kept is not None:
             chord_sets.append(np.vstack([kept, -kept]))
-    return radii, highs, lows, shallow
+    return radii, highs, lows, shallow, fixed
 
 
 def quotient_scan(f, x, U, ladder: ScaleLadder, moving_base: bool) -> list:
@@ -366,7 +410,7 @@ def quotient_scan(f, x, U, ladder: ScaleLadder, moving_base: bool) -> list:
     Rows never interact: a row's profile is the same whether it is
     scanned alone or stacked with others.
     """
-    radii, highs, lows, shallow = _scan(f, x, U, ladder, moving_base)
+    radii, highs, lows, shallow, _ = _scan(f, x, U, ladder, moving_base)
     limit, diverged, stable = _limits(highs, shallow)
     U = np.atleast_2d(np.asarray(U, dtype=float))
     return [QuotientProfile(U[i].copy(), radii.copy(), highs[i].copy(),
@@ -375,24 +419,35 @@ def quotient_scan(f, x, U, ladder: ScaleLadder, moving_base: bool) -> list:
             for i in range(len(U))]
 
 
-def slabs(f, x, U, ladder: ScaleLadder):
-    """(lows, highs, vertical) from one moving-base scan of U, -U and 0.
+def slabs(f, x, U, ladder: ScaleLadder, bounds: bool = False):
+    """(lows, highs, vertical, fixed) from one moving-base scan of -U, U
+    and 0.
 
     highs are the sup quotients along the rows of U; lows come from the
-    antipodal identity inf Q(u) = -sup Q(-u) on the second block, never
-    from a second estimate.  ``vertical`` says whether the quotient along
-    the zero direction blows up, i.e. whether the vertical belongs to the
+    antipodal identity inf Q(u) = -sup Q(-u) on the block -U, never from
+    a second estimate.  ``vertical`` says whether the quotient along the
+    zero direction blows up, i.e. whether the vertical belongs to the
     graph Whitney cone.  f is scalar: the identity needs a signed quotient.
+
+    With ``bounds``, ``fixed`` is the point's ``FixedBounds``, read in the
+    same pass off the base points at x itself along the rows -U and then
+    U; in 2-D along every second of those rows, which on the circle
+    grid's first half is every second degree of -U and of U.  Without, it
+    is None, and the scan takes no step for it.
     """
     if f.n != 1:
         raise ValueError("slabs need a scalar function")
     U = np.asarray(U, dtype=float).reshape(-1, f.m)
     q = len(U)
-    _, highs, _, shallow = _scan(f, x, np.vstack([U, -U, np.zeros((1, f.m))]),
-                                 ladder, True, keep_lows=False)
+    rows = slice(0, 2 * q, 2 if f.m == 2 else 1) if bounds else None
+    stack = np.vstack([-U, U, np.zeros((1, f.m))])
+    _, highs, _, shallow, fixed = _scan(f, x, stack, ladder, True,
+                                        keep_lows=False, fixed_rows=rows)
     lim, div, _ = _limits(highs, shallow)
     vertical = bool(div[-1] or abs(lim[-1]) > DIVERGENCE_CAP)
-    return -lim[q:2 * q], lim[:q], vertical
+    if fixed is not None:
+        fixed = _fixed_limits(stack[rows], *fixed)
+    return -lim[:q], lim[q:2 * q], vertical, fixed
 
 
 def chords(f, x, U, ladder: ScaleLadder) -> list:
@@ -417,7 +472,7 @@ def _direction_grid(m: int, count: int | None = None) -> np.ndarray:
     ``count // 2`` seeded Kronecker points (``sampling.sphere_points``)
     and their antipodes above; +1 and -1 on the line.  The default count gives the domain grid, which
     the graph Whitney cone's slab scan, the slice-top upper bound and the
-    fixed-base scan all read.  Its first half holds one of each
+    fixed-base limits all read.  Its first half holds one of each
     antipodal pair: the other half is its negation, exactly above the
     circle and up to rounding on it.
     """
@@ -433,23 +488,35 @@ def _direction_grid(m: int, count: int | None = None) -> np.ndarray:
 
 
 class FixedBounds(NamedTuple):
-    """Rows of one fixed-base scan with their lower and upper Dini limits."""
+    """Rows read with a fixed base, with their lower and upper Dini limits."""
     rows: np.ndarray
     lows: np.ndarray
     highs: np.ndarray
 
 
-def fixed_bounds(f, x, ladder: ScaleLadder) -> FixedBounds:
-    """The point's one fixed-base scan: the extrapolated per-scale inf and
-    sup quotients along the antipodes of the domain grid (every second
-    circle row in 2-D).  Only the sup side gets the shallow track's test.
-    """
-    rows = -_direction_grid(f.m)[::2 if f.m == 2 else 1]
-    _, highs, lows, shallow = _scan(f, x, rows, ladder, False)
+def _fixed_limits(rows, highs, lows, shallow) -> FixedBounds:
+    """The extrapolated per-scale inf and sup quotients of a fixed base.
+    Only the sup side gets the shallow track's test."""
     return FixedBounds(rows, _extrapolate(lows)[0], _limits(highs, shallow)[0])
 
 
+def fixed_bounds(f, x, ladder: ScaleLadder) -> FixedBounds:
+    """The point's fixed-base Dini limits.
+
+    A scalar map reads them off its slab scan of the domain grid's first
+    half (``slabs``), the pass that builds its graph Whitney cone.  A
+    vector map's norm quotient along -u cannot be read from u, so it takes
+    a fixed-base scan of its own along the antipodes of the domain grid
+    (every second circle row in 2-D).
+    """
+    if f.n == 1:
+        return slabs(f, x, np.split(_direction_grid(f.m), 2)[0], ladder, True)[3]
+    rows = -_direction_grid(f.m)[::2 if f.m == 2 else 1]
+    _, highs, lows, shallow, _ = _scan(f, x, rows, ladder, False)
+    return _fixed_limits(rows, highs, lows, shallow)
+
+
 def pointwise_lipschitz(bounds: FixedBounds) -> float:
-    """lip f(x): the largest |Dini limit| of the fixed-base scan on either
-    side; for a vector map, the operator norm of a derivative."""
+    """lip f(x): the largest |Dini limit| of the fixed-base limits on
+    either side; for a vector map, the operator norm of a derivative."""
     return float(max(np.abs(bounds.lows).max(), np.abs(bounds.highs).max()))

@@ -15,8 +15,10 @@ fails.
 For the graph of a scalar function the Whitney cone has an exact
 description through moving-base quotient slabs, used here over every
 domain: one slab scan of a grid of domain directions gives a fan of
-graph directions over each.  A vector map's Whitney cone keeps the graph
-chords of one moving-base scan of that grid (``dini.chords``) that persist.
+graph directions over each, and the same pass reads the point's
+fixed-base Dini limits where they are asked for (``whitney_and_bounds``).
+A vector map's Whitney cone keeps the graph chords of one moving-base
+scan of that grid (``dini.chords``) that persist.
 
 All cones returned are closed numerical approximations; strict cones
 are open in exact theory and come back as the sampled complement of a
@@ -401,21 +403,44 @@ def _slab_arcs(qlo: float, qhi: float, vertical: bool) -> list[tuple[float, floa
 def graph_whitney(f, x, ladder: dini.ScaleLadder) -> FiberCone:
     """Whitney cone of the graph of f at (x, f(x)).
 
-    A scalar f gets one moving-base slab scan: over the line its two
-    slabs are exact arcs; over a domain of two or more dimensions each
-    direction u of the domain grid carries the fan from atan(low) to
-    atan(high), and the vertical joins when the zero direction's quotient
-    blows up.  ``slabs`` scans every -u as well, so the grid's first half
-    gives every fan: the slab over -u is (-high, -low).  A vector map's
-    cone is the persistent chords of one moving-base scan of the first half.
+    A scalar f gets one moving-base slab scan (``_slab_cone``).  A vector
+    map's cone is the persistent chords of one moving-base scan of the
+    domain grid's first half.
+    """
+    if f.n == 1:
+        return _slab_cone(f, x, ladder, False)[0]
+    x = np.asarray(x, dtype=float).reshape(f.m)
+    half = np.split(dini._direction_grid(f.m), 2)[0]
+    return _persistent_cone(dini.chords(f, x, half, ladder), f.m + f.n)
+
+
+def whitney_and_bounds(f, x, ladder: dini.ScaleLadder
+                       ) -> tuple[FiberCone, dini.FixedBounds]:
+    """The graph Whitney cone W of f at (x, f(x)) and the point's
+    fixed-base Dini limits (``dini.fixed_bounds``).  A scalar f samples
+    once: the slab scan that builds W reads the limits off its base points
+    at x.  A vector map's limits take a fixed-base scan of their own."""
+    if f.n == 1:
+        return _slab_cone(f, x, ladder, True)
+    return graph_whitney(f, x, ladder), dini.fixed_bounds(f, x, ladder)
+
+
+def _slab_cone(f, x, ladder: dini.ScaleLadder, bounds: bool):
+    """(W, fixed-base limits or None) of a scalar f from one slab scan of
+    the domain grid's first half (``dini.slabs``).
+
+    Over the line the two slabs are exact arcs; over a domain of two or
+    more dimensions each direction u of the domain grid carries the fan
+    from atan(low) to atan(high), and the vertical joins when the zero
+    direction's quotient blows up.  ``slabs`` scans every -u as well, so
+    the grid's first half gives every fan: the slab over -u is (-high,
+    -low).
     """
     x = np.asarray(x, dtype=float).reshape(f.m)
     half = np.split(dini._direction_grid(f.m), 2)[0]
-    if f.n > 1:
-        return _persistent_cone(dini.chords(f, x, half, ladder), f.m + f.n)
-    lo, hi, vertical = dini.slabs(f, x, half, ladder)
+    lo, hi, vertical, fixed = dini.slabs(f, x, half, ladder, bounds)
     if f.m == 1:
-        return FiberCone.from_arcs(_slab_arcs(lo[0], hi[0], vertical))
+        return FiberCone.from_arcs(_slab_arcs(lo[0], hi[0], vertical)), fixed
     base = np.vstack([half, -half])
     lo, hi = np.concatenate([lo, -hi]), np.concatenate([hi, -lo])
     # the circle's fans step at the half-degree of its grid; higher
@@ -431,7 +456,7 @@ def graph_whitney(f, x, ladder: dini.ScaleLadder) -> FiberCone:
         up[:, -1] = [1.0, -1.0]
         members.append(up)
     return FiberCone.from_directions(np.vstack(members), f.m + 1,
-                                     resolution=step)
+                                     resolution=step), fixed
 
 
 def epigraph_strict_cone(f, x, ladder: dini.ScaleLadder) -> FiberCone:
@@ -443,7 +468,7 @@ def epigraph_strict_cone(f, x, ladder: dini.ScaleLadder) -> FiberCone:
     """
     if f.m != 1 or f.n != 1:
         raise ValueError("epigraph cones need a scalar function of one variable")
-    lo, hi, vertical = dini.slabs(f, x, [[1.0]], ladder)
+    lo, hi, vertical, _ = dini.slabs(f, x, [[1.0]], ladder)
     if vertical:
         return FiberCone.zero(2)
     # the upper edge has slope hi along +1 and -lo along -1

@@ -9,7 +9,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from conecalc import analysis, dini, funcs
+from conecalc import analysis, dini, funcs, sampling
 from conecalc.errors import DimensionMismatchError
 
 LAD = dini.ScaleLadder(t0=0.1, ratio=0.5, k_min=0, k_max=10, seed=0)
@@ -146,13 +146,13 @@ class TestQuotients:
     def test_slabs_match_single_queries(self):
         h = funcs.builtin("abs")
         U = np.array([[1.0], [-1.0]])
-        lows, highs, vertical = dini.slabs(h, [0.0], U, LAD)
+        lows, highs, vertical, _ = dini.slabs(h, [0.0], U, LAD)
         assert highs == pytest.approx([1.0, 1.0], abs=1e-6)
         assert lows == pytest.approx([-1.0, -1.0], abs=1e-6)
         assert not vertical
 
     def test_slabs_see_the_vertical_of_a_cusp(self):
-        _, _, vertical = dini.slabs(funcs.builtin("sqrt_abs"), [0.0], [[1.0]], LAD)
+        _, _, vertical, _ = dini.slabs(funcs.builtin("sqrt_abs"), [0.0], [[1.0]], LAD)
         assert vertical
 
     def test_vector_function_rejected(self):
@@ -278,7 +278,7 @@ class TestStackedScan:
 
     def test_slabs_match_single_scans(self):
         U = np.array([[1.0, 0.0], [0.6, -0.8], [-1.0, 0.0]])
-        lows, highs, vertical = dini.slabs(self.H2, self.X2, U, LAD)
+        lows, highs, vertical, _ = dini.slabs(self.H2, self.X2, U, LAD)
         assert np.array_equal(highs, [upper(self.H2, self.X2, u) for u in U])
         assert np.array_equal(lows, [lower(self.H2, self.X2, u) for u in U])
         zero = dini.quotient_scan(self.H2, self.X2, [0.0, 0.0], LAD, True)[0]
@@ -286,10 +286,13 @@ class TestStackedScan:
         assert not vertical
 
     def test_inf_derivatives_match_single_queries(self):
-        # the fixed-base scan that the pointwise constant, the extremum tag
-        # and conormal._epigraph_tangent read: each row as its own scan
+        # the fixed-base limits that the pointwise constant, the extremum
+        # tag and conormal._epigraph_tangent read, off the slab scan of the
+        # circle grid's first half U: rows -U then U, every second degree
+        # of each; each row as its own fixed-base scan
         got = dini.fixed_bounds(self.H2, self.X2, LAD)
-        assert np.array_equal(got.rows, -dini._direction_grid(2)[::2])
+        half = np.split(dini._direction_grid(2), 2)[0]
+        assert np.array_equal(got.rows, np.vstack([-half[::2], half[::2]]))
         for i in (0, 45, 90, 137):
             single = dini.quotient_scan(self.H2, self.X2, got.rows[i], LAD,
                                         moving_base=False)[0]
@@ -478,12 +481,12 @@ class TestEvaluationCounts:
     def test_scalar_golden_point(self):
         h, log = counting("sin(x1)+x2*x2", 2)
         analysis.classify_point(h, [0.3, -0.2], self.LAD6)
-        # the slab scan: per scale the base points, then one call per t step
-        # of the 361 rows (180 domain directions, their antipodes and the
-        # zero row) on 64 base points; then the fixed-base scan: per scale
-        # the base points, then the t steps of the 180 directions on 32
-        # base points, five a call
-        assert (len(log), sum(log)) == (220, 4890144)
+        # the one slab scan: per scale the base points, then one call per t
+        # step of the 361 rows (180 domain directions, their antipodes and
+        # the zero row) on 64 base points, 24 steps; then the one step that
+        # the fixed-base limits' lower noise floor adds, on the 32 base
+        # points at x of their 180 rows
+        assert (len(log), sum(log)) == (182, 3922240)
 
     def test_map_golden_point(self):
         h, log = counting("x1+x2*x2, x1*x2", 2)
@@ -503,9 +506,10 @@ class TestEvaluationCounts:
 
 
 class TestOneFixedBaseScan:
-    """``classify_point`` runs the fixed-base scan once and hands it to the
-    pointwise constant, the extremum tag and the lower bracket.  A scalar
-    map is evaluated inside the kernel's scans alone."""
+    """``classify_point`` reads the fixed-base limits once and hands them
+    to the pointwise constant, the extremum tag and the lower bracket.  A
+    scalar map reads them off its one slab scan, and is evaluated inside
+    it alone; a vector map adds one fixed-base scan."""
 
     @pytest.mark.parametrize("src,x,ladder", [
         ("abs(x1)", [0.0], LAD),
@@ -527,9 +531,123 @@ class TestOneFixedBaseScan:
 
         monkeypatch.setattr(dini, "_scan", spy)
         analysis.classify_point(h, x, ladder)
-        assert bases.count(False) == 1
+        assert bases.count(False) == (h.n > 1)
         if h.n == 1:
-            assert sum(scanned) == sum(log)
+            assert bases == [True] and scanned == [sum(log)]
+
+
+def reference_fixed_bounds(f, x, ladder, rows):
+    """A scalar map's fixed-base limits from a scan of their own, as
+    ``fixed_bounds`` took them before the slab scan read them: per scale,
+    f at DIR_JITTER copies of x, then one call per t step of every row on
+    those copies, for the steps above the noise floor of x and f(x)."""
+    lad = ladder.for_handle(f)
+    seed = lad.resolved_seed()
+    x = np.asarray(x, dtype=float)
+    q, m = rows.shape
+    floor = (f.meta or {}).get("scale_floor")
+    t_floor = floor / 64.0 if floor else 0.0
+    norms = np.linalg.norm(rows, axis=1)
+    unit = rows / norms[:, None]
+    highs, lows, shallow = [], [], []
+    for ki, r in enumerate(lad.radii()):
+        k = lad.k_min + ki
+        Y = x + r * np.zeros((dini.DIR_JITTER, m))
+        G = sampling.sphere_points(m, dini.DIR_JITTER,
+                                   sampling.child_seed(seed, 23, k))
+        V = unit[:, None, :] + min(0.5, lad.ratio ** (2 * k)) * G
+        V /= np.linalg.norm(V, axis=2, keepdims=True)
+        V *= norms[:, None, None]
+        fy = f(Y)[:, 0]
+        noise = (np.finfo(float).eps * max(np.abs(Y).max(), np.abs(fy).max())
+                 / dini.NOISE_BUDGET)
+        ts = r * 2.0 ** -np.arange(dini.T_SUBSTEPS)
+        ts = ts[:max(1, np.count_nonzero(ts >= max(t_floor, noise, 1e-300)))]
+        Q = [(f((t * V + Y).reshape(-1, m))[:, 0].reshape(q, -1) - fy) / t
+             for t in ts]
+        hi = np.array([a.max(axis=1) for a in Q])
+        highs.append(hi.max(axis=0))
+        lows.append(np.array([a.min(axis=1) for a in Q]).min(axis=0))
+        shallow.append(hi[0])
+    H, L, S = (np.array(a).T for a in (highs, lows, shallow))
+    return dini.FixedBounds(rows, dini._extrapolate(L)[0], dini._limits(H, S)[0])
+
+
+def table_handle(path):
+    """A 2-D function table on a lattice of spacing 0.05, as ``--csv``
+    reads it: its handle carries that spacing as ``scale_floor``."""
+    g = np.round(np.linspace(-1.0, 1.0, 41), 12)
+    X1, X2 = np.meshgrid(g, g, indexing="ij")
+    v = np.sin(3.0 * X1) + np.abs(X2 - 0.1) * X1
+    path.write_text("x1,x2,x3\n" + "".join(
+        f"{a!r},{b!r},{c!r}\n" for a, b, c in zip(X1.ravel().tolist(),
+                                                  X2.ravel().tolist(), v.ravel().tolist())))
+    return funcs.grid_handle_from_csv(str(path))
+
+
+class TestFixedBoundsOffTheSlabScan:
+    """A scalar map's fixed-base limits, read off the base points at x of
+    its slab scan, are bit for bit those of a fixed-base scan of their own
+    rows: -grid above the circle and on the line, and in 2-D every second
+    degree of the circle grid's first half U and of -U."""
+
+    LAD7 = dini.ScaleLadder(t0=0.1, ratio=0.5, k_min=4, k_max=10, seed=0)
+
+    @staticmethod
+    def want_rows(m):
+        grid = dini._direction_grid(m)
+        if m != 2:
+            return -grid
+        half = np.split(grid, 2)[0]
+        return np.vstack([-half[::2], half[::2]])
+
+    def assert_reference(self, h, x, ladder):
+        got = dini.fixed_bounds(h, x, ladder)
+        assert got.rows.tobytes() == self.want_rows(h.m).tobytes()
+        want = reference_fixed_bounds(h, x, ladder, got.rows)
+        assert got.highs.tobytes() == want.highs.tobytes()
+        assert got.lows.tobytes() == want.lows.tobytes()
+        return got
+
+    @pytest.mark.parametrize("src,x", [
+        ("x1*sin(1/x1)-0.5*abs(x1)", [0.0]),
+        ("sin(x1)+x2*x2 + abs(x1 - x2)", [0.3, 0.3]),
+        ("x1*x2*x3+cos(x3)", [1.5, -2.0, 0.7]),
+        ("abs(x1)+x2*x4-x3", [0.0, 0.2, -0.1, 0.4]),
+    ], ids=["m1", "m2", "m3", "m4"])
+    def test_rows_and_limits_match_a_scan_of_their_own(self, src, x):
+        self.assert_reference(funcs.parse_expr(src, len(x)), x, self.LAD7)
+
+    @pytest.mark.parametrize("src,x", [
+        ("sqrt(abs(x1))+x2+x3", [0.0, 0.0, 0.0]),
+        ("sin(x1)+x2*x2", [0.3, -0.2]),
+    ])
+    def test_x_columns_take_their_own_t_steps(self, monkeypatch, src, x):
+        # the whole window's noise floor stops the slab rows sooner than
+        # x's stops the fixed ones: the steps between run for those alone
+        count, counts = dini._t_count, []
+
+        def spy(*args):
+            counts.append(count(*args))
+            return counts[-1]
+
+        monkeypatch.setattr(dini, "_t_count", spy)
+        self.assert_reference(funcs.parse_expr(src, len(x)), x,
+                              dini.ScaleLadder(seed=0))
+        window, at_x = counts[::2], counts[1::2]
+        assert all(a >= w for w, a in zip(window, at_x))
+        assert any(a > w for w, a in zip(window, at_x))
+
+    def test_a_function_table_with_a_scale_floor(self, tmp_path):
+        h = table_handle(tmp_path / "table.csv")
+        assert h.meta["scale_floor"] == pytest.approx(0.05)
+        self.assert_reference(h, [0.1, 0.2], dini.ScaleLadder(seed=3))
+
+    @pytest.mark.parametrize("cap", [1000, 1 << 18])
+    def test_caps_match_a_scan_of_their_own(self, monkeypatch, cap):
+        monkeypatch.setattr(dini, "QUOTIENT_ROW_CAP", cap)
+        self.assert_reference(funcs.parse_expr("sin(x1)+x2*x2", 2), [0.3, -0.2],
+                              TestEvaluationCounts.LAD6)
 
 
 class TestChords:
@@ -581,12 +699,17 @@ class TestCallSizing:
     LAD6 = TestEvaluationCounts.LAD6
 
     def scans(self):
+        # the slab scan with the fixed-base limits it reads (one t step
+        # more on their rows at every scale here), the vector map's own
+        # fixed-base scan and its chords
         half = dini._direction_grid(2)[:180]
-        lows, highs, vertical = dini.slabs(self.H, self.X, half, self.LAD6)
-        fixed = dini.fixed_bounds(self.H, self.X, self.LAD6)
+        lows, highs, vertical, fixed = dini.slabs(self.H, self.X, half,
+                                                  self.LAD6, True)
+        own = dini.fixed_bounds(self.MAP, self.X, self.LAD6)
         sets = dini.chords(self.MAP, self.X, half[::4], self.LAD6)
         return ([lows.tobytes(), highs.tobytes(), vertical]
-                + [a.tobytes() for a in fixed] + [s.tobytes() for s in sets])
+                + [a.tobytes() for a in (*fixed, *own)]
+                + [s.tobytes() for s in sets])
 
     @pytest.mark.parametrize("cap", [1000, 1 << 18])
     def test_caps_give_the_default_bytes(self, monkeypatch, cap):

@@ -669,7 +669,7 @@ class TestGraphWhitney:
         m = len(x)
         h = funcs.parse_expr(src, m)
         base = sampling.unit_grid(2)[::2] if m == 2 else dini._direction_grid(m)
-        lo, hi, _ = dini.slabs(h, x, base, LAD)
+        lo, hi, _, _ = dini.slabs(h, x, base, LAD)
         step = sampling.grid_resolution(2 if m == 2 else m + 1)
         want = np.vstack([geometry.fan(u, math.atan(min(a, b)),
                                        math.atan(max(a, b)), step)

@@ -16,8 +16,8 @@ ALLOWED = {
     "conormal.constant_cone_check": "ROADMAP item 5 puts it in the analyze "
                                     "report",
     "dini.quotient_scan": "the per-scale profiles of the kernel that "
-                          "fixed_bounds and slabs read as arrays; ROADMAP "
-                          "item 3 reports their convergence",
+                          "slabs and a vector map's fixed_bounds read as "
+                          "arrays; ROADMAP item 3 reports their convergence",
 }
 
 
