@@ -44,10 +44,16 @@ _EPS = 1e-12
 _FULL = ((0.0, TWO_PI),)
 
 # grid-by-member dot products go in row blocks of at most DENSE_CELLS
-# dots.  The polar first tests each grid row against about DUAL_PROBES
-# strided members: a row whose smallest dot among them lies DUAL_MARGIN
-# below the threshold is out, a margin far above the rounding of a dot
-DENSE_CELLS = 1 << 21
+# dots, 512 KiB, which stay in a core's L2 cache.  Measured on one 2-core
+# host (4 MiB L2, one OpenBLAS thread) on the `analyze` runs of
+# abs(x1)+abs(x2) and sqrt(abs(x1*x2)) at 0,0 and of a 3-D max of planes
+# at 0,0,0, whose time is mostly slice-top's blocks: 2**15 to 2**17 dots
+# time alike, 2**14 and 2**18 are 8-17 % slower and 2**21 35-48 % slower.
+# The polar screens each grid row against about sqrt(DUAL_PROBES) strided
+# members, then the rows left against about DUAL_PROBES: a row whose
+# smallest dot among them lies DUAL_MARGIN below the threshold is out, a
+# margin far above the rounding of a dot
+DENSE_CELLS = 1 << 16
 DUAL_PROBES = 256
 DUAL_MARGIN = 4e-9
 
@@ -376,15 +382,24 @@ def polar(cone: FiberCone, slack: float | None = None) -> FiberCone:
 def _dual_mask(grid: np.ndarray, dirs: np.ndarray, thr: float) -> np.ndarray:
     """Rows g of grid with <g, v> >= thr for every row v of dirs.
 
-    A minimum over a subset of the members is never below the minimum
-    over all of them, so a row whose smallest dot with the strided probe
-    members lies DUAL_MARGIN below thr is out.  The rows that survive are
-    decided by their smallest dot over all members.
+    The rows are screened coarse to fine: first against about
+    sqrt(DUAL_PROBES) strided members, then the rows left against about
+    DUAL_PROBES of them (one screen when both strides agree).  A minimum
+    over a subset of the members is never below the minimum over all of
+    them, so a row whose smallest dot with a screen's members lies
+    DUAL_MARGIN below thr is out.  The rows that pass every screen are
+    decided by their smallest dot over all members; a screen that leaves
+    no row ends the work.
     """
-    probe = dirs[::max(1, len(dirs) // DUAL_PROBES)]
-    live = np.flatnonzero(min_dots(grid, probe) >= thr - DUAL_MARGIN)
+    strides = (max(1, len(dirs) // math.isqrt(DUAL_PROBES)),
+               max(1, len(dirs) // DUAL_PROBES))
+    live = np.arange(len(grid))
+    for stride in dict.fromkeys(strides):
+        if len(live):
+            live = live[min_dots(grid[live], dirs[::stride]) >= thr - DUAL_MARGIN]
     ok = np.zeros(len(grid), dtype=bool)
-    ok[live] = min_dots(grid[live], dirs) >= thr
+    if len(live):
+        ok[live] = min_dots(grid[live], dirs) >= thr
     return ok
 
 
@@ -420,25 +435,25 @@ def min_dots(points: np.ndarray, members: np.ndarray,
              absolute: bool = False) -> np.ndarray:
     """min <p, v> (or min |<p, v>|) over the members v, for each row p.
 
-    The dots go in row blocks of at most DENSE_CELLS cells, so memory stays
-    bounded on the 4-D grid and for large member sets; each block is freed
-    before the next product.  No block has a single row: numpy hands a
-    one-row product to gemv, which can round differently from gemm, so a
-    lone row is doubled.  A dot may still round differently in blocks of
-    other sizes, so a value within rounding of a caller's threshold
-    depends on the block that holds its row.
+    The dots go in row blocks of DENSE_CELLS // len(members) rows, so a
+    block stays in cache on the 4-D grid and for large member sets; only
+    past DENSE_CELLS / 2 members does the floor of two rows hold more.
+    Each block is freed before the next product.  No
+    block has a single row: numpy hands a one-row product to gemv, which
+    can round differently from gemm, so a lone last row is doubled.  A
+    dot may still round differently in blocks of other sizes, so a value
+    within rounding of a caller's threshold depends on the block that
+    holds its row.
     """
     out = np.empty(len(points))
     step = max(2, DENSE_CELLS // len(members))
-    lo = 0
-    while lo < len(points):
-        hi = len(points) if len(points) - lo <= step + 1 else lo + step
-        dots = (points[lo:hi] if hi - lo > 1 else points[[lo, lo]]) @ members.T
+    for lo in range(0, len(points), step):
+        block = points[lo:lo + step]
+        dots = (block if len(block) > 1 else points[[lo, lo]]) @ members.T
         if absolute:
             np.abs(dots, out=dots)
-        out[lo:hi] = dots.min(axis=1)[:hi - lo]
+        out[lo:lo + step] = dots.min(axis=1)[:len(block)]
         del dots
-        lo = hi
     return out
 
 

@@ -208,8 +208,9 @@ def conormal_lower_check(w: FiberCone, lam: FiberCone) -> dict:
         report.update(passed=False, worst_angle=math.pi / 2.0,
                       worst_direction=WD[0].tolist())
         return report
-    # angle away from perpendicularity, per (w, lambda) pair
-    viol = np.arcsin(np.clip(np.abs(WD @ LD.T), 0.0, 1.0)).min(axis=1)
+    # angle of each w from perpendicularity to its nearest covector; arcsin
+    # is non-decreasing, so it is the arcsin of the smallest |<w, lambda>|
+    viol = np.arcsin(np.clip(min_dots(WD, LD, absolute=True), 0.0, 1.0))
     worst = int(np.argmax(viol))
     report["worst_angle"] = float(viol[worst])
     report["worst_direction"] = WD[worst].tolist()

@@ -650,6 +650,9 @@ GOLDEN_ANALYZE = {
     # the graph Whitney cone of a 3-D domain comes from the slab scan of
     # 512 antipodal pairs of domain directions
     "3d": ("--fn", "x1+x2+x3", "--at", "0,0,0", "--ladder", "0.1,0.5,4,10"),
+    # a W of 74 960 members: slice-top and the lower check take their dots
+    # in many cache-sized blocks
+    "abs-abs": ("--fn", "abs(x1)+abs(x2)", "--at", "0,0"),
 }
 
 
@@ -695,6 +698,9 @@ class TestGoldenReports:
         pytest.param("abs-2d-checks",
                      "ece2ddf16e2d7342d14993e243691fcf0b5be37e0bbe706b1713078d9ee2f2e7",
                      id="abs-2d-checks"),
+        pytest.param("abs-abs",
+                     "ca5de9443ebae1ce4529ba76374615f8bf1b2c0e2c987ea600095456f132a7ac",
+                     id="abs-abs"),
     ])
     def test_analyze_report_digest(self, name, digest):
         assert_bounded(golden_stdout(name))
@@ -725,6 +731,7 @@ class TestGoldenReports:
         pytest.param("abs-2d-checks", True, False, None, "none", True,
                      id="abs-2d-checks"),
         pytest.param("3d", True, True, [[1.0, 1.0, 1.0]], "none", True, id="3d"),
+        pytest.param("abs-abs", True, False, None, "min", True, id="abs-abs"),
     ])
     def test_analyze_verdicts(self, name, lip, strict, deriv, fo, dual):
         c = json.loads(golden_stdout(name))["results"][0]["classification"]

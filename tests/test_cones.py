@@ -417,9 +417,9 @@ class TestSampledPolar:
             dot_rows.clear()
             got = cones._dual_mask(grid, dirs, thr)
             # the polar is close to half the sphere: thousands of rows
-            # survive the probes and span many dense blocks
-            assert dot_rows[1] > 1000
-            assert dot_rows[1] * len(dirs) > 4 * cones.DENSE_CELLS
+            # survive the screens and span many dense blocks
+            assert dot_rows[-1] > 1000
+            assert dot_rows[-1] * len(dirs) > 4 * cones.DENSE_CELLS
             assert np.array_equal(got, exact_dual_mask(grid, dirs, thr))
             assert np.array_equal(got, dense_polar_mask(grid, dirs, thr))
 
@@ -432,7 +432,7 @@ class TestSampledPolar:
             thr = -math.sin(slack)
             dot_rows.clear()
             got = cones._dual_mask(grid, dirs, thr)
-            assert dot_rows[1] > 4 * (cones.DENSE_CELLS // len(dirs))
+            assert dot_rows[-1] > 4 * (cones.DENSE_CELLS // len(dirs))
             assert np.array_equal(got, exact_dual_mask(grid, dirs, thr))
             assert np.array_equal(got, dense_polar_mask(grid, dirs, thr))
 
@@ -448,8 +448,33 @@ class TestSampledPolar:
         thr = low.max() - 1e-12
         assert (low >= thr - cones.DUAL_MARGIN).sum() == 1
         got = cones._dual_mask(grid, dirs, thr)
-        assert dot_rows[1] == 1
+        assert dot_rows[-1] == 1
         assert got.sum() == (count <= cones.DUAL_PROBES)
+        assert np.array_equal(got, exact_dual_mask(grid, dirs, thr))
+        assert np.array_equal(got, dense_polar_mask(grid, dirs, thr))
+
+    def test_coarse_screen_leaves_no_row(self, dot_rows):
+        # members all over the sphere: the coarse screen's ~16 members
+        # already leave no row, so neither the fine screen nor the final
+        # product runs
+        dirs = random_sampled_cone(3, 700, count=3000, spread=4.0)
+        grid = sampling.unit_grid(3)
+        thr = -math.sin(0.5 * sampling.grid_resolution(3))
+        got = cones._dual_mask(grid, dirs, thr)
+        assert dot_rows == [len(grid)]
+        assert not got.any()
+        assert np.array_equal(got, dense_polar_mask(grid, dirs, thr))
+
+    @pytest.mark.parametrize("count", [1, 16])
+    def test_few_members_take_one_screen(self, count, dot_rows):
+        # with 16 members or fewer both screens would read every member,
+        # so one screen runs before the final product
+        dirs = self.two_ray_fan(3, 800 + count, count=count)
+        grid = sampling.unit_grid(3)
+        thr = -math.sin(0.5 * sampling.grid_resolution(3))
+        got = cones._dual_mask(grid, dirs, thr)
+        assert len(dot_rows) == 2 and dot_rows[0] == len(grid)
+        assert dot_rows[1] > 1000
         assert np.array_equal(got, exact_dual_mask(grid, dirs, thr))
         assert np.array_equal(got, dense_polar_mask(grid, dirs, thr))
 
@@ -464,6 +489,57 @@ class TestSampledPolar:
         grid = sampling.unit_grid(3)
         want = grid[dense_polar_mask(grid, dirs, -math.sin(0.5 * res))]
         assert len(want) and np.array_equal(got.rep.directions, want)
+
+
+class TestDenseBlocks:
+    """``cones.polar`` and every ``cones.min_dots`` block stay small: no
+    block holds more than DENSE_CELLS dots, a doubled lone row counted
+    twice."""
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """The dot count of every product that ``cones.min_dots`` takes."""
+        sizes = []
+
+        class Rows(np.ndarray):
+            def __matmul__(self, other):
+                sizes.append(self.shape[0] * other.shape[1])
+                return np.asarray(self) @ other
+        min_dots = cones.min_dots
+
+        def viewed(points, members, absolute=False):
+            return min_dots(points.view(Rows), members, absolute)
+        monkeypatch.setattr(cones, "min_dots", viewed)
+        return sizes
+
+    @pytest.mark.parametrize("count", [600, 10_000])
+    def test_polar_memory_is_bounded(self, count, blocks):
+        # about 1 MiB here; one block of 2**21 dots took 16 MiB
+        dirs = random_sampled_cone(3, 900 + count, count=count, spread=0.2)
+        cone = FiberCone(3, cones.Sampled(dirs, sampling.grid_resolution(3)))
+        want = cones.polar(cone)
+        tracemalloc.start()
+        try:
+            got = cones.polar(cone)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got.rep.directions) > 0
+        assert got.rep.directions.tobytes() == want.rep.directions.tobytes()
+        assert peak < 4 << 20
+        assert 0 < max(blocks) <= cones.DENSE_CELLS
+
+    @pytest.mark.parametrize("count", [600, 10_000])
+    def test_lone_row_block(self, count, blocks):
+        # three full blocks and a lone last row, doubled
+        grid = sampling.unit_grid(3)
+        members = random_sampled_cone(3, 902, count=count)
+        step = cones.DENSE_CELLS // count
+        rows = grid[:3 * step + 1]
+        got = cones.min_dots(rows, members)
+        assert blocks == [step * count] * 3 + [2 * count]
+        assert max(blocks) <= cones.DENSE_CELLS
+        assert got.tobytes() == (rows @ members.T).min(axis=1).tobytes()
 
 
 def exact_dual_mask(grid, dirs, thr):

@@ -184,6 +184,24 @@ class TestChecks:
         assert not rep["passed"]
         assert rep["worst_angle"] > 1.0
 
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_lower_check_equals_the_pairwise_angles(self, dim):
+        # both caps apply; the arcsin of each row's smallest |dot| is the
+        # smallest of the arcsins of all its pairs
+        rng = np.random.default_rng(dim)
+        wd, ld = rng.normal(size=(2000, dim)), rng.normal(size=(6000, dim))
+        w = FiberCone.from_directions(wd, dim, 0.05)
+        lam = FiberCone.from_directions(ld, dim, 0.05)
+        rep = conormal.conormal_lower_check(w, lam)
+        WD = cones.member_directions(w)[
+            np.linspace(0, 1999, conormal.CHECK_W_CAP).astype(int)]
+        LD = cones.member_directions(lam)[
+            np.linspace(0, 5999, conormal.CHECK_L_CAP).astype(int)]
+        viol = np.arcsin(np.clip(np.abs(WD @ LD.T), 0.0, 1.0)).min(axis=1)
+        assert rep["worst_angle"] == float(viol.max())
+        assert rep["worst_direction"] == WD[np.argmax(viol)].tolist()
+        assert rep["passed"] == (viol.max() <= rep["tolerance"])
+
     def test_lower_check_dim_guard(self):
         with pytest.raises(DimensionMismatchError):
             conormal.conormal_lower_check(FiberCone.full(2), FiberCone.full(3))
@@ -253,15 +271,19 @@ class TestSliceTopBlocks:
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dim", [3, 4])
-    @pytest.mark.parametrize("count", [1, 2, 37, 500])
+    @pytest.mark.parametrize("count", [1, 2, 37, 197, 500, 631, 4099, 10536])
     def test_blocked_top_equals_full_product(self, monkeypatch, dim, count):
+        # from about 193 members on, a block's size can move a dot's last
+        # bit; the full product is one product up to 2**24 dots (500
+        # members in 4-D), past that equal row chunks of at most that
         rng = np.random.default_rng(count)
         members = rng.normal(size=(count, dim))
         members /= np.linalg.norm(members, axis=1)[:, None]
         cone = FiberCone(dim, cones.Sampled(members, 0.02))
         grid = sampling.unit_grid(dim)
-        full = np.min(np.abs(grid @ members.T), axis=1) <= math.sin(
-            max(0.02, sampling.grid_resolution(dim)))
+        chunks = np.array_split(grid, -(-len(grid) * count // (1 << 24)))
+        low = np.concatenate([np.min(np.abs(g @ members.T), axis=1) for g in chunks])
+        full = low <= math.sin(max(0.02, sampling.grid_resolution(dim)))
         for cells in (cones.DENSE_CELLS, 4096):
             monkeypatch.setattr(cones, "DENSE_CELLS", cells)
             got = cones.member_directions(cones.top(cone))
